@@ -188,9 +188,10 @@ class Bourne:
         ``mask_seed`` switches the ``node_only`` target-branch feature
         mask from sequential ``rng`` draws to the counter-based stream
         keyed by the seed, making the mask — and therefore the scores —
-        independent of batch layout.  The batched inference path feeds
-        one seed per evaluation round; training and the legacy
-        per-target path leave it unset.
+        independent of batch layout.  It is one seed for every view (a
+        training batch) or one per view (the scoring loop feeds each
+        view its round's seed); the legacy per-target path leaves it
+        unset.
         """
         mode = self.config.mode
         if mode == "unified":
@@ -263,7 +264,8 @@ class Bourne:
 
         if mask_seed is not None:
             augmented = seeded_mask_features(gviews.features,
-                                             cfg.feature_mask_prob, mask_seed)
+                                             cfg.feature_mask_prob, mask_seed,
+                                             view_starts=gviews.patch_rows)
         else:
             augmented = mask_features(gviews.features,
                                       cfg.feature_mask_prob, rng)

@@ -15,11 +15,12 @@ Shared accumulation loop
 :func:`score_target_span` is THE inner scoring loop: the serial
 :func:`score_graph`, the sharded workers
 (:mod:`repro.parallel.engine`), and the serving layer
-(:class:`repro.serving.ScoringService`) all run it — they differ only
-in how a batch's views are built and which RNG streams feed the
-forward.  Bitwise equivalence between the serial, sharded, and served
-paths is therefore structural: there is exactly one accumulation order
-to drift from.  The helper returns :class:`RoundEvidence` — raw
+(:class:`repro.serving.ScoringService`) all run it on the same
+counter-based streams (:func:`inference_round_streams`) — they differ
+only in whether a view's sampled subgraph comes from a cache.  Bitwise
+equivalence between the serial, sharded, and served paths is therefore
+structural: there is exactly one accumulation order to drift from.
+The helper returns :class:`RoundEvidence` — raw
 per-round edge contributions in target order — and
 :func:`replay_edge_rounds` / :func:`mean_edge_rounds` fold spans of
 evidence back together by replaying the serial accumulation sequence
@@ -148,23 +149,28 @@ def concat_round_parts(parts_ids: List[np.ndarray],
 def score_target_span(
     model: Bourne,
     targets: np.ndarray,
-    rounds: int,
+    round_bases: np.ndarray,
+    mask_seeds: np.ndarray,
     batch_size: int,
-    build_views: Callable[[np.ndarray, int], tuple],
-    forward_streams: Callable[[int], dict],
+    build_views: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple],
     backend=None,
 ) -> RoundEvidence:
     """Run the multi-round scoring loop over one span of targets.
 
     This is the single inner loop shared by the serial scorer, the
-    sharded workers, and the serving layer.  ``build_views(chunk,
-    round_index)`` returns the prepared ``(BatchedGraphViews,
-    BatchedHypergraphViews)`` for one micro-batch;
-    ``forward_streams(round_index)`` returns the keyword arguments that
-    pin the forward pass's RNG streams (``mask_seed=`` offline,
-    ``rng=`` in serving).  Both callbacks must be pure functions of
-    ``(chunk, round)`` — never of batch layout — which is what makes
-    every caller's output bitwise-identical however the span is split.
+    sharded workers, and the serving layer.  One forward covers a chunk
+    of targets across every round — views laid out round-major, never
+    more than ``batch_size`` of them; when the rounds alone exceed
+    ``batch_size``, each target's rounds are split into groups.
+    ``build_views(view_targets, view_rounds, view_seeds)`` returns the
+    prepared ``(BatchedGraphViews, BatchedHypergraphViews)`` of those
+    views, ``view_seeds`` being each ``(round, target)``'s sampling seed
+    derived from ``round_bases``; the forward masks each view with its
+    round's entry of ``mask_seeds`` (``node_only`` mode).  Every draw is
+    a pure function of ``(round, target)``, and node sums add each
+    target's rounds in round order while edge evidence is split back
+    per round, so the result is bitwise what a per-round loop over
+    micro-batches of any size produces.
 
     ``backend`` selects the compute backend for the forward pass (a
     registered name, a :class:`repro.tensor.TensorBackend` instance, or
@@ -174,50 +180,68 @@ def score_target_span(
     """
     backend = resolve_backend(backend)
     targets = np.asarray(targets, dtype=np.int64)
-    width = len(targets)
+    round_bases = np.asarray(round_bases, dtype=np.uint64)
+    mask_seeds = np.asarray(mask_seeds, dtype=np.uint64)
+    rounds, width = len(round_bases), len(targets)
     evidence = RoundEvidence(node_sum=np.zeros(width),
                              node_count=np.zeros(width))
-    for round_index in range(rounds):
-        parts_ids: List[np.ndarray] = []
-        parts_vals: List[np.ndarray] = []
-        for offset in range(0, width, batch_size):
-            chunk = targets[offset:offset + batch_size]
+    parts_ids: List[List[np.ndarray]] = [[] for _ in range(rounds)]
+    parts_vals: List[List[np.ndarray]] = [[] for _ in range(rounds)]
+    group_size = max(1, min(rounds, batch_size))
+    chunk_size = max(1, batch_size // group_size)
+    for offset in range(0, width, chunk_size):
+        chunk = targets[offset:offset + chunk_size]
+        rows = slice(offset, offset + len(chunk))
+        for first in range(0, rounds, group_size):
+            group = np.arange(first, min(first + group_size, rounds))
+            view_rounds = np.repeat(group, len(chunk))
+            view_targets = np.tile(chunk, len(group))
+            view_seeds = derive_target_seeds(round_bases[view_rounds],
+                                             view_targets)
             # Tracing stages, not draws: span ids are counter-based and
             # the callbacks are untouched, so scores stay bitwise-equal
             # with tracing on (the obs pin tests assert it).
             with obs_trace.span("scoring.build_views") as sp:
-                sp.set(round=round_index, chunk=len(chunk))
-                gviews, hviews = build_views(chunk, round_index)
+                sp.set(rounds=len(group), chunk=len(chunk))
+                gviews, hviews = build_views(view_targets, view_rounds,
+                                             view_seeds)
             with obs_trace.span("scoring.forward") as sp:
-                sp.set(round=round_index, chunk=len(chunk),
-                       backend=backend.name)
-                scores = backend.forward_batch(model, gviews, hviews,
-                                               **forward_streams(round_index))
+                sp.set(views=len(view_targets), backend=backend.name)
+                scores = backend.forward_batch(
+                    model, gviews, hviews, mask_seed=mask_seeds[view_rounds])
             evidence.forward_batches += 1
             if scores.node_scores is not None:
-                evidence.node_sum[offset:offset + len(chunk)] += \
-                    scores.node_scores.data
-                evidence.node_count[offset:offset + len(chunk)] += 1
+                per_round = scores.node_scores.data.reshape(len(group), -1)
+                for values in per_round:
+                    evidence.node_sum[rows] += values
+                    evidence.node_count[rows] += 1
             if scores.edge_scores is not None and len(scores.edge_orig_ids):
-                parts_ids.append(np.asarray(scores.edge_orig_ids,
-                                            dtype=np.int64))
-                parts_vals.append(scores.edge_scores.data)
-        ids, vals = concat_round_parts(parts_ids, parts_vals)
+                # Edges come ordered by owner view, so each round's
+                # edges are one contiguous run.
+                cuts = np.searchsorted(scores.edge_owner,
+                                       np.arange(1, len(group)) * len(chunk))
+                ids = np.split(np.asarray(scores.edge_orig_ids,
+                                          dtype=np.int64), cuts)
+                vals = np.split(scores.edge_scores.data, cuts)
+                for round_index, round_ids, round_vals in zip(group, ids, vals):
+                    parts_ids[round_index].append(round_ids)
+                    parts_vals[round_index].append(round_vals)
+    for round_ids, round_vals in zip(parts_ids, parts_vals):
+        ids, vals = concat_round_parts(round_ids, round_vals)
         evidence.edge_ids.append(ids)
         evidence.edge_vals.append(vals)
     return evidence
 
 
-def offline_view_builder(model: Bourne, graph, round_bases: np.ndarray):
-    """``build_views`` callback of the offline batched path: vectorized
-    sampling + counter-based augmentation keyed by per-``(round,
-    target)`` seeds derived from one base per round."""
+def offline_view_builder(model: Bourne, graph):
+    """``build_views`` callback of the uncached paths: vectorized
+    sampling + counter-based augmentation, both keyed by each view's
+    ``(round, target)`` seed."""
     augment = model.config.augment_at_inference
 
-    def build(chunk: np.ndarray, round_index: int):
-        target_seeds = derive_target_seeds(round_bases[round_index], chunk)
-        return model.prepare_batch(graph, chunk, augment=augment,
-                                   target_seeds=target_seeds)
+    def build(targets: np.ndarray, _rounds: np.ndarray, seeds: np.ndarray):
+        return model.prepare_batch(graph, targets, augment=augment,
+                                   target_seeds=seeds)
 
     return build
 
@@ -239,17 +263,17 @@ def mean_edge_rounds(rounds: int,
                      spans: Sequence[RoundEvidence]) -> Dict[int, float]:
     """Per-edge-id mean evidence, replayed in serial accumulation order
     (the sparse counterpart of :func:`replay_edge_rounds`, used by the
-    serving layer's edge table)."""
-    edge_sums: Dict[int, float] = {}
-    edge_counts: Dict[int, int] = {}
-    for round_index in range(rounds):
-        for span in spans:
-            vals = span.edge_vals[round_index]
-            for eid, value in zip(span.edge_ids[round_index], vals):
-                eid = int(eid)
-                edge_sums[eid] = edge_sums.get(eid, 0.0) + float(value)
-                edge_counts[eid] = edge_counts.get(eid, 0) + 1
-    return {eid: total / edge_counts[eid] for eid, total in edge_sums.items()}
+    serving layer's edge table).  ``bincount`` adds the weights in array
+    order, so each edge's sum runs in that same replay sequence."""
+    ids = [span.edge_ids[r] for r in range(rounds) for span in spans]
+    vals = [span.edge_vals[r] for r in range(rounds) for span in spans]
+    ids, vals = concat_round_parts(ids, vals)
+    if not len(ids):
+        return {}
+    edges, slot = np.unique(ids, return_inverse=True)
+    sums = np.bincount(slot, weights=vals, minlength=len(edges))
+    means = sums / np.bincount(slot, minlength=len(edges))
+    return dict(zip(edges.tolist(), means.tolist()))
 
 
 def score_graph(
@@ -272,7 +296,8 @@ def score_graph(
     rounds:
         Evaluation rounds ``R`` (default from the model config).
     batch_size:
-        Inference batch size (default from the model config).
+        Views — ``(target, round)`` pairs — per forward (default from
+        the model config).
     seed:
         Seed for inference-time sampling/augmentation; defaults to the
         model seed shifted so inference never replays training draws.
@@ -326,10 +351,8 @@ def score_graph(
         # the sharded workers and the serving layer.
         _, round_bases, mask_seeds = inference_round_streams(cfg, rounds, seed)
         evidence = score_target_span(
-            model, np.arange(graph.num_nodes), rounds, batch_size,
-            offline_view_builder(model, graph, round_bases),
-            lambda round_index: {"mask_seed": int(mask_seeds[round_index])},
-            backend=backend,
+            model, np.arange(graph.num_nodes), round_bases, mask_seeds,
+            batch_size, offline_view_builder(model, graph), backend=backend,
         )
         node_sum, node_count = evidence.node_sum, evidence.node_count
         replay_edge_rounds(edge_sum, edge_count, rounds, [evidence])

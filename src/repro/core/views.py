@@ -141,33 +141,40 @@ _VIEW_DROP_STREAM = 5
 
 
 def seeded_forward_mask_draws(dim: int, prob: float,
-                              seed: int) -> Optional[np.ndarray]:
-    """Counter-based Γ1 keep-vector (``None`` when masking is disabled);
-    a pure function of ``(seed, dimension)`` shared by
-    :func:`seeded_mask_features` and the fused inference kernels."""
+                              seeds) -> Optional[np.ndarray]:
+    """Counter-based Γ1 keep-vectors, one ``(D,)`` row per seed
+    (``None`` when masking is disabled); a pure function of ``(seed,
+    dimension)`` shared by :func:`seeded_mask_features` and the fused
+    inference kernels.  ``seeds`` is one seed or an array of them."""
     if prob <= 0.0:
         return None
-    draws = seeded_uniform(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF),
-                           _FORWARD_MASK_STREAM,
-                           np.arange(dim, dtype=np.uint64))
+    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.uint64))
+    draws = seeded_uniform(seeds[:, None], _FORWARD_MASK_STREAM,
+                           np.arange(dim, dtype=np.uint64)[None, :])
     return draws >= prob
 
 
-def seeded_mask_features(features: np.ndarray, prob: float,
-                         seed: int) -> np.ndarray:
-    """Γ1 with counter-based draws: the mask depends on ``seed`` only.
+def seeded_mask_features(features: np.ndarray, prob: float, seeds,
+                         view_starts: Optional[np.ndarray] = None
+                         ) -> np.ndarray:
+    """Γ1 with counter-based draws: the mask depends on the seed only.
 
     Unlike :func:`mask_features`, which consumes a sequential RNG and
     therefore draws differently depending on how many forwards preceded
     it, this mask is a pure function of ``(seed, dimension)`` — the same
-    ``splitmix64`` streams the batch sampler uses.  Feeding one seed per
-    evaluation round makes ``node_only`` augmented inference invariant
-    to batch size and to sharding.
+    ``splitmix64`` streams the batch sampler uses.  One seed masks every
+    row; an array of seeds masks view ``i`` — the rows from
+    ``view_starts[i]`` up to the next view's start — with ``seeds[i]``.
+    Feeding each view its round's seed makes ``node_only`` augmented
+    inference invariant to batch layout and to sharding.
     """
-    keep = seeded_forward_mask_draws(features.shape[1], prob, seed)
+    keep = seeded_forward_mask_draws(features.shape[1], prob, seeds)
     if keep is None:
         return features
-    return features * keep[None, :]
+    if len(keep) > 1:
+        rows = np.diff(np.append(view_starts, len(features)))
+        keep = np.repeat(keep, rows, axis=0)
+    return features * keep
 
 
 def perturb_incidence(incidence, prob: float,
@@ -348,8 +355,6 @@ def batch_hypergraph_views_from_subgraphs(
     incidence_drop_prob: float = 0.2,
     augment: bool = True,
     target_seeds: Optional[np.ndarray] = None,
-    feature_masks: Optional[np.ndarray] = None,
-    incidence_keep: Optional[np.ndarray] = None,
 ) -> BatchedHypergraphViews:
     """Dual-transform + augment + batch the hypergraph views, vectorized.
 
@@ -372,12 +377,6 @@ def batch_hypergraph_views_from_subgraphs(
     — the property sharded training and augmented sharded inference
     rely on.  Without seeds the legacy path draws sequentially from
     ``rng`` (same distribution, batch-layout dependent).
-
-    ``feature_masks`` (``(B, D)`` bool) and ``incidence_keep``
-    (``(E, 2)`` bool, one row per sampled edge: keep endpoint 0 / 1)
-    inject *precomputed* Γ1/Γ2 outcomes and take precedence over the
-    ``augment`` flag — the serving layer uses them to replay the legacy
-    per-target ``Generator`` streams through this vectorized builder.
     """
     num_views = len(batch)
     slots = batch.slots
@@ -413,10 +412,7 @@ def batch_hypergraph_views_from_subgraphs(
                 f"{num_views} views")
     else:
         seeds = None
-    if feature_masks is not None:
-        if num_edges:
-            dual = dual * np.asarray(feature_masks)[edge_view]
-    elif augment and feature_mask_prob > 0.0 and num_edges:
+    if augment and feature_mask_prob > 0.0 and num_edges:
         # Γ1: one D-dim mask per view.
         if seeds is not None:
             dims = np.arange(dim, dtype=np.uint64)
@@ -428,9 +424,7 @@ def batch_hypergraph_views_from_subgraphs(
             masks = rng.random((int(has_edges.sum()), dim)) >= feature_mask_prob
             mask_row = np.cumsum(has_edges) - 1
             dual = dual * masks[mask_row[edge_view]]
-    if incidence_keep is not None:
-        keep = np.asarray(incidence_keep, dtype=bool).reshape(num_edges, 2)
-    elif augment and incidence_drop_prob > 0.0 and num_edges:
+    if augment and incidence_drop_prob > 0.0 and num_edges:
         # Γ2: i.i.d. Bernoulli drop per incidence entry (2 per edge).
         if seeds is not None:
             ends = np.arange(2, dtype=np.uint64)
@@ -501,77 +495,6 @@ def batch_hypergraph_views_from_subgraphs(
         context_pool=context_pool,
         has_edges=has_edges,
     )
-
-
-def graph_views_from_subgraphs(
-        batch: SampledSubgraphBatch) -> Sequence[GraphView]:
-    """Per-target :class:`GraphView` list built as ONE dense stack.
-
-    Same anonymization + GCN normalization as
-    :func:`batch_graph_views_from_subgraphs`, but returned as per-view
-    objects (each a slice of the stack) so version-aware caches can keep
-    them at ``(target, round)`` granularity.  Bitwise-identical to
-    ``[build_graph_view(v) for v in batch.views()]``.
-    """
-    num_views = len(batch)
-    if num_views == 0:
-        return []
-    ns = batch.slots
-    dim = batch.features.shape[1]
-    rows_per = ns + 1
-
-    feats = batch.features.reshape(num_views, ns, dim)
-    features = np.zeros((num_views, rows_per, dim))
-    features[:, 1:ns] = feats[:, 1:]
-    features[:, ns] = feats[:, 0]
-
-    adjacency = np.zeros((num_views, rows_per, rows_per))
-    edge_view = np.repeat(np.arange(num_views), np.diff(batch.edge_offsets))
-    adjacency[edge_view, batch.edges[:, 0], batch.edges[:, 1]] = 1.0
-    adjacency[edge_view, batch.edges[:, 1], batch.edges[:, 0]] = 1.0
-    adjacency[:, ns, ns] = 1.0
-    operators = batched_gcn_operator(adjacency)
-    return [GraphView(features=features[i], operator=operators[i],
-                      patch_row=0, target_row=ns, num_context_rows=ns)
-            for i in range(num_views)]
-
-
-def split_hypergraph_views(
-    batch: SampledSubgraphBatch,
-    batched: BatchedHypergraphViews,
-) -> Sequence[Optional[HypergraphView]]:
-    """Per-target :class:`HypergraphView` slices of a batched build.
-
-    The inverse of the stacking: each view with edges gets its dense
-    block of the block-diagonal operator plus its feature rows;
-    degenerate targets (no edges) map to ``None``, exactly like
-    :func:`build_hypergraph_view`.  With matching augmentation draws the
-    slices are bitwise what the per-target builder produces.
-    """
-    num_views = len(batch)
-    edge_counts = np.diff(batch.edge_offsets)
-    target_counts = batch.num_target_edges.astype(np.int64)
-    view_rows = np.where(edge_counts > 0, edge_counts + target_counts, 1)
-    row_off = np.zeros(num_views + 1, dtype=np.int64)
-    np.cumsum(view_rows, out=row_off[1:])
-
-    views: list = []
-    for i in range(num_views):
-        ms = int(edge_counts[i])
-        if ms == 0:
-            views.append(None)
-            continue
-        mtar = int(target_counts[i])
-        r0, r1 = int(row_off[i]), int(row_off[i + 1])
-        e0 = int(batch.edge_offsets[i])
-        views.append(HypergraphView(
-            features=batched.features[r0:r1],
-            operator=batched.operator[r0:r1, r0:r1].toarray(),
-            num_target_edges=mtar,
-            num_context_rows=ms,
-            edge_orig_ids=batch.edge_orig_ids[e0:e0 + mtar].copy(),
-        ))
-    return views
 
 
 def build_batched_views(

@@ -63,15 +63,18 @@ def derive_stream_seed(*components: int) -> np.uint64:
     return np.uint64(state)
 
 
-def derive_target_seeds(base: int, targets: np.ndarray) -> np.ndarray:
-    """Per-target ``uint64`` seeds from one base seed.
+def derive_target_seeds(base, targets: np.ndarray) -> np.ndarray:
+    """Per-target ``uint64`` seeds from one base seed (or a ``uint64``
+    array of bases, one per target).
 
     Depends only on ``(base, target id)`` — never on the position of a
     target inside its batch — so sampling a node alone or inside any
     batch draws identically.
     """
     ids = np.asarray(targets, dtype=np.uint64)
-    return splitmix64(_U64(int(base) & 0xFFFFFFFFFFFFFFFF) ^ splitmix64(ids))
+    if np.ndim(base) == 0:
+        base = _U64(int(base) & 0xFFFFFFFFFFFFFFFF)
+    return splitmix64(np.asarray(base, dtype=np.uint64) ^ splitmix64(ids))
 
 
 def seeded_uniform(seeds: np.ndarray, stream: int,

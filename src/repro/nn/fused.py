@@ -400,7 +400,8 @@ class FusedInferenceKernel:
         batch, size, dim = feats3.shape
         ops32, h_t, _, _ = self._online_graph_branch(compiled, gviews, feats3)
 
-        # Γ1 forward mask — exactly the draws the reference consumes.
+        # Γ1 forward mask — exactly the draws the reference consumes:
+        # one keep-vector per view seed, or one for the whole batch.
         if mask_seed is not None:
             keep = seeded_forward_mask_draws(
                 dim, compiled.feature_mask_prob, mask_seed
@@ -408,11 +409,12 @@ class FusedInferenceKernel:
         else:
             stream = rng if rng is not None else model.sample_rng
             keep = forward_mask_draws(dim, compiled.feature_mask_prob, stream)
+            keep = None if keep is None else keep[None, :]
         if keep is None:
             masked = feats3
         else:
             masked = self.workspace.get("graph_feats_masked", feats3.shape)
-            np.multiply(feats3, keep[None, None, :], out=masked, casting="same_kind")
+            np.multiply(feats3, keep[:, None, :], out=masked, casting="same_kind")
 
         z3 = self._graph_stack("target", compiled.target_stack, ops32, masked)
         patch_ctx = z3[:, 0]

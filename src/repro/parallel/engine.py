@@ -30,6 +30,7 @@ from __future__ import annotations
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from multiprocessing import resource_tracker
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -137,6 +138,11 @@ class WorkerPool:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = int(workers)
+        # Workers forked before the parent has a resource tracker would
+        # each start their own on first shm attach, outliving the pool
+        # and warning about segments the parent already unlinked.
+        # Started here, the one tracker is inherited by every worker.
+        resource_tracker.ensure_running()
         self._executor = ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=_mp_context(start_method),
@@ -320,10 +326,10 @@ def _score_shard(task: tuple) -> ShardScore:
         return score_target_span(
             model,
             np.arange(start, stop, dtype=np.int64),
-            len(round_bases),
+            round_bases,
+            mask_seeds,
             batch_size,
-            offline_view_builder(model, graph, round_bases),
-            lambda round_index: {"mask_seed": int(mask_seeds[round_index])},
+            offline_view_builder(model, graph),
             backend=resolve_backend(backend_name),
         )
 

@@ -1,14 +1,18 @@
-"""Version-aware LRU cache of sampled enclosing subgraph views.
+"""Version-aware LRU cache of sampled enclosing subgraphs.
 
-Entries are keyed by ``(target, round)`` and tagged with the store
-version at sampling time.  Lookups pass the target's current
-``region_version``: an entry older than the last mutation affecting the
-target's neighbourhood is discarded on access (lazy invalidation), so
-the cache never serves a view the sampler would no longer produce.
+Entries are keyed by ``(target, round)`` and hold that view's sampled
+subgraph — a private copy of its slice of the sampler's flat batch
+arrays, so an entry never keeps the rest of its batch alive — tagged
+with the store version at sampling time.  Lookups pass the target's
+current ``region_version``: an entry older than the last mutation
+affecting the target's neighbourhood is discarded on access (lazy
+invalidation), so the cache never serves a subgraph the sampler would
+no longer produce.
 
-Because the serving layer derives the sampler RNG deterministically from
-``(seed, round, target)``, a *valid* cached view is bitwise identical to
-what re-sampling would return — cache hits change latency, never scores.
+Because the sampling seed of a ``(target, round)`` is counter-based, a
+*valid* cached subgraph is bitwise identical to what re-sampling would
+return; augmentation is applied when views are built, from the same
+seed — so cache hits change latency, never scores.
 
 Store compaction (folding the delta overlay into the compacted base
 index) changes the topology's *representation*, not its content, and
@@ -22,13 +26,14 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, Optional, Tuple
 
+from ..graph.sampling import SampledSubgraph
+
 
 @dataclass
 class CacheEntry:
-    """One cached (graph view, hypergraph view) pair for a target/round."""
+    """One cached sampled subgraph for a target/round."""
 
-    graph_view: object
-    hyper_view: object           # may be None for degenerate targets
+    subgraph: SampledSubgraph
     version: int                 # store.version at sampling time
 
 
@@ -71,10 +76,10 @@ class SubgraphCache:
         self.hits += 1
         return entry
 
-    def put(self, key: Tuple[int, int], graph_view, hyper_view,
+    def put(self, key: Tuple[int, int], subgraph: SampledSubgraph,
             version: int) -> CacheEntry:
         """Insert (or refresh) an entry; evicts LRU entries past capacity."""
-        entry = CacheEntry(graph_view, hyper_view, version)
+        entry = CacheEntry(subgraph, version)
         if self.maxsize == 0:
             return entry
         self._entries[key] = entry

@@ -4,19 +4,21 @@
 checkpoint into a long-lived scorer over a mutable
 :class:`~repro.serving.store.GraphStore`:
 
-* **Micro-batching** — score requests are enqueued and resolved by a
-  single ``forward_batch`` call per evaluation round at ``flush()``
-  time, so concurrent requests share the block-diagonal sparse matmuls
-  instead of paying one forward pass each.
-* **Deterministic per-target sampling** — unlike the offline
-  :func:`repro.core.score_graph`, which threads one RNG through every
-  target sequentially, the service derives the sampler RNG from
-  ``(seed, round, target)``.  A node's score therefore never depends on
-  which other requests happened to share its batch or on the mutation
-  history that produced the store — the property the
-  serving-equivalence tests pin down bitwise.
-* **Subgraph caching** — sampled views are kept in a version-aware LRU
-  (:class:`~repro.serving.cache.SubgraphCache`); the store's
+* **Micro-batching** — score requests are enqueued and resolved at
+  ``flush()`` time by the shared span loop, which runs a chunk of
+  targets across all ``R`` rounds in one ``forward_batch`` call, so
+  concurrent requests share one sampler call, one view build and one
+  forward instead of paying one each.
+* **Offline streams** — the service draws from the same counter-based
+  streams as :func:`repro.core.score_graph`: one sampling base and one
+  ``node_only`` mask seed per round from
+  :func:`~repro.core.scoring.inference_round_streams`, and per-``(round,
+  target)`` seeds for sampling and Γ1/Γ2 augmentation.  A node's score
+  is therefore bitwise what ``score_graph`` gives it for the same seed,
+  and never depends on which other requests shared its batch or on the
+  mutation history that produced the store.
+* **Subgraph caching** — sampled subgraphs are kept in a version-aware
+  LRU (:class:`~repro.serving.cache.SubgraphCache`); the store's
   dirty-region tracking invalidates exactly the neighbourhoods a
   mutation could have changed.
 * **Incremental refresh** — :meth:`refresh` maintains a full score
@@ -32,169 +34,46 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.model import Bourne
-from ..core.scoring import RoundEvidence, mean_edge_rounds, score_target_span
-from ..core.views import (
-    batch_graph_views,
-    batch_hypergraph_views,
-    batch_hypergraph_views_from_subgraphs,
-    graph_views_from_subgraphs,
-    split_hypergraph_views,
+from ..core.scoring import (
+    RoundEvidence,
+    inference_round_streams,
+    mean_edge_rounds,
+    offline_view_builder,
+    score_target_span,
 )
+from ..core.views import build_batched_views
 from ..graph.graph import Graph
-from ..graph.index import derive_stream_seed, derive_target_seeds
-from ..graph.sampling import sample_enclosing_subgraphs
+from ..graph.sampling import SampledSubgraphBatch, sample_enclosing_subgraphs
 from ..obs import trace as obs_trace
 from ..tensor.backend import resolve_backend
 from .cache import SubgraphCache
 from .store import GraphStore
 
-#: Offset keeping serving RNG streams disjoint from training draws
-#: (same constant the offline scorer uses).
-_SEED_OFFSET = 104729
-
-#: Sampling-relevant config fields; a hot-swapped model with identical
-#: values (and an unchanged serving seed) can keep the warm subgraph
-#: cache — views depend on topology and these knobs only, never weights.
-_SAMPLING_FIELDS = ("hop_size", "subgraph_size", "feature_mask_prob",
-                    "incidence_drop_prob", "augment_at_inference")
-
-
-# ----------------------------------------------------------------------
-# Deterministic serving streams (module-level so the sharded refresh
-# workers replay the exact streams the in-process service uses)
-# ----------------------------------------------------------------------
-def sampling_base(seed: int, round_index: int) -> np.uint64:
-    """Base of the counter-based sampling seeds for one round; the batch
-    sampler folds it with each target id, so draws depend on
-    ``(seed, round, target)`` only — never on batch layout."""
-    return derive_stream_seed(seed, 0, round_index)
-
-
-def view_rng(seed: int, target: int, round_index: int) -> np.random.Generator:
-    """Per-``(target, round)`` stream for view augmentation."""
-    return np.random.default_rng((seed, 0, round_index, int(target)))
-
-
-def forward_rng(seed: int, round_index: int) -> np.random.Generator:
-    """Per-round forward stream; fresh per forward call so every
-    micro-batch of a round draws identically (the ``node_only`` mask is
-    its first draw)."""
-    return np.random.default_rng((seed, 1, round_index))
-
-
-def _draw_view_augmentation(batch, targets: np.ndarray, round_index: int,
-                            seed: int, mask_prob: float, drop_prob: float):
-    """Γ1/Γ2 outcomes for a sampled batch from the legacy per-target
-    ``Generator`` streams.
-
-    Replays exactly the draws ``build_hypergraph_view(sub,
-    view_rng(seed, target, round))`` would consume — first the ``(D,)``
-    feature mask (only when ``mask_prob > 0``), then the ``(Ms, slots)``
-    incidence-drop matrix (only when ``drop_prob > 0``); degenerate
-    targets draw nothing — so the vectorized builder produces
-    bitwise-identical augmented views.  Returns ``(feature_masks,
-    incidence_keep)`` for :func:`batch_hypergraph_views_from_subgraphs`
-    (``None`` for whichever augmentation is disabled).
-    """
-    num_views = len(batch)
-    slots = batch.slots
-    dim = batch.features.shape[1]
-    edge_counts = np.diff(batch.edge_offsets)
-    masks = np.ones((num_views, dim), dtype=bool) if mask_prob > 0.0 else None
-    keep = (np.ones((len(batch.edges), 2), dtype=bool)
-            if drop_prob > 0.0 else None)
-    if masks is None and keep is None:
-        return None, None
-    for i, target in enumerate(targets):
-        ms = int(edge_counts[i])
-        if ms == 0:
-            continue
-        rng = view_rng(seed, int(target), round_index)
-        if masks is not None:
-            masks[i] = rng.random(dim) >= mask_prob
-        if keep is not None:
-            e0 = int(batch.edge_offsets[i])
-            local = batch.edges[e0:e0 + ms]
-            mat = rng.random((ms, slots)) >= drop_prob
-            rows = np.arange(ms)
-            keep[e0:e0 + ms, 0] = mat[rows, local[:, 0]]
-            keep[e0:e0 + ms, 1] = mat[rows, local[:, 1]]
-    return masks, keep
-
-
-def sample_target_views(graph_like, targets: np.ndarray, round_index: int,
-                        seed: int, config) -> list:
-    """Sample + build the ``(graph_view, hyper_view)`` pairs of one round.
-
-    One vectorized batch sampling call, then ONE vectorized view build
-    for the whole chunk — dense-stacked graph views and a single
-    block-diagonal hypergraph build, split back into per-target views
-    for the ``(target, round)`` cache.  Augmentation outcomes are
-    precomputed from the per-``(target, round)`` streams, so the output
-    is bitwise what the old per-target ``build_*_view`` loop produced.
-    Pure function of ``(topology, seed, round, targets)`` — the service
-    miss path and the sharded refresh workers both call it, which is
-    what keeps their scores bitwise-identical.
-    """
-    targets = np.asarray(targets, dtype=np.int64)
-    seeds = derive_target_seeds(sampling_base(seed, round_index), targets)
-    sampled = sample_enclosing_subgraphs(
-        graph_like, targets, k=config.hop_size,
-        size=config.subgraph_size, target_seeds=seeds)
-    with obs_trace.span("views.build_batched") as sp:
-        sp.set(targets=len(targets), round=round_index)
-        graph_views = graph_views_from_subgraphs(sampled)
-        masks = keep = None
-        if config.augment_at_inference:
-            masks, keep = _draw_view_augmentation(
-                sampled, targets, round_index, seed,
-                config.feature_mask_prob, config.incidence_drop_prob)
-        batched = batch_hypergraph_views_from_subgraphs(
-            sampled, augment=False,
-            feature_masks=masks, incidence_keep=keep)
-        hyper_views = split_hypergraph_views(sampled, batched)
-    return list(zip(graph_views, hyper_views))
-
-
-def batch_round_views(graph_like, chunk: np.ndarray, round_index: int,
-                      seed: int, config, num_features: int):
-    """Sample + batch one micro-batch's views (the uncached miss path).
-
-    Pure function of ``(topology, seed, round, chunk)``; used directly
-    by the sharded refresh workers and — through the subgraph cache —
-    by the in-process service, so both feed the shared span loop
-    identical inputs.
-    """
-    views = sample_target_views(graph_like, chunk, round_index, seed, config)
-    return (batch_graph_views([pair[0] for pair in views]),
-            batch_hypergraph_views([pair[1] for pair in views], num_features))
+#: Config fields a cached subgraph depends on; a hot-swapped model with
+#: identical values (and an unchanged serving seed) keeps the warm
+#: subgraph cache — subgraphs depend on topology and these knobs only,
+#: never on weights (augmentation is applied when views are built).
+_SAMPLING_FIELDS = ("hop_size", "subgraph_size")
 
 
 def score_service_span(model: Bourne, graph_like, targets: np.ndarray,
                        seed: int, rounds: int, max_batch: int,
                        backend=None) -> RoundEvidence:
-    """Uncached service-stream scoring of one target span.
+    """Uncached scoring of one target span on the serving streams.
 
-    Runs the same :func:`repro.core.scoring.score_target_span` loop as
-    ``ScoringService._score_targets`` with the same per-``(seed, round,
-    target)`` view streams and per-round forward streams — the sharded
-    refresh workers call this, which is what makes a sharded refresh
-    bitwise-identical to a serial one.  ``backend`` names the compute
-    backend (workers receive the parent service's backend name and
-    resolve it locally).
+    The shared :func:`repro.core.scoring.score_target_span` loop with
+    the offline view builder, on the streams ``score_graph(seed=seed)``
+    draws — so the evidence is bitwise what ``ScoringService`` with the
+    same ``seed`` computes through its cache.  The sharded refresh
+    workers, the replica workers and lifecycle validation call this.
+    ``backend`` names the compute backend (workers receive the parent
+    service's backend name and resolve it locally).
     """
-    config = model.config
-    num_features = graph_like.num_features
-
-    def build(chunk: np.ndarray, round_index: int):
-        return batch_round_views(graph_like, chunk, round_index, seed,
-                                 config, num_features)
-
+    _, round_bases, mask_seeds = inference_round_streams(
+        model.config, rounds, seed)
     return score_target_span(
-        model, targets, rounds, max_batch, build,
-        lambda round_index: {"rng": forward_rng(seed, round_index)},
-        backend=backend,
-    )
+        model, targets, round_bases, mask_seeds, max_batch,
+        offline_view_builder(model, graph_like), backend=backend)
 
 
 def edge_mean_from_evidence(endpoint_scores: np.ndarray,
@@ -284,12 +163,13 @@ class ScoringService:
     rounds:
         Evaluation rounds ``R`` per score (default: model config).
     seed:
-        Base seed of the serving RNG streams (default: model seed +
-        the inference offset, mirroring the offline scorer).
+        Inference seed, with ``score_graph``'s meaning (default: the
+        model seed), so served scores equal ``score_graph(seed=seed)``.
     cache_size:
         Capacity of the subgraph LRU in ``(target, round)`` entries.
     max_batch:
-        Micro-batch cap per forward call (default: model batch size).
+        Cap on views — ``(target, round)`` pairs — per forward call
+        (default: model batch size).
     backend:
         Compute backend for the forward passes — a registered name
         (``"numpy"``/``"fused"``/``"numba"``) or a backend instance;
@@ -319,7 +199,7 @@ class ScoringService:
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         self._explicit_seed = seed is not None
-        self.seed = (cfg.seed + _SEED_OFFSET) if seed is None else seed
+        self._set_seed(cfg.seed if seed is None else seed)
         self.max_batch = max_batch if max_batch is not None else cfg.batch_size
         self.backend = resolve_backend(backend)
         self.cache = SubgraphCache(cache_size)
@@ -357,17 +237,10 @@ class ScoringService:
                 f"smaller than the model hop_size={cfg.hop_size}; dirty "
                 "regions would under-invalidate the subgraph cache")
 
-    # ------------------------------------------------------------------
-    # RNG streams (deterministic, batch-independent)
-    # ------------------------------------------------------------------
-    def _sampling_base(self, round_index: int) -> np.uint64:
-        return sampling_base(self.seed, round_index)
-
-    def _view_rng(self, target: int, round_index: int) -> np.random.Generator:
-        return view_rng(self.seed, target, round_index)
-
-    def _forward_rng(self, round_index: int) -> np.random.Generator:
-        return forward_rng(self.seed, round_index)
+    def _set_seed(self, seed: int) -> None:
+        self.seed = seed
+        _, self._round_bases, self._mask_seeds = inference_round_streams(
+            self.model.config, self.rounds, seed)
 
     # ------------------------------------------------------------------
     # Request path
@@ -542,15 +415,14 @@ class ScoringService:
         """
         self._check_model(model)
         old_cfg, new_cfg = self.model.config, model.config
-        new_seed = (self.seed if self._explicit_seed
-                    else new_cfg.seed + _SEED_OFFSET)
+        new_seed = self.seed if self._explicit_seed else new_cfg.seed
         same_sampling = new_seed == self.seed and all(
             getattr(old_cfg, f) == getattr(new_cfg, f)
             for f in _SAMPLING_FIELDS)
         if not same_sampling:
             self.cache.clear()
-        self.seed = new_seed
         self.model = model
+        self._set_seed(new_seed)
         model.eval_mode()
         self._node_table.clear()
         self._edge_table.clear()
@@ -569,21 +441,17 @@ class ScoringService:
         """Score ``targets`` and return ``(scores, edge_means)``.
 
         Runs the shared :func:`repro.core.scoring.score_target_span`
-        loop — the same accumulation the offline scorer and the sharded
-        refresh workers run — with a view builder that answers from the
-        version-aware subgraph cache.  A fresh per-round stream feeds
-        every forward call: the ``node_only`` mask is its first draw,
-        so every micro-batch of a round applies the identical mask.
-        ``edge_means`` is THIS call's per-edge-id evidence (folded into
-        the evidence table as a side effect).
+        loop — the same accumulation and streams the offline scorer and
+        the sharded refresh workers run — with a view builder that
+        answers from the version-aware subgraph cache.  ``edge_means``
+        is THIS call's per-edge-id evidence (folded into the evidence
+        table as a side effect).
         """
         with obs_trace.span("service.score_span") as sp:
             sp.set(targets=len(targets), rounds=self.rounds)
             evidence = score_target_span(
-                self.model, targets, self.rounds, self.max_batch,
-                self._cached_round_views,
-                lambda round_index: {"rng": self._forward_rng(round_index)},
-                backend=self.backend,
+                self.model, targets, self._round_bases, self._mask_seeds,
+                self.max_batch, self._cached_views, backend=self.backend,
             )
         self._forward_batches += evidence.forward_batches
         version = self.store.version
@@ -593,44 +461,47 @@ class ScoringService:
         self._nodes_scored += len(targets)
         return evidence.node_sum / self.rounds, means
 
-    def _cached_round_views(self, chunk: np.ndarray, round_index: int):
-        """``build_views`` callback of the span loop: cache entries for
-        ``chunk`` batched into one forward's views."""
-        entries = self._views_for_chunk(chunk, round_index)
-        return (batch_graph_views([entry.graph_view for entry in entries]),
-                batch_hypergraph_views([entry.hyper_view for entry in entries],
-                                       self.store.num_features))
+    def _cached_views(self, targets: np.ndarray, rounds: np.ndarray,
+                      seeds: np.ndarray):
+        """``build_views`` callback of the span loop.
 
-    def _views_for_chunk(self, chunk: np.ndarray, round_index: int) -> list:
-        """Cache entries for ``chunk``; misses are sampled in ONE
-        vectorized batch call (no per-target sampling loop), then built
-        into per-target views so the version-aware LRU keeps serving
-        hits at ``(target, round)`` granularity."""
+        Looks every ``(target, round)`` view up in the cache, samples
+        all misses in ONE vectorized call, stacks them with the hits
+        into one batch and builds its views once; copies of the missed
+        subgraphs go into the cache.
+        """
+        cfg = self.model.config
         with obs_trace.span("service.cache_lookup") as sp:
-            entries: Dict[int, object] = {}
+            subgraphs: list = []
             misses: List[int] = []
-            for target in chunk:
-                target = int(target)
+            for i, (target, round_index) in enumerate(
+                    zip(targets.tolist(), rounds.tolist())):
                 entry = self.cache.get((target, round_index),
                                        self.store.region_version(target))
+                subgraphs.append(None if entry is None else entry.subgraph)
                 if entry is None:
-                    misses.append(target)
-                else:
-                    entries[target] = entry
-            sp.set(chunk=len(chunk), hits=len(chunk) - len(misses),
-                   misses=len(misses), round=round_index)
+                    misses.append(i)
+            sp.set(views=len(targets), hits=len(targets) - len(misses),
+                   misses=len(misses))
         if misses:
             with obs_trace.span("service.cache_miss_sample") as sp:
-                sp.set(misses=len(misses), round=round_index)
-                miss_targets = np.asarray(misses, dtype=np.int64)
-                built = sample_target_views(self.store, miss_targets,
-                                            round_index, self.seed,
-                                            self.model.config)
+                sp.set(misses=len(misses))
+                sampled = sample_enclosing_subgraphs(
+                    self.store, targets[misses], k=cfg.hop_size,
+                    size=cfg.subgraph_size, target_seeds=seeds[misses])
                 version = self.store.version
-                for target, (graph_view, hyper_view) in zip(misses, built):
-                    entries[target] = self.cache.put(
-                        (target, round_index), graph_view, hyper_view, version)
-        return [entries[int(target)] for target in chunk]
+                for j, i in enumerate(misses):
+                    subgraphs[i] = sampled.view(j)
+                    self.cache.put((int(targets[i]), int(rounds[i])),
+                                   subgraphs[i].copy(), version)
+        batch = (sampled if len(misses) == len(targets)
+                 else SampledSubgraphBatch.stack(subgraphs))
+        with obs_trace.span("views.build_batched") as sp:
+            sp.set(batch=len(targets), augment=cfg.augment_at_inference)
+            return build_batched_views(
+                batch, feature_mask_prob=cfg.feature_mask_prob,
+                incidence_drop_prob=cfg.incidence_drop_prob,
+                augment=cfg.augment_at_inference, target_seeds=seeds)
 
     # ------------------------------------------------------------------
     # Introspection

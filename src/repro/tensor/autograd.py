@@ -50,6 +50,35 @@ def is_grad_enabled() -> bool:
     return _grad_enabled
 
 
+#: Rows per BLAS call in :func:`tiled_matmul`.
+ROW_TILE = 64
+
+
+def tiled_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` where every row is computed under one fixed call geometry.
+
+    BLAS may round one row's result differently depending on how many
+    rows share the call (OpenBLAS dgemm does once the inner dimension
+    exceeds 256), which would make a node's score depend on the batch
+    it was scored in.  Float64 2-D products therefore run as a stack of
+    :data:`ROW_TILE`-row calls, the last tile zero-padded, so each row
+    sees the same ``(ROW_TILE, K) @ (K, N)`` call wherever it sits.
+    Other operands go straight to ``@``.
+    """
+    if (a.ndim != 2 or b.ndim != 2 or a.dtype != np.float64
+            or b.dtype != np.float64 or len(a) == 0):
+        return a @ b
+    rows, inner = a.shape
+    tiles = -(-rows // ROW_TILE)
+    if rows % ROW_TILE:
+        stacked = np.zeros((tiles * ROW_TILE, inner))
+        stacked[:rows] = a
+    else:
+        stacked = a
+    out = np.matmul(stacked.reshape(tiles, ROW_TILE, inner), b)
+    return out.reshape(tiles * ROW_TILE, b.shape[1])[:rows]
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, undoing numpy broadcasting.
 
@@ -317,7 +346,7 @@ class Tensor:
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other = as_tensor(other)
-        data = self.data @ other.data
+        data = tiled_matmul(self.data, other.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:

@@ -131,8 +131,8 @@ class TestMicroBatching:
             handles[0].result()
         before = service.stats()["forward_batches"]
         service.flush()
-        # 3 distinct targets fit one micro-batch per round
-        assert service.stats()["forward_batches"] == before + service.rounds
+        # 3 distinct targets x 2 rounds fit one forward (max_batch 16)
+        assert service.stats()["forward_batches"] == before + 1
         assert all(h.done for h in handles)
 
     def test_fresh_requests_served_from_table(self, model):
