@@ -5,10 +5,9 @@ Prebuilds one round of inference view batches — the same ``(B, K+2,
 K+2)`` operator stacks ``score_target_span`` feeds the model — then
 times *forward passes only* through each registered tensor backend on
 one core.  The reference backend runs the bitwise-pinned autograd
-path; the fused backend runs the allocation-free float32 kernel; the
-numba backend (when numba is importable) runs the same kernel with a
-jitted batched matmul.  Fused scores are verified against the
-reference within 1e-5 relative tolerance before any timing counts.
+path; the fused backend runs the allocation-free float32 kernel.
+Fused scores are verified against the reference within 1e-5 relative
+tolerance before any timing counts.
 
 Run standalone::
 
@@ -45,7 +44,6 @@ import numpy as np
 from repro.core import Bourne, BourneConfig
 from repro.core.scoring import inference_round_streams
 from repro.graph.index import derive_target_seeds
-from repro.nn.fused import HAVE_NUMBA
 from repro.tensor.backend import resolve_backend
 
 NODES = int(os.environ.get("REPRO_BENCH_NODES", "3000"))
@@ -84,7 +82,7 @@ def prebuilt_batches(model, graph):
     """Materialize one inference round's view batches ahead of timing,
     so every backend forwards the exact same inputs."""
     cfg = model.config
-    _, round_bases, mask_seeds = inference_round_streams(cfg, 1, None)
+    round_bases, mask_seeds = inference_round_streams(cfg, 1, None)
     targets = np.arange(graph.num_nodes, dtype=np.int64)
     batches = []
     for offset in range(0, len(targets), BATCH_SIZE):
@@ -145,14 +143,14 @@ def main() -> int:
     per_pass = graph.num_nodes
     print(f"prebuilt {len(batches)} batches of <= {BATCH_SIZE} targets")
 
-    names = ["numpy", "fused"] + (["numba"] if HAVE_NUMBA else [])
+    names = ["numpy", "fused"]
     seconds = {}
     throughput = {}
     errors = {}
     reference_scores = None
     for name in names:
         backend = resolve_backend(name)
-        forward_all(backend, model, batches)  # warm caches / JIT compile
+        forward_all(backend, model, batches)  # warm caches / workspaces
         best, scores = time_backend(backend, model, batches, REPEATS)
         seconds[name] = best
         throughput[name] = per_pass / best
@@ -183,7 +181,6 @@ def main() -> int:
             "batch_size": BATCH_SIZE,
             "repeats": REPEATS,
         },
-        "have_numba": HAVE_NUMBA,
         "seconds_per_pass": seconds,
         "targets_per_second": {k: float(v) for k, v in throughput.items()},
         "max_relative_error": errors,
@@ -192,8 +189,6 @@ def main() -> int:
         "target_speedup": TARGET_SPEEDUP,
         "pass": passed,
     }
-    if HAVE_NUMBA:
-        report["numba_speedup"] = seconds["numpy"] / seconds["numba"]
     with open(OUTPUT, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")

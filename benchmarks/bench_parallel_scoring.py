@@ -56,8 +56,8 @@ OUTPUT = os.path.join(
 
 
 def generated_graph(seed=0):
-    """Hub-heavy random graph, vectorized generation (same flavour as
-    ``bench_sampling`` but sized for multi-second scoring runs)."""
+    """Hub-heavy random graph, vectorized generation, sized for
+    multi-second scoring runs."""
     from repro.graph import Graph
 
     rng = np.random.default_rng(seed)

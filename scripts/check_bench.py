@@ -2,9 +2,9 @@
 """Benchmark regression gate: fresh reports vs. committed baselines.
 
 Compares every numeric ``*speedup*`` metric of freshly produced
-benchmark reports (``BENCH_sampling.json``, ``BENCH_parallel.json``,
-``BENCH_training.json``, ``BENCH_gateway.json``) against the committed
-baseline copies and fails when a fresh value drops below ``tolerance``
+benchmark reports (``BENCH_parallel.json``, ``BENCH_training.json``,
+``BENCH_gateway.json``, ``BENCH_kernel.json`` and the rest) against the
+committed baseline copies and fails when a fresh value drops below ``tolerance``
 times its baseline — the blocking replacement for the old
 ``continue-on-error`` benchmark step.
 

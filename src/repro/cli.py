@@ -85,9 +85,9 @@ def _build_parser() -> argparse.ArgumentParser:
     score.add_argument("--backend", default=None,
                        choices=available_backends(),
                        help="tensor backend for inference (default: the "
-                            "bitwise-pinned numpy reference; 'fused' and "
-                            "'numba' trade the pin for an allocation-free "
-                            "fast path within 1e-5 relative tolerance)")
+                            "bitwise-pinned numpy reference; 'fused' trades "
+                            "the pin for an allocation-free fast path within "
+                            "1e-5 relative tolerance)")
 
     serve = commands.add_parser(
         "serve", help="serve scores for a mutable graph over JSONL requests")

@@ -15,18 +15,7 @@ from .variants import (
     without_perturbation,
     without_subgraph_level,
 )
-from .views import (
-    BatchedGraphViews,
-    BatchedHypergraphViews,
-    GraphView,
-    HypergraphView,
-    batch_graph_views,
-    batch_hypergraph_views,
-    build_graph_view,
-    build_hypergraph_view,
-    mask_features,
-    perturb_incidence,
-)
+from .views import BatchedGraphViews, BatchedHypergraphViews
 
 __all__ = [
     "Bourne",
@@ -51,14 +40,6 @@ __all__ = [
     "without_hgnn",
     "without_gnn",
     "without_perturbation",
-    "GraphView",
-    "HypergraphView",
     "BatchedGraphViews",
     "BatchedHypergraphViews",
-    "build_graph_view",
-    "build_hypergraph_view",
-    "batch_graph_views",
-    "batch_hypergraph_views",
-    "mask_features",
-    "perturb_incidence",
 ]

@@ -14,10 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..graph.graph import Graph
-from ..graph.sampling import (
-    sample_enclosing_subgraph,
-    sample_enclosing_subgraphs,
-)
+from ..graph.sampling import sample_enclosing_subgraphs
 from ..obs import trace as obs_trace
 from ..optim.ema import ExponentialMovingAverage
 from ..tensor.autograd import Tensor, no_grad
@@ -33,12 +30,7 @@ from .encoders import (
 from .views import (
     BatchedGraphViews,
     BatchedHypergraphViews,
-    batch_graph_views,
-    batch_hypergraph_views,
     build_batched_views,
-    build_graph_view,
-    build_hypergraph_view,
-    mask_features,
     seeded_mask_features,
 )
 
@@ -70,7 +62,6 @@ class Bourne:
         self.num_features = num_features
         cfg = self.config
         init_rng = rng_from_seed(cfg.seed)
-        self.sample_rng = rng_from_seed(cfg.seed + 1)
 
         if cfg.mode == "unified":
             self.online = GraphViewEncoder(num_features, cfg.hidden_dim,
@@ -106,68 +97,34 @@ class Bourne:
         self,
         graph: Graph,
         targets: Sequence[int],
-        rng: Optional[np.random.Generator] = None,
+        target_seeds: np.ndarray,
         augment: bool = True,
-        sampler: str = "batched",
-        target_seeds: Optional[np.ndarray] = None,
     ) -> Tuple[BatchedGraphViews, BatchedHypergraphViews]:
         """Sample enclosing subgraphs and build both views for ``targets``.
 
-        The default ``sampler="batched"`` runs the whole batch through
-        the vectorized pipeline — no per-target Python loop on the
-        sampling path.  ``target_seeds`` (``(B,)`` ``uint64``) pins each
-        target's draws independently of batch composition; without it,
-        ``B`` seeds are drawn from ``rng``.  Either way the same seeds
-        drive both the subgraph sampling *and* the counter-based Γ1/Γ2
-        view augmentation, so with ``augment=True`` the batched views
-        are a pure function of ``(graph, target, seed)`` — identical
-        on any batch layout or shard.  ``sampler="per_target"`` keeps
-        the legacy loop (sequential ``rng`` augmentation) as a
-        reference/benchmark baseline.
+        The whole batch runs through the vectorized pipeline — no
+        per-target Python loop on the sampling path.  ``target_seeds``
+        (``(B,)`` ``uint64``) drive both the subgraph sampling *and* the
+        counter-based Γ1/Γ2 view augmentation, so with ``augment=True``
+        the views are a pure function of ``(graph, target, seed)`` —
+        identical on any batch layout or shard.
         """
         cfg = self.config
-        rng = rng if rng is not None else self.sample_rng
-        if sampler == "batched":
-            targets = np.asarray(targets, dtype=np.int64).reshape(-1)
-            if target_seeds is None:
-                # Same draw sample_enclosing_subgraphs would make —
-                # hoisted so the view augmentation can share the seeds.
-                target_seeds = rng.integers(0, 2 ** 64, size=len(targets),
-                                            dtype=np.uint64)
-            else:
-                target_seeds = np.asarray(target_seeds,
-                                          dtype=np.uint64).reshape(-1)
-            batch = sample_enclosing_subgraphs(
-                graph, targets, k=cfg.hop_size, size=cfg.subgraph_size,
-                target_seeds=target_seeds,
-            )
-            # Separate stage span so view construction/augmentation is
-            # attributable apart from the sampling span above.
-            with obs_trace.span("views.build_batched") as sp:
-                sp.set(batch=len(targets), augment=bool(augment))
-                return build_batched_views(
-                    batch,
-                    feature_mask_prob=cfg.feature_mask_prob,
-                    incidence_drop_prob=cfg.incidence_drop_prob,
-                    augment=augment,
-                    target_seeds=target_seeds,
-                )
-        if sampler != "per_target":
-            raise ValueError(f"unknown sampler {sampler!r}")
-        graph_views, hyper_views = [], []
-        for target in targets:
-            sub = sample_enclosing_subgraph(
-                graph, int(target), k=cfg.hop_size, size=cfg.subgraph_size, rng=rng
-            )
-            graph_views.append(build_graph_view(sub))
-            hyper_views.append(build_hypergraph_view(
-                sub, rng,
+        targets = np.asarray(targets, dtype=np.int64).reshape(-1)
+        batch = sample_enclosing_subgraphs(
+            graph, targets, k=cfg.hop_size, size=cfg.subgraph_size,
+            target_seeds=target_seeds,
+        )
+        # Separate stage span so view construction/augmentation is
+        # attributable apart from the sampling span above.
+        with obs_trace.span("views.build_batched") as sp:
+            sp.set(batch=len(targets), augment=bool(augment))
+            return build_batched_views(
+                batch, target_seeds,
                 feature_mask_prob=cfg.feature_mask_prob,
                 incidence_drop_prob=cfg.incidence_drop_prob,
                 augment=augment,
-            ))
-        return (batch_graph_views(graph_views),
-                batch_hypergraph_views(hyper_views, graph.num_features))
+            )
 
     # ------------------------------------------------------------------
     # Forward passes per mode
@@ -176,7 +133,6 @@ class Bourne:
         self,
         gviews: BatchedGraphViews,
         hviews: BatchedHypergraphViews,
-        rng: Optional[np.random.Generator] = None,
         mask_seed: Optional[int] = None,
     ) -> BatchScores:
         """Compute node / edge anomaly scores for one prepared batch.
@@ -185,20 +141,17 @@ class Bourne:
         the target network is evaluated under ``no_grad`` unless
         ``config.grad_through_target`` is set.
 
-        ``mask_seed`` switches the ``node_only`` target-branch feature
-        mask from sequential ``rng`` draws to the counter-based stream
-        keyed by the seed, making the mask — and therefore the scores —
-        independent of batch layout.  It is one seed for every view (a
-        training batch) or one per view (the scoring loop feeds each
-        view its round's seed); the legacy per-target path leaves it
-        unset.
+        ``mask_seed`` keys the ``node_only`` target-branch feature mask
+        (required in that mode, ignored in the others): one seed for
+        every view (a training batch) or one per view (the scoring loop
+        feeds each view its round's seed).  The mask is counter-based,
+        so the scores never depend on batch layout.
         """
         mode = self.config.mode
         if mode == "unified":
             return self._forward_unified(gviews, hviews)
         if mode == "node_only":
-            return self._forward_node_only(gviews, rng or self.sample_rng,
-                                           mask_seed=mask_seed)
+            return self._forward_node_only(gviews, mask_seed)
         return self._forward_edge_only(hviews)
 
     def _target_forward(self, operator, features) -> Tensor:
@@ -255,20 +208,15 @@ class Bourne:
         )
 
     def _forward_node_only(self, gviews: BatchedGraphViews,
-                           rng: np.random.Generator,
-                           mask_seed: Optional[int] = None) -> BatchScores:
+                           mask_seed: Optional[int]) -> BatchScores:
         """w/o HGNN ablation: both branches are graph encoders."""
         cfg = self.config
         h_all = self.online(gviews.operator, Tensor(gviews.features))
         h_t = h_all[gviews.target_rows]
 
-        if mask_seed is not None:
-            augmented = seeded_mask_features(gviews.features,
-                                             cfg.feature_mask_prob, mask_seed,
-                                             view_starts=gviews.patch_rows)
-        else:
-            augmented = mask_features(gviews.features,
-                                      cfg.feature_mask_prob, rng)
+        augmented = seeded_mask_features(gviews.features,
+                                         cfg.feature_mask_prob, mask_seed,
+                                         view_starts=gviews.patch_rows)
         z_all = self._target_forward(gviews.operator, Tensor(augmented))
         z_data = z_all.data
         h_p_ctx = Tensor(z_data[gviews.patch_rows])

@@ -4,7 +4,7 @@ Every node is visited as a target ``R`` times; each visit scores the
 node and its sampled target edges.  Per-object scores are averaged over
 all visits — edges accumulate evidence from both endpoints.
 
-The batched path draws one *base* per round up front and derives every
+Scoring draws one *base* per round up front and derives every
 target's sampling seed from ``(base, target id)``, so scores never
 depend on batch layout; :func:`score_graph` exposes the same
 computation sharded over worker processes (``workers=``) with
@@ -80,14 +80,14 @@ class AnomalyScores:
 
 
 def inference_round_streams(config, rounds: int, seed: Optional[int]):
-    """Derive the per-round RNG streams of batched inference.
+    """Derive the per-round streams of inference.
 
-    Returns ``(rng, round_bases, mask_seeds)``: the sequential RNG (used
-    only when augmentation draws remain sequential), one ``uint64``
-    sampling base per round, and one forward-mask seed per round derived
-    from each base *without* consuming the RNG.  The sharded engine
-    calls this with identical arguments, which is what makes its output
-    bitwise-identical to the serial path.
+    Returns ``(round_bases, mask_seeds)``: one ``uint64`` sampling base
+    per round, drawn up front from the inference seed, and one
+    ``node_only`` forward-mask seed per round derived from each base.
+    Every scoring surface — serial, sharded, served — calls this with
+    identical arguments, which is what makes their outputs
+    bitwise-identical.
     """
     rng = rng_from_seed((config.seed if seed is None else seed)
                         + INFERENCE_SEED_OFFSET)
@@ -96,7 +96,7 @@ def inference_round_streams(config, rounds: int, seed: Optional[int]):
         [derive_stream_seed(int(base), _ROUND_MASK_TAG) for base in round_bases],
         dtype=np.uint64,
     )
-    return rng, round_bases, mask_seeds
+    return round_bases, mask_seeds
 
 
 def finalize_scores(node_sum: np.ndarray, node_count: np.ndarray,
@@ -282,7 +282,6 @@ def score_graph(
     rounds: Optional[int] = None,
     batch_size: Optional[int] = None,
     seed: Optional[int] = None,
-    sampler: str = "batched",
     workers: Optional[int] = None,
     shards: Optional[int] = None,
     planner=None,
@@ -297,16 +296,11 @@ def score_graph(
         Evaluation rounds ``R`` (default from the model config).
     batch_size:
         Views — ``(target, round)`` pairs — per forward (default from
-        the model config).
+        the model config).  Every draw is keyed by its ``(round,
+        target)`` seed, so a node's subgraphs do not depend on it.
     seed:
         Seed for inference-time sampling/augmentation; defaults to the
         model seed shifted so inference never replays training draws.
-    sampler:
-        ``"batched"`` (default) samples each minibatch through the
-        vectorized pipeline with per-``(round, target)`` seeds, so a
-        node's subgraphs do not depend on ``batch_size``;
-        ``"per_target"`` keeps the legacy per-target loop as a
-        reference/benchmark baseline.
     workers:
         When > 1, fan the target range out to that many worker
         processes via :func:`repro.parallel.score_graph_sharded`.  The
@@ -320,9 +314,9 @@ def score_graph(
         :class:`repro.parallel.WorkerPool` to reuse.
     backend:
         Compute backend for the forward pass — a registered name
-        (``"numpy"``/``"fused"``/``"numba"``), a backend instance, or
-        ``None`` for the process default.  The ``numpy`` reference is
-        the bitwise pin; fast backends stay within ``1e-5`` relative
+        (``"numpy"``/``"fused"``), a backend instance, or ``None`` for
+        the process default.  The ``numpy`` reference is the bitwise
+        pin; the ``fused`` backend stays within ``1e-5`` relative
         tolerance (workers > 1 requires a registered name so worker
         processes can resolve it).
     """
@@ -330,10 +324,6 @@ def score_graph(
     rounds = rounds if rounds is not None else cfg.eval_rounds
     batch_size = batch_size if batch_size is not None else cfg.batch_size
     if workers is not None and workers > 1:
-        if sampler != "batched":
-            raise ValueError(
-                "workers > 1 requires sampler='batched' (the per-target "
-                "loop threads one sequential RNG and cannot be sharded)")
         from ..parallel import score_graph_sharded
         return score_graph_sharded(
             model, graph, rounds=rounds, batch_size=batch_size, seed=seed,
@@ -344,46 +334,16 @@ def score_graph(
     edge_count = np.zeros(graph.num_edges)
 
     model.eval_mode()
-    if sampler == "batched":
-        # One base per round, drawn up front: per-target seeds derive
-        # from (round base, target id) — never from batch layout.  The
-        # accumulation loop itself is score_target_span, shared with
-        # the sharded workers and the serving layer.
-        _, round_bases, mask_seeds = inference_round_streams(cfg, rounds, seed)
-        evidence = score_target_span(
-            model, np.arange(graph.num_nodes), round_bases, mask_seeds,
-            batch_size, offline_view_builder(model, graph), backend=backend,
-        )
-        node_sum, node_count = evidence.node_sum, evidence.node_count
-        replay_edge_rounds(edge_sum, edge_count, rounds, [evidence])
-        model.train_mode()
-        return finalize_scores(node_sum, node_count, edge_sum, edge_count)
-
-    # Legacy per-target reference path: one sequential RNG threads
-    # through sampling, augmentation, and the forward mask, so it
-    # cannot share the counter-based span loop.
-    resolved = resolve_backend(backend)
-    rng = rng_from_seed((cfg.seed if seed is None else seed)
-                        + INFERENCE_SEED_OFFSET)
-    node_sum = np.zeros(graph.num_nodes)
-    node_count = np.zeros(graph.num_nodes)
-    all_nodes = np.arange(graph.num_nodes)
-    for round_index in range(rounds):
-        for start in range(0, graph.num_nodes, batch_size):
-            batch = all_nodes[start:start + batch_size]
-            gviews, hviews = model.prepare_batch(
-                graph, batch, rng=rng, augment=cfg.augment_at_inference,
-                sampler=sampler,
-            )
-            scores = resolved.forward_batch(model, gviews, hviews, rng=rng)
-            if scores.node_scores is not None:
-                values = scores.node_scores.data
-                node_sum[batch] += values
-                node_count[batch] += 1
-            if scores.edge_scores is not None and len(scores.edge_orig_ids):
-                values = scores.edge_scores.data
-                np.add.at(edge_sum, scores.edge_orig_ids, values)
-                np.add.at(edge_count, scores.edge_orig_ids, 1)
+    # One base per round, drawn up front: per-target seeds derive from
+    # (round base, target id) — never from batch layout.  The
+    # accumulation loop itself is score_target_span, shared with the
+    # sharded workers and the serving layer.
+    round_bases, mask_seeds = inference_round_streams(cfg, rounds, seed)
+    evidence = score_target_span(
+        model, np.arange(graph.num_nodes), round_bases, mask_seeds,
+        batch_size, offline_view_builder(model, graph), backend=backend,
+    )
+    replay_edge_rounds(edge_sum, edge_count, rounds, [evidence])
     model.train_mode()
-
-    return finalize_scores(node_sum, node_count, edge_sum, edge_count)
+    return finalize_scores(evidence.node_sum, evidence.node_count,
+                           edge_sum, edge_count)

@@ -272,25 +272,6 @@ class BourneTrainer:
     # ------------------------------------------------------------------
     # Optimization
     # ------------------------------------------------------------------
-    def train_step(self, graph: Graph, targets: np.ndarray) -> float:
-        """One legacy optimization step over an ad-hoc target batch.
-
-        Draws sampling/augmentation sequentially from the model's RNG
-        and uses the whole-batch :meth:`Bourne.loss` — the historical
-        one-shot API.  :meth:`fit` instead runs the deterministic
-        chunked step (counter-based streams keyed by epoch/step) whose
-        sharded execution is bitwise-identical to serial.
-        """
-        model = self.model
-        gviews, hviews = model.prepare_batch(graph, targets, augment=True)
-        scores = model.forward_batch(gviews, hviews)
-        loss = model.loss(scores)
-        self.optimizer.zero_grad()
-        loss.backward()
-        self.optimizer.step()
-        model.update_target()
-        return float(loss.item())
-
     def _loss_scales(self, graph, targets: np.ndarray,
                      target_seeds: np.ndarray):
         cfg = self.config

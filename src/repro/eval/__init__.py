@@ -1,5 +1,6 @@
 """Evaluation harness: profiles, runners, profiling, reporting."""
 
+from ..obs.profiling import ResourceUsage, measure, profile_call
 from .paper_reference import (
     APPENDIX_NO_PERTURBATION,
     HEADLINE_CLAIMS,
@@ -7,7 +8,6 @@ from .paper_reference import (
     TABLE4_EAD,
     TABLE5_TIME,
 )
-from .profiling import ResourceUsage, measure, profile_call
 from .reporting import format_series, format_table, results_dir, write_csv
 from .runner import (
     DEFAULT,

@@ -20,8 +20,8 @@ from typing import Dict, Optional, Sequence
 
 from ...baselines import CoLA, SLGAD
 from ...core import Bourne, BourneTrainer, score_graph
+from ...obs.profiling import measure
 from ..paper_reference import TABLE5_TIME
-from ..profiling import measure
 from ..runner import EvalProfile, bourne_config, get_profile, prepare_graph
 from .common import ExperimentResult
 

@@ -24,7 +24,7 @@ from ..baselines import EDGE_BASELINES, NODE_BASELINES
 from ..core import Bourne, BourneConfig, BourneTrainer, score_graph
 from ..datasets import load_benchmark
 from ..graph.graph import Graph
-from .profiling import measure
+from ..obs.profiling import measure
 
 
 @dataclass(frozen=True)

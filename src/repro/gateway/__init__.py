@@ -15,6 +15,14 @@ header), replica pools sharing one graph read-only across worker
 processes, and lazily-booted tenant stores with idle eviction.
 """
 
+from ..obs.metrics import (
+    BATCH_BUCKETS,
+    LATENCY_BUCKETS,
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+)
 from .admission import (
     DRAINING,
     QUEUE_FULL,
@@ -23,14 +31,6 @@ from .admission import (
     TokenBucket,
 )
 from .batcher import MicroBatcher
-from .metrics import (
-    BATCH_BUCKETS,
-    LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from .protocol import (
     ERROR_CODES,
     REQUEST_ERRORS,

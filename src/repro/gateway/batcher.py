@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, List, Optional, Tuple
 
 from ..obs import trace as obs_trace
-from .metrics import BATCH_BUCKETS, MetricsRegistry
+from ..obs.metrics import BATCH_BUCKETS, MetricsRegistry
 
 
 @dataclass

@@ -43,13 +43,13 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..obs import trace as obs_trace
+from ..obs.metrics import MetricsRegistry
 from ..parallel import engine as parallel_engine
 from ..parallel.shm import SharedGraphExport, SharedModelExport
 from ..serving.service import score_edge_span, score_service_span
 from ..tensor.backend import resolve_backend
 from ..utils.logging import get_logger, log_event
 from .batcher import MicroBatcher
-from .metrics import MetricsRegistry
 from .protocol import dispatch_request
 
 LOGGER = get_logger("repro.gateway", json_format=True)

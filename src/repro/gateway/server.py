@@ -41,10 +41,10 @@ from typing import Optional, Tuple
 
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
+from ..obs.metrics import LATENCY_BUCKETS, MetricsRegistry
 from ..obs.trace import FlightRecorder, span_tree
 from ..utils.logging import get_logger, log_event
 from .admission import DRAINING, AdmissionController
-from .metrics import LATENCY_BUCKETS, MetricsRegistry
 from .protocol import (
     REQUEST_ERRORS,
     UPDATE_OPS,

@@ -16,10 +16,8 @@ from .sampling import (
     SampledSubgraph,
     SampledSubgraphBatch,
     induce_slot_edges,
-    khop_neighbors,
     random_walk_subgraph,
     random_walk_subgraphs,
-    sample_enclosing_subgraph,
     sample_enclosing_subgraphs,
 )
 
@@ -43,9 +41,7 @@ __all__ = [
     "SampledSubgraph",
     "SampledSubgraphBatch",
     "induce_slot_edges",
-    "khop_neighbors",
     "random_walk_subgraph",
     "random_walk_subgraphs",
-    "sample_enclosing_subgraph",
     "sample_enclosing_subgraphs",
 ]

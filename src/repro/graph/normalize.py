@@ -86,8 +86,8 @@ def block_diag_csr(blocks: np.ndarray) -> sp.csr_matrix:
 def batched_gcn_operator(adjacency: np.ndarray) -> np.ndarray:
     """Symmetric GCN normalization of a dense adjacency stack ``(B, n, n)``.
 
-    Per-block results are bitwise identical to
-    :func:`repro.core.views._dense_gcn_operator` on each block alone.
+    Per-block results are bitwise identical to normalizing each block
+    alone.
     Self-loops are added here (Ã = A + I); zero-degree rows get zero
     coefficients.
     """

@@ -1,33 +1,25 @@
 """Subgraph samplers.
 
-Per-target reference samplers:
-
-* :func:`sample_enclosing_subgraph` — BOURNE's sampler: ``K`` nodes drawn
-  from the k-hop neighbourhood of the target **with replacement**, with
+* :func:`sample_enclosing_subgraphs` — BOURNE's sampler (Section IV-A
+  of the paper) over a whole target batch: ``K`` context nodes per
+  target drawn from its k-hop neighbourhood **with replacement**, with
   1-hop neighbours prioritized so as many target edges as possible
-  survive into the subgraph (Section IV-A of the paper).
-* :func:`random_walk_subgraph` — random walk with restart, the sampler
-  used by the CoLA and SL-GAD baselines.
-
-Batched hot-path samplers (the ones training, inference, and serving
-run on):
-
-* :func:`sample_enclosing_subgraphs` — the whole target batch in one
-  array program: hashed-key prioritized 1-hop choice, layered
-  CSR-frontier k-hop pool expansion, and a single ``searchsorted`` edge
-  induction over every candidate slot pair, returning a flat ragged
-  :class:`SampledSubgraphBatch`.
-* :func:`random_walk_subgraphs` — all walks advance in lock-step; the
+  survive into the subgraph.  One array program does it: hashed-key
+  prioritized 1-hop choice, layered CSR-frontier k-hop pool expansion,
+  and a single ``searchsorted`` edge induction over every candidate
+  slot pair, returning a flat ragged :class:`SampledSubgraphBatch`.
+* :func:`random_walk_subgraph` / :func:`random_walk_subgraphs` —
+  random walk with restart, the sampler used by the CoLA and SL-GAD
+  baselines; the batched form advances all walks in lock-step, so its
   only Python loop is over walk *steps*, never over targets.
 
-Batch randomness is counter-based (:mod:`repro.graph.index`): each
-target draws from a stream keyed by its own ``uint64`` seed, so a
+BOURNE's sampling randomness is counter-based (:mod:`repro.graph.index`):
+each target draws from a stream keyed by its own ``uint64`` seed, so a
 node's subgraph never depends on which other targets share its batch.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
@@ -94,123 +86,6 @@ class SampledSubgraph:
                                self.features.copy(), self.edges.copy(),
                                self.edge_orig_ids.copy(),
                                self.num_target_edges)
-
-
-def khop_neighbors(graph: Graph, node: int, k: int,
-                   max_pool: Optional[int] = None) -> np.ndarray:
-    """Nodes within ``k`` hops of ``node`` (excluding ``node`` itself).
-
-    ``max_pool`` truncates the BFS once enough candidates are collected —
-    on dense graphs the full 2-hop ball can be most of the graph, and the
-    samplers only need a pool to draw from.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    seen = {node}
-    frontier = deque([(node, 0)])
-    collected: List[int] = []
-    while frontier:
-        current, depth = frontier.popleft()
-        if depth == k:
-            continue
-        for neighbor in graph.neighbors(current):
-            neighbor = int(neighbor)
-            if neighbor not in seen:
-                seen.add(neighbor)
-                collected.append(neighbor)
-                frontier.append((neighbor, depth + 1))
-                if max_pool is not None and len(collected) >= max_pool:
-                    return np.asarray(collected, dtype=np.int64)
-    return np.asarray(collected, dtype=np.int64)
-
-
-def sample_enclosing_subgraph(
-    graph: Graph,
-    target: int,
-    k: int,
-    size: int,
-    rng: np.random.Generator,
-) -> SampledSubgraph:
-    """Sample the enclosing subgraph of ``target`` (graph view ``G_t``).
-
-    Parameters
-    ----------
-    graph:
-        Parent attributed graph.
-    target:
-        Target node ``v_t``.
-    k:
-        Hop radius of the candidate pool.
-    size:
-        ``K`` — number of context slots (subgraph has ``K+1`` slots).
-    rng:
-        Random generator (sampling is with replacement).
-    """
-    one_hop = graph.neighbors(target).astype(np.int64)
-
-    # Prioritize distinct 1-hop neighbours so target edges survive; the
-    # k-hop pool is only materialized when filler slots remain.
-    if len(one_hop) >= size:
-        chosen = rng.choice(one_hop, size=size, replace=False)
-    else:
-        chosen = one_hop.copy()
-        remaining = size - len(chosen)
-        pool = khop_neighbors(graph, target, k, max_pool=50 * size)
-        if len(pool) > 0:
-            filler = rng.choice(pool, size=remaining, replace=True)
-        else:
-            filler = np.full(remaining, target, dtype=np.int64)
-        chosen = np.concatenate([chosen, filler])
-
-    node_ids = np.concatenate([[target], chosen]).astype(np.int64)
-    features = graph.features[node_ids]
-
-    # Induce slot-level edges by pairwise lookup in the parent's edge
-    # index (identical underlying nodes have no self-edge).  For the
-    # subgraph sizes used here (K ≤ ~40) this beats sparse submatrix
-    # indexing by a wide margin.
-    edge_index = graph._build_edge_index()
-    slot_edges: List[tuple] = []
-    orig_ids: List[int] = []
-    ids = [int(n) for n in node_ids]
-    num_slots = len(ids)
-    for a in range(num_slots):
-        ua = ids[a]
-        for b in range(a + 1, num_slots):
-            ub = ids[b]
-            if ua == ub:
-                continue
-            key = (ua, ub) if ua < ub else (ub, ua)
-            eid = edge_index.get(key)
-            if eid is not None:
-                slot_edges.append((a, b))
-                orig_ids.append(eid)
-    edges = np.asarray(slot_edges, dtype=np.int64).reshape(-1, 2)
-    orig = np.asarray(orig_ids, dtype=np.int64)
-
-    # Reorder so target edges (incident to slot 0) come first, and drop
-    # duplicate realizations of the same parent target edge so M_tar
-    # counts distinct target edges.
-    if len(edges):
-        touches_target = edges[:, 0] == 0
-        target_rows = np.where(touches_target)[0]
-        other_rows = np.where(~touches_target)[0]
-        _, keep = np.unique(orig[target_rows], return_index=True)
-        target_rows = target_rows[np.sort(keep)]
-        order = np.concatenate([target_rows, other_rows])
-        edges, orig = edges[order], orig[order]
-        num_target = len(target_rows)
-    else:
-        num_target = 0
-
-    return SampledSubgraph(
-        target=int(target),
-        node_ids=node_ids,
-        features=features,
-        edges=edges,
-        edge_orig_ids=orig,
-        num_target_edges=int(num_target),
-    )
 
 
 @dataclass
@@ -521,13 +396,11 @@ def sample_enclosing_subgraphs(
     targets: Sequence[int],
     k: int,
     size: int,
-    rng: Optional[np.random.Generator] = None,
-    target_seeds: Optional[np.ndarray] = None,
+    target_seeds: np.ndarray,
 ) -> SampledSubgraphBatch:
     """Sample the enclosing subgraphs of a whole target batch at once.
 
-    The vectorized counterpart of :func:`sample_enclosing_subgraph`: no
-    per-target Python loops — neighbour choice, pool expansion, and
+    No per-target Python loops — neighbour choice, pool expansion, and
     edge induction are each one array program over the batch.
 
     Parameters
@@ -539,14 +412,11 @@ def sample_enclosing_subgraphs(
         Target node ids (``B`` of them).
     k, size:
         Hop radius of the candidate pool and context slot count ``K``.
-    rng:
-        Convenience source of per-target seeds: ``B`` ``uint64`` values
-        are drawn and the rest of the sampling is counter-based.
     target_seeds:
-        Explicit ``(B,)`` ``uint64`` per-target seeds; overrides
-        ``rng``.  Passing seeds derived from ``(seed, round, target)``
-        makes every subgraph independent of batch composition — the
-        serving layer's bitwise determinism contract.
+        ``(B,)`` ``uint64`` per-target seeds, every draw's only source.
+        Seeds derived from ``(seed, round, target)`` make every
+        subgraph independent of batch composition — the serving
+        layer's bitwise determinism contract.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -554,16 +424,11 @@ def sample_enclosing_subgraphs(
         raise ValueError("size must be >= 1")
     targets = np.asarray(targets, dtype=np.int64).reshape(-1)
     batch = len(targets)
-    if target_seeds is None:
-        if rng is None:
-            raise ValueError("provide either rng or target_seeds")
-        target_seeds = rng.integers(0, 2 ** 64, size=batch, dtype=np.uint64)
-    else:
-        target_seeds = np.asarray(target_seeds, dtype=np.uint64).reshape(-1)
-        if len(target_seeds) != batch:
-            raise ValueError(
-                f"target_seeds has {len(target_seeds)} entries for "
-                f"{batch} targets")
+    target_seeds = np.asarray(target_seeds, dtype=np.uint64).reshape(-1)
+    if len(target_seeds) != batch:
+        raise ValueError(
+            f"target_seeds has {len(target_seeds)} entries for "
+            f"{batch} targets")
     index = index_of(graph)
     slots = size + 1
     feature_dim = graph.features.shape[1]

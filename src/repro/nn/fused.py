@@ -11,24 +11,15 @@ the whole conv→activation→readout pipeline over the dense
 (``S = subgraph_size + 1`` rows per target view), with every large
 intermediate served from a preallocated per-shape workspace — the
 steady-state hot loop allocates only the tiny per-batch score vectors
-it returns.
-
-Two kernel strategies sit behind one interface:
-
-* :class:`NumpyKernelOps` — batched ``np.matmul`` with ``out=`` plus an
-  in-place PReLU; pure numpy, always available.
-* :class:`NumbaKernelOps` — a jitted loop fusing the operator matmul
-  and the PReLU into one pass over the batch.  Compiled only when
-  numba is importable; :class:`NumbaBackend` silently degrades to the
-  numpy ops otherwise (``HAVE_NUMBA``/``backend.jitted`` report which
-  path is live).
+it returns.  Each conv step is one batched ``np.matmul`` with ``out=``
+plus an in-place PReLU (:func:`_bmm_prelu`).
 
 Accuracy contract: scores stay within ``1e-5`` relative tolerance of
 the float64 reference (``tests/test_backend.py`` sweeps it across batch
 sizes, shard counts, and modes).  Unsupported shapes — ``edge_only``
 mode, SAGE backbones, conv biases, ``grad_through_target``, batches
 without a dense operator stack — fall back to the reference forward,
-so a fast backend is always *safe* to select.
+so the fast backend is always *safe* to select.
 """
 
 from __future__ import annotations
@@ -42,7 +33,6 @@ from ..core.model import BatchScores, Bourne
 from ..core.views import (
     BatchedGraphViews,
     BatchedHypergraphViews,
-    forward_mask_draws,
     seeded_forward_mask_draws,
 )
 from ..tensor.autograd import Tensor
@@ -51,61 +41,19 @@ from .activations import PReLU
 from .conv import GCNConv, HGNNConv
 from .linear import MLP, Linear
 
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the only path on the base image
-    numba = None
-    HAVE_NUMBA = False
-
 #: Matches ``repro.tensor.functional.EPS`` — the discriminator's
 #: normalization epsilon; the fused cosine must use the same guard.
 _EPS = 1e-12
 
 
-if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
-
-    @numba.njit(cache=True)
-    def _bmm_prelu_njit(ops, support, alpha, out):
-        """Fused ``out = prelu(ops @ support)`` over a batch of views."""
-        batch, size, _ = ops.shape
-        dim = support.shape[2]
-        for b in range(batch):
-            for i in range(size):
-                for d in range(dim):
-                    out[b, i, d] = 0.0
-                for k in range(size):
-                    weight = ops[b, i, k]
-                    if weight != 0.0:
-                        for d in range(dim):
-                            out[b, i, d] += weight * support[b, k, d]
-                for d in range(dim):
-                    value = out[b, i, d]
-                    if value < 0.0:
-                        out[b, i, d] = value * alpha
-
-
-class NumpyKernelOps:
-    """Pure-numpy fused step: batched BLAS matmul + in-place PReLU."""
-
-    jitted = False
-
-    def bmm_prelu(self, ops, support, alpha, out, tmp):
-        np.matmul(ops, support, out=out)
-        np.minimum(out, 0.0, out=tmp)
-        np.maximum(out, 0.0, out=out)
-        np.multiply(tmp, alpha, out=tmp)
-        np.add(out, tmp, out=out)
-
-
-class NumbaKernelOps:
-    """Jitted fused step; constructible only when numba imported."""
-
-    jitted = True
-
-    def bmm_prelu(self, ops, support, alpha, out, tmp):  # pragma: no cover
-        _bmm_prelu_njit(ops, support, np.float32(alpha), out)
+def _bmm_prelu(ops, support, alpha, out, tmp):
+    """Fused step ``out = prelu(ops @ support)``: batched BLAS matmul
+    plus an in-place PReLU through the ``tmp`` scratch buffer."""
+    np.matmul(ops, support, out=out)
+    np.minimum(out, 0.0, out=tmp)
+    np.maximum(out, 0.0, out=out)
+    np.multiply(tmp, alpha, out=tmp)
+    np.add(out, tmp, out=out)
 
 
 class Workspace:
@@ -234,8 +182,7 @@ def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class FusedInferenceKernel:
     """Per-model fused forward: compiled weights + shape-keyed workspace."""
 
-    def __init__(self, ops):
-        self.ops = ops
+    def __init__(self):
         self.workspace = Workspace()
         self.compiled: Optional[CompiledModel] = None
         self.recompiles = 0
@@ -259,14 +206,9 @@ class FusedInferenceKernel:
         model: Bourne,
         gviews: BatchedGraphViews,
         hviews: BatchedHypergraphViews,
-        rng=None,
         mask_seed=None,
     ) -> Optional[BatchScores]:
-        """Fused scores for one batch, or ``None`` to request fallback.
-
-        The fallback decision is made before any RNG draw, so a
-        degraded call consumes exactly the stream the reference will.
-        """
+        """Fused scores for one batch, or ``None`` to request fallback."""
         compiled = self.refresh(model)
         if not compiled.supported:
             self.fallbacks += 1
@@ -277,9 +219,7 @@ class FusedInferenceKernel:
         self.forwards += 1
         if compiled.mode == "unified":
             return self._forward_unified(compiled, gviews, hviews)
-        return self._forward_node_only(
-            compiled, gviews, model, rng=rng, mask_seed=mask_seed
-        )
+        return self._forward_node_only(compiled, gviews, mask_seed)
 
     def _graph_operator(self, gviews: BatchedGraphViews) -> np.ndarray:
         stack = gviews.operator_stack
@@ -298,7 +238,7 @@ class FusedInferenceKernel:
             hidden = self.workspace.get((tag, "hidden", index), shape)
             scratch = self.workspace.get((tag, "scratch", index), shape)
             np.matmul(current, weight, out=support)
-            self.ops.bmm_prelu(ops32, support, np.float32(alpha), hidden, scratch)
+            _bmm_prelu(ops32, support, np.float32(alpha), hidden, scratch)
             current = hidden
         return current
 
@@ -393,23 +333,14 @@ class FusedInferenceKernel:
             node_valid=hviews.has_edges.copy(),
         )
 
-    def _forward_node_only(
-        self, compiled, gviews, model, rng=None, mask_seed=None
-    ) -> BatchScores:
+    def _forward_node_only(self, compiled, gviews, mask_seed) -> BatchScores:
         feats3 = self._features3(gviews)
         batch, size, dim = feats3.shape
         ops32, h_t, _, _ = self._online_graph_branch(compiled, gviews, feats3)
 
         # Γ1 forward mask — exactly the draws the reference consumes:
         # one keep-vector per view seed, or one for the whole batch.
-        if mask_seed is not None:
-            keep = seeded_forward_mask_draws(
-                dim, compiled.feature_mask_prob, mask_seed
-            )
-        else:
-            stream = rng if rng is not None else model.sample_rng
-            keep = forward_mask_draws(dim, compiled.feature_mask_prob, stream)
-            keep = None if keep is None else keep[None, :]
+        keep = seeded_forward_mask_draws(dim, compiled.feature_mask_prob, mask_seed)
         if keep is None:
             masked = feats3
         else:
@@ -444,49 +375,20 @@ class FusedBackend(TensorBackend):
     """
 
     name = "fused"
-    jitted = False
 
     def __init__(self):
         self._kernels = weakref.WeakKeyDictionary()
 
-    def _make_ops(self):
-        return NumpyKernelOps()
-
     def kernel_for(self, model: Bourne) -> FusedInferenceKernel:
         kernel = self._kernels.get(model)
         if kernel is None:
-            kernel = FusedInferenceKernel(self._make_ops())
+            kernel = FusedInferenceKernel()
             self._kernels[model] = kernel
         return kernel
 
-    def forward_batch(self, model, gviews, hviews, rng=None, mask_seed=None):
+    def forward_batch(self, model, gviews, hviews, mask_seed=None):
         kernel = self.kernel_for(model)
-        scores = kernel.forward(model, gviews, hviews, rng=rng, mask_seed=mask_seed)
+        scores = kernel.forward(model, gviews, hviews, mask_seed=mask_seed)
         if scores is None:
-            return model.forward_batch(gviews, hviews, rng=rng, mask_seed=mask_seed)
+            return model.forward_batch(gviews, hviews, mask_seed=mask_seed)
         return scores
-
-    def describe(self) -> dict:
-        info = super().describe()
-        info["have_numba"] = HAVE_NUMBA
-        return info
-
-
-class NumbaBackend(FusedBackend):
-    """Fused backend with numba-jitted kernels when numba is present.
-
-    Without numba the backend still *works* — it runs the pure-numpy
-    fused ops and reports ``jitted=False`` — so ``--backend numba`` is
-    safe on machines without the optional extra.
-    """
-
-    name = "numba"
-
-    def __init__(self):
-        super().__init__()
-        self.jitted = HAVE_NUMBA
-
-    def _make_ops(self):
-        if HAVE_NUMBA:  # pragma: no cover - exercised in the numba CI job
-            return NumbaKernelOps()
-        return NumpyKernelOps()

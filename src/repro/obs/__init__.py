@@ -7,10 +7,10 @@ Three pieces, one import surface:
   recent plus slow/errored traces, and the capture/adopt pair that
   ships spans across the worker-process boundary.
 * :mod:`repro.obs.metrics` — the ``Counter``/``Gauge``/``Histogram``
-  registry promoted from the gateway, plus the process-wide
-  :data:`GLOBAL_REGISTRY` every layer may record into.
+  registry (the gateway's ``/metrics`` renders it), plus the
+  process-wide :data:`GLOBAL_REGISTRY` every layer may record into.
 * :mod:`repro.obs.profiling` — the one wall-clock/peak-memory timing
-  utility (folded in from ``repro.eval.profiling``).
+  utility (the experiments, benchmarks and tracing share it).
 
 Tracing is off unless a recorder is installed (the gateway installs
 one by default; ``repro trace --profile`` installs one for a run), and

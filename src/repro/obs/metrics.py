@@ -1,11 +1,9 @@
 """Repo-wide metrics: counters, gauges, histograms, Prometheus text.
 
-Promoted from ``repro.gateway.metrics`` (which re-exports for compat)
-so every layer — serving, graph, parallel, core — can record into one
-process-wide registry instead of the gateway owning the only one.  The
-asyncio event loop, the batcher's scoring thread, and trainer threads
-all record into plain Python ints/floats (GIL-atomic enough for
-monitoring counters), and ``MetricsRegistry.render()`` produces the
+Every layer — gateway, serving, graph, parallel, core — can record
+into one process-wide registry.  The asyncio event loop, the batcher's
+scoring thread, and trainer threads all record into plain Python
+ints/floats (GIL-atomic enough for monitoring counters), and ``MetricsRegistry.render()`` produces the
 Prometheus text exposition format served at ``GET /metrics``.
 Histograms use fixed bucket bounds and estimate quantiles by linear
 interpolation inside the bucket that crosses the requested rank — the

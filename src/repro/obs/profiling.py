@@ -1,8 +1,7 @@
 """Wall-clock and peak-memory profiling (one timing utility repo-wide).
 
-Folded in from ``repro.eval.profiling`` (which re-exports for compat):
-the Table V / Figure 6 experiments, the benchmarks, and the tracing
-layer now share one monotonic-clock timing primitive.  The paper
+The Table V / Figure 6 experiments, the benchmarks, and the tracing
+layer share one monotonic-clock timing primitive.  The paper
 reports GPU seconds and GPU memory on a 2080; here the same quantities
 are process time (``time.perf_counter`` — monotonic, never the
 settable wall clock) and ``tracemalloc`` peak allocations.  Absolute

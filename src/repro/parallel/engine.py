@@ -434,7 +434,7 @@ def score_graph_sharded(
     rounds = rounds if rounds is not None else cfg.eval_rounds
     batch_size = batch_size if batch_size is not None else cfg.batch_size
     backend_name = resolve_backend(backend).name
-    _, round_bases, mask_seeds = inference_round_streams(cfg, rounds, seed)
+    round_bases, mask_seeds = inference_round_streams(cfg, rounds, seed)
 
     index = index_of(graph)
     num_nodes = index.num_nodes

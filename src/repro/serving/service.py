@@ -69,7 +69,7 @@ def score_service_span(model: Bourne, graph_like, targets: np.ndarray,
     ``backend`` names the compute backend (workers receive the parent
     service's backend name and resolve it locally).
     """
-    _, round_bases, mask_seeds = inference_round_streams(
+    round_bases, mask_seeds = inference_round_streams(
         model.config, rounds, seed)
     return score_target_span(
         model, targets, round_bases, mask_seeds, max_batch,
@@ -172,7 +172,7 @@ class ScoringService:
         (default: model batch size).
     backend:
         Compute backend for the forward passes — a registered name
-        (``"numpy"``/``"fused"``/``"numba"``) or a backend instance;
+        (``"numpy"``/``"fused"``) or a backend instance;
         ``None`` uses the process default (the bitwise-pinned numpy
         reference).  Sharded refreshes ship the backend *name* to the
         worker processes.
@@ -239,7 +239,7 @@ class ScoringService:
 
     def _set_seed(self, seed: int) -> None:
         self.seed = seed
-        _, self._round_bases, self._mask_seeds = inference_round_streams(
+        self._round_bases, self._mask_seeds = inference_round_streams(
             self.model.config, self.rounds, seed)
 
     # ------------------------------------------------------------------
@@ -499,9 +499,9 @@ class ScoringService:
         with obs_trace.span("views.build_batched") as sp:
             sp.set(batch=len(targets), augment=cfg.augment_at_inference)
             return build_batched_views(
-                batch, feature_mask_prob=cfg.feature_mask_prob,
+                batch, seeds, feature_mask_prob=cfg.feature_mask_prob,
                 incidence_drop_prob=cfg.incidence_drop_prob,
-                augment=cfg.augment_at_inference, target_seeds=seeds)
+                augment=cfg.augment_at_inference)
 
     # ------------------------------------------------------------------
     # Introspection

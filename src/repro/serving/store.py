@@ -19,11 +19,11 @@ representation, never the content: edge ids are insertion order either
 way, so it does **not** bump ``version`` and invalidates nothing.
 
 The store implements the sampler protocol used by
-:mod:`repro.graph.sampling` — ``features``, ``neighbors`` (sorted
-ascending, exactly like ``Graph``'s CSR rows), ``index``, and
-``_build_edge_index`` — so a store and a freshly built ``Graph`` with
-the same topology drive the sampler through *identical* random draws.
-That is the invariant the serving-equivalence tests pin down to the bit.
+:mod:`repro.graph.sampling` (``features``, ``num_nodes`` and an
+``index`` whose CSR rows are sorted ascending, exactly like
+``Graph``'s), so a store and a freshly built ``Graph`` with the same
+topology drive the sampler through *identical* random draws.  That is
+the invariant the serving-equivalence tests pin down to the bit.
 
 Dirty-region tracking
 ---------------------
@@ -40,7 +40,7 @@ stale iff ``region_version(t) > v``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -120,8 +120,6 @@ class GraphStore:
         self.drift_total = 0.0
         self._region_version = np.zeros(0, dtype=np.int64)
         self._index: Optional[Union[GraphIndex, OverlayIndex]] = None
-        self._edge_map: Dict[Tuple[int, int], int] = {}
-        self._edge_map_count = 0
 
         if features.shape[0]:
             self._append_nodes(features, node_labels)
@@ -223,16 +221,6 @@ class GraphStore:
             return
         if self.pending_edges >= max(1, int(threshold * self._base_edge_count)):
             self.compact()
-
-    def _build_edge_index(self) -> Dict[Tuple[int, int], int]:
-        """Live ``(u, v) -> edge id`` map (ids are insertion order);
-        rebuilt lazily when edges arrived since the last build (the
-        legacy per-target sampler is the only consumer)."""
-        if self._edge_map_count != self._edge_count:
-            rows = self._edges[:self._edge_count].tolist()
-            self._edge_map = {(u, v): i for i, (u, v) in enumerate(rows)}
-            self._edge_map_count = self._edge_count
-        return self._edge_map
 
     def has_edge(self, u: int, v: int) -> bool:
         u, v = int(u), int(v)

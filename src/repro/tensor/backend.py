@@ -13,12 +13,11 @@ Contract
   ``model.forward_batch`` (the float64 autograd path) untouched, so
   with the default backend every bitwise-equivalence guarantee in the
   repository holds exactly as before the seam existed.
-* Fast backends (``"fused"``, ``"numba"`` — see :mod:`repro.nn.fused`)
-  are **inference-only** float32 kernel paths.  They must stay within
+* The ``"fused"`` backend (:mod:`repro.nn.fused`) is an
+  **inference-only** float32 kernel path.  It must stay within
   ``1e-5`` relative tolerance of the reference on every score and must
   degrade gracefully: unsupported models/batches fall back to the
-  reference forward, and the ``"numba"`` backend falls back to the
-  pure-numpy fused kernels when numba is not installed.
+  reference forward.
 * Training never goes through the seam — gradients only exist on the
   reference autograd path.
 
@@ -47,16 +46,10 @@ class TensorBackend:
 
     #: Registry key; also what the sharded engine ships to workers.
     name = "numpy"
-    #: True when compiled (numba-jitted) kernels are actually in use.
-    jitted = False
 
-    def forward_batch(self, model, gviews, hviews, rng=None, mask_seed=None):
+    def forward_batch(self, model, gviews, hviews, mask_seed=None):
         """Score one prepared batch (see ``Bourne.forward_batch``)."""
-        return model.forward_batch(gviews, hviews, rng=rng, mask_seed=mask_seed)
-
-    def describe(self) -> dict:
-        """Introspection payload for stats endpoints and tests."""
-        return {"name": self.name, "jitted": bool(self.jitted)}
+        return model.forward_batch(gviews, hviews, mask_seed=mask_seed)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
@@ -164,12 +157,5 @@ def _make_fused() -> TensorBackend:
     return FusedBackend()
 
 
-def _make_numba() -> TensorBackend:
-    from ..nn.fused import NumbaBackend
-
-    return NumbaBackend()
-
-
 register_backend("numpy", TensorBackend)
 register_backend("fused", _make_fused)
-register_backend("numba", _make_numba)

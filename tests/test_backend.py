@@ -1,11 +1,10 @@
 """The tensor-backend seam: registry, fused kernels, tolerance, fallback.
 
 The ``numpy`` backend is the bitwise-pinned reference — the golden
-digests here freeze the default scoring path.  The ``fused`` / ``numba``
-backends are inference-only float32 fast paths that must stay within
-1e-5 relative tolerance of the reference on every score and must fall
-back (bitwise-equal, identical RNG consumption) on anything outside the
-fused contract.
+digests here freeze the default scoring path.  The ``fused`` backend is
+an inference-only float32 fast path that must stay within 1e-5
+relative tolerance of the reference on every score and must fall back
+(bitwise-equal) on anything outside the fused contract.
 """
 
 import hashlib
@@ -15,12 +14,7 @@ import pytest
 
 from repro.core import Bourne, BourneConfig, score_graph
 from repro.graph import Graph
-from repro.nn.fused import (
-    HAVE_NUMBA,
-    FusedBackend,
-    NumbaBackend,
-    NumpyKernelOps,
-)
+from repro.nn.fused import FusedBackend
 from repro.serving import GraphStore, ScoringService
 from repro.tensor.backend import (
     TensorBackend,
@@ -75,7 +69,7 @@ def graph():
 class TestRegistry:
     def test_builtin_backends_registered(self):
         names = available_backends()
-        assert {"numpy", "fused", "numba"} <= set(names)
+        assert {"numpy", "fused"} <= set(names)
         assert names == tuple(sorted(names))
 
     def test_unknown_backend_raises(self):
@@ -85,7 +79,6 @@ class TestRegistry:
     def test_default_is_the_numpy_reference(self):
         backend = get_backend()
         assert backend.name == "numpy"
-        assert backend.describe() == {"name": "numpy", "jitted": False}
         assert resolve_backend(None) is backend
 
     def test_resolution_caches_one_instance_per_name(self):
@@ -121,11 +114,6 @@ class TestRegistry:
     def test_rejects_unnamed_registration(self):
         with pytest.raises(ValueError):
             register_backend("", TensorBackend)
-
-    def test_fused_describe_reports_numba_availability(self):
-        info = resolve_backend("fused").describe()
-        assert info["name"] == "fused"
-        assert info["have_numba"] == HAVE_NUMBA
 
 
 class TestReferencePin:
@@ -260,46 +248,3 @@ class TestFallbacks:
         fast = score_graph(model, graph, backend=backend)
         assert kernel.recompiles == 2
         assert_close(reference.node_scores, fast.node_scores)
-
-    def test_numba_backend_degrades_without_numba(self):
-        backend = NumbaBackend()
-        assert backend.name == "numba"
-        if not HAVE_NUMBA:
-            assert backend.jitted is False
-            assert isinstance(backend._make_ops(), NumpyKernelOps)
-        info = backend.describe()
-        assert info["have_numba"] == HAVE_NUMBA
-        assert info["jitted"] == backend.jitted
-
-    def test_degraded_numba_backend_still_scores(self, graph):
-        model = Bourne(graph.num_features, tiny_config())
-        reference = score_graph(model, graph)
-        fast = score_graph(model, graph, backend="numba")
-        assert_close(reference.node_scores, fast.node_scores)
-        assert_close(reference.edge_scores, fast.edge_scores)
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed "
-                    "(the optional-deps CI job exercises this)")
-class TestNumbaJitted:
-    def test_jitted_flag_reports_live_compilation(self):
-        backend = resolve_backend("numba")
-        assert backend.jitted is True
-        assert backend.describe()["jitted"] is True
-
-    @pytest.mark.parametrize("mode", ["unified", "node_only"])
-    def test_jitted_equivalence(self, graph, mode):
-        model = Bourne(graph.num_features, tiny_config(mode=mode))
-        reference = score_graph(model, graph)
-        fast = score_graph(model, graph, backend="numba")
-        assert_close(reference.node_scores, fast.node_scores)
-        if reference.edge_scores is not None and len(reference.edge_scores):
-            assert_close(reference.edge_scores, fast.edge_scores)
-
-    def test_jitted_sharded_equivalence(self, graph):
-        model = Bourne(graph.num_features, tiny_config())
-        reference = score_graph(model, graph)
-        fast = score_graph(model, graph, workers=2, shards=3,
-                           backend="numba")
-        assert_close(reference.node_scores, fast.node_scores)
-        assert_close(reference.edge_scores, fast.edge_scores)

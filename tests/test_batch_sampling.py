@@ -11,19 +11,23 @@ sizes.
 
 import numpy as np
 import pytest
+from reference_views import (
+    batch_graph_views,
+    batch_hypergraph_views,
+    build_graph_view,
+    build_hypergraph_view,
+    khop_neighbors,
+)
 
 from repro.core import Bourne, BourneConfig, score_graph
 from repro.core.views import (
-    batch_graph_views,
     batch_graph_views_from_subgraphs,
     build_batched_views,
-    build_graph_view,
 )
 from repro.graph import (
     Graph,
     GraphIndex,
     derive_target_seeds,
-    khop_neighbors,
     random_walk_subgraph,
     random_walk_subgraphs,
     sample_enclosing_subgraphs,
@@ -191,7 +195,8 @@ class TestBatchStructure:
 
     def test_isolated_target_degenerates_gracefully(self, rng):
         g = Graph(rng.normal(size=(3, 2)), np.array([[1, 2]]))
-        batch = sample_enclosing_subgraphs(g, [0], k=2, size=3, rng=rng)
+        batch = sample_enclosing_subgraphs(
+            g, [0], k=2, size=3, target_seeds=derive_target_seeds(0, [0]))
         sub = batch.view(0)
         assert sub.num_edges == 0
         assert sub.num_target_edges == 0
@@ -216,30 +221,25 @@ class TestBatchStructure:
         np.testing.assert_array_equal(from_graph.num_target_edges,
                                       from_store.num_target_edges)
 
-    def test_rng_convenience_mode(self, graph):
-        batch = sample_enclosing_subgraphs(
-            graph, np.arange(10), k=2, size=4,
-            rng=np.random.default_rng(5))
-        again = sample_enclosing_subgraphs(
-            graph, np.arange(10), k=2, size=4,
-            rng=np.random.default_rng(5))
-        np.testing.assert_array_equal(batch.node_ids, again.node_ids)
-
-    def test_missing_rng_and_seeds_rejected(self, graph):
-        with pytest.raises(ValueError, match="rng or target_seeds"):
-            sample_enclosing_subgraphs(graph, [0], k=2, size=4)
+    def test_seed_count_mismatch_rejected(self, graph):
+        seeds = derive_target_seeds(0, np.arange(3))
+        with pytest.raises(ValueError, match="3 entries for 2 targets"):
+            sample_enclosing_subgraphs(graph, [0, 1], k=2, size=4,
+                                       target_seeds=seeds)
 
     def test_empty_batch(self, graph):
+        no_seeds = np.zeros(0, dtype=np.uint64)
         batch = sample_enclosing_subgraphs(graph, [], k=2, size=4,
-                                           rng=np.random.default_rng(0))
+                                           target_seeds=no_seeds)
         assert len(batch) == 0
         assert batch.slots == 0
         assert batch.features.shape == (0, graph.num_features)
 
     def test_empty_batch_builds_empty_views(self, graph):
+        no_seeds = np.zeros(0, dtype=np.uint64)
         batch = sample_enclosing_subgraphs(graph, [], k=2, size=4,
-                                           rng=np.random.default_rng(0))
-        gviews, hviews = build_batched_views(batch, augment=False)
+                                           target_seeds=no_seeds)
+        gviews, hviews = build_batched_views(batch, no_seeds, augment=False)
         assert gviews.batch_size == 0
         assert gviews.features.shape[0] == 0
         assert len(hviews.has_edges) == 0
@@ -272,19 +272,18 @@ class TestViewEquivalence:
     def test_batched_views_score_like_per_target_views(self, graph):
         """Forward scores agree bitwise between the vectorized view
         batching and per-target build + list batching."""
-        from repro.core.views import batch_hypergraph_views, build_hypergraph_view
         model = Bourne(graph.num_features, BourneConfig(
             hidden_dim=8, predictor_hidden=16, subgraph_size=5, seed=0))
         targets = np.arange(graph.num_nodes)
-        batch = sample_enclosing_subgraphs(
-            graph, targets, k=2, size=5,
-            target_seeds=derive_target_seeds(11, targets))
-        gv_fast, hv_fast = build_batched_views(batch, augment=False)
+        seeds = derive_target_seeds(11, targets)
+        batch = sample_enclosing_subgraphs(graph, targets, k=2, size=5,
+                                           target_seeds=seeds)
+        gv_fast, hv_fast = build_batched_views(batch, seeds, augment=False)
         gv_ref = batch_graph_views([build_graph_view(s)
                                     for s in batch.views()])
         hv_ref = batch_hypergraph_views(
-            [build_hypergraph_view(s, None, augment=False)
-             for s in batch.views()], graph.num_features)
+            [build_hypergraph_view(s) for s in batch.views()],
+            graph.num_features)
         fast = model.forward_batch(gv_fast, hv_fast)
         ref = model.forward_batch(gv_ref, hv_ref)
         np.testing.assert_array_equal(fast.node_scores.data,
@@ -307,19 +306,6 @@ class TestScoreGraphEquivalence:
                                       singles.node_scores)
         np.testing.assert_array_equal(whole.edge_scores,
                                       singles.edge_scores)
-
-    def test_per_target_sampler_still_supported(self, graph):
-        model = Bourne(graph.num_features, BourneConfig(
-            hidden_dim=8, predictor_hidden=16, subgraph_size=4, seed=1))
-        legacy = score_graph(model, graph, rounds=1, sampler="per_target")
-        assert np.all(np.isfinite(legacy.node_scores))
-        assert np.all(np.isfinite(legacy.edge_scores))
-
-    def test_unknown_sampler_rejected(self, graph):
-        model = Bourne(graph.num_features, BourneConfig(
-            hidden_dim=8, predictor_hidden=16, subgraph_size=4))
-        with pytest.raises(ValueError, match="sampler"):
-            model.prepare_batch(graph, [0], sampler="nope")
 
 
 class TestBatchedRandomWalks:

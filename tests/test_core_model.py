@@ -12,6 +12,18 @@ from repro.core.variants import (
     without_perturbation,
     without_subgraph_level,
 )
+from repro.graph import derive_target_seeds
+from repro.tensor.backend import resolve_backend
+
+#: ``node_only`` forward-mask seed (the other modes ignore it).
+MASK_SEED = 1
+
+
+def prepare(model, graph, targets, seed=0):
+    """Views of ``targets`` on per-target seeds derived from ``seed``."""
+    targets = np.asarray(targets, dtype=np.int64)
+    return model.prepare_batch(graph, targets,
+                               derive_target_seeds(seed, targets))
 
 
 @pytest.fixture
@@ -60,8 +72,8 @@ class TestConfig:
 class TestForward:
     def test_batch_scores_shapes(self, tiny_graph, model):
         targets = [0, 2, 5]
-        gviews, hviews = model.prepare_batch(tiny_graph, targets)
-        scores = model.forward_batch(gviews, hviews)
+        gviews, hviews = prepare(model, tiny_graph, targets)
+        scores = model.forward_batch(gviews, hviews, mask_seed=MASK_SEED)
         assert scores.node_scores.shape == (3,)
         assert scores.edge_scores is not None
         assert len(scores.edge_scores) == len(scores.edge_orig_ids)
@@ -69,15 +81,15 @@ class TestForward:
 
     def test_scores_in_range(self, tiny_graph, model):
         cfg = model.config
-        gviews, hviews = model.prepare_batch(tiny_graph, [0, 1, 2])
-        scores = model.forward_batch(gviews, hviews)
+        gviews, hviews = prepare(model, tiny_graph, [0, 1, 2])
+        scores = model.forward_batch(gviews, hviews, mask_seed=MASK_SEED)
         upper = cfg.alpha + cfg.beta + cfg.alpha + cfg.beta  # cos ∈ [−1, 1]
         assert np.all(scores.node_scores.data >= -1e-9)
         assert np.all(scores.node_scores.data <= upper + 1e-9)
 
     def test_stop_gradient_on_target_network(self, tiny_graph, model):
-        gviews, hviews = model.prepare_batch(tiny_graph, [0, 2])
-        scores = model.forward_batch(gviews, hviews)
+        gviews, hviews = prepare(model, tiny_graph, [0, 2])
+        scores = model.forward_batch(gviews, hviews, mask_seed=MASK_SEED)
         loss = model.loss(scores)
         loss.backward()
         online_grads = [p.grad for p in model.online.parameters()]
@@ -92,8 +104,9 @@ class TestForward:
         assert not any("predictor" in n for n in target_names)
 
     def test_loss_is_scalar_and_finite(self, tiny_graph, model):
-        gviews, hviews = model.prepare_batch(tiny_graph, [0, 1, 2, 3])
-        loss = model.loss(model.forward_batch(gviews, hviews))
+        gviews, hviews = prepare(model, tiny_graph, [0, 1, 2, 3])
+        scores = model.forward_batch(gviews, hviews, mask_seed=MASK_SEED)
+        loss = model.loss(scores)
         assert loss.size == 1
         assert np.isfinite(loss.item())
 
@@ -137,23 +150,33 @@ class TestEMA:
 class TestModes:
     def test_node_only_has_no_edge_scores(self, tiny_graph, config):
         model = Bourne(tiny_graph.num_features, config.updated(mode="node_only"))
-        gviews, hviews = model.prepare_batch(tiny_graph, [0, 2])
-        scores = model.forward_batch(gviews, hviews)
+        gviews, hviews = prepare(model, tiny_graph, [0, 2])
+        scores = model.forward_batch(gviews, hviews, mask_seed=MASK_SEED)
         assert scores.node_scores is not None
         assert scores.edge_scores is None
 
+    def test_node_only_forward_requires_mask_seed(self, tiny_graph, config):
+        model = Bourne(tiny_graph.num_features, config.updated(mode="node_only"))
+        gviews, hviews = prepare(model, tiny_graph, [0, 2])
+        with pytest.raises(ValueError, match="mask_seed"):
+            model.forward_batch(gviews, hviews)
+        model.eval_mode()
+        with pytest.raises(ValueError, match="mask_seed"):
+            resolve_backend("fused").forward_batch(model, gviews, hviews)
+
     def test_edge_only_has_no_node_scores(self, tiny_graph, config):
         model = Bourne(tiny_graph.num_features, config.updated(mode="edge_only"))
-        gviews, hviews = model.prepare_batch(tiny_graph, [0, 2])
-        scores = model.forward_batch(gviews, hviews)
+        gviews, hviews = prepare(model, tiny_graph, [0, 2])
+        scores = model.forward_batch(gviews, hviews, mask_seed=MASK_SEED)
         assert scores.node_scores is None
         assert scores.edge_scores is not None
 
     def test_all_modes_losses_finite(self, tiny_graph, config):
         for mode in ("unified", "node_only", "edge_only"):
             model = Bourne(tiny_graph.num_features, config.updated(mode=mode))
-            gviews, hviews = model.prepare_batch(tiny_graph, [0, 1, 2])
-            loss = model.loss(model.forward_batch(gviews, hviews))
+            gviews, hviews = prepare(model, tiny_graph, [0, 1, 2])
+            scores = model.forward_batch(gviews, hviews, mask_seed=MASK_SEED)
+            loss = model.loss(scores)
             assert np.isfinite(loss.item())
 
 
@@ -188,8 +211,8 @@ class TestLossSemantics:
         """Eq. 19: per-target mean, so a high-degree target does not
         dominate the edge objective."""
         model = Bourne(tiny_graph.num_features, config)
-        gviews, hviews = model.prepare_batch(tiny_graph, [2, 7])  # deg 3 vs 1
-        scores = model.forward_batch(gviews, hviews)
+        gviews, hviews = prepare(model, tiny_graph, [2, 7])  # deg 3 vs 1
+        scores = model.forward_batch(gviews, hviews, mask_seed=MASK_SEED)
         owners = scores.edge_owner
         values = scores.edge_scores.data
         per_target = [values[owners == b].mean() for b in np.unique(owners)]

@@ -39,14 +39,6 @@ class TestTrainer:
         history = BourneTrainer(model, config).fit(planted)
         assert len(history.losses) == 1
 
-    def test_train_step_returns_float(self, planted):
-        config = BourneConfig(epochs=1, **FAST)
-        model = Bourne(planted.num_features, config)
-        trainer = BourneTrainer(model, config)
-        loss = trainer.train_step(planted, np.array([0, 1, 2, 3]))
-        assert isinstance(loss, float)
-        assert np.isfinite(loss)
-
     def test_train_bourne_convenience(self, planted):
         model, history = train_bourne(planted,
                                       BourneConfig(epochs=2, **FAST))

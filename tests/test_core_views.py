@@ -1,22 +1,30 @@
-"""Unit tests for BOURNE's view construction (Eq. 1–2, 7–8, Γ1/Γ2)."""
+"""Unit tests for BOURNE's view construction (Eq. 1–2, 7–8, Γ1/Γ2).
+
+Layout checks run on the dense per-target oracle
+(:mod:`reference_views`); the Γ1/Γ2 checks run on the library's
+counter-based augmentation.
+"""
 
 import numpy as np
 import pytest
-
-from repro.core import (
+from reference_views import (
     batch_graph_views,
     batch_hypergraph_views,
     build_graph_view,
     build_hypergraph_view,
-    mask_features,
-    perturb_incidence,
+    sample_subgraph,
 )
-from repro.graph import Graph, sample_enclosing_subgraph
+
+from repro.core.views import (
+    batch_hypergraph_views_from_subgraphs,
+    seeded_mask_features,
+)
+from repro.graph import Graph, derive_target_seeds, sample_enclosing_subgraphs
 
 
 @pytest.fixture
-def subgraph(tiny_graph, rng):
-    return sample_enclosing_subgraph(tiny_graph, 2, k=2, size=5, rng=rng)
+def subgraph(tiny_graph):
+    return sample_subgraph(tiny_graph, 2, k=2, size=5)
 
 
 class TestGraphView:
@@ -53,34 +61,47 @@ class TestGraphView:
 
 
 class TestAugmentations:
-    def test_mask_features_zeroes_columns(self, rng):
+    def test_mask_features_zeroes_columns(self):
         features = np.ones((5, 40))
-        masked = mask_features(features, 0.5, rng)
+        masked = seeded_mask_features(features, 0.5, 7)
         zero_cols = (masked == 0).all(axis=0)
         assert 0 < zero_cols.sum() < 40
         # Non-masked columns untouched.
         np.testing.assert_array_equal(masked[:, ~zero_cols], 1.0)
 
-    def test_mask_features_zero_prob_identity(self, rng):
+    def test_mask_features_zero_prob_identity(self):
         features = np.ones((3, 4))
-        assert mask_features(features, 0.0, rng) is features
+        assert seeded_mask_features(features, 0.0, 7) is features
 
-    def test_perturb_incidence_drops_entries(self, rng):
-        import scipy.sparse as sp
-        incidence = sp.csr_matrix(np.ones((20, 20)))
-        perturbed = perturb_incidence(incidence, 0.5, rng)
-        assert perturbed.nnz < incidence.nnz
-        assert perturbed.shape == incidence.shape   # node count constant
+    @staticmethod
+    def _hypergraph_views(graph, drop, augment=True):
+        targets = np.arange(graph.num_nodes)
+        seeds = derive_target_seeds(5, targets)
+        batch = sample_enclosing_subgraphs(graph, targets, k=2, size=5,
+                                           target_seeds=seeds)
+        return batch_hypergraph_views_from_subgraphs(
+            batch, seeds, feature_mask_prob=0.0, incidence_drop_prob=drop,
+            augment=augment)
 
-    def test_perturb_incidence_zero_prob_identity(self, rng):
-        import scipy.sparse as sp
-        incidence = sp.csr_matrix(np.eye(4))
-        assert perturb_incidence(incidence, 0.0, rng) is incidence
+    def test_perturb_incidence_drops_entries(self, tiny_graph):
+        kept = self._hypergraph_views(tiny_graph, 0.0)
+        perturbed = self._hypergraph_views(tiny_graph, 0.5)
+        assert perturbed.operator.nnz < kept.operator.nnz
+        # Γ2 drops incidence entries only: the dual-node count is constant.
+        assert perturbed.operator.shape == kept.operator.shape
+        assert perturbed.features.shape == kept.features.shape
+
+    def test_perturb_incidence_zero_prob_identity(self, tiny_graph):
+        kept = self._hypergraph_views(tiny_graph, 0.0)
+        plain = self._hypergraph_views(tiny_graph, 0.5, augment=False)
+        np.testing.assert_array_equal(kept.operator.toarray(),
+                                      plain.operator.toarray())
+        np.testing.assert_array_equal(kept.features, plain.features)
 
 
 class TestHypergraphView:
-    def test_layout(self, subgraph, rng):
-        view = build_hypergraph_view(subgraph, rng, augment=False)
+    def test_layout(self, subgraph):
+        view = build_hypergraph_view(subgraph)
         ms, mtar = subgraph.num_edges, subgraph.num_target_edges
         assert view.features.shape[0] == ms + mtar
         # Eq. 7: first Mtar rows (anonymized target edges) are zero.
@@ -88,16 +109,16 @@ class TestHypergraphView:
         assert view.num_target_edges == mtar
         assert view.num_context_rows == ms
 
-    def test_appended_rows_carry_raw_edge_features(self, subgraph, rng):
-        view = build_hypergraph_view(subgraph, rng, augment=False)
+    def test_appended_rows_carry_raw_edge_features(self, subgraph):
+        view = build_hypergraph_view(subgraph)
         ms, mtar = subgraph.num_edges, subgraph.num_target_edges
         for t in range(mtar):
             a, b = subgraph.edges[t]
             expected = 0.5 * (subgraph.features[a] + subgraph.features[b])
             np.testing.assert_allclose(view.features[ms + t], expected)
 
-    def test_operator_isolates_copies(self, subgraph, rng):
-        view = build_hypergraph_view(subgraph, rng, augment=False)
+    def test_operator_isolates_copies(self, subgraph):
+        view = build_hypergraph_view(subgraph)
         ms, mtar = subgraph.num_edges, subgraph.num_target_edges
         op = np.asarray(view.operator)
         # Eq. 8: identity block → copies only touch themselves.
@@ -107,18 +128,18 @@ class TestHypergraphView:
 
     def test_edgeless_subgraph_returns_none(self, rng):
         g = Graph(rng.normal(size=(3, 2)), np.array([[1, 2]]))
-        sub = sample_enclosing_subgraph(g, 0, k=2, size=3, rng=rng)
-        assert build_hypergraph_view(sub, rng) is None
+        sub = sample_subgraph(g, 0, k=2, size=3)
+        assert build_hypergraph_view(sub) is None
 
-    def test_edge_orig_ids_preserved(self, subgraph, rng):
-        view = build_hypergraph_view(subgraph, rng, augment=False)
+    def test_edge_orig_ids_preserved(self, subgraph):
+        view = build_hypergraph_view(subgraph)
         np.testing.assert_array_equal(view.edge_orig_ids,
                                       subgraph.target_edge_orig_ids)
 
 
 class TestBatching:
-    def test_graph_batch_indices(self, tiny_graph, rng):
-        subs = [sample_enclosing_subgraph(tiny_graph, t, 2, 4, rng)
+    def test_graph_batch_indices(self, tiny_graph):
+        subs = [sample_subgraph(tiny_graph, t, 2, 4)
                 for t in (0, 3, 6)]
         views = [build_graph_view(s) for s in subs]
         batch = batch_graph_views(views)
@@ -130,33 +151,33 @@ class TestBatching:
         for b, (sub, row) in enumerate(zip(subs, batch.target_rows)):
             np.testing.assert_array_equal(batch.features[row], sub.features[0])
 
-    def test_graph_batch_pool_rows_sum_to_one(self, tiny_graph, rng):
-        subs = [sample_enclosing_subgraph(tiny_graph, t, 2, 4, rng)
+    def test_graph_batch_pool_rows_sum_to_one(self, tiny_graph):
+        subs = [sample_subgraph(tiny_graph, t, 2, 4)
                 for t in (0, 1)]
         batch = batch_graph_views([build_graph_view(s) for s in subs])
         sums = np.asarray(batch.context_pool.sum(axis=1)).reshape(-1)
         np.testing.assert_allclose(sums, 1.0)
 
-    def test_hypergraph_batch_owners(self, tiny_graph, rng):
-        subs = [sample_enclosing_subgraph(tiny_graph, t, 2, 4, rng)
+    def test_hypergraph_batch_owners(self, tiny_graph):
+        subs = [sample_subgraph(tiny_graph, t, 2, 4)
                 for t in (0, 2)]
-        views = [build_hypergraph_view(s, rng, augment=False) for s in subs]
+        views = [build_hypergraph_view(s) for s in subs]
         batch = batch_hypergraph_views(views, tiny_graph.num_features)
         assert len(batch.zt_rows) == sum(v.num_target_edges for v in views)
         assert set(batch.edge_owner.tolist()) <= {0, 1}
         assert np.all(batch.has_edges)
 
-    def test_hypergraph_batch_handles_none(self, tiny_graph, rng):
-        sub = sample_enclosing_subgraph(tiny_graph, 0, 2, 4, rng)
-        view = build_hypergraph_view(sub, rng, augment=False)
+    def test_hypergraph_batch_handles_none(self, tiny_graph):
+        sub = sample_subgraph(tiny_graph, 0, 2, 4)
+        view = build_hypergraph_view(sub)
         batch = batch_hypergraph_views([None, view], tiny_graph.num_features)
         assert not batch.has_edges[0]
         assert batch.has_edges[1]
         assert np.all(batch.edge_owner == 1)
 
-    def test_edge_patch_rows_align_with_zt_rows(self, tiny_graph, rng):
-        sub = sample_enclosing_subgraph(tiny_graph, 2, 2, 5, rng)
-        view = build_hypergraph_view(sub, rng, augment=False)
+    def test_edge_patch_rows_align_with_zt_rows(self, tiny_graph):
+        sub = sample_subgraph(tiny_graph, 2, 2, 5)
+        view = build_hypergraph_view(sub)
         batch = batch_hypergraph_views([view], tiny_graph.num_features)
         assert len(batch.edge_patch_rows) == len(batch.zt_rows)
         # Patch rows are the anonymized leading rows (offset 0 here).

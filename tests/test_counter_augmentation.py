@@ -191,18 +191,3 @@ class TestAugmentedScoringInvariance:
     def test_different_seeds_still_differ(self, model, graph, reference):
         other = score_graph(model, graph, rounds=2, seed=12)
         assert not np.array_equal(other.node_scores, reference.node_scores)
-
-    def test_legacy_rng_path_still_available(self, graph, model):
-        """Without seeds the batched builder falls back to sequential
-        rng draws (the pre-counter behaviour) — kept as reference."""
-        cfg = model.config
-        targets = np.arange(6, dtype=np.int64)
-        seeds = derive_target_seeds(3, targets)
-        batch = sample_enclosing_subgraphs(graph, targets, k=cfg.hop_size,
-                                           size=cfg.subgraph_size,
-                                           target_seeds=seeds)
-        rng = np.random.default_rng(5)
-        _, legacy = build_batched_views(batch, rng=rng, augment=True)
-        _, counter = build_batched_views(batch, augment=True,
-                                         target_seeds=seeds)
-        assert legacy.features.shape == counter.features.shape

@@ -302,29 +302,6 @@ class TestHistogramQuantiles:
 
 
 # ----------------------------------------------------------------------
-# Compat shims
-# ----------------------------------------------------------------------
-class TestShims:
-    def test_gateway_metrics_reexports_obs(self):
-        from repro.gateway import metrics as gateway_metrics
-        from repro.obs import metrics as obs_metrics
-
-        assert gateway_metrics.Counter is obs_metrics.Counter
-        assert gateway_metrics.Histogram is obs_metrics.Histogram
-        assert gateway_metrics.MetricsRegistry is obs_metrics.MetricsRegistry
-        assert gateway_metrics.GLOBAL_REGISTRY is obs_metrics.GLOBAL_REGISTRY
-        assert gateway_metrics.LATENCY_BUCKETS == obs_metrics.LATENCY_BUCKETS
-
-    def test_eval_profiling_reexports_obs(self):
-        from repro.eval import profiling as eval_profiling
-        from repro.obs import profiling as obs_profiling
-
-        assert eval_profiling.measure is obs_profiling.measure
-        assert eval_profiling.profile_call is obs_profiling.profile_call
-        assert eval_profiling.ResourceUsage is obs_profiling.ResourceUsage
-
-
-# ----------------------------------------------------------------------
 # Structured logging correlation
 # ----------------------------------------------------------------------
 class TestJsonLogging:

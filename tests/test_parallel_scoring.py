@@ -94,10 +94,6 @@ class TestBitwiseEquality:
         np.testing.assert_array_equal(result.edge_scores,
                                       serial_scores.edge_scores)
 
-    def test_per_target_sampler_rejects_workers(self, model, graph):
-        with pytest.raises(ValueError, match="sampler"):
-            score_graph(model, graph, workers=2, sampler="per_target")
-
 
 class TestCrashPropagation:
     def test_worker_exception_reaches_parent(self, model, graph):

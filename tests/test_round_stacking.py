@@ -60,9 +60,9 @@ class CountingBackend(TensorBackend):
     def __init__(self):
         self.views = []
 
-    def forward_batch(self, model, gviews, hviews, rng=None, mask_seed=None):
+    def forward_batch(self, model, gviews, hviews, mask_seed=None):
         self.views.append(gviews.batch_size)
-        return super().forward_batch(model, gviews, hviews, rng=rng,
+        return super().forward_batch(model, gviews, hviews,
                                      mask_seed=mask_seed)
 
 
@@ -119,7 +119,7 @@ class TestStackedLoop:
         model = Bourne(graph.num_features, small_config(
             mode=mode, augment_at_inference=augment))
         model.eval_mode()
-        _, bases, masks = inference_round_streams(model.config, ROUNDS, 21)
+        bases, masks = inference_round_streams(model.config, ROUNDS, 21)
         targets = np.arange(graph.num_nodes, dtype=np.int64)[::-1].copy()
         stacked = score_target_span(model, targets, bases, masks, max_batch,
                                     offline_view_builder(model, graph))
@@ -133,7 +133,7 @@ class TestStackedLoop:
     def test_no_forward_exceeds_max_batch(self, graph, max_batch, forwards):
         model = Bourne(graph.num_features, small_config())
         model.eval_mode()
-        _, bases, masks = inference_round_streams(model.config, ROUNDS, 0)
+        bases, masks = inference_round_streams(model.config, ROUNDS, 0)
         backend = CountingBackend()
         evidence = score_target_span(
             model, np.arange(graph.num_nodes), bases, masks, max_batch,
