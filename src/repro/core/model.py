@@ -260,41 +260,25 @@ class Bourne:
     # ------------------------------------------------------------------
     # Loss (Eq. 15, 19, 20)
     # ------------------------------------------------------------------
-    def loss(self, scores: BatchScores) -> Tensor:
-        """Combined objective ``L = ½(L_node + L_edge)``.
-
-        ``L_edge`` averages per-target means so high-degree targets do
-        not dominate (Eq. 19).  In ablation modes only the defined term
-        is used.
-        """
-        terms: List[Tensor] = []
-        if scores.node_scores is not None:
-            terms.append(scores.node_scores.mean())
-        if scores.edge_scores is not None and len(scores.edge_owner):
-            owners = scores.edge_owner
-            unique_owners, counts = np.unique(owners, return_counts=True)
-            count_per_edge = counts[np.searchsorted(unique_owners, owners)]
-            weights = 1.0 / (count_per_edge * len(unique_owners))
-            terms.append((scores.edge_scores * Tensor(weights)).sum())
-        if not terms:
-            raise RuntimeError("batch produced no loss terms (all targets degenerate)")
-        if len(terms) == 1:
-            return terms[0]
-        return (terms[0] + terms[1]) * 0.5
-
     def chunk_loss(self, scores: BatchScores,
                    node_scale: Optional[float],
                    edge_scale: Optional[float]) -> Optional[Tensor]:
         """Loss contribution of one gradient-accumulation chunk.
 
-        The trainer splits each minibatch into fixed chunks and sums
-        their losses/gradients in chunk order, so the batch-level
-        normalizations of :meth:`loss` must be supplied from outside:
-        ``node_scale`` multiplies the chunk's node-score sum (the
-        caller passes ``weight / B``) and ``edge_scale`` the sum of
-        per-target edge means (``weight / U`` with ``U`` the number of
-        batch targets owning target edges — edge ownership never
-        crosses chunks, so the per-owner counts are chunk-local).
+        The objective is ``L = ½(L_node + L_edge)``; ``L_edge`` averages
+        per-target means so high-degree targets do not dominate
+        (Eq. 19), and ablation modes keep only the defined term.  The
+        trainer splits each minibatch into fixed chunks and sums their
+        losses/gradients in chunk order, so the batch-level
+        normalizations come from
+        :func:`repro.core.trainer.batch_loss_scales`: ``node_scale``
+        multiplies the chunk's node-score sum (``weight / B``) and
+        ``edge_scale`` the sum of per-target edge means (``weight / U``
+        with ``U`` the number of batch targets owning target edges —
+        edge ownership never crosses chunks, so the per-owner counts
+        are chunk-local).  One chunk holding the whole batch gives the
+        batch objective.
+
         ``None`` disables a term; returns ``None`` when the chunk
         contributes neither (all targets degenerate in edge-only mode).
         """

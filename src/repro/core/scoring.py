@@ -284,7 +284,6 @@ def score_graph(
     seed: Optional[int] = None,
     workers: Optional[int] = None,
     shards: Optional[int] = None,
-    planner=None,
     pool=None,
     backend=None,
 ) -> AnomalyScores:
@@ -307,10 +306,9 @@ def score_graph(
         merged output is bitwise-identical to the serial path with view
         augmentation on or off — Γ1/Γ2 draws are counter-based, keyed
         by the same per-``(round, target)`` seeds as sampling.
-    shards / planner / pool:
-        Forwarded to the sharded engine: number of work shards (default
-        ``4 × workers``), the :class:`repro.parallel.ShardPlanner`
-        that places the shard boundaries, and an optional persistent
+    shards / pool:
+        Forwarded to the sharded engine: number of even work shards
+        (default ``4 × workers``) and an optional persistent
         :class:`repro.parallel.WorkerPool` to reuse.
     backend:
         Compute backend for the forward pass — a registered name
@@ -327,8 +325,7 @@ def score_graph(
         from ..parallel import score_graph_sharded
         return score_graph_sharded(
             model, graph, rounds=rounds, batch_size=batch_size, seed=seed,
-            workers=workers, shards=shards, planner=planner, pool=pool,
-            backend=backend,
+            workers=workers, shards=shards, pool=pool, backend=backend,
         )
     edge_sum = np.zeros(graph.num_edges)
     edge_count = np.zeros(graph.num_edges)

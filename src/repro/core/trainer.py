@@ -99,9 +99,10 @@ def batch_loss_scales(mode: str, batch_size: int,
 
     ``node_scale`` multiplies node-score sums (``weight / B``) and
     ``edge_scale`` sums of per-target edge means (``weight / U``);
-    ``weight`` is ½ when both terms exist, 1 otherwise, mirroring
-    :meth:`Bourne.loss`.  Raises when the batch can produce no loss
-    term at all (edge-only mode, every target degenerate).
+    ``weight`` is ½ when both terms exist, 1 otherwise: the combined
+    objective ``L = ½(L_node + L_edge)``, or the one defined term in an
+    ablation mode.  Raises when the batch can produce no loss term at
+    all (edge-only mode, every target degenerate).
     """
     node = mode != "edge_only"
     edge = mode != "node_only" and num_edge_owners > 0
@@ -196,10 +197,9 @@ class BourneTrainer:
         pool (:class:`repro.parallel.training.ShardedTrainingRunner`);
         the pool lives until :meth:`close` (or the ``with`` block ends)
         so repeated epochs and ``fit`` calls amortize worker spin-up.
-    shards / planner:
-        Work-shard count per step (default ``4 × workers``) and the
-        :class:`repro.parallel.ShardPlanner` placing shard boundaries
-        over the chunk sequence.
+    shards:
+        Work-shard count per step (default ``4 × workers``); an even
+        split of the chunk sequence places the shard boundaries.
     pool:
         An existing :class:`repro.parallel.WorkerPool` to share (for
         example with ``ScoringService.refresh``); the trainer will not
@@ -210,9 +210,7 @@ class BourneTrainer:
                  grain: Optional[int] = None,
                  workers: Optional[int] = None,
                  shards: Optional[int] = None,
-                 planner=None,
-                 pool=None,
-                 start_method: Optional[str] = None):
+                 pool=None):
         self.model = model
         self.config = config or model.config
         self.optimizer = Adam(
@@ -227,9 +225,7 @@ class BourneTrainer:
             raise ValueError("grain must be >= 1")
         self.workers = workers
         self.shards = shards
-        self.planner = planner
         self._pool = pool
-        self._start_method = start_method
         self._runner = None
         self._epochs_trained = 0
 
@@ -262,8 +258,7 @@ class BourneTrainer:
             from ..parallel.training import ShardedTrainingRunner
             self._runner = ShardedTrainingRunner(
                 self.model, graph, workers=self.workers,
-                shards=self.shards, planner=self.planner,
-                pool=self._pool, start_method=self._start_method,
+                shards=self.shards, pool=self._pool,
             )
         else:
             self._runner.bind(graph)

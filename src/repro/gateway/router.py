@@ -11,18 +11,18 @@ seam between the transports and the services that lifts that limit:
   and backend.  Services attach at boot, through ``serve --tenants``,
   or dynamically via the ``{"op": "attach_service"}`` admin op.
 * **Replica pools** — :class:`ReplicaPool` runs N batcher-wrapped
-  replicas of one service.  The graph lives in POSIX shared memory once
-  (:mod:`repro.parallel.shm` ships base + overlay), every replica's
-  worker process attaches it read-only, and reads go to the
+  replicas of one service, each on a one-worker
+  :class:`~repro.parallel.engine.WorkerPool`.  The graph lives in POSIX
+  shared memory once (:mod:`repro.parallel.shm` ships base + overlay),
+  every replica's worker attaches it read-only, and reads go to the
   least-loaded healthy replica.  Mutations fan in through a single
   writer: the pool closes its read gate, drains in-flight scores,
   applies the mutation on the primary service's scoring thread, resyncs
   shared memory, and reopens — so mutation ordering is exactly the
   single-service gateway's, and every score is bitwise what the
-  in-process service returns (the replica workers run
-  :func:`~repro.serving.service.score_service_span` /
-  :func:`~repro.serving.service.score_edge_span`, the same
-  counter-based streams the service itself uses).
+  in-process service returns (the replica workers run the engine's
+  :func:`~repro.parallel.engine.score_task` on the same counter-based
+  streams the service itself uses).
 * **Tenant mode** — :class:`TenantSpec` describes how to build a
   tenant's store + model; the router boots specs lazily on first
   request and evicts idle spec-backed endpoints (they rebuild on the
@@ -36,18 +36,16 @@ import asyncio
 import logging
 import re
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..obs import trace as obs_trace
+from ..core.scoring import RoundEvidence, mean_edge_rounds
 from ..obs.metrics import MetricsRegistry
-from ..parallel import engine as parallel_engine
-from ..parallel.shm import SharedGraphExport, SharedModelExport
-from ..serving.service import score_edge_span, score_service_span
-from ..tensor.backend import resolve_backend
+from ..parallel.engine import ScoreTask, WorkerPool, score_task
+from ..serving.service import edge_mean_from_evidence
 from ..utils.logging import get_logger, log_event
 from .batcher import MicroBatcher
 from .protocol import dispatch_request
@@ -67,47 +65,6 @@ MUTATING_OPS = frozenset({"add_node", "add_edge", "update_features",
 _METRIC_SAFE = re.compile(r"[^a-zA-Z0-9_]")
 
 
-# ----------------------------------------------------------------------
-# Replica worker side (runs in the replica's process)
-# ----------------------------------------------------------------------
-def _replica_pid(_task=None) -> int:
-    """Warm-up task: forces the worker process to spawn, returns its
-    pid (exposed in stats so operators — and the failover tests — can
-    target a specific replica)."""
-    import os
-
-    return os.getpid()
-
-
-def _replica_task(task: tuple):
-    """Score one batch of nodes or one edge on the shared graph.
-
-    The task carries the pool's current graph/model refs (attached and
-    cached worker-side by token, exactly like the sharded refresh
-    workers) plus the serving stream parameters; scoring runs the same
-    pure span functions the in-process service runs, so the answer is
-    bitwise identical to the single-service gateway.
-    """
-    (graph_ref, model_ref, kind, payload,
-     seed, rounds, max_batch, backend_name) = task
-    graph = parallel_engine._ensure_graph(graph_ref)
-    model = parallel_engine._ensure_model(model_ref)
-    model.eval_mode()
-    backend = resolve_backend(backend_name)
-    with obs_trace.clear_context():
-        if kind == "nodes":
-            targets = np.asarray(payload, dtype=np.int64)
-            evidence = score_service_span(
-                model, graph, targets, seed, rounds, max_batch,
-                backend=backend)
-            return [float(s) for s in evidence.node_sum / rounds]
-        u, v, edge_id = payload
-        mean, _imputed = score_edge_span(
-            model, graph, u, v, edge_id, seed, rounds, max_batch,
-            backend=backend)
-        return float(mean)
-
-
 class _ReplicaProxy:
     """Duck-types the slice of ``ScoringService`` a ``MicroBatcher``
     drives (``store`` for validation, ``score_nodes``/``score_edge``),
@@ -116,7 +73,10 @@ class _ReplicaProxy:
     Runs on the replica batcher's scoring thread; every call happens
     inside a read slot the pool's write gate has admitted, so reading
     the primary store (edge lookups, seed/rounds) never races a
-    mutation.
+    mutation.  The worker runs the engine's :func:`score_task` — the
+    span loop the in-process service runs — and edge means resolve
+    here exactly as :func:`~repro.serving.service.score_edge_span`
+    resolves them, so every answer is bitwise the single-service one.
     """
 
     def __init__(self, pool: "ReplicaPool", replica: "_Replica"):
@@ -127,36 +87,46 @@ class _ReplicaProxy:
     def store(self):
         return self._pool.service.store
 
-    def _run(self, kind: str, payload) -> object:
+    def _run(self, targets: List[int]) -> RoundEvidence:
         pool = self._pool
         service = pool.service
-        task = (pool._graph_ref, pool._model_ref, kind, payload,
-                service.seed, service.rounds, service.max_batch,
-                service.backend.name)
+        task = ScoreTask(pool._graph_ref, pool._model_ref,
+                         np.asarray(targets, dtype=np.int64), service.seed,
+                         service.rounds, service.max_batch,
+                         service.backend.name)
         self._replica.dispatched += 1
-        return self._replica.executor.submit(_replica_task, task).result()
+        evidence, _spans = self._replica.pool.submit(score_task, task).result()
+        return evidence
 
     def score_nodes(self, nodes) -> List[float]:
-        return self._run("nodes", [int(n) for n in nodes])
+        evidence = self._run([int(n) for n in nodes])
+        return [float(s) for s in evidence.node_sum / self._pool.service.rounds]
 
     def score_edge(self, u: int, v: int) -> float:
         store = self._pool.service.store
         key = (min(int(u), int(v)), max(int(u), int(v)))
         if not store.has_edge(*key):
             raise KeyError(f"edge {key} not in store")
-        return self._run("edge", (key[0], key[1], int(store.edge_id(*key))))
+        edge_id = int(store.edge_id(*key))
+        rounds = self._pool.service.rounds
+        evidence = self._run(list(key))
+        mean, _imputed = edge_mean_from_evidence(
+            evidence.node_sum / rounds, mean_edge_rounds(rounds, [evidence]),
+            edge_id)
+        return mean
 
 
 class _Replica:
-    """Parent-side handle for one replica: a single-process executor,
-    its micro-batcher, and the load/health bookkeeping."""
+    """Parent-side handle for one replica: a one-worker
+    :class:`WorkerPool`, its micro-batcher, and the load/health
+    bookkeeping."""
 
-    __slots__ = ("index", "executor", "batcher", "pid", "healthy",
+    __slots__ = ("index", "pool", "batcher", "pid", "healthy",
                  "inflight", "dispatched")
 
-    def __init__(self, index: int, executor: ProcessPoolExecutor):
+    def __init__(self, index: int, pool: WorkerPool):
         self.index = index
-        self.executor = executor
+        self.pool = pool
         self.batcher: Optional[MicroBatcher] = None
         self.pid: Optional[int] = None
         self.healthy = True
@@ -239,28 +209,30 @@ class ReplicaPool(ServiceEndpoint):
 
     Reads (``score_node`` / ``score_edge``) dispatch to the healthy
     replica with the fewest in-flight requests; each replica is a
-    dedicated single-process executor wrapped in its own
-    :class:`MicroBatcher`, so concurrent requests still coalesce into
-    shared forward batches per replica.  A replica whose process dies
-    is marked unhealthy and its in-flight reads retry on the
+    one-worker :class:`~repro.parallel.engine.WorkerPool` wrapped in its
+    own :class:`MicroBatcher`, so concurrent requests still coalesce
+    into shared forward batches per replica.  A replica whose process
+    dies is marked unhealthy and its in-flight reads retry on the
     survivors.
 
-    Writes fan in through one path: the pool closes the read gate,
-    waits for in-flight reads to drain, applies the mutation on the
-    primary service (the inherited writer batcher thread), republishes
-    shared memory — feature-only updates in place via
-    :meth:`SharedGraphExport.publish_features`, topology changes by
-    rebinding a fresh export — and reopens the gate.  Single-writer
-    fan-in keeps mutation ordering deterministic and means replicas
-    never observe a half-applied store.
+    Every replica reads one shared export: the first replica's pool
+    binds the graph and model, and every replica's tasks carry its
+    refs.  The segments are owned parent-side, so they outlive any
+    replica's worker.  Writes fan in through one path: the pool closes
+    the read gate, waits for in-flight reads to drain, applies the
+    mutation on the primary service (the inherited writer batcher
+    thread), republishes shared memory — feature-only updates in place
+    via :meth:`~repro.parallel.engine.WorkerPool.publish_features`,
+    topology changes by rebinding a fresh export — and reopens the
+    gate.  Single-writer fan-in keeps mutation ordering deterministic
+    and means replicas never observe a half-applied store.
     """
 
     def __init__(self, name: str, service, *, replicas: int,
                  max_batch: int = 32, max_delay_ms: float = 2.0,
                  metrics: Optional[MetricsRegistry] = None,
                  registry=None, model_name: Optional[str] = None,
-                 model_version: Optional[int] = None,
-                 start_method: Optional[str] = None):
+                 model_version: Optional[int] = None):
         if replicas < 2:
             raise ValueError("ReplicaPool needs replicas >= 2; use "
                              "ServiceEndpoint for a single replica")
@@ -272,12 +244,7 @@ class ReplicaPool(ServiceEndpoint):
         self._max_batch = int(max_batch)
         self._max_delay_ms = float(max_delay_ms)
         self._metrics = metrics
-        self._start_method = start_method
         self._replica_list: List[_Replica] = []
-        self._graph_export: Optional[SharedGraphExport] = None
-        self._model_export: Optional[SharedModelExport] = None
-        self._graph_token = 0
-        self._model_token = 0
         self._graph_ref = None
         self._model_ref = None
         self._gate = asyncio.Event()
@@ -288,35 +255,23 @@ class ReplicaPool(ServiceEndpoint):
         self._started = False
 
     # -- shared-memory binding (sync; called off the event loop) -------
-    def _bind_graph_sync(self) -> None:
-        store = self.service.store
-        export = SharedGraphExport.create(store.features, store.index)
-        if self._graph_export is not None:
-            self._graph_export.destroy()
-        self._graph_export = export
-        self._graph_token += 1
-        self._graph_ref = parallel_engine.GraphRef(self._graph_token,
-                                                   export.spec)
+    @property
+    def _exports(self) -> WorkerPool:
+        """The pool whose shared segments every replica reads."""
+        return self._replica_list[0].pool
 
-    def _publish_features_sync(self) -> None:
-        # In-place republish into the same segment: attached workers
-        # see the new values through the shared pages without a token
-        # change.  Falls back to a full rebind when the matrix shape
-        # moved (a concurrent add_node cannot happen — the writer lock
-        # serializes mutations — but specs can disagree after a swap).
+    def _bind_graph(self) -> None:
         store = self.service.store
-        if (self._graph_export is None
-                or not self._graph_export.publish_features(store.features)):
-            self._bind_graph_sync()
+        self._graph_ref = self._exports.bind_graph(store.features,
+                                                   store.index)
 
-    def _bind_model_sync(self) -> None:
-        export = SharedModelExport.create(self.service.model)
-        if self._model_export is not None:
-            self._model_export.destroy()
-        self._model_export = export
-        self._model_token += 1
-        self._model_ref = parallel_engine.ModelRef(self._model_token, 0,
-                                                   export.spec)
+    def _publish_features(self) -> None:
+        store = self.service.store
+        self._graph_ref = self._exports.publish_features(store.features,
+                                                         store.index)
+
+    def _publish_model(self) -> None:
+        self._model_ref = self._exports.publish_model(self.service.model)
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> None:
@@ -326,22 +281,19 @@ class ReplicaPool(ServiceEndpoint):
         await self.batcher.start()  # the writer path
         loop = asyncio.get_running_loop()
 
-        def bind_and_spawn() -> List[int]:
-            self._bind_graph_sync()
-            self._bind_model_sync()
-            context = parallel_engine._mp_context(self._start_method)
-            for index in range(self.replicas):
-                executor = ProcessPoolExecutor(max_workers=1,
-                                               mp_context=context)
-                self._replica_list.append(_Replica(index, executor))
+        def spawn() -> None:
+            self._replica_list = [_Replica(index, WorkerPool(1))
+                                  for index in range(self.replicas)]
+            self._bind_graph()
+            self._publish_model()
             # Warm every worker now — process spawn happens before
-            # traffic, and the pid comes back for stats/failover tools.
-            return [replica.executor.submit(_replica_pid).result()
-                    for replica in self._replica_list]
+            # traffic, and the pid is kept for stats/failover tools.
+            for replica in self._replica_list:
+                replica.pool.submit(abs, 0).result()
+                replica.pid = replica.pool.pids[0]
 
-        pids = await loop.run_in_executor(None, bind_and_spawn)
-        for replica, pid in zip(self._replica_list, pids):
-            replica.pid = pid
+        await loop.run_in_executor(None, spawn)
+        for replica in self._replica_list:
             replica.batcher = MicroBatcher(
                 _ReplicaProxy(self, replica), max_batch=self._max_batch,
                 max_delay_ms=self._max_delay_ms, metrics=self._metrics)
@@ -349,7 +301,8 @@ class ReplicaPool(ServiceEndpoint):
         self._gate.set()
         self._drained.set()
         log_event(LOGGER, logging.INFO, "replica pool started",
-                  service=self.name, replicas=self.replicas, pids=pids)
+                  service=self.name, replicas=self.replicas,
+                  pids=[replica.pid for replica in self._replica_list])
 
     async def stop(self) -> None:
         if not self._started:
@@ -359,19 +312,13 @@ class ReplicaPool(ServiceEndpoint):
             if replica.batcher is not None:
                 await replica.batcher.stop()
         await self.batcher.stop()
-        loop = asyncio.get_running_loop()
 
-        def cleanup() -> None:
-            for replica in self._replica_list:
-                replica.executor.shutdown(wait=True, cancel_futures=True)
-            if self._graph_export is not None:
-                self._graph_export.destroy()
-                self._graph_export = None
-            if self._model_export is not None:
-                self._model_export.destroy()
-                self._model_export = None
+        def close_pools() -> None:
+            # The exporting pool goes last, after every reader.
+            for replica in reversed(self._replica_list):
+                replica.pool.close()
 
-        await loop.run_in_executor(None, cleanup)
+        await asyncio.get_running_loop().run_in_executor(None, close_pools)
         self._replica_list = []
 
     # -- read path: least-loaded dispatch with failover ----------------
@@ -445,8 +392,8 @@ class ReplicaPool(ServiceEndpoint):
                      refresh_workers: Optional[int] = None) -> dict:
         op = request.get("op")
         if op in MUTATING_OPS:
-            resync = (self._publish_features_sync
-                      if op == "update_features" else self._bind_graph_sync)
+            resync = (self._publish_features
+                      if op == "update_features" else self._bind_graph)
             return await self._write(dispatch_request, self.service,
                                      request, refresh_workers,
                                      resync=resync)
@@ -459,7 +406,7 @@ class ReplicaPool(ServiceEndpoint):
 
     async def swap_model(self, model) -> None:
         await self._write(self.service.swap_model, model,
-                          resync=self._bind_model_sync)
+                          resync=self._publish_model)
 
     # -- introspection -------------------------------------------------
     def pool_stats(self) -> dict:
@@ -614,15 +561,13 @@ class ServiceRouter:
     """
 
     def __init__(self, *, metrics: Optional[MetricsRegistry] = None,
-                 max_batch: int = 32, max_delay_ms: float = 2.0,
-                 start_method: Optional[str] = None):
+                 max_batch: int = 32, max_delay_ms: float = 2.0):
         self._endpoints: Dict[str, ServiceEndpoint] = {}
         self._specs: Dict[str, TenantSpec] = {}
         self._boot_locks: Dict[str, asyncio.Lock] = {}
         self._metrics = metrics
         self._max_batch = int(max_batch)
         self._max_delay_ms = float(max_delay_ms)
-        self._start_method = start_method
         self.default_name = DEFAULT_SERVICE
         self.attaches = 0
         self.detaches = 0
@@ -639,8 +584,7 @@ class ServiceRouter:
                       model_name=model_name, model_version=model_version)
         if int(replicas) > 1:
             endpoint: ServiceEndpoint = ReplicaPool(
-                name, service, replicas=int(replicas),
-                start_method=self._start_method, **kwargs)
+                name, service, replicas=int(replicas), **kwargs)
         else:
             endpoint = ServiceEndpoint(name, service, **kwargs)
         endpoint.spec = spec

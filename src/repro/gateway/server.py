@@ -128,9 +128,6 @@ class Gateway:
         ``lazy_tenants=False``; with ``idle_ttl`` set, a background
         sweeper evicts tenants idle that many seconds (their specs stay
         registered, so the next request reboots them).
-    start_method:
-        Multiprocessing start method for replica pools (default: fork
-        where available).
     lifecycle / lifecycle_interval:
         Optional :class:`~repro.lifecycle.LifecycleController` for the
         default service.  The gateway rewires its store hooks onto the
@@ -166,7 +163,6 @@ class Gateway:
                  tenants=None,
                  idle_ttl: Optional[float] = None,
                  lazy_tenants: bool = True,
-                 start_method: Optional[str] = None,
                  lifecycle=None,
                  lifecycle_interval: Optional[float] = None,
                  tracing: bool = True,
@@ -182,8 +178,7 @@ class Gateway:
                                              rate=rate, burst=burst)
         self.router = ServiceRouter(metrics=self.metrics,
                                     max_batch=max_batch,
-                                    max_delay_ms=max_delay_ms,
-                                    start_method=start_method)
+                                    max_delay_ms=max_delay_ms)
         if service is not None:
             self.router.add(self.router.make_endpoint(
                 DEFAULT_SERVICE, service, replicas=replicas,

@@ -9,11 +9,12 @@ hot-swap watcher:
   (as deltas since the last trigger) against a
   :class:`~repro.lifecycle.policy.TriggerPolicy`.
 * **Retrain** — on trigger it snapshots the store and trains a fresh
-  model on the snapshot in a **background process** (a single-slot
-  process pool), so serving latency never pays for training.  The
-  retrain is ``train_bourne(snapshot, config)`` with the served
-  model's config: a pure function of ``(snapshot, seed, epochs)``,
-  bitwise-identical to the same offline call — sharding included.
+  model on the snapshot in a **background process** (a one-worker
+  :class:`~repro.parallel.engine.WorkerPool`), so serving latency
+  never pays for training.  The retrain is
+  ``train_bourne(snapshot, config)`` with the served model's config: a
+  pure function of ``(snapshot, seed, epochs)``, bitwise-identical to
+  the same offline call — sharding included.
 * **Validate** — the candidate must pass
   :func:`~repro.lifecycle.validate.validate_candidate` (score sanity +
   probe AUC vs the reference model) before anything is published; the
@@ -42,7 +43,7 @@ import os
 import tempfile
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from typing import Callable, Optional
 
 import numpy as np
@@ -50,7 +51,7 @@ import numpy as np
 from ..core.persistence import load_model, save_model
 from ..core.trainer import train_bourne
 from ..obs import trace as obs_trace
-from ..parallel.engine import _mp_context
+from ..parallel.engine import WorkerPool
 from .policy import LifecycleSettings, TriggerPolicy, TriggerState
 from .rollback import evaluate_guardrail, republish_version
 from .validate import probe_nodes, probe_scores, validate_candidate
@@ -121,8 +122,7 @@ class LifecycleController:
                  served_version_fn: Optional[Callable[[], Optional[int]]] = None,
                  snapshot_fn: Optional[Callable[[], object]] = None,
                  signal_fn: Optional[Callable[[], tuple]] = None,
-                 clock: Callable[[], float] = time.monotonic,
-                 start_method: Optional[str] = None):
+                 clock: Callable[[], float] = time.monotonic):
         self.service = service
         self.registry = registry
         self.model_name = model_name
@@ -139,7 +139,6 @@ class LifecycleController:
         self.guard_auc_drop = float(guard_auc_drop)
         self.guard_score_shift = guard_score_shift
         self.clock = clock
-        self.start_method = start_method
         # Scoring knobs mirrored from the service so validation probes
         # replay the exact streams production scoring would.
         self.score_seed = int(service.seed)
@@ -156,7 +155,7 @@ class LifecycleController:
         self._trigger_state = TriggerState()
         self._paused = False
         self._closed = False
-        self._executor: Optional[ProcessPoolExecutor] = None
+        self._retrainer: Optional[WorkerPool] = None
         self._future: Optional[Future] = None
         self._cycle: Optional[dict] = None
         self._cycle_count = 0
@@ -272,7 +271,9 @@ class LifecycleController:
             "grain": self.grain,
             "out_path": out_path,
         }
-        self._future = self._ensure_executor().submit(_retrain_task, payload)
+        if self._retrainer is None:
+            self._retrainer = WorkerPool(1)
+        self._future = self._retrainer.submit(_retrain_task, payload)
         self.triggers += 1
         self._cycle = {
             "reason": reason,
@@ -544,27 +545,24 @@ class LifecycleController:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=1, mp_context=_mp_context(self.start_method))
-        return self._executor
-
     def _ensure_workdir(self) -> str:
         if self._workdir is None:
             self._workdir = tempfile.mkdtemp(prefix="repro-lifecycle-")
         return self._workdir
 
     def close(self, wait: bool = True) -> None:
-        """Shut the background executor down and drop temp state."""
+        """Shut the retrain worker down and drop temp state.
+
+        ``wait=False`` abandons a retrain in flight instead of waiting
+        for it (the gateway's shutdown path)."""
         with self._lock:
             self._closed = True
-            executor = self._executor
-            self._executor = None
+            retrainer = self._retrainer
+            self._retrainer = None
             self._future = None
             self._cycle = None
-        if executor is not None:
-            executor.shutdown(wait=wait, cancel_futures=True)
+        if retrainer is not None:
+            retrainer.close(wait=wait)
         if self._workdir is not None:
             try:
                 for entry in os.listdir(self._workdir):

@@ -1,25 +1,22 @@
 """Sharded multi-process scoring and training.
 
-Partitions target ranges into contiguous shards, fans them out to a
-persistent worker pool whose processes attach the graph and model from
-shared memory, and merges per-shard evidence in serial accumulation
-order so the output is bitwise-identical to single-process execution —
-for scoring *and* for gradient computation (training).
+Partitions target ranges into even contiguous shards, fans them out to
+a persistent worker pool whose processes attach the graph and model
+from shared memory, and merges per-shard evidence in serial
+accumulation order so the output is bitwise-identical to
+single-process execution — for scoring *and* for gradient computation
+(training).
 """
 
 from .engine import (
     GraphRef,
     ModelRef,
-    ShardScore,
+    ScoreTask,
     WorkerPool,
+    even_shards,
     score_graph_sharded,
+    score_task,
     service_refresh_scores,
-)
-from .planner import (
-    ContiguousShardPlanner,
-    DegreeBalancedShardPlanner,
-    ShardPlanner,
-    validate_plan,
 )
 from .shm import (
     AttachedModel,
@@ -36,15 +33,13 @@ from .training import ShardedTrainingRunner
 __all__ = [
     "GraphRef",
     "ModelRef",
-    "ShardScore",
+    "ScoreTask",
     "WorkerPool",
+    "even_shards",
     "score_graph_sharded",
+    "score_task",
     "service_refresh_scores",
     "ShardedTrainingRunner",
-    "ContiguousShardPlanner",
-    "DegreeBalancedShardPlanner",
-    "ShardPlanner",
-    "validate_plan",
     "AttachedModel",
     "SharedGraph",
     "SharedGraphExport",

@@ -1,15 +1,16 @@
-"""Sharded multi-process engine: worker pool + scoring entry points.
+"""The worker runtime and the sharded scoring entry points.
 
 Scoring and training are embarrassingly parallel over target nodes once
 every draw is counter-based: sampling, Γ1/Γ2 view augmentation, and the
 ``node_only`` forward mask each depend on ``(seed, round/step, target)``
 and never on batch layout, so contiguous shards of a target range can
 be processed in any process and the results merged afterwards.  This
-module provides the shared infrastructure — a persistent
+module holds the repository's one worker runtime — a persistent
 :class:`WorkerPool` whose workers attach the graph and model from
 shared memory (:mod:`repro.parallel.shm`) and cache them across tasks —
-plus the sharded *scoring* entry points; sharded *training* lives in
-:mod:`repro.parallel.training` on the same pool.
+plus the sharded *scoring* entry points.  Sharded *training*
+(:mod:`repro.parallel.training`), the gateway's replica pool and the
+lifecycle retrainer are clients of the same pool.
 
 Bitwise-identical merging
 -------------------------
@@ -28,10 +29,10 @@ augmentation *on or off*.
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import Future, ProcessPoolExecutor
+from dataclasses import dataclass
 from multiprocessing import resource_tracker
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -40,17 +41,13 @@ from ..core.scoring import (
     AnomalyScores,
     RoundEvidence,
     finalize_scores,
-    inference_round_streams,
     mean_edge_rounds,
-    offline_view_builder,
     replay_edge_rounds,
-    score_target_span,
 )
 from ..graph.index import index_of
 from ..obs import trace as obs_trace
-from ..serving import service as serving_service
+from ..serving.service import score_service_span
 from ..tensor.backend import resolve_backend
-from .planner import ContiguousShardPlanner, ShardPlanner, validate_plan
 from .shm import (
     SharedGraphExport,
     SharedGraphSpec,
@@ -58,6 +55,12 @@ from .shm import (
     SharedModelSpec,
     attach_shared_graph,
     attach_shared_model,
+)
+
+#: Fork where available: the fastest start on POSIX, and workers
+#: inherit the parent's ``sys.path`` setup.
+_MP_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None
 )
 
 #: Worker-process caches, keyed by the pool's monotonically increasing
@@ -110,31 +113,25 @@ def _ensure_model(ref: ModelRef) -> Bourne:
     return _WORKER_STATE["model"].load(ref.version).model
 
 
-def _mp_context(start_method: Optional[str]):
-    if start_method is not None:
-        return multiprocessing.get_context(start_method)
-    if "fork" in multiprocessing.get_all_start_methods():
-        # Fastest start on POSIX, and workers inherit sys.path setup.
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
 class WorkerPool:
     """Persistent process pool bound to shared-memory graph/model slots.
 
-    One pool serves every sharded engine in the repository: offline
-    scoring, service refreshes, and data-parallel training all submit
-    their shard tasks here, so a long-lived pool amortizes process
+    The one worker runtime in the repository: offline scoring, service
+    refreshes and data-parallel training fan their shard tasks out
+    here, each gateway replica is a one-worker pool, and the lifecycle
+    controller retrains on one.  A long-lived pool amortizes process
     spawn, graph export, and model rebuild across calls — the reason
     repeated training epochs and small-batch refreshes are profitable.
 
-    ``bind_graph`` / ``publish_model`` may only be called while no
-    tasks are outstanding (every engine collects a full task wave
-    before rebinding); each returns a picklable ref that tasks carry,
-    and workers lazily attach/refresh from the ref's token/version.
+    ``bind_graph`` / ``publish_features`` / ``publish_model`` may only
+    be called while no task reads the slot they rewrite (every engine
+    collects a full task wave before rebinding); each returns a
+    picklable ref that tasks carry, and workers lazily attach/refresh
+    from the ref's token/version.  The refs name parent-owned segments,
+    so tasks submitted to *other* pools may carry them too.
     """
 
-    def __init__(self, workers: int, start_method: Optional[str] = None):
+    def __init__(self, workers: int):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = int(workers)
@@ -144,8 +141,7 @@ class WorkerPool:
         # Started here, the one tracker is inherited by every worker.
         resource_tracker.ensure_running()
         self._executor = ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=_mp_context(start_method),
+            max_workers=self.workers, mp_context=_MP_CONTEXT
         )
         self._graph_export: Optional[SharedGraphExport] = None
         self._graph_token = 0
@@ -169,6 +165,21 @@ class WorkerPool:
         self._graph_token += 1
         self._graph_ref = GraphRef(self._graph_token, export.spec)
         return self._graph_ref
+
+    def publish_features(self, features: np.ndarray, index) -> GraphRef:
+        """Republish a feature-only change of the bound graph.
+
+        The values go into the existing segment in place: attached
+        workers see them through the shared pages under the same token,
+        so the write costs one ``memcpy`` instead of a re-export.  Falls
+        back to :meth:`bind_graph` when no graph is bound or the matrix
+        shape moved (``add_node`` grows it).
+        """
+        self._check_open()
+        export = self._graph_export
+        if export is not None and export.publish_features(features):
+            return self._graph_ref
+        return self.bind_graph(features, index)
 
     @property
     def graph_ref(self) -> Optional[GraphRef]:
@@ -199,15 +210,28 @@ class WorkerPool:
             self._bound_model = model
         else:
             self._model_version += 1
-            self._model_export.publish(model, self._model_version,
-                                       changed=changed)
-        return ModelRef(
-            self._model_token, self._model_version, self._model_export.spec
-        )
+            self._model_export.publish(model, self._model_version, changed=changed)
+        return ModelRef(self._model_token, self._model_version, self._model_export.spec)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    @property
+    def pids(self) -> List[int]:
+        """Pids of the worker processes (empty until the first task)."""
+        return sorted(self._executor._processes or ())
+
+    def submit(self, fn, task) -> Future:
+        """Run ``fn(task)`` on one worker; returns its future.
+
+        A worker process that died surfaces as
+        :class:`~concurrent.futures.BrokenExecutor`, raised here or by
+        the future, unwrapped: callers that fail over (the gateway's
+        replica pool) catch exactly that.
+        """
+        self._check_open()
+        return self._executor.submit(fn, task)
+
     def run(self, fn, tasks: List[tuple], label: str = "sharded run") -> List:
         """Fan ``tasks`` out; results come back in task (= shard) order.
 
@@ -216,8 +240,7 @@ class WorkerPool:
         but the pool itself stays usable (worker processes survive an
         ordinary task exception).
         """
-        self._check_open()
-        futures = [self._executor.submit(fn, task) for task in tasks]
+        futures = [self.submit(fn, task) for task in tasks]
         results: List = []
         for index, future in enumerate(futures):
             try:
@@ -237,12 +260,16 @@ class WorkerPool:
         if self._closed:
             raise RuntimeError("worker pool is closed")
 
-    def close(self) -> None:
-        """Shut the executor down and unlink every shared segment."""
+    def close(self, wait: bool = True) -> None:
+        """Shut the workers down and unlink every shared segment.
+
+        Queued tasks are cancelled.  ``wait=False`` returns at once: a
+        task already running finishes in its worker, which then exits.
+        """
         if self._closed:
             return
         self._closed = True
-        self._executor.shutdown(wait=True, cancel_futures=True)
+        self._executor.shutdown(wait=wait, cancel_futures=True)
         if self._graph_export is not None:
             self._graph_export.destroy()
             self._graph_export = None
@@ -258,147 +285,122 @@ class WorkerPool:
         self.close()
 
 
-@dataclass
-class ShardScore(RoundEvidence):
-    """One worker's :class:`RoundEvidence` plus its shard placement.
+def even_shards(num_targets: int, shards: int) -> List[Tuple[int, int]]:
+    """Split ``num_targets`` into ``shards`` contiguous ``[start, stop)``
+    ranges whose sizes differ by at most one.
 
-    Both worker kinds run the *same* ``score_target_span`` loop the
-    serial scorer and the in-process service run — bitwise equivalence
-    is structural, not mirrored code.
-
-    ``spans`` carries the worker's exported trace records when the
-    submitting parent was inside a live trace (the ``want_spans`` task
-    flag); the parent re-parents them with
-    :func:`repro.obs.trace.adopt_spans` so ``workers > 1`` refreshes
-    still produce one request tree spanning both processes.
+    The ranges ascend and cover every target exactly once, so merging
+    shard results in shard order replays the serial accumulation order.
+    More shards than targets leaves some shards empty.
     """
-
-    start: int = 0
-    stop: int = 0
-    spans: List[dict] = field(default_factory=list)
-
-
-def _as_shard_score(
-    evidence: RoundEvidence,
-    start: int,
-    stop: int,
-    spans: Optional[List[dict]] = None,
-) -> ShardScore:
-    return ShardScore(
-        node_sum=evidence.node_sum,
-        node_count=evidence.node_count,
-        edge_ids=evidence.edge_ids,
-        edge_vals=evidence.edge_vals,
-        forward_batches=evidence.forward_batches,
-        start=start,
-        stop=stop,
-        spans=spans if spans is not None else [],
-    )
-
-
-def _score_shard(task: tuple) -> ShardScore:
-    """Score one contiguous target shard (runs in a worker process).
-
-    Runs the shared span loop with the offline view builder: identical
-    per-round bases, identical per-target seeds (which drive sampling
-    *and* view augmentation), identical per-round forward mask seeds —
-    only the batch boundaries are shard-local, which the
-    batch-invariant pipeline makes unobservable.
-    """
-    graph_ref, model_ref = task[0], task[1]
-    (
-        start,
-        stop,
-        round_bases,
-        mask_seeds,
-        batch_size,
-        fail,
-        want_spans,
-        backend_name,
-    ) = task[2:]
-    if fail:
-        raise RuntimeError(f"injected failure in shard [{start}, {stop})")
-    graph = _ensure_graph(graph_ref)
-    model = _ensure_model(model_ref)
-    model.eval_mode()
-
-    def run() -> RoundEvidence:
-        return score_target_span(
-            model,
-            np.arange(start, stop, dtype=np.int64),
-            round_bases,
-            mask_seeds,
-            batch_size,
-            offline_view_builder(model, graph),
-            backend=resolve_backend(backend_name),
-        )
-
-    if want_spans:
-        with obs_trace.capture_spans(
-            "parallel.score_shard", start=int(start), stop=int(stop)
-        ) as shipped:
-            evidence = run()
-        return _as_shard_score(evidence, start, stop, spans=shipped)
-    with obs_trace.clear_context():
-        evidence = run()
-    return _as_shard_score(evidence, start, stop)
-
-
-def _service_score_shard(task: tuple) -> ShardScore:
-    """Score one shard of a service miss queue (runs in a worker).
-
-    Runs ``ScoringService``'s own span scorer
-    (:func:`repro.serving.service.score_service_span`, minus the cache),
-    so every score is bitwise what the in-process service would produce.
-    """
-    (
-        graph_ref,
-        model_ref,
-        targets,
-        seed,
-        rounds,
-        max_batch,
-        fail,
-        want_spans,
-        backend_name,
-    ) = task
-    if fail:
-        raise RuntimeError("injected failure in service shard")
-    graph = _ensure_graph(graph_ref)
-    model = _ensure_model(model_ref)
-    model.eval_mode()
-    backend = resolve_backend(backend_name)
-    if want_spans:
-        with obs_trace.capture_spans(
-            "parallel.refresh_shard", targets=len(targets)
-        ) as shipped:
-            evidence = serving_service.score_service_span(
-                model, graph, targets, seed, rounds, max_batch, backend=backend
-            )
-        return _as_shard_score(evidence, 0, len(targets), spans=shipped)
-    with obs_trace.clear_context():
-        evidence = serving_service.score_service_span(
-            model, graph, targets, seed, rounds, max_batch, backend=backend
-        )
-    return _as_shard_score(evidence, 0, len(targets))
-
-
-def _plan_shards(
-    num_targets: int,
-    workers: int,
-    shards: Optional[int],
-    planner: Optional[ShardPlanner],
-    costs: Optional[np.ndarray],
-) -> List[Tuple[int, int]]:
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if shards is None:
-        shards = max(workers * 4, 1)
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    planner = planner if planner is not None else ContiguousShardPlanner()
-    plan = planner.plan(num_targets, shards, costs=costs)
-    return validate_plan(plan, num_targets)
+    bounds = [(num_targets * i) // shards for i in range(shards + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+class ScoreTask(NamedTuple):
+    """Arguments of :func:`score_task`: refs, targets and the streams.
+
+    ``seed``/``rounds``/``max_batch`` are
+    :func:`~repro.serving.service.score_service_span`'s; ``backend``
+    names the tensor backend (backends cross the process boundary by
+    name, never by instance).
+    """
+
+    graph: GraphRef
+    model: ModelRef
+    targets: np.ndarray
+    seed: Optional[int]
+    rounds: int
+    max_batch: int
+    backend: str
+    span_name: Optional[str] = None
+    fail: bool = False
+
+
+def score_task(task: ScoreTask) -> Tuple[RoundEvidence, List[dict]]:
+    """Score one target array on the shared graph (runs in a worker).
+
+    The one scoring task of every client — sharded ``score_graph``,
+    sharded service refreshes and the gateway's replica reads.  It runs
+    :func:`~repro.serving.service.score_service_span`, the span loop
+    the serial scorer and the in-process service run, so bitwise
+    equivalence is structural, not mirrored code.
+
+    With ``span_name`` set (the submitting parent is inside a live
+    trace) the work runs under that span and its records ship back as
+    the second result; the parent re-parents them with
+    :func:`repro.obs.trace.adopt_spans`, so ``workers > 1`` calls still
+    produce one trace spanning both processes.  ``fail`` is a test
+    hook: the task raises instead of scoring.
+    """
+    if task.fail:
+        raise RuntimeError(f"injected failure scoring {len(task.targets)} targets")
+    model = _ensure_model(task.model)
+    model.eval_mode()
+    graph = _ensure_graph(task.graph)
+    backend = resolve_backend(task.backend)
+    args = (model, graph, task.targets, task.seed, task.rounds, task.max_batch)
+    if task.span_name is None:
+        with obs_trace.clear_context():
+            return score_service_span(*args, backend=backend), []
+    with obs_trace.capture_spans(task.span_name, targets=len(task.targets)) as spans:
+        evidence = score_service_span(*args, backend=backend)
+    return evidence, spans
+
+
+def _score_shards(
+    model: Bourne,
+    features: np.ndarray,
+    index,
+    targets: np.ndarray,
+    stream: Tuple[Optional[int], int, int, str],
+    workers: int,
+    shards: Optional[int],
+    pool: Optional[WorkerPool],
+    fail_shard: Optional[int],
+    name: str,
+    shard_span: str,
+) -> List[RoundEvidence]:
+    """Score ``targets`` as even contiguous shards on a worker pool.
+
+    The fan-out both sharded entry points share.  ``stream`` is
+    ``(seed, rounds, max_batch, backend name)``; ``name`` labels the
+    parent's ``parallel.<name>`` span and its errors, ``shard_span``
+    each worker's span.  Returns the per-shard evidence in shard (=
+    target) order.  ``pool=None`` spins an ephemeral pool up and down;
+    a given pool is left open with its graph and model slots rebound.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    plan = even_shards(len(targets), shards if shards is not None else 4 * workers)
+    own_pool = pool is None
+    pool = pool if pool is not None else WorkerPool(workers)
+    traced = obs_trace.active()
+    try:
+        with obs_trace.span(f"parallel.{name}") as sp:
+            sp.set(shards=len(plan), workers=pool.workers, targets=len(targets))
+            graph_ref = pool.bind_graph(features, index)
+            model_ref = pool.publish_model(model)
+            tasks = [
+                ScoreTask(
+                    graph_ref,
+                    model_ref,
+                    targets[start:stop],
+                    *stream,
+                    span_name=shard_span if traced else None,
+                    fail=shard == fail_shard,
+                )
+                for shard, (start, stop) in enumerate(plan)
+            ]
+            results = pool.run(score_task, tasks, label=f"sharded {name}")
+            for _, spans in results:
+                obs_trace.adopt_spans(spans)
+    finally:
+        if own_pool:
+            pool.close()
+    return [evidence for evidence, _ in results]
 
 
 def score_graph_sharded(
@@ -409,76 +411,45 @@ def score_graph_sharded(
     seed: Optional[int] = None,
     workers: int = 2,
     shards: Optional[int] = None,
-    planner: Optional[ShardPlanner] = None,
-    start_method: Optional[str] = None,
     pool: Optional[WorkerPool] = None,
     backend=None,
     _fail_shard: Optional[int] = None,
 ) -> AnomalyScores:
     """Multi-process counterpart of :func:`repro.core.score_graph`.
 
-    Partitions the target range into contiguous shards, scores them in
-    ``workers`` processes, and merges the evidence in serial
+    Partitions the target range into even contiguous shards, scores
+    them in ``workers`` processes, and merges the evidence in serial
     accumulation order.  The result is bitwise-identical to the serial
     batched path for every shard/worker count, with view augmentation
     on or off (all inference randomness is counter-based).
 
     ``pool`` reuses an existing :class:`WorkerPool` (it is left open);
     otherwise an ephemeral pool is created and torn down.  ``backend``
-    names the tensor backend each worker resolves locally (backends
-    cross the process boundary by name, never by instance).
+    names the tensor backend each worker resolves locally.
     ``_fail_shard`` is a test hook: the worker handling that shard
     raises, exercising crash propagation.
     """
     cfg = model.config
     rounds = rounds if rounds is not None else cfg.eval_rounds
     batch_size = batch_size if batch_size is not None else cfg.batch_size
-    backend_name = resolve_backend(backend).name
-    round_bases, mask_seeds = inference_round_streams(cfg, rounds, seed)
-
     index = index_of(graph)
-    num_nodes = index.num_nodes
-    degrees = index.degrees.astype(np.float64) + 1.0
-    plan = _plan_shards(num_nodes, workers, shards, planner, degrees)
-
-    own_pool = pool is None
-    pool = pool if pool is not None else WorkerPool(workers, start_method)
-    want_spans = obs_trace.active()
-    try:
-        with obs_trace.span("parallel.scoring") as sp:
-            sp.set(shards=len(plan), workers=pool.workers)
-            graph_ref = pool.bind_graph(graph.features, index)
-            model_ref = pool.publish_model(model)
-            tasks = [
-                (
-                    graph_ref,
-                    model_ref,
-                    start,
-                    stop,
-                    round_bases,
-                    mask_seeds,
-                    batch_size,
-                    shard_index == _fail_shard,
-                    want_spans,
-                    backend_name,
-                )
-                for shard_index, (start, stop) in enumerate(plan)
-            ]
-            results = pool.run(_score_shard, tasks, label="sharded scoring")
-            for result in results:
-                obs_trace.adopt_spans(result.spans)
-    finally:
-        if own_pool:
-            pool.close()
-
-    node_sum = np.zeros(num_nodes)
-    node_count = np.zeros(num_nodes)
+    results = _score_shards(
+        model,
+        graph.features,
+        index,
+        np.arange(index.num_nodes, dtype=np.int64),
+        (seed, rounds, batch_size, resolve_backend(backend).name),
+        workers,
+        shards,
+        pool,
+        _fail_shard,
+        "scoring",
+        "parallel.score_shard",
+    )
+    node_sum = np.concatenate([result.node_sum for result in results])
+    node_count = np.concatenate([result.node_count for result in results])
     edge_sum = np.zeros(index.num_edges)
     edge_count = np.zeros(index.num_edges)
-    for result in results:
-        start, stop = result.start, result.stop
-        node_sum[start:stop] = result.node_sum
-        node_count[start:stop] = result.node_count
     # Replay edge evidence in serial order: rounds outermost, then
     # shards ascending — exactly the sequence the serial loop adds in.
     replay_edge_rounds(edge_sum, edge_count, rounds, results)
@@ -490,8 +461,6 @@ def service_refresh_scores(
     targets: np.ndarray,
     workers: int = 2,
     shards: Optional[int] = None,
-    planner: Optional[ShardPlanner] = None,
-    start_method: Optional[str] = None,
     pool: Optional[WorkerPool] = None,
     _fail_shard: Optional[int] = None,
 ) -> Tuple[np.ndarray, Dict[int, float], int]:
@@ -506,42 +475,20 @@ def service_refresh_scores(
     example a trainer's — rebinding its graph slot to the store's
     current snapshot.
     """
-    targets = np.asarray(targets, dtype=np.int64)
     store = service.store
-    index = store.index
-    degrees = index.degrees.astype(np.float64)
-    costs = degrees[targets] + 1.0
-    plan = _plan_shards(len(targets), workers, shards, planner, costs)
-
-    own_pool = pool is None
-    pool = pool if pool is not None else WorkerPool(workers, start_method)
-    want_spans = obs_trace.active()
-    try:
-        with obs_trace.span("parallel.refresh") as sp:
-            sp.set(shards=len(plan), workers=pool.workers, targets=len(targets))
-            graph_ref = pool.bind_graph(store.features, index)
-            model_ref = pool.publish_model(service.model)
-            tasks = [
-                (
-                    graph_ref,
-                    model_ref,
-                    targets[start:stop],
-                    service.seed,
-                    service.rounds,
-                    service.max_batch,
-                    shard_index == _fail_shard,
-                    want_spans,
-                    service.backend.name,
-                )
-                for shard_index, (start, stop) in enumerate(plan)
-            ]
-            results = pool.run(_service_score_shard, tasks, label="sharded refresh")
-            for result in results:
-                obs_trace.adopt_spans(result.spans)
-    finally:
-        if own_pool:
-            pool.close()
-
+    results = _score_shards(
+        service.model,
+        store.features,
+        store.index,
+        np.asarray(targets, dtype=np.int64),
+        (service.seed, service.rounds, service.max_batch, service.backend.name),
+        workers,
+        shards,
+        pool,
+        _fail_shard,
+        "refresh",
+        "parallel.refresh_shard",
+    )
     sums = np.concatenate([result.node_sum for result in results])
     scores = sums / service.rounds
     edge_means = mean_edge_rounds(service.rounds, results)

@@ -40,8 +40,14 @@ import numpy as np
 from ..core.model import Bourne
 from ..core.trainer import train_chunk
 from ..graph.index import index_of
-from .engine import GraphRef, ModelRef, WorkerPool, _ensure_graph, _ensure_model
-from .planner import ContiguousShardPlanner, ShardPlanner, validate_plan
+from .engine import (
+    GraphRef,
+    ModelRef,
+    WorkerPool,
+    _ensure_graph,
+    _ensure_model,
+    even_shards,
+)
 from .shm import changed_parameter_names
 
 
@@ -78,23 +84,18 @@ class ShardedTrainingRunner:
         graph,
         workers: int,
         shards: Optional[int] = None,
-        planner: Optional[ShardPlanner] = None,
         pool: Optional[WorkerPool] = None,
-        start_method: Optional[str] = None,
         _fail_shard: Optional[int] = None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.model = model
         self.workers = int(workers)
-        self.shards = shards if shards is not None else max(self.workers * 4, 1)
+        self.shards = shards if shards is not None else self.workers * 4
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        self.planner = planner if planner is not None else ContiguousShardPlanner()
         self._owns_pool = pool is None
-        self.pool = (
-            pool if pool is not None else WorkerPool(self.workers, start_method)
-        )
+        self.pool = pool if pool is not None else WorkerPool(self.workers)
         self._fail_shard = _fail_shard
         self._graph = None
         self._graph_ref: Optional[GraphRef] = None
@@ -160,9 +161,9 @@ class ShardedTrainingRunner:
         """Compute the chunk results of one optimization step.
 
         ``bounds`` are the trainer's fixed accumulation-chunk ranges;
-        the shard plan groups whole chunks (weighted by their target
-        counts) onto tasks.  Returns the flat per-chunk result list in
-        ascending chunk order — exactly what the serial loop produces.
+        an even split of the chunk sequence groups whole chunks onto
+        tasks.  Returns the flat per-chunk result list in ascending
+        chunk order — exactly what the serial loop produces.
         """
         # A sibling engine may have rebound the shared slots — or the
         # bound store may have mutated — since the previous step;
@@ -173,10 +174,7 @@ class ShardedTrainingRunner:
         chunks = [
             (batch[start:stop], target_seeds[start:stop]) for start, stop in bounds
         ]
-        costs = np.array([stop - start for start, stop in bounds], dtype=np.float64)
-        plan = validate_plan(
-            self.planner.plan(len(chunks), self.shards, costs=costs), len(chunks)
-        )
+        plan = even_shards(len(chunks), self.shards)
         tasks = [
             (
                 self._graph_ref,

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,23 @@ from repro.graph import Graph
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def no_shm_leak():
+    """Context manager asserting its body leaves no new POSIX
+    shared-memory segment behind (the segments live in ``/dev/shm``)."""
+    if not sys.platform.startswith("linux"):
+        pytest.skip("lists shared-memory segments through /dev/shm")
+
+    @contextlib.contextmanager
+    def check():
+        before = set(os.listdir("/dev/shm"))
+        yield
+        leaked = set(os.listdir("/dev/shm")) - before
+        assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+
+    return check
 
 
 @pytest.fixture

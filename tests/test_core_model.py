@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Bourne, BourneConfig, citation_config, social_config
+from repro.core.trainer import batch_loss_scales
 from repro.core.variants import (
     ABLATIONS,
     without_gnn,
@@ -24,6 +25,14 @@ def prepare(model, graph, targets, seed=0):
     targets = np.asarray(targets, dtype=np.int64)
     return model.prepare_batch(graph, targets,
                                derive_target_seeds(seed, targets))
+
+
+def batch_loss(model, scores, batch_size):
+    """The whole-batch objective: one chunk holding every target."""
+    owners = (0 if scores.edge_scores is None
+              else len(np.unique(scores.edge_owner)))
+    return model.chunk_loss(
+        scores, *batch_loss_scales(model.config.mode, batch_size, owners))
 
 
 @pytest.fixture
@@ -90,7 +99,7 @@ class TestForward:
     def test_stop_gradient_on_target_network(self, tiny_graph, model):
         gviews, hviews = prepare(model, tiny_graph, [0, 2])
         scores = model.forward_batch(gviews, hviews, mask_seed=MASK_SEED)
-        loss = model.loss(scores)
+        loss = batch_loss(model, scores, 2)
         loss.backward()
         online_grads = [p.grad for p in model.online.parameters()]
         target_grads = [p.grad for p in model.target.parameters()]
@@ -106,7 +115,7 @@ class TestForward:
     def test_loss_is_scalar_and_finite(self, tiny_graph, model):
         gviews, hviews = prepare(model, tiny_graph, [0, 1, 2, 3])
         scores = model.forward_batch(gviews, hviews, mask_seed=MASK_SEED)
-        loss = model.loss(scores)
+        loss = batch_loss(model, scores, 4)
         assert loss.size == 1
         assert np.isfinite(loss.item())
 
@@ -176,7 +185,7 @@ class TestModes:
             model = Bourne(tiny_graph.num_features, config.updated(mode=mode))
             gviews, hviews = prepare(model, tiny_graph, [0, 1, 2])
             scores = model.forward_batch(gviews, hviews, mask_seed=MASK_SEED)
-            loss = model.loss(scores)
+            loss = batch_loss(model, scores, 3)
             assert np.isfinite(loss.item())
 
 
@@ -218,6 +227,6 @@ class TestLossSemantics:
         per_target = [values[owners == b].mean() for b in np.unique(owners)]
         expected_edge_term = np.mean(per_target)
         node_term = scores.node_scores.data.mean()
-        loss = model.loss(scores).item()
+        loss = batch_loss(model, scores, 2).item()
         assert loss == pytest.approx(0.5 * (node_term + expected_edge_term),
                                      rel=1e-9)

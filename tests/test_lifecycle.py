@@ -437,6 +437,37 @@ class TestControllerLoop:
             controller.close()
 
 
+    def test_sharded_retrain_leaves_no_shared_memory(self, tmp_path,
+                                                     no_shm_leak):
+        """A ``workers=2`` retrain runs a sharded trainer inside the
+        retrain worker; its segments are gone once the controller is
+        closed, and the candidate is bitwise the serial one."""
+        graph = random_graph()
+        config = tiny_config()
+        model = Bourne(graph.num_features, config)
+        registry = ModelRegistry(str(tmp_path / "models"))
+        registry.publish(model, "m")
+        store = GraphStore.from_graph(graph, influence_radius=2)
+        service = ScoringService(model, store, rounds=1)
+        with no_shm_leak():
+            controller = LifecycleController(
+                service, registry, "m",
+                TriggerPolicy(drift_threshold=None, mutation_threshold=None),
+                # An unbounded margin accepts any sane candidate, so
+                # the retrain always reaches the registry.
+                epochs=1, workers=2, probe_size=8,
+                auc_margin=float("inf"))
+            try:
+                assert controller.trigger("operator")["triggered"]
+                assert controller.wait_idle(timeout=300)
+                assert controller.retrains_completed == 1
+                assert controller.validations_accepted == 1
+            finally:
+                controller.close()
+        offline, _ = train_bourne(store.snapshot(), config, epochs=1)
+        assert_models_equal(registry.load("m", 2), offline)
+
+
 # ----------------------------------------------------------------------
 # Gateway wiring: the whole loop over a live gateway
 # ----------------------------------------------------------------------

@@ -3,10 +3,13 @@
 The engine's contract is that sharding is *unobservable*: any
 ``(workers, shards)`` combination merges to the exact bits the serial
 batched path produces (augmentation off; ``node_only``'s counter-based
-forward mask included).  These tests pin that contract plus the shard
-planner's partition invariants, the shared-memory round trip, and
-worker-crash propagation.
+forward mask included).  These tests pin that contract plus the even
+split's partition invariants, the worker pool's task surface, the
+shared-memory round trip, and worker-crash propagation.
 """
+
+import os
+import time
 
 import numpy as np
 import pytest
@@ -15,13 +18,12 @@ from repro.core import Bourne, BourneConfig, score_graph
 from repro.core.views import seeded_mask_features
 from repro.graph import Graph, GraphIndex
 from repro.parallel import (
-    ContiguousShardPlanner,
-    DegreeBalancedShardPlanner,
     SharedGraphExport,
+    WorkerPool,
     attach_shared_graph,
+    even_shards,
     score_graph_sharded,
     service_refresh_scores,
-    validate_plan,
 )
 from repro.serving import ScoringService
 
@@ -73,16 +75,11 @@ class TestBitwiseEquality:
         np.testing.assert_array_equal(result.edge_rounds,
                                       serial_scores.edge_rounds)
 
-    def test_single_shard_and_degree_balanced_planner(self, model, graph,
-                                                      serial_scores):
+    def test_single_shard(self, model, graph, serial_scores):
         one = score_graph(model, graph, workers=2, shards=1)
         np.testing.assert_array_equal(one.node_scores,
                                       serial_scores.node_scores)
-        balanced = score_graph(model, graph, workers=2, shards=4,
-                               planner=DegreeBalancedShardPlanner())
-        np.testing.assert_array_equal(balanced.node_scores,
-                                      serial_scores.node_scores)
-        np.testing.assert_array_equal(balanced.edge_scores,
+        np.testing.assert_array_equal(one.edge_scores,
                                       serial_scores.edge_scores)
 
     def test_more_shards_than_targets(self, model, graph, serial_scores):
@@ -101,10 +98,11 @@ class TestCrashPropagation:
             score_graph_sharded(model, graph, workers=2, shards=4,
                                 _fail_shard=2)
 
-    def test_failure_does_not_leak_shared_memory(self, model, graph):
+    def test_failure_does_not_leak_shared_memory(self, model, graph,
+                                                 no_shm_leak):
         # The engine unlinks its segments even on worker failure; a
         # subsequent run must start clean and still be bitwise-correct.
-        with pytest.raises(RuntimeError):
+        with no_shm_leak(), pytest.raises(RuntimeError):
             score_graph_sharded(model, graph, workers=2, shards=3,
                                 _fail_shard=0)
         serial = score_graph(model, graph)
@@ -138,43 +136,61 @@ class TestNodeOnlyMask:
 
 
 class TestShardPlanner:
+    """The even split every sharded engine plans its shards with."""
+
     def test_contiguous_partition(self):
-        plan = ContiguousShardPlanner().plan(10, 3)
-        assert plan == [(0, 3), (3, 6), (6, 10)]
-        assert validate_plan(plan, 10) == plan
+        assert even_shards(10, 3) == [(0, 3), (3, 6), (6, 10)]
+        for num_targets in range(12):
+            for shards in range(1, 9):
+                plan = even_shards(num_targets, shards)
+                assert len(plan) == shards
+                assert plan[0][0] == 0 and plan[-1][1] == num_targets
+                assert all(prev[1] == nxt[0]
+                           for prev, nxt in zip(plan, plan[1:]))
+                sizes = [stop - start for start, stop in plan]
+                assert max(sizes) - min(sizes) <= 1
 
     def test_empty_shards_allowed(self):
-        plan = ContiguousShardPlanner().plan(2, 5)
+        plan = even_shards(2, 5)
         assert [stop - start for start, stop in plan].count(0) == 3
-        validate_plan(plan, 2)
 
     def test_zero_targets(self):
-        plan = ContiguousShardPlanner().plan(0, 4)
-        assert plan == [(0, 0)] * 4
-        validate_plan(plan, 0)
+        assert even_shards(0, 4) == [(0, 0)] * 4
 
-    def test_degree_balanced_is_partition(self):
-        costs = np.array([100.0, 1, 1, 1, 1, 1, 1, 1])
-        plan = DegreeBalancedShardPlanner().plan(8, 4, costs=costs)
-        validate_plan(plan, 8)
-        # The hub gets its own shard instead of dragging half the range.
-        assert plan[0] == (0, 1)
+    def test_bad_shard_counts(self, model, graph):
+        for shards in (0, -1):
+            with pytest.raises(ValueError, match="shards"):
+                even_shards(5, shards)
+        with pytest.raises(ValueError, match="shards"):
+            score_graph_sharded(model, graph, workers=2, shards=0)
 
-    def test_validate_rejects_gap_overlap_and_short_plans(self):
-        with pytest.raises(ValueError, match="contiguous"):
-            validate_plan([(0, 3), (4, 10)], 10)
-        with pytest.raises(ValueError, match="contiguous"):
-            validate_plan([(0, 5), (3, 10)], 10)
-        with pytest.raises(ValueError, match="covers"):
-            validate_plan([(0, 5)], 10)
-        with pytest.raises(ValueError, match="empty"):
-            validate_plan([], 0)
 
-    def test_bad_shard_counts(self):
-        with pytest.raises(ValueError):
-            ContiguousShardPlanner().plan(5, 0)
-        with pytest.raises(ValueError):
-            DegreeBalancedShardPlanner().plan(5, 4, costs=np.ones(3))
+def _worker_pid(_task) -> int:
+    return os.getpid()
+
+
+class TestWorkerPool:
+    def test_submit_runs_on_a_pool_worker(self):
+        with WorkerPool(2) as pool:
+            assert pool.pids == []  # workers start with the first task
+            future = pool.submit(_worker_pid, None)
+            assert future.result(timeout=60) in pool.pids
+
+    def test_close_without_wait_leaves_running_task_behind(self):
+        """``close(wait=False)`` returns while a task still runs — the
+        lifecycle controller's abandon-on-shutdown path."""
+        pool = WorkerPool(1)
+        future = pool.submit(time.sleep, 2.0)
+        deadline = time.monotonic() + 60
+        while not future.running() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        started = time.perf_counter()
+        pool.close(wait=False)
+        assert time.perf_counter() - started < 1.0
+        assert not future.done()
+        assert future.result(timeout=60) is None  # it ran to completion
+        with pytest.raises(RuntimeError, match="closed"):
+            pool.submit(_worker_pid, None)
 
 
 class TestSharedGraph:

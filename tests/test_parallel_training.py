@@ -170,11 +170,11 @@ class TestPersistentPool:
         with BourneTrainer(model, config, grain=4, workers=2) as trainer:
             trainer.fit(graph)
             pool = trainer.pool
-            pids_before = set(pool._executor._processes.keys())
+            pids_before = set(pool.pids)
             assert pids_before  # processes were spawned by the first fit
             trainer.fit(graph, epochs=1)
             assert trainer.pool is pool
-            pids_after = set(pool._executor._processes.keys())
+            pids_after = set(pool.pids)
             assert pids_after == pids_before
             # Probe tasks run inside those same long-lived processes.
             assert set(pool.run(_worker_pid, [(), ()])) <= pids_before

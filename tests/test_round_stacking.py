@@ -277,7 +277,7 @@ TRACKER_SCRIPT = textwrap.dedent("""
     with WorkerPool(2) as pool:
         pool.run(abs, [0, 1])          # fork before any shared memory
         score_graph(model, graph, workers=2, pool=pool)
-        workers = {p.pid for p in pool._executor._processes.values()}
+        workers = set(pool.pids)
         children = 0
         for entry in os.listdir("/proc"):
             if not entry.isdigit():

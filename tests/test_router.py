@@ -311,6 +311,40 @@ class TestReplicaPool:
                                 replicas=3, max_batch=8, max_delay_ms=1.0,
                                 tracing=False)
 
+    def test_replica_pool_leaves_no_shared_memory(self, no_shm_leak):
+        """Start → in-place feature publish → topology rebind → stop
+        unlinks every segment the replicas shared, and the reads in
+        between stay bitwise the single service's."""
+        reference = make_service()
+        new_features = [0.25] * reference.store.num_features
+        reference.store.update_features(
+            [5], np.asarray([new_features], dtype=np.float64))
+        reference.store.add_edge(0, 39)
+        expected = [reference.score_node(n) for n in (0, 5, 39)]
+        _, edges = random_topology()
+        u, v = map(int, edges[0])
+        expected_edge = reference.score_edge(u, v)
+
+        async def scenario():
+            pool = ReplicaPool("leak", make_service(), replicas=2,
+                               max_batch=8, max_delay_ms=1.0)
+            await pool.start()
+            try:
+                for request in (
+                        {"op": "update_features", "node": 5,
+                         "features": new_features},
+                        {"op": "add_edge", "u": 0, "v": 39}):
+                    assert (await pool.run_op(request))["ok"]
+                scores = [await pool.score_node(n) for n in (0, 5, 39)]
+                return scores, await pool.score_edge(u, v)
+            finally:
+                await pool.stop()
+
+        with no_shm_leak():
+            scores, edge = asyncio.run(scenario())
+        assert scores == expected
+        assert edge == expected_edge
+
     def test_replica_pool_hot_swap_from_registry(self, tmp_path):
         """Model hot-swaps rebind the shared-memory model export: after
         a reload every replica serves the new weights, bitwise-equal to
