@@ -112,7 +112,7 @@ async def run_bench(graph, config, registry_dir):
     await gateway.start("127.0.0.1", 0)
     try:
         nodes = list(range(min(64, graph.num_nodes)))
-        # Warm the subgraph cache so both phases serve from the same
+        # Warm the score table so both phases serve from the same
         # steady state.
         await measure(gateway, nodes, len(nodes))
         steady = await measure(gateway, nodes, REQUESTS)

@@ -95,8 +95,8 @@ async def drive_gateway(service, nodes, tracing):
 
 
 def run_once(graph, config, nodes, tracing):
-    """One closed-loop run on a fresh service (identical cache state in
-    both modes); returns ``(rps, scores, recorded)``."""
+    """One closed-loop run on a fresh service (identical score-table
+    state in both modes); returns ``(rps, scores, recorded)``."""
     service = build_service(graph, config)
     scores, elapsed, recorded = asyncio.run(
         drive_gateway(service, nodes, tracing))
@@ -109,7 +109,7 @@ def main() -> int:
     config = BourneConfig(hidden_dim=32, predictor_hidden=64,
                           subgraph_size=8, eval_rounds=ROUNDS, seed=0)
     total = CONNS * REQUESTS
-    # Nodes repeat modulo the graph: repeats are version-aware cache
+    # Nodes repeat modulo the graph: repeats are version-aware table
     # hits — the cheapest requests, i.e. the ones where fixed tracing
     # overhead weighs the most, so reuse makes the bar *harder*.
     nodes = [i % graph.num_nodes for i in range(total)]

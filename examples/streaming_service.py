@@ -79,7 +79,7 @@ def main():
         stats = service.stats()
         print(f"service stats: {stats['nodes_scored']} node scores from "
               f"{stats['forward_batches']} forward batches, "
-              f"cache hits/misses {stats['cache_hits']}/{stats['cache_misses']}")
+              f"table hits/misses {stats['table_hits']}/{stats['table_misses']}")
 
 
 if __name__ == "__main__":

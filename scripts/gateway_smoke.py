@@ -121,8 +121,8 @@ async def drive(host, port, registry_dir, model_v2):
           "/metrics per-op latency histograms")
 
     print("request tracing...")
-    # A node no earlier check scored: cache miss, so the trace shows the
-    # full sampling + forward path rather than just the cache lookup.
+    # A node no earlier check scored: a score-table miss, so the trace
+    # shows the full sampling + forward path rather than a table hit.
     status, body = await http_request(host, port, "GET", "/healthz")
     fresh_node = json.loads(body)["num_nodes"] - 1
     status, body = await http_request(host, port, "POST", "/v1/score_node",

@@ -123,8 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=None,
                        help="worker processes used by `refresh` requests to "
                             "drain large miss queues through the sharded engine")
-    serve.add_argument("--cache-size", type=int, default=4096,
-                       help="subgraph LRU capacity in (target, round) entries")
     serve.add_argument("--backend", default=None,
                        choices=available_backends(),
                        help="tensor backend for served inference (default: "
@@ -265,20 +263,6 @@ def _cmd_score(args) -> int:
     return 0
 
 
-def _serve_request(service, request: dict, refresh_workers=None) -> dict:
-    """Dispatch one request against a :class:`ScoringService`.
-
-    Kept as an alias of the transport-independent dispatcher
-    (:func:`repro.gateway.protocol.dispatch_request`) — the stdin JSONL
-    loop, the TCP NDJSON protocol, and the HTTP adapter all speak the
-    same schema.
-    """
-    from .gateway.protocol import dispatch_request
-
-    return dispatch_request(service, request,
-                            refresh_workers=refresh_workers)
-
-
 def _serve_loop(service, source, out, refresh_workers=None) -> int:
     """Answer JSONL requests from ``source`` on ``out``, one line each.
 
@@ -385,7 +369,6 @@ def _cmd_serve(args) -> int:
             compact_threshold=(None if args.compact_threshold < 0
                                else args.compact_threshold))
         service = ScoringService(model, store, rounds=args.rounds,
-                                 cache_size=args.cache_size,
                                  backend=args.backend)
 
     if args.listen:

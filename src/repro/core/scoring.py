@@ -15,11 +15,13 @@ Shared accumulation loop
 :func:`score_target_span` is THE inner scoring loop: the serial
 :func:`score_graph`, the sharded workers
 (:mod:`repro.parallel.engine`), and the serving layer
-(:class:`repro.serving.ScoringService`) all run it on the same
-counter-based streams (:func:`inference_round_streams`) — they differ
-only in whether a view's sampled subgraph comes from a cache.  Bitwise
-equivalence between the serial, sharded, and served paths is therefore
-structural: there is exactly one accumulation order to drift from.
+(:class:`repro.serving.ScoringService`) all run it with the same view
+builder (:func:`offline_view_builder`) on the same counter-based
+streams (:func:`inference_round_streams`); they differ only in the
+targets they pass and in how the graph is held (a :class:`Graph`, a
+shared-memory export, or the serving store).  Bitwise equivalence
+between the serial, sharded, and served paths is therefore structural:
+there is exactly one accumulation order to drift from.
 The helper returns :class:`RoundEvidence` — raw
 per-round edge contributions in target order — and
 :func:`replay_edge_rounds` / :func:`mean_edge_rounds` fold spans of
@@ -234,7 +236,7 @@ def score_target_span(
 
 
 def offline_view_builder(model: Bourne, graph):
-    """``build_views`` callback of the uncached paths: vectorized
+    """``build_views`` callback of every scoring path: vectorized
     sampling + counter-based augmentation, both keyed by each view's
     ``(round, target)`` seed."""
     augment = model.config.augment_at_inference
@@ -263,7 +265,7 @@ def mean_edge_rounds(rounds: int,
                      spans: Sequence[RoundEvidence]) -> Dict[int, float]:
     """Per-edge-id mean evidence, replayed in serial accumulation order
     (the sparse counterpart of :func:`replay_edge_rounds`, used by the
-    serving layer's edge table).  ``bincount`` adds the weights in array
+    serving layer's edge scores).  ``bincount`` adds the weights in array
     order, so each edge's sum runs in that same replay sequence."""
     ids = [span.edge_ids[r] for r in range(rounds) for span in spans]
     vals = [span.edge_vals[r] for r in range(rounds) for span in spans]

@@ -451,7 +451,6 @@ class TenantSpec:
     model_version: Optional[int] = None
     backend: Optional[str] = None
     replicas: int = 1
-    cache_size: int = 4096
     compact_threshold: Optional[float] = 0.25
 
     def validate(self) -> "TenantSpec":
@@ -540,7 +539,6 @@ def build_tenant_service(spec: TenantSpec):
         graph, influence_radius=model.config.hop_size,
         compact_threshold=spec.compact_threshold)
     service = ScoringService(model, store, rounds=spec.rounds,
-                             cache_size=spec.cache_size,
                              backend=spec.backend)
     return service, registry, version
 

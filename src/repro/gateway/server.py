@@ -890,12 +890,6 @@ class Gateway:
                 if isinstance(value, (int, float)) \
                         and not isinstance(value, bool):
                     self.metrics.gauge(f"service_{key}").set(value)
-            hits = stats.get("cache_hits", 0)
-            misses = stats.get("cache_misses", 0)
-            self.metrics.gauge(
-                "service_cache_hit_rate",
-                "subgraph cache hits / lookups").set(
-                    hits / (hits + misses) if hits + misses else 0.0)
         if self.lifecycle is not None:
             for key, value in self.lifecycle.counters().items():
                 self.metrics.gauge(

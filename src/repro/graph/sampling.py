@@ -79,14 +79,6 @@ class SampledSubgraph:
         """Parent-graph edge ids of the target edges."""
         return self.edge_orig_ids[: self.num_target_edges]
 
-    def copy(self) -> "SampledSubgraph":
-        """Deep copy — a :meth:`SampledSubgraphBatch.view` slice that
-        outlives its batch should not keep the whole batch alive."""
-        return SampledSubgraph(self.target, self.node_ids.copy(),
-                               self.features.copy(), self.edges.copy(),
-                               self.edge_orig_ids.copy(),
-                               self.num_target_edges)
-
 
 @dataclass
 class SampledSubgraphBatch:
@@ -151,28 +143,6 @@ class SampledSubgraphBatch:
         """Iterate the per-target views in batch order."""
         for i in range(len(self)):
             yield self.view(i)
-
-    @classmethod
-    def stack(cls, subgraphs: Sequence[SampledSubgraph]
-              ) -> "SampledSubgraphBatch":
-        """The batch whose :meth:`view` ``i`` is ``subgraphs[i]`` (all
-        with the same slot count; at least one)."""
-        edge_offsets = np.zeros(len(subgraphs) + 1, dtype=np.int64)
-        np.cumsum([len(sub.edges) for sub in subgraphs], out=edge_offsets[1:])
-        slots = len(subgraphs[0].node_ids)
-        return cls(
-            targets=np.array([sub.target for sub in subgraphs],
-                             dtype=np.int64),
-            node_ids=np.concatenate([sub.node_ids for sub in subgraphs]),
-            node_offsets=np.arange(len(subgraphs) + 1, dtype=np.int64) * slots,
-            features=np.concatenate([sub.features for sub in subgraphs]),
-            edges=np.concatenate([sub.edges for sub in subgraphs]),
-            edge_orig_ids=np.concatenate([sub.edge_orig_ids
-                                          for sub in subgraphs]),
-            edge_offsets=edge_offsets,
-            num_target_edges=np.array([sub.num_target_edges
-                                       for sub in subgraphs], dtype=np.int64),
-        )
 
 
 def _segment_positions(counts: np.ndarray) -> tuple:

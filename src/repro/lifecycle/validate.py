@@ -11,8 +11,8 @@ the candidate was fitted to) over a deterministic held-out probe set:
    ``auc_margin`` below the reference model's on the same probe.
 
 Scoring goes through :func:`repro.serving.service.score_service_span`,
-the pure uncached scorer the sharded refresh workers use — no service
-state is touched, so validation can run off the serving thread against
+the pure scorer the sharded refresh workers use — no service state is
+touched, so validation can run off the serving thread against
 models the gateway never served.
 """
 

@@ -41,7 +41,6 @@ from ..core.scoring import (
     AnomalyScores,
     RoundEvidence,
     finalize_scores,
-    mean_edge_rounds,
     replay_edge_rounds,
 )
 from ..graph.index import index_of
@@ -463,15 +462,13 @@ def service_refresh_scores(
     shards: Optional[int] = None,
     pool: Optional[WorkerPool] = None,
     _fail_shard: Optional[int] = None,
-) -> Tuple[np.ndarray, Dict[int, float], int]:
+) -> Tuple[np.ndarray, int]:
     """Drain a service miss queue through the sharded engine.
 
-    Returns ``(node_scores, edge_means, forward_batches)``: per-target
-    mean scores aligned with ``targets``, the per-edge-id mean evidence
-    to fold into the service's edge table, and the number of forward
-    batches the workers ran.  Node scores and edge means are
-    bitwise-identical to ``ScoringService._score_targets`` on the same
-    store state.  ``pool`` reuses an existing :class:`WorkerPool` — for
+    Returns ``(node_scores, forward_batches)``: per-target mean scores
+    aligned with ``targets``, bitwise-identical to the service's serial
+    scoring on the same store state, and the number of forward batches
+    the workers ran.  ``pool`` reuses an existing :class:`WorkerPool` — for
     example a trainer's — rebinding its graph slot to the store's
     current snapshot.
     """
@@ -490,7 +487,5 @@ def service_refresh_scores(
         "parallel.refresh_shard",
     )
     sums = np.concatenate([result.node_sum for result in results])
-    scores = sums / service.rounds
-    edge_means = mean_edge_rounds(service.rounds, results)
     forward_batches = sum(result.forward_batches for result in results)
-    return scores, edge_means, forward_batches
+    return sums / service.rounds, forward_batches

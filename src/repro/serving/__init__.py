@@ -1,7 +1,6 @@
 """Online serving: mutable graph store, scoring service, model registry,
 and event-stream replay on top of trained BOURNE checkpoints."""
 
-from .cache import CacheEntry, SubgraphCache
 from .registry import ModelRegistry
 from .service import PendingScore, RefreshResult, ScoringService
 from .store import GraphStore
@@ -17,8 +16,6 @@ from .stream import (
 
 __all__ = [
     "GraphStore",
-    "SubgraphCache",
-    "CacheEntry",
     "ScoringService",
     "PendingScore",
     "RefreshResult",

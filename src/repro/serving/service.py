@@ -1,4 +1,4 @@
-"""Online scoring service: micro-batched, cached, incrementally refreshed.
+"""Online scoring service: micro-batched, score-tabled, incrementally refreshed.
 
 :class:`ScoringService` turns a trained :class:`repro.core.Bourne`
 checkpoint into a long-lived scorer over a mutable
@@ -17,9 +17,14 @@ checkpoint into a long-lived scorer over a mutable
   is therefore bitwise what ``score_graph`` gives it for the same seed,
   and never depends on which other requests shared its batch or on the
   mutation history that produced the store.
-* **Subgraph caching** — sampled subgraphs are kept in a version-aware
-  LRU (:class:`~repro.serving.cache.SubgraphCache`); the store's
-  dirty-region tracking invalidates exactly the neighbourhoods a
+* **One scoring path** — a miss runs
+  :func:`~repro.core.scoring.score_target_span` with
+  :func:`~repro.core.scoring.offline_view_builder` over the store, the
+  two calls :func:`score_service_span` makes.  The replica workers,
+  the sharded refresh and lifecycle validation call that function, so
+  every topology serves the same computation by construction.
+* **Score tables** — node and edge scores are kept version-aware; the
+  store's dirty-region tracking invalidates exactly the entries a
   mutation could have changed.
 * **Incremental refresh** — :meth:`refresh` maintains a full score
   table and re-scores only nodes whose region changed since they were
@@ -41,31 +46,22 @@ from ..core.scoring import (
     offline_view_builder,
     score_target_span,
 )
-from ..core.views import build_batched_views
 from ..graph.graph import Graph
-from ..graph.sampling import SampledSubgraphBatch, sample_enclosing_subgraphs
 from ..obs import trace as obs_trace
 from ..tensor.backend import resolve_backend
-from .cache import SubgraphCache
 from .store import GraphStore
-
-#: Config fields a cached subgraph depends on; a hot-swapped model with
-#: identical values (and an unchanged serving seed) keeps the warm
-#: subgraph cache — subgraphs depend on topology and these knobs only,
-#: never on weights (augmentation is applied when views are built).
-_SAMPLING_FIELDS = ("hop_size", "subgraph_size")
 
 
 def score_service_span(model: Bourne, graph_like, targets: np.ndarray,
                        seed: int, rounds: int, max_batch: int,
                        backend=None) -> RoundEvidence:
-    """Uncached scoring of one target span on the serving streams.
+    """Score one target span on the serving streams.
 
     The shared :func:`repro.core.scoring.score_target_span` loop with
     the offline view builder, on the streams ``score_graph(seed=seed)``
-    draws — so the evidence is bitwise what ``ScoringService`` with the
-    same ``seed`` computes through its cache.  The sharded refresh
-    workers, the replica workers and lifecycle validation call this.
+    draws — the computation ``ScoringService`` with the same ``seed``
+    runs for its misses.  The sharded refresh workers, the replica
+    workers and lifecycle validation call this.
     ``backend`` names the compute backend (workers receive the parent
     service's backend name and resolve it locally).
     """
@@ -96,7 +92,7 @@ def edge_mean_from_evidence(endpoint_scores: np.ndarray,
 def score_edge_span(model: Bourne, graph_like, u: int, v: int, edge_id: int,
                     seed: int, rounds: int, max_batch: int,
                     backend=None) -> Tuple[float, bool]:
-    """Uncached pure counterpart of :meth:`ScoringService.score_edge`.
+    """Pure counterpart of :meth:`ScoringService.score_edge`.
 
     Scores the canonical ``(min, max)`` endpoint pair through
     :func:`score_service_span` and resolves the edge mean with
@@ -166,7 +162,9 @@ class ScoringService:
         Inference seed, with ``score_graph``'s meaning (default: the
         model seed), so served scores equal ``score_graph(seed=seed)``.
     cache_size:
-        Capacity of the subgraph LRU in ``(target, round)`` entries.
+        Accepted and ignored: the service keeps no subgraph cache.  The
+        keyword stays so callers written against the earlier cached
+        service, such as ``perfbench/workloads.py``, still construct it.
     max_batch:
         Cap on views — ``(target, round)`` pairs — per forward call
         (default: model batch size).
@@ -202,11 +200,9 @@ class ScoringService:
         self._set_seed(cfg.seed if seed is None else seed)
         self.max_batch = max_batch if max_batch is not None else cfg.batch_size
         self.backend = resolve_backend(backend)
-        self.cache = SubgraphCache(cache_size)
         model.eval_mode()
 
         self._node_table: Dict[int, Tuple[float, int]] = {}
-        self._edge_table: Dict[Tuple[int, int], Tuple[float, int]] = {}
         self._edge_scores: Dict[Tuple[int, int], Tuple[float, int]] = {}
         self._pending: Dict[int, PendingScore] = {}
         self._requests = 0
@@ -235,7 +231,7 @@ class ScoringService:
             raise ValueError(
                 f"store influence_radius={self.store.influence_radius} is "
                 f"smaller than the model hop_size={cfg.hop_size}; dirty "
-                "regions would under-invalidate the subgraph cache")
+                "regions would under-invalidate the score tables")
 
     def _set_seed(self, seed: int) -> None:
         self.seed = seed
@@ -280,11 +276,10 @@ class ScoringService:
                 stale.append(node)
         if stale:
             self._table_misses += len(stale)
-            targets = np.asarray(stale, dtype=np.int64)
-            scores = self._score_targets(targets)
-            for node, score in zip(stale, scores):
-                self._node_table[node] = (float(score), self.store.version)
-                pending[node]._value = float(score)
+            evidence = self._score_span(np.asarray(stale, dtype=np.int64))
+            self._tabulate(stale, evidence.node_sum / self.rounds)
+            for node in stale:
+                pending[node]._value = self._node_table[node][0]
         return len(stale)
 
     def score_node(self, node: int) -> float:
@@ -315,8 +310,8 @@ class ScoringService:
         history or batch layout.  That purity is what lets the gateway
         coalesce concurrent ``score_edge`` requests freely: any
         interleaving returns bitwise the sequential answer (the gateway
-        pin tests assert it).  Canonical values are cached
-        version-aware, so repeats are table hits until a nearby
+        pin tests assert it).  Canonical values are kept in a
+        version-aware table, so repeats are table hits until a nearby
         mutation invalidates them.  If the sampler never realizes the
         edge in any round (possible for high-degree endpoints), the
         endpoint mean is imputed, matching the offline scorer's
@@ -334,15 +329,15 @@ class ScoringService:
             return cached[0]
         with obs_trace.span("service.score_edge") as sp:
             sp.set(u=key[0], v=key[1])
-            scores, means = self._score_span(np.asarray(key, dtype=np.int64))
-        version = self.store.version
-        for node, score in zip(key, scores):
-            self._node_table[int(node)] = (float(score), version)
+            evidence = self._score_span(np.asarray(key, dtype=np.int64))
+        scores = evidence.node_sum / self.rounds
+        self._tabulate(key, scores)
         mean, imputed = edge_mean_from_evidence(
-            scores, means, self.store.edge_id(*key))
+            scores, mean_edge_rounds(self.rounds, [evidence]),
+            self.store.edge_id(*key))
         if imputed:
             self._edge_imputations += 1
-        self._edge_scores[key] = (mean, version)
+        self._edge_scores[key] = (mean, self.store.version)
         return mean
 
     # ------------------------------------------------------------------
@@ -358,8 +353,8 @@ class ScoringService:
         engine (:mod:`repro.parallel`): the store's features and index
         go into shared memory once, worker processes score contiguous
         shards of the miss queue with the *same* per-``(seed, round,
-        target)`` streams the in-process path uses, and the merged node
-        and edge tables are bitwise-identical to a serial refresh.
+        target)`` streams the in-process path uses, and the merged score
+        table is bitwise-identical to a serial refresh.
         ``pool`` reuses a persistent :class:`repro.parallel.WorkerPool`
         — for example one kept warm by a sharded trainer — instead of
         spinning processes up per refresh.
@@ -376,11 +371,8 @@ class ScoringService:
                 self._refresh_sharded(np.asarray(stale, dtype=np.int64),
                                       workers, shards, pool)
             elif stale:
-                targets = np.asarray(stale, dtype=np.int64)
-                scores = self._score_targets(targets)
-                version = self.store.version
-                for node, score in zip(stale, scores):
-                    self._node_table[node] = (float(score), version)
+                evidence = self._score_span(np.asarray(stale, dtype=np.int64))
+                self._tabulate(stale, evidence.node_sum / self.rounds)
         table = np.asarray([self._node_table[node][0] for node in range(n)])
         return RefreshResult(scores=table,
                              rescored=np.asarray(stale, dtype=np.int64),
@@ -389,17 +381,13 @@ class ScoringService:
     def _refresh_sharded(self, targets: np.ndarray, workers: int,
                          shards: Optional[int], pool=None) -> None:
         """Score ``targets`` through the multi-process engine and fold
-        the results into the node/edge tables exactly like
-        :meth:`_score_targets` would."""
+        the scores into the node table exactly like :meth:`_score_span`
+        would."""
         from ..parallel import service_refresh_scores
 
-        scores, edge_means, forward_batches = service_refresh_scores(
+        scores, forward_batches = service_refresh_scores(
             self, targets, workers=workers, shards=shards, pool=pool)
-        version = self.store.version
-        for node, score in zip(targets, scores):
-            self._node_table[int(node)] = (float(score), version)
-        for eid, mean in edge_means.items():
-            self._edge_table[self.store.edge_key(eid)] = (mean, version)
+        self._tabulate(targets, scores)
         self._forward_batches += forward_batches
         self._nodes_scored += len(targets)
 
@@ -409,99 +397,41 @@ class ScoringService:
     def swap_model(self, model: Bourne) -> None:
         """Replace the served model in place.
 
-        Score tables are dropped (different weights, different scores);
-        the subgraph cache survives when the sampling-relevant config is
-        unchanged, so a hot-swap starts warm.
+        Score tables are dropped: different weights, different scores.
         """
         self._check_model(model)
-        old_cfg, new_cfg = self.model.config, model.config
-        new_seed = self.seed if self._explicit_seed else new_cfg.seed
-        same_sampling = new_seed == self.seed and all(
-            getattr(old_cfg, f) == getattr(new_cfg, f)
-            for f in _SAMPLING_FIELDS)
-        if not same_sampling:
-            self.cache.clear()
         self.model = model
-        self._set_seed(new_seed)
+        self._set_seed(self.seed if self._explicit_seed else model.config.seed)
         model.eval_mode()
         self._node_table.clear()
-        self._edge_table.clear()
         self._edge_scores.clear()
         self._swaps += 1
 
     # ------------------------------------------------------------------
     # Scoring internals
     # ------------------------------------------------------------------
-    def _score_targets(self, targets: np.ndarray) -> np.ndarray:
-        """Mean score over ``rounds`` forward passes for ``targets``."""
-        scores, _ = self._score_span(targets)
-        return scores
+    def _score_span(self, targets: np.ndarray) -> RoundEvidence:
+        """Round evidence of ``targets`` on the serving streams.
 
-    def _score_span(self, targets: np.ndarray):
-        """Score ``targets`` and return ``(scores, edge_means)``.
-
-        Runs the shared :func:`repro.core.scoring.score_target_span`
-        loop — the same accumulation and streams the offline scorer and
-        the sharded refresh workers run — with a view builder that
-        answers from the version-aware subgraph cache.  ``edge_means``
-        is THIS call's per-edge-id evidence (folded into the evidence
-        table as a side effect).
+        The two calls :func:`score_service_span` makes, with the round
+        streams derived once per seed instead of once per call.
         """
         with obs_trace.span("service.score_span") as sp:
             sp.set(targets=len(targets), rounds=self.rounds)
             evidence = score_target_span(
                 self.model, targets, self._round_bases, self._mask_seeds,
-                self.max_batch, self._cached_views, backend=self.backend,
+                self.max_batch, offline_view_builder(self.model, self.store),
+                backend=self.backend,
             )
         self._forward_batches += evidence.forward_batches
-        version = self.store.version
-        means = mean_edge_rounds(self.rounds, [evidence])
-        for eid, mean in means.items():
-            self._edge_table[self.store.edge_key(eid)] = (mean, version)
         self._nodes_scored += len(targets)
-        return evidence.node_sum / self.rounds, means
+        return evidence
 
-    def _cached_views(self, targets: np.ndarray, rounds: np.ndarray,
-                      seeds: np.ndarray):
-        """``build_views`` callback of the span loop.
-
-        Looks every ``(target, round)`` view up in the cache, samples
-        all misses in ONE vectorized call, stacks them with the hits
-        into one batch and builds its views once; copies of the missed
-        subgraphs go into the cache.
-        """
-        cfg = self.model.config
-        with obs_trace.span("service.cache_lookup") as sp:
-            subgraphs: list = []
-            misses: List[int] = []
-            for i, (target, round_index) in enumerate(
-                    zip(targets.tolist(), rounds.tolist())):
-                entry = self.cache.get((target, round_index),
-                                       self.store.region_version(target))
-                subgraphs.append(None if entry is None else entry.subgraph)
-                if entry is None:
-                    misses.append(i)
-            sp.set(views=len(targets), hits=len(targets) - len(misses),
-                   misses=len(misses))
-        if misses:
-            with obs_trace.span("service.cache_miss_sample") as sp:
-                sp.set(misses=len(misses))
-                sampled = sample_enclosing_subgraphs(
-                    self.store, targets[misses], k=cfg.hop_size,
-                    size=cfg.subgraph_size, target_seeds=seeds[misses])
-                version = self.store.version
-                for j, i in enumerate(misses):
-                    subgraphs[i] = sampled.view(j)
-                    self.cache.put((int(targets[i]), int(rounds[i])),
-                                   subgraphs[i].copy(), version)
-        batch = (sampled if len(misses) == len(targets)
-                 else SampledSubgraphBatch.stack(subgraphs))
-        with obs_trace.span("views.build_batched") as sp:
-            sp.set(batch=len(targets), augment=cfg.augment_at_inference)
-            return build_batched_views(
-                batch, seeds, feature_mask_prob=cfg.feature_mask_prob,
-                incidence_drop_prob=cfg.incidence_drop_prob,
-                augment=cfg.augment_at_inference)
+    def _tabulate(self, nodes, scores) -> None:
+        """Record ``scores`` in the node table at the current version."""
+        version = self.store.version
+        for node, score in zip(nodes, scores):
+            self._node_table[int(node)] = (float(score), version)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -512,12 +442,11 @@ class ScoringService:
         ``table_hits``/``table_misses`` tally *request-path* score-table
         answers vs. recomputations (refresh rescans and edge-endpoint
         scorings count toward ``nodes_scored``, not misses);
-        ``cache_hits``/``cache_misses`` (from the subgraph LRU) tally
-        view reuse; ``pending`` is the current micro-batch queue depth.
-        The gateway's ``/metrics`` endpoint re-exports all of these in
+        ``pending`` is the current micro-batch queue depth.  The
+        gateway's ``/metrics`` endpoint re-exports all of these in
         Prometheus text format.
         """
-        stats = {
+        return {
             "requests": self._requests,
             "pending": len(self._pending),
             "flushes": self._flushes,
@@ -530,7 +459,6 @@ class ScoringService:
             "edge_table_hits": self._edge_table_hits,
             "edge_imputations": self._edge_imputations,
             "edge_table_size": len(self._edge_scores),
-            "edge_evidence_size": len(self._edge_table),
             "refreshes": self._refreshes,
             "model_swaps": self._swaps,
             "backend": self.backend.name,
@@ -545,5 +473,3 @@ class ScoringService:
                                               "features_updated", 0),
             "rounds": self.rounds,
         }
-        stats.update({f"cache_{k}": v for k, v in self.cache.stats().items()})
-        return stats

@@ -202,8 +202,7 @@ class GraphStore:
         edge log, so the folded index is bitwise the one a fresh build
         would produce — edge ids, CSR rows, and key order included.
         Compaction therefore does **not** bump ``version``: dirty
-        regions, cached subgraph views, and score tables all stay
-        valid.  Also refreshes the base when only nodes arrived (the
+        regions and score tables stay valid.  Also refreshes the base when only nodes arrived (the
         key width tracks the node count)."""
         folded = self.pending_edges
         if folded == 0 and self._base.num_nodes == self._num_nodes:

@@ -273,7 +273,6 @@ class TestHttpTransport:
         assert "# TYPE gateway_requests_total counter" in text
         assert "gateway_batch_size_bucket" in text
         assert "gateway_request_latency_seconds_count" in text
-        assert "service_cache_hit_rate" in text
         assert "service_flushes" in text
 
     def test_http_bad_requests(self):

@@ -502,7 +502,11 @@ class TestGatewayLifecycle:
                     {"op": "score", "nodes": probe}, "test")
                 assert before["ok"]
 
-                # Drift burst through the public mutation op.
+                # Drift burst through the public mutation op, with the
+                # controller paused so no tick sees a partial burst.
+                paused = await gateway.dispatch(
+                    {"op": "lifecycle", "action": "pause"}, "test")
+                assert paused["ok"] and paused["paused"]
                 features = store.snapshot().features
                 for node in range(10):
                     response = await gateway.dispatch(
@@ -510,6 +514,9 @@ class TestGatewayLifecycle:
                          "features": (features[node] + 1.0).tolist()},
                         "test")
                     assert response["ok"]
+                resumed = await gateway.dispatch(
+                    {"op": "lifecycle", "action": "resume"}, "test")
+                assert resumed["ok"] and not resumed["paused"]
 
                 # Live traffic across the retrain + swap; nothing may
                 # fail and nothing may block.

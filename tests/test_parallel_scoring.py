@@ -230,9 +230,6 @@ class TestServiceShardedRefresh:
         result = sharded.refresh(workers=2, shards=3)
         np.testing.assert_array_equal(result.scores, expected.scores)
         np.testing.assert_array_equal(result.rescored, expected.rescored)
-        assert serial._edge_table.keys() == sharded._edge_table.keys()
-        for key, (value, _) in serial._edge_table.items():
-            assert sharded._edge_table[key][0] == value
         # Stats reflect the drained miss queue.
         assert sharded.stats()["nodes_scored"] == graph.num_nodes
         assert sharded.stats()["forward_batches"] > 0

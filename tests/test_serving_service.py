@@ -1,5 +1,5 @@
-"""Tests for the online ScoringService: serving equivalence, caching,
-micro-batching, incremental refresh, and model hot-swap."""
+"""Tests for the online ScoringService: serving equivalence, score-table
+invalidation, micro-batching, incremental refresh, and model hot-swap."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ import pytest
 from repro.core import Bourne, BourneConfig
 from repro.graph import Graph
 from repro.serving import GraphStore, ScoringService
+from repro.serving.service import score_edge_span, score_service_span
 
 
 def tiny_config(**overrides):
@@ -84,41 +85,79 @@ class TestServingEquivalence:
 
 class TestCacheInvalidation:
     def test_edge_insertion_invalidates_neighbourhood_only(self, model):
-        """A mutation evicts cached subgraphs near it; far entries hit."""
+        """A mutation invalidates score-table entries near it; far
+        entries stay table hits."""
         length = 15
         store = GraphStore(np.random.default_rng(0).normal(size=(length, 6)),
                            influence_radius=2)
         store.add_edges(np.array([[i, i + 1] for i in range(length - 1)]))
         service = ScoringService(model, store, rounds=2)
         service.score_nodes(range(length))
-        assert service.cache.stats()["invalidations"] == 0
 
         store.add_edge(0, 2)  # dirties only the radius-2 ball around {0, 2}
         far_node = length - 1
-        before = service.cache.stats()["hits"]
-        service.score_nodes([far_node], _force=True)
-        assert service.cache.stats()["hits"] == before + service.rounds
+        before = service.stats()
+        service.score_nodes([far_node])
+        after = service.stats()
+        assert after["table_hits"] == before["table_hits"] + 1
+        assert after["table_misses"] == before["table_misses"]
 
-        near_before = service.cache.stats()["invalidations"]
-        service.score_nodes([1], _force=True)
-        assert service.cache.stats()["invalidations"] == \
-            near_before + service.rounds
+        service.score_nodes([1])
+        assert service.stats()["table_misses"] == after["table_misses"] + 1
+        assert service.stats()["table_hits"] == after["table_hits"]
 
-    def test_lru_eviction_bounds_size(self, model):
-        features, edges = random_topology(seed=4, n=40, m=90)
-        service = ScoringService(model, Graph(features, edges),
-                                 rounds=2, cache_size=10)
-        service.score_nodes(range(40))
-        assert len(service.cache) <= 10
-        assert service.cache.stats()["evictions"] > 0
 
-    def test_eviction_does_not_change_scores(self, model):
-        features, edges = random_topology(seed=4, n=40, m=90)
-        graph = Graph(features, edges)
-        tiny = ScoringService(model, graph, rounds=2, cache_size=4)
-        roomy = ScoringService(model, graph, rounds=2, cache_size=4096)
-        np.testing.assert_array_equal(tiny.score_nodes(range(40)),
-                                      roomy.score_nodes(range(40)))
+class TestServedEqualsSpanFunctions:
+    def test_scores_match_span_functions_across_mutations(self, model):
+        """Served node and edge scores are bitwise the pure span
+        functions' on a fresh snapshot after every kind of mutation,
+        for recomputed answers and table hits alike."""
+        features, edges = random_topology(seed=15, n=40, m=60)
+        store = GraphStore(features, edges, influence_radius=2,
+                           compact_threshold=None)
+        service = ScoringService(model, store, rounds=2, max_batch=8,
+                                 backend="numpy")
+        nodes = [0, 3, 17, 39]
+        pairs = [(int(u), int(v)) for u, v in edges[:4]]
+
+        def check():
+            snapshot = store.snapshot()
+            want_nodes = score_service_span(
+                model, snapshot, np.asarray(nodes, dtype=np.int64),
+                service.seed, service.rounds, service.max_batch,
+                backend="numpy").node_sum / service.rounds
+            want_edges = [score_edge_span(
+                model, snapshot, u, v, snapshot.edge_id(u, v), service.seed,
+                service.rounds, service.max_batch, backend="numpy")[0]
+                for u, v in pairs]
+            for _ in range(2):  # the second pass reads the score tables
+                np.testing.assert_array_equal(service.score_nodes(nodes),
+                                              want_nodes)
+                assert [service.score_edge(u, v) for u, v in pairs] \
+                    == want_edges
+            return want_nodes[:4].tolist(), want_edges[:4]
+
+        fresh = check()
+        far = next(v for v in range(39, 0, -1) if not store.has_edge(0, v))
+        store.add_edge(0, far)
+        pairs.append((0, far))
+        linked = check()
+        store.update_features([0], -features[0:1])
+        drifted = check()
+        (new,) = store.add_nodes(np.random.default_rng(2).normal(size=(1, 6)))
+        store.add_edge(17, int(new))
+        nodes.append(int(new))
+        pairs.append((17, int(new)))
+        grown = check()
+        assert store.pending_edges == 2
+        store.compact()
+        assert check() == grown
+        # Each mutation moved the scores it could reach, so stale table
+        # answers could not have passed.
+        assert linked[1] != fresh[1] and drifted[1] != linked[1]
+        assert grown[0] != drifted[0]
+        stats = service.stats()
+        assert stats["table_hits"] > 0 and stats["edge_table_hits"] > 0
 
 
 class TestMicroBatching:
@@ -198,22 +237,17 @@ class TestHotSwap:
         features, edges = random_topology(seed=10, n=25, m=50)
         service = ScoringService(model, Graph(features, edges), rounds=2)
         old_scores = service.score_nodes(range(25))
-        cache_size = len(service.cache)
-        assert cache_size > 0
 
         other = Bourne(6, tiny_config(seed=99))
-        # seed differs -> sampling-relevant config differs -> cache drops
         service.swap_model(other)
-        assert len(service.cache) == 0
+        assert service.stats()["table_size"] == 0
 
         same_sampling = Bourne(6, tiny_config())
         for param in same_sampling.online.parameters():
             param.data = param.data + 0.1  # retrained weights, same sampling
         rewired = ScoringService(model, Graph(features, edges), rounds=2)
         rewired.score_nodes(range(25))
-        warm = len(rewired.cache)
         rewired.swap_model(same_sampling)
-        assert len(rewired.cache) == warm  # sampling config unchanged
         new_scores = rewired.score_nodes(range(25))
         assert not np.array_equal(old_scores, new_scores)
 
