@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Gateway throughput: coalesced micro-batching vs. the JSONL loop.
 
-A closed-loop load generator opens ``REPRO_BENCH_CONNS`` concurrent TCP
+A closed-loop load generator opens ``CONNS`` concurrent TCP
 connections to a live :class:`repro.gateway.Gateway` and drives one
 score request at a time per connection over distinct target nodes,
 recording sustained throughput and per-request tail latency.  The
@@ -18,43 +18,26 @@ Run standalone::
 
     python benchmarks/bench_gateway.py
 
-Environment knobs: ``REPRO_BENCH_SCALE`` (default 0.15),
-``REPRO_BENCH_CONNS`` (default 8), ``REPRO_BENCH_REQUESTS`` requests
-per connection (default 16), ``REPRO_BENCH_ROUNDS`` (default 2).
 Writes ``BENCH_gateway.json`` for the blocking CI regression gate
 (``scripts/check_bench.py``).
 """
 
 import asyncio
 import json
-import os
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                "..", "src"))
-
+import harness
 import numpy as np
 
-from repro.core import Bourne, BourneConfig
-from repro.datasets import load_benchmark
-from repro.eval import normalize_graph
+from repro.core import BourneConfig
 from repro.gateway import Gateway, dispatch_request
-from repro.serving import GraphStore, ScoringService
 
-SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.15"))
-CONNS = int(os.environ.get("REPRO_BENCH_CONNS", "8"))
-REQUESTS = int(os.environ.get("REPRO_BENCH_REQUESTS", "16"))
-ROUNDS = int(os.environ.get("REPRO_BENCH_ROUNDS", "2"))
+SCALE = 0.15
+CONNS = 8
+REQUESTS = 16  # per connection
+ROUNDS = 2
 TARGET_SPEEDUP = 2.0
-REPORT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                      "..", "BENCH_gateway.json")
-
-
-def build_service(graph, config):
-    store = GraphStore.from_graph(graph, influence_radius=config.hop_size)
-    model = Bourne(graph.num_features, config)
-    return ScoringService(model, store, rounds=ROUNDS)
 
 
 def bench_sequential(service, nodes):
@@ -107,23 +90,20 @@ async def bench_gateway(service, nodes):
 
 
 def main() -> int:
-    graph = normalize_graph(load_benchmark("cora", seed=0, scale=SCALE))
+    graph = harness.cora(SCALE)
     print(f"benchmark graph: {graph}")
     config = BourneConfig(hidden_dim=32, predictor_hidden=64,
                           subgraph_size=8, eval_rounds=ROUNDS, seed=0)
     total = CONNS * REQUESTS
-    if total > graph.num_nodes:
-        raise SystemExit(f"need {total} distinct nodes, graph has "
-                         f"{graph.num_nodes}; lower REPRO_BENCH_*")
     nodes = list(range(total))
 
-    sequential = build_service(graph, config)
+    sequential = harness.build_service(graph, config)
     seq_scores, seq_time = bench_sequential(sequential, nodes)
     seq_rps = total / seq_time
     print(f"sequential JSONL loop: {total} requests in {seq_time:.2f}s "
           f"({seq_rps:.0f} req/s, {sequential.stats()['flushes']} flushes)")
 
-    served = build_service(graph, config)
+    served = harness.build_service(graph, config)
     gw_scores, gw_time, latencies, mean_batch = asyncio.run(
         bench_gateway(served, nodes))
     gw_rps = total / gw_time
@@ -153,23 +133,15 @@ def main() -> int:
         "target_speedup": TARGET_SPEEDUP,
         "pass": ok,
     }
-    with open(REPORT, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"\nreport written to {os.path.abspath(REPORT)}")
-
+    failures = []
     if not bitwise_equal:
         diverged = [n for n in seq_scores if seq_scores[n] != gw_scores.get(n)]
-        print(f"FAIL: coalesced scores diverged from sequential on "
-              f"{len(diverged)} nodes (e.g. {diverged[:5]})")
-        return 1
+        failures.append(f"coalesced scores diverged from sequential on "
+                        f"{len(diverged)} nodes (e.g. {diverged[:5]})")
     print(f"coalesced vs sequential: {speedup:.2f}x "
-          f"(target >= {TARGET_SPEEDUP:.0f}x) — scores bitwise-identical")
-    if not ok:
-        print("FAIL: below target speedup")
-        return 1
-    print("PASS")
-    return 0
+          f"(target >= {TARGET_SPEEDUP:.0f}x), "
+          f"scores bitwise-identical: {bitwise_equal}")
+    return harness.finish("gateway", report, failures)
 
 
 if __name__ == "__main__":

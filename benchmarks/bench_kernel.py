@@ -13,32 +13,17 @@ Run standalone::
 
     python benchmarks/bench_kernel.py
 
-Environment knobs: ``REPRO_BENCH_NODES`` (default 3000),
-``REPRO_BENCH_EDGES`` (default 9000), ``REPRO_BENCH_REPEATS``
-(default 3).
-
 The acceptance bar (>= 1.5x fused-vs-reference single-core forward
 throughput) is asserted at exit and recorded in ``BENCH_kernel.json``
-for the CI regression gate.
+for the CI regression gate.  It is a *single-core* bar: the fused kernel
+must win on arithmetic and allocation discipline, not by grabbing more
+BLAS threads.
 """
 
-import json
-import os
 import sys
 import time
 
-# Pin BLAS pools to one thread: this is a *single-core* bar, and the
-# fused kernel must win on arithmetic and allocation discipline, not
-# by grabbing more threads (must precede numpy import).
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("MKL_NUM_THREADS", "1")
-
-sys.path.insert(
-    0,
-    os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"),
-)
-
+import harness
 import numpy as np
 
 from repro.core import Bourne, BourneConfig
@@ -46,36 +31,14 @@ from repro.core.scoring import inference_round_streams
 from repro.graph.index import derive_target_seeds
 from repro.tensor.backend import resolve_backend
 
-NODES = int(os.environ.get("REPRO_BENCH_NODES", "3000"))
-EDGES = int(os.environ.get("REPRO_BENCH_EDGES", "9000"))
-REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "3"))
-FEATURES = 16
+NODES = 3000
+EDGES = 9000
+REPEATS = 3
 SUBGRAPH_SIZE = 8
 BATCH_SIZE = 256
 HIDDEN = 32
 TARGET_SPEEDUP = 1.5
 TOLERANCE = 1e-5
-OUTPUT = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_kernel.json"
-)
-
-
-def generated_graph(seed=0):
-    """Hub-heavy random graph (same flavour as ``bench_parallel``)."""
-    from repro.graph import Graph
-
-    rng = np.random.default_rng(seed)
-    surplus = EDGES * 3
-    hubs = rng.integers(0, max(NODES // 20, 2), size=surplus)
-    u = rng.integers(0, NODES, size=surplus)
-    v = np.where(
-        rng.random(surplus) < 0.5, hubs, rng.integers(0, NODES, size=surplus)
-    )
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    keep = lo != hi
-    pairs = np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
-    features = rng.normal(size=(NODES, FEATURES))
-    return Graph(features, pairs[:EDGES], name="bench-kernel")
 
 
 def prebuilt_batches(model, graph):
@@ -124,8 +87,7 @@ def max_relative_error(reference, candidate):
 
 
 def main() -> int:
-    graph = generated_graph()
-    graph.index  # warm the shared index so every backend starts equal
+    graph = harness.generated_graph(NODES, EDGES, "bench-kernel")
     print(f"benchmark graph: {graph}")
 
     config = BourneConfig(
@@ -167,8 +129,6 @@ def main() -> int:
 
     fused_speedup = seconds["numpy"] / seconds["fused"]
     within_tolerance = all(err <= TOLERANCE for err in errors.values())
-    passed = bool(fused_speedup >= TARGET_SPEEDUP and within_tolerance)
-
     report = {
         "graph": {
             "nodes": graph.num_nodes,
@@ -187,24 +147,13 @@ def main() -> int:
         "tolerance": TOLERANCE,
         "fused_speedup": fused_speedup,
         "target_speedup": TARGET_SPEEDUP,
-        "pass": passed,
+        "pass": bool(fused_speedup >= TARGET_SPEEDUP and within_tolerance),
     }
-    with open(OUTPUT, "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {os.path.abspath(OUTPUT)}")
-
+    print(f"fused speedup {fused_speedup:.2f}x (target >= {TARGET_SPEEDUP:.1f}x)")
+    failures = []
     if not within_tolerance:
-        print(f"FAIL: fast-path scores exceed {TOLERANCE:.0e} rel tolerance")
-        return 1
-    if not passed:
-        print(
-            f"FAIL: fused speedup {fused_speedup:.2f}x "
-            f"< target {TARGET_SPEEDUP:.1f}x"
-        )
-        return 1
-    print(f"PASS: fused speedup {fused_speedup:.2f}x >= {TARGET_SPEEDUP:.1f}x")
-    return 0
+        failures.append(f"fast-path scores exceed {TOLERANCE:.0e} rel tolerance")
+    return harness.finish("kernel", report, failures)
 
 
 if __name__ == "__main__":

@@ -18,48 +18,31 @@ Run standalone::
 
     python benchmarks/bench_lifecycle.py
 
-Environment knobs: ``REPRO_BENCH_SCALE`` (default 0.1),
-``REPRO_BENCH_ROUNDS`` (default 8), ``REPRO_BENCH_REQUESTS`` steady
--state sample count (default 150), ``REPRO_BENCH_EPOCHS`` retrain
-epochs (default 1).  Writes ``BENCH_lifecycle.json`` for the blocking
-CI regression gate (``scripts/check_bench.py``).
+The latency bar needs >= 4 cores, so the retrain process has its own.
+Writes ``BENCH_lifecycle.json`` for the blocking CI regression gate
+(``scripts/check_bench.py``).
 """
 
 import asyncio
-import json
-import os
 import sys
 import tempfile
 import time
 
-# Pin BLAS pools to one thread so the background retrain process and
-# the serving thread compete over cores, not over a shared pool
-# (must precede numpy).
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("MKL_NUM_THREADS", "1")
-
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                "..", "src"))
-
+import harness
 import numpy as np
 
 from repro.core import BourneConfig
 from repro.core.trainer import train_bourne
-from repro.datasets import load_benchmark
-from repro.eval import normalize_graph
 from repro.gateway import Gateway
 from repro.lifecycle import LifecycleController, TriggerPolicy
 from repro.serving import GraphStore, ModelRegistry, ScoringService
 
-SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.1"))
-ROUNDS = int(os.environ.get("REPRO_BENCH_ROUNDS", "8"))
-REQUESTS = int(os.environ.get("REPRO_BENCH_REQUESTS", "150"))
-EPOCHS = int(os.environ.get("REPRO_BENCH_EPOCHS", "1"))
+SCALE = 0.1
+ROUNDS = 8
+REQUESTS = 150  # steady-state samples
+EPOCHS = 1  # per retrain
 #: retrain-window p99 may be at most 1/TARGET_RETENTION x steady p99.
 TARGET_RETENTION = 0.33
-REPORT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                      "..", "BENCH_lifecycle.json")
 
 
 def p99(samples):
@@ -144,7 +127,7 @@ async def run_bench(graph, config, registry_dir):
 
 
 def main() -> int:
-    graph = normalize_graph(load_benchmark("cora", seed=0, scale=SCALE))
+    graph = harness.cora(SCALE)
     print(f"benchmark graph: {graph}")
     config = BourneConfig(hidden_dim=32, predictor_hidden=64,
                           subgraph_size=8, eval_rounds=ROUNDS,
@@ -176,12 +159,11 @@ def main() -> int:
           "snapshot: " + ("bitwise-identical" if bitwise
                           else f"DIVERGED on {mismatched[:5]}"))
 
-    cpu_count = os.cpu_count() or 1
     report = {
         "scale": SCALE,
         "rounds": ROUNDS,
         "epochs": EPOCHS,
-        "cpu_count": cpu_count,
+        "cpu_count": harness.CORES,
         "steady_requests": len(steady),
         "retrain_window_requests": len(during),
         "steady_p99_ms": round(steady_p99 * 1000, 3),
@@ -192,30 +174,11 @@ def main() -> int:
         "retrains_completed": counters["retrains_completed"],
         "validations_accepted": counters["validations_accepted"],
     }
-    if cpu_count >= 4:
-        report["pass"] = bool(bitwise and retention >= TARGET_RETENTION)
-    else:
-        report["pass"] = None
-        report["skipped_reason"] = (
-            f"latency-retention target needs >= 4 cores so the retrain "
-            f"process has its own, machine has {cpu_count}; timings "
-            "recorded, bitwise equality still enforced")
-    with open(REPORT, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"\nreport written to {os.path.abspath(REPORT)}")
-
-    if not bitwise:
-        print("FAIL: background retrain diverged from offline training")
-        return 1
-    if report["pass"] is None:
-        print(f"SKIPPED absolute target: {report['skipped_reason']}")
-        return 0
-    if not report["pass"]:
-        print("FAIL: serving p99 during retrain regressed past tolerance")
-        return 1
-    print("PASS")
-    return 0
+    harness.gate_on_cores(report, bitwise and retention >= TARGET_RETENTION,
+                          "latency-retention target")
+    failures = ([] if bitwise else
+                ["background retrain diverged from offline training"])
+    return harness.finish("lifecycle", report, failures)
 
 
 if __name__ == "__main__":

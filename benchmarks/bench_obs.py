@@ -9,7 +9,7 @@ untouched).  This bench drives the same closed-loop load as
 ``bench_gateway.py`` twice over identical node sets — once with
 ``tracing=False`` and once with the default flight recorder installed —
 and reports ``traced_vs_untraced_speedup`` (>= 0.95 passes; 1.0 means
-free).  Runs come in ``REPRO_BENCH_REPEATS`` back-to-back pairs with
+free).  Runs come in ``REPEATS`` back-to-back pairs with
 the order *balanced* (off-then-on on even pairs, on-then-off on odd
 ones) and the reported ratio is the median of per-pair ratios — on a
 shared 1-core box the run-to-run noise (~10%) dwarfs the true tracing
@@ -20,43 +20,27 @@ Run standalone::
 
     python benchmarks/bench_obs.py
 
-Environment knobs: ``REPRO_BENCH_SCALE`` (default 0.1),
-``REPRO_BENCH_CONNS`` (default 4), ``REPRO_BENCH_REQUESTS`` requests
-per connection (default 8), ``REPRO_BENCH_ROUNDS`` (default 1),
-``REPRO_BENCH_REPEATS`` (default 2).  Writes ``BENCH_obs.json`` for the
-blocking CI regression gate (``scripts/check_bench.py``).
+Writes ``BENCH_obs.json`` for the blocking CI regression gate
+(``scripts/check_bench.py``).
 """
 
 import asyncio
 import json
-import os
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                "..", "src"))
+import harness
 
-from repro.core import Bourne, BourneConfig
-from repro.datasets import load_benchmark
-from repro.eval import normalize_graph
+from repro.core import BourneConfig
 from repro.gateway import Gateway
 from repro.obs import trace as obs_trace
-from repro.serving import GraphStore, ScoringService
 
-SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.1"))
-CONNS = int(os.environ.get("REPRO_BENCH_CONNS", "4"))
-REQUESTS = int(os.environ.get("REPRO_BENCH_REQUESTS", "96"))
-ROUNDS = int(os.environ.get("REPRO_BENCH_ROUNDS", "1"))
-REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "5"))
+SCALE = 0.1
+CONNS = 4
+REQUESTS = 96  # per connection
+ROUNDS = 1
+REPEATS = 5
 MAX_OVERHEAD = 0.05  # tracing may cost at most 5% throughput
-REPORT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                      "..", "BENCH_obs.json")
-
-
-def build_service(graph, config):
-    store = GraphStore.from_graph(graph, influence_radius=config.hop_size)
-    model = Bourne(graph.num_features, config)
-    return ScoringService(model, store, rounds=ROUNDS)
 
 
 async def run_client(host, port, nodes, scores):
@@ -97,14 +81,14 @@ async def drive_gateway(service, nodes, tracing):
 def run_once(graph, config, nodes, tracing):
     """One closed-loop run on a fresh service (identical score-table
     state in both modes); returns ``(rps, scores, recorded)``."""
-    service = build_service(graph, config)
+    service = harness.build_service(graph, config)
     scores, elapsed, recorded = asyncio.run(
         drive_gateway(service, nodes, tracing))
     return len(nodes) / elapsed, scores, recorded
 
 
 def main() -> int:
-    graph = normalize_graph(load_benchmark("cora", seed=0, scale=SCALE))
+    graph = harness.cora(SCALE)
     print(f"benchmark graph: {graph}")
     config = BourneConfig(hidden_dim=32, predictor_hidden=64,
                           subgraph_size=8, eval_rounds=ROUNDS, seed=0)
@@ -163,27 +147,18 @@ def main() -> int:
         "target_speedup": 1.0 - MAX_OVERHEAD,
         "pass": ok,
     }
-    with open(REPORT, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"\nreport written to {os.path.abspath(REPORT)}")
-
+    failures = []
     if not bitwise_equal:
         diverged = [n for n in off_scores if off_scores[n] != on_scores.get(n)]
-        print(f"FAIL: traced scores diverged from untraced on "
-              f"{len(diverged)} nodes (e.g. {diverged[:5]}) — "
-              f"tracing perturbed an RNG stream")
-        return 1
-    print(f"traced vs untraced: {speedup:.3f}x "
-          f"(target >= {1.0 - MAX_OVERHEAD:.2f}x) — scores bitwise-identical")
+        failures.append(f"traced scores diverged from untraced on "
+                        f"{len(diverged)} nodes (e.g. {diverged[:5]}) — "
+                        f"tracing perturbed an RNG stream")
     if recorded == 0:
-        print("FAIL: tracing-enabled run recorded no traces")
-        return 1
-    if not ok:
-        print("FAIL: tracing overhead above 5%")
-        return 1
-    print("PASS")
-    return 0
+        failures.append("tracing-enabled run recorded no traces")
+    print(f"traced vs untraced: {speedup:.3f}x "
+          f"(target >= {1.0 - MAX_OVERHEAD:.2f}x), "
+          f"scores bitwise-identical: {bitwise_equal}")
+    return harness.finish("obs", report, failures)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Replica-pool routing throughput: 1 replica vs. a 4-replica pool.
 
-A closed-loop load generator opens ``REPRO_BENCH_CONNS`` concurrent
+A closed-loop load generator opens ``CONNS`` concurrent
 NDJSON connections against two gateways built from identical services:
 one with the default single in-process batcher (``replicas=1``) and one
-with a :class:`repro.gateway.ReplicaPool` of ``REPRO_BENCH_REPLICAS``
+with a :class:`repro.gateway.ReplicaPool` of ``REPLICAS``
 worker processes sharing the graph read-only through POSIX shared
 memory.  Aggregate sustained request rate is recorded for both.
 
@@ -21,51 +21,31 @@ Run standalone::
 
     python benchmarks/bench_router.py
 
-Environment knobs: ``REPRO_BENCH_SCALE`` (default 0.15),
-``REPRO_BENCH_CONNS`` (default 64 — enough concurrency that each
-replica still coalesces healthy batches; batching efficiency, not
-parallelism, is what a starved replica loses first), ``REPRO_BENCH_REQUESTS``
-requests per connection (default 4), ``REPRO_BENCH_ROUNDS`` (default
-16 — per-request compute must dominate process-pool IPC for replicas
-to scale), ``REPRO_BENCH_REPLICAS`` (default 4).  Writes ``BENCH_router.json``
-for the blocking CI regression gate (``scripts/check_bench.py``).
+Writes ``BENCH_router.json`` for the blocking CI regression gate
+(``scripts/check_bench.py``).
 """
 
 import asyncio
 import json
-import os
 import sys
 import time
 
-# Pin BLAS pools to one thread so replica workers scale by process
-# count instead of oversubscribing each other (must precede numpy).
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("MKL_NUM_THREADS", "1")
+import harness
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                "..", "src"))
-
-from repro.core import Bourne, BourneConfig
-from repro.datasets import load_benchmark
-from repro.eval import normalize_graph
+from repro.core import BourneConfig
 from repro.gateway import Gateway
-from repro.serving import GraphStore, ScoringService
 
-SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.15"))
-CONNS = int(os.environ.get("REPRO_BENCH_CONNS", "64"))
-REQUESTS = int(os.environ.get("REPRO_BENCH_REQUESTS", "4"))
-ROUNDS = int(os.environ.get("REPRO_BENCH_ROUNDS", "16"))
-REPLICAS = int(os.environ.get("REPRO_BENCH_REPLICAS", "4"))
+SCALE = 0.15
+# Enough concurrency that each replica still coalesces healthy batches:
+# batching efficiency, not parallelism, is what a starved replica loses
+# first.
+CONNS = 64
+REQUESTS = 4  # per connection
+# Per-request compute must dominate process-pool IPC for replicas to
+# scale.
+ROUNDS = 16
+REPLICAS = 4
 TARGET_SPEEDUP = 1.8
-REPORT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                      "..", "BENCH_router.json")
-
-
-def build_service(graph, config):
-    store = GraphStore.from_graph(graph, influence_radius=config.hop_size)
-    model = Bourne(graph.num_features, config)
-    return ScoringService(model, store, rounds=ROUNDS)
 
 
 async def run_client(host, port, nodes, scores, service_name=None):
@@ -99,11 +79,11 @@ async def drive(host, port, nodes, service_name=None):
 async def bench_single(graph, config, nodes):
     """Baseline: single-service gateway, one in-process batcher, plus
     the tenant routing path (same service attached under a name)."""
-    gateway = Gateway(build_service(graph, config), max_batch=CONNS,
+    gateway = Gateway(harness.build_service(graph, config), max_batch=CONNS,
                       max_delay_ms=5.0, max_queue=4 * CONNS, tracing=False)
     router = gateway.router
     router.add(router.make_endpoint("tenant-a",
-                                    build_service(graph, config)))
+                                    harness.build_service(graph, config)))
     host, port = await gateway.start("127.0.0.1", 0)
     try:
         scores, elapsed = await drive(host, port, nodes)
@@ -115,7 +95,7 @@ async def bench_single(graph, config, nodes):
 
 async def bench_pool(graph, config, nodes):
     """The contender: a ReplicaPool of REPLICAS worker processes."""
-    gateway = Gateway(build_service(graph, config), replicas=REPLICAS,
+    gateway = Gateway(harness.build_service(graph, config), replicas=REPLICAS,
                       max_batch=CONNS, max_delay_ms=5.0,
                       max_queue=4 * CONNS, tracing=False)
     host, port = await gateway.start("127.0.0.1", 0)
@@ -128,14 +108,11 @@ async def bench_pool(graph, config, nodes):
 
 
 def main() -> int:
-    graph = normalize_graph(load_benchmark("cora", seed=0, scale=SCALE))
+    graph = harness.cora(SCALE)
     print(f"benchmark graph: {graph}")
     config = BourneConfig(hidden_dim=32, predictor_hidden=64,
                           subgraph_size=8, eval_rounds=ROUNDS, seed=0)
     total = CONNS * REQUESTS
-    if total > graph.num_nodes:
-        raise SystemExit(f"need {total} distinct nodes, graph has "
-                         f"{graph.num_nodes}; lower REPRO_BENCH_*")
     nodes = list(range(total))
 
     single_scores, single_time, tenant_scores = asyncio.run(
@@ -154,14 +131,13 @@ def main() -> int:
     bitwise_replicas = single_scores == pool_scores
     bitwise_tenant = single_scores == tenant_scores
     speedup = pool_rps / single_rps
-    cpu_count = os.cpu_count() or 1
     report = {
         "scale": SCALE,
         "rounds": ROUNDS,
         "connections": CONNS,
         "requests": total,
         "replicas": REPLICAS,
-        "cpu_count": cpu_count,
+        "cpu_count": harness.CORES,
         "single_replica_rps": round(single_rps, 2),
         "replica_pool_rps": round(pool_rps, 2),
         "replica_aggregate_speedup": round(speedup, 2),
@@ -170,45 +146,21 @@ def main() -> int:
         "bitwise_equal_tenant": bitwise_tenant,
         "target_speedup": TARGET_SPEEDUP,
     }
-    if cpu_count >= 4:
-        report["pass"] = bool(bitwise_replicas and bitwise_tenant
-                              and speedup >= TARGET_SPEEDUP)
-    else:
-        report["pass"] = None
-        report["skipped_reason"] = (
-            f"speedup target needs >= 4 cores, machine has {cpu_count}; "
-            "timings recorded, bitwise equality still enforced")
-    with open(REPORT, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"\nreport written to {os.path.abspath(REPORT)}")
-
-    failed = False
-    if not bitwise_replicas:
-        diverged = [n for n in single_scores
-                    if single_scores[n] != pool_scores.get(n)]
-        print(f"FAIL: replica-pool scores diverged from single-service on "
-              f"{len(diverged)} nodes (e.g. {diverged[:5]})")
-        failed = True
-    if not bitwise_tenant:
-        diverged = [n for n in single_scores
-                    if single_scores[n] != tenant_scores.get(n)]
-        print(f"FAIL: tenant-path scores diverged from single-service on "
-              f"{len(diverged)} nodes (e.g. {diverged[:5]})")
-        failed = True
-    if failed:
-        return 1
+    harness.gate_on_cores(report, bitwise_replicas and bitwise_tenant
+                          and speedup >= TARGET_SPEEDUP, "speedup target")
+    failures = []
+    for path, scores in (("replica-pool", pool_scores),
+                         ("tenant-path", tenant_scores)):
+        if scores != single_scores:
+            diverged = [n for n in single_scores
+                        if single_scores[n] != scores.get(n)]
+            failures.append(f"{path} scores diverged from single-service on "
+                            f"{len(diverged)} nodes (e.g. {diverged[:5]})")
     print(f"replica pool vs single service: {speedup:.2f}x aggregate RPS "
-          f"(target >= {TARGET_SPEEDUP}x at {REPLICAS} replicas) — "
-          f"replica and tenant paths bitwise-identical")
-    if report["pass"] is None:
-        print(f"SKIPPED absolute target: {report['skipped_reason']}")
-        return 0
-    if not report["pass"]:
-        print("FAIL: below target speedup")
-        return 1
-    print("PASS")
-    return 0
+          f"(target >= {TARGET_SPEEDUP}x at {REPLICAS} replicas), replica "
+          f"and tenant paths bitwise-identical: "
+          f"{bitwise_replicas and bitwise_tenant}")
+    return harness.finish("router", report, failures)
 
 
 if __name__ == "__main__":

@@ -25,36 +25,25 @@ Run standalone::
 
     python benchmarks/bench_stream_ingest.py
 
-Environment knobs: ``REPRO_BENCH_STREAM_NODES`` (default 20000),
-``REPRO_BENCH_STREAM_EDGES`` (default 200000),
-``REPRO_BENCH_STREAM_ITERS`` interleaved iterations (default 12),
-``REPRO_BENCH_STREAM_BURSTS`` bursts per iteration (default 6),
-``REPRO_BENCH_STREAM_BURST_EDGES`` edges per burst (default 100).
 Writes ``BENCH_stream.json`` for the blocking CI regression gate
 (``scripts/check_bench.py``).
 """
 
-import json
-import os
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                "..", "src"))
-
+import harness
 import numpy as np
 
 from repro.core import Bourne, BourneConfig
 from repro.serving import GraphStore, ScoringService
 
-NODES = int(os.environ.get("REPRO_BENCH_STREAM_NODES", "20000"))
-EDGES = int(os.environ.get("REPRO_BENCH_STREAM_EDGES", "200000"))
-ITERS = int(os.environ.get("REPRO_BENCH_STREAM_ITERS", "12"))
-BURSTS = int(os.environ.get("REPRO_BENCH_STREAM_BURSTS", "6"))
-BURST_EDGES = int(os.environ.get("REPRO_BENCH_STREAM_BURST_EDGES", "100"))
+NODES = 20000
+EDGES = 200000
+ITERS = 12  # interleaved update+score iterations
+BURSTS = 6  # per iteration
+BURST_EDGES = 100
 TARGET_SPEEDUP = 5.0
-REPORT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                      "..", "BENCH_stream.json")
 
 DIM = 16
 SCORE_BATCH = 8
@@ -157,26 +146,16 @@ def main() -> int:
         "target_speedup": TARGET_SPEEDUP,
         "pass": ok,
     }
-    with open(REPORT, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"\nreport written to {os.path.abspath(REPORT)}")
-
+    failures = []
     if not stream_equal:
-        print("FAIL: delta-overlay scores diverged from rebuild-per-burst")
-        return 1
+        failures.append("delta-overlay scores diverged from rebuild-per-burst")
     if not (pre_equal and post_equal):
-        print(f"FAIL: overlay vs fresh-Graph scores diverged "
-              f"(pre={pre_equal}, post={post_equal})")
-        return 1
+        failures.append(f"overlay vs fresh-Graph scores diverged "
+                        f"(pre={pre_equal}, post={post_equal})")
     print(f"delta vs rebuild-per-burst: {speedup:.2f}x "
-          f"(target >= {TARGET_SPEEDUP:.0f}x) — scores bitwise-identical "
-          f"(incl. vs fresh Graph, pre/post compaction)")
-    if not ok:
-        print("FAIL: below target speedup")
-        return 1
-    print("PASS")
-    return 0
+          f"(target >= {TARGET_SPEEDUP:.0f}x), scores bitwise-identical "
+          f"(incl. vs fresh Graph, pre/post compaction): {bitwise_equal}")
+    return harness.finish("stream", report, failures)
 
 
 if __name__ == "__main__":

@@ -12,10 +12,6 @@ Run standalone::
 
     python benchmarks/bench_training.py
 
-Environment knobs: ``REPRO_BENCH_TRAIN_NODES`` (default 10000),
-``REPRO_BENCH_TRAIN_EDGES`` (default 30000), ``REPRO_BENCH_TRAIN_EPOCHS``
-(default 1), ``REPRO_BENCH_REPEATS`` (default 2).
-
 The acceptance bar (>= 2x epoch speedup at 4 workers) is asserted at
 exit when the machine actually has >= 4 usable cores; on smaller
 machines the run still validates bitwise equality and records timings,
@@ -23,55 +19,24 @@ but marks the speedup target as skipped — a 1-core box cannot speed
 anything up by adding processes.
 """
 
-import json
-import os
 import sys
+import time
 
-# Pin BLAS pools to one thread so "serial" means one core and worker
-# processes do not oversubscribe each other (must precede numpy import).
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("MKL_NUM_THREADS", "1")
-
-sys.path.insert(
-    0,
-    os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"),
-)
-
+import harness
 import numpy as np
 
 from repro.core import Bourne, BourneConfig, BourneTrainer
 
-NODES = int(os.environ.get("REPRO_BENCH_TRAIN_NODES", "10000"))
-EDGES = int(os.environ.get("REPRO_BENCH_TRAIN_EDGES", "30000"))
-EPOCHS = int(os.environ.get("REPRO_BENCH_TRAIN_EPOCHS", "1"))
-REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "2"))
-FEATURES = 16
+NODES = 10000
+EDGES = 30000
+EPOCHS = 1
+REPEATS = 2
 SUBGRAPH_SIZE = 8
 BATCH_SIZE = 256
 GRAIN = 32
 WORKER_COUNTS = (2, 4)
 TARGET_SPEEDUP = 2.0
 TARGET_WORKERS = 4
-OUTPUT = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_training.json"
-)
-
-
-def generated_graph(seed=0):
-    """Hub-heavy random graph (same flavour as the scoring benchmark)."""
-    from repro.graph import Graph
-
-    rng = np.random.default_rng(seed)
-    surplus = EDGES * 3
-    hubs = rng.integers(0, max(NODES // 20, 2), size=surplus)
-    u = rng.integers(0, NODES, size=surplus)
-    v = np.where(rng.random(surplus) < 0.5, hubs, rng.integers(0, NODES, size=surplus))
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    keep = lo != hi
-    pairs = np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
-    features = rng.normal(size=(NODES, FEATURES))
-    return Graph(features, pairs[:EDGES], name="bench-training")
 
 
 def config():
@@ -93,8 +58,6 @@ def snapshot(model):
 
 def timed_fit(graph, workers):
     """Train a fresh model; returns (seconds, losses, parameters)."""
-    import time
-
     best = None
     outcome = None
     for _ in range(REPEATS):
@@ -114,10 +77,8 @@ def timed_fit(graph, workers):
 
 
 def main() -> int:
-    cores = os.cpu_count() or 1
-    graph = generated_graph()
-    graph.index  # warm the shared index so every run starts equal
-    print(f"benchmark graph: {graph} (cores={cores}, grain={GRAIN})")
+    graph = harness.generated_graph(NODES, EDGES, "bench-training")
+    print(f"benchmark graph: {graph} (cores={harness.CORES}, grain={GRAIN})")
 
     serial_seconds, serial = timed_fit(graph, workers=None)
     print(f"serial       : {serial_seconds:.2f}s  "
@@ -138,17 +99,6 @@ def main() -> int:
         print(f"{workers} workers    : {seconds:.2f}s ({speedup:.2f}x, bitwise={same})")
 
     speedup_at_target = serial_seconds / worker_seconds[TARGET_WORKERS]
-    enough_cores = cores >= TARGET_WORKERS
-    if enough_cores:
-        passed = bool(speedup_at_target >= TARGET_SPEEDUP)
-        skipped_reason = None
-    else:
-        passed = None
-        skipped_reason = (
-            f"speedup target needs >= {TARGET_WORKERS} cores, machine has "
-            f"{cores}; timings recorded, bitwise equality still enforced"
-        )
-
     report = {
         "graph": {
             "nodes": graph.num_nodes,
@@ -162,34 +112,21 @@ def main() -> int:
             "grain": GRAIN,
             "repeats": REPEATS,
         },
-        "cpu_count": cores,
+        "cpu_count": harness.CORES,
         "serial_seconds": serial_seconds,
         "worker_seconds": {str(w): s for w, s in worker_seconds.items()},
         "speedup_at_4_workers": speedup_at_target,
         "bitwise_identical": bitwise,
         "target_speedup": TARGET_SPEEDUP,
-        "pass": passed,
-        "skipped_reason": skipped_reason,
+        "skipped_reason": None,
     }
-    with open(OUTPUT, "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {os.path.abspath(OUTPUT)}")
-
-    if not bitwise:
-        print("FAIL: sharded training is not bitwise-identical to serial")
-        return 1
-    if passed is None:
-        print(f"SKIP speedup target: {skipped_reason}")
-        return 0
-    if not passed:
-        print(
-            f"FAIL: {TARGET_WORKERS}-worker speedup {speedup_at_target:.2f}x "
-            f"< target {TARGET_SPEEDUP:.1f}x"
-        )
-        return 1
-    print(f"PASS: {TARGET_WORKERS}-worker speedup >= {TARGET_SPEEDUP:.1f}x")
-    return 0
+    harness.gate_on_cores(report, speedup_at_target >= TARGET_SPEEDUP, "speedup target")
+    print(
+        f"{TARGET_WORKERS}-worker speedup {speedup_at_target:.2f}x "
+        f"(target >= {TARGET_SPEEDUP:.1f}x)"
+    )
+    failures = [] if bitwise else ["sharded training is not bitwise-identical"]
+    return harness.finish("training", report, failures)
 
 
 if __name__ == "__main__":

@@ -15,26 +15,25 @@ import sys
 from collections import defaultdict
 
 RESULTS_GLOBS = [
-    os.path.join("results", "*.csv"),        # bench-suite outputs
+    os.path.join("results", "*.csv"),        # run_experiment.py outputs
     os.path.join("results", "p*", "*.csv"),  # parallel generation outputs
 ]
 
 INTRO = """# EXPERIMENTS — paper vs measured
 
-Every table and figure of the paper, regenerated by this repository's
-harness (`scripts/run_experiment.py`, `pytest benchmarks/
---benchmark-only`).  Profile: `default` — synthetic datasets at scale
-0.15 of the published sizes, reduced training budgets (see DESIGN.md §2
-for why *shapes*, not absolute numbers, are the reproduction target).
-The digest below merges whatever result CSVs are present under
-`results/`; the committed snapshot covers the representative datasets
-the bench suite runs by default — pass `REPRO_BENCH_FULL=1` (or use
-`scripts/run_experiment.py` per dataset) to regenerate the full grids.
+Every table and figure of the paper, regenerated by
+`scripts/run_experiment.py`, which also prints whether each of the
+paper's shape claims holds and exits 1 when one fails.  Profile:
+`default` — synthetic datasets at scale 0.15 of the published sizes,
+reduced training budgets (see DESIGN.md §2 for why *shapes*, not
+absolute numbers, are the reproduction target).  The digest below
+merges whatever result CSVs are present under `results/`; name datasets
+on the command line to regenerate a subset.
 
 Regenerate any artifact with, e.g.:
 
 ```bash
-python -m repro.eval.experiments.table3
+python scripts/run_experiment.py                 # every experiment
 python scripts/run_experiment.py fig5 cora pubmed blogcatalog
 ```
 
@@ -45,7 +44,7 @@ python scripts/run_experiment.py fig5 cora pubmed blogcatalog
 | Table II | dataset sizes + injected anomaly counts | ✓ generators calibrated; anomaly counts follow the §V-A protocol |
 | Table III | BOURNE best NAD AUC on every dataset | ✓ at the default budget (40-epoch BOURNE); margins are small, as in the paper |
 | Table IV | BOURNE best EAD AUC; GAE weakest | ✓ |
-| Table V | BOURNE cheapest; SL-GAD > CoLA > BOURNE; gap grows with size | ✓ under the matched-budget protocol (same epochs/width for all three) |
+| Table V | BOURNE cheapest; SL-GAD > CoLA > BOURNE; gap grows with size | ✗ **deviation**: under the matched-budget protocol (same epochs/width for all three) CoLA trains faster than BOURNE here — the CoLA/BOURNE training-time ratio read 0.51–0.64 on cora and 0.29–0.34 on pubmed, so the "CoLA slower than BOURNE" claim fails (SL-GAD slower than CoLA holds) |
 | Fig. 3/4 | ROC curves dominate baselines | ✓ series emitted per method/dataset |
 | Fig. 5 | full model ≥ every ablation | ✓ for w/o PL / w/o SL / w/o HGNN / w/o GNN. **Deviation**: Appendix B reports AUC collapse to ~0.55 without hypergraph perturbation; on our synthetic substrate the unaugmented model does not collapse (the bootstrapped objective finds other variation sources — R-round subgraph sampling already randomizes views) |
 | Fig. 6 | BOURNE lowest memory | ✗ **deviation**: on this substrate BOURNE's tracemalloc peak exceeds CoLA/SL-GAD — our implementation deliberately trades memory for an ~8× speedup via dense per-view operators (DESIGN.md §2); the paper's GPU-memory advantage stems from negative-pair residency, which is not the binding constraint here |

@@ -18,7 +18,8 @@ Commands
     HTTP/1.1 adapter, with dynamic micro-batching, admission control,
     Prometheus ``/metrics``, and zero-downtime model hot-swaps.
 ``experiment``
-    Run one of the paper's table/figure experiments.
+    Run one of the paper's table/figure experiments; exits 1 when one
+    of its paper claims does not hold.
 ``datasets``
     List the registered benchmark datasets with their Table II sizes.
 ``trace``
@@ -557,7 +558,7 @@ def _cmd_experiment(args) -> int:
     result = ALL_EXPERIMENTS[args.name].run(profile=profile)
     result.save()
     print(result.render())
-    return 0
+    return 0 if all(holds for _, holds in result.claims) else 1
 
 
 def _cmd_datasets(_args) -> int:

@@ -19,13 +19,22 @@ from ..runner import (
 
 @dataclass
 class ExperimentResult:
-    """Uniform result container: a table plus optional figure series."""
+    """Uniform result container: a table plus optional figure series.
+
+    ``claims`` holds the paper's shape claims that the run's own rows
+    can check, as ``(description, holds)`` verdicts; a claim whose
+    inputs were not run is left out.
+    """
 
     experiment: str
     headers: Sequence[str]
     rows: List[Sequence]
     series: Dict[str, Tuple[Sequence, Sequence]] = field(default_factory=dict)
     notes: str = ""
+    claims: List[Tuple[str, bool]] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.claims = [(text, bool(holds)) for text, holds in self.claims]
 
     def render(self, precision: int = 4) -> str:
         parts = [format_table(self.headers, self.rows,
@@ -35,6 +44,9 @@ class ExperimentResult:
             parts.append(format_series(name, xs, ys, precision=precision))
         if self.notes:
             parts.append(f"note: {self.notes}")
+        if self.claims:
+            parts.append("\n".join(f"[{'holds' if holds else 'FAILS'}] {text}"
+                                   for text, holds in self.claims))
         return "\n\n".join(parts)
 
     def save(self) -> str:
@@ -86,3 +98,23 @@ def run_detection(dataset: str, profile: EvalProfile,
 def clear_detection_cache() -> None:
     """Drop all cached detection runs (tests / memory hygiene)."""
     _DETECTION_CACHE.clear()
+
+
+def bourne_lead_claims(rows: Sequence[Sequence], auc_column: int,
+                       floor: Optional[float] = None) -> List[Tuple[str, bool]]:
+    """Per dataset of ``[dataset, method, ...]`` rows: BOURNE's AUC is
+    above ``floor`` and within 0.03 of the best baseline that was run."""
+    by_dataset: Dict[str, dict] = {}
+    for row in rows:
+        by_dataset.setdefault(row[0], {})[row[1]] = row[auc_column]
+    claims = []
+    for dataset, aucs in by_dataset.items():
+        bourne = aucs.pop("BOURNE")
+        if floor is not None:
+            claims.append((f"{dataset}: BOURNE AUC {bourne:.3f} > {floor}",
+                           bourne > floor))
+        if aucs:
+            best = max(aucs, key=aucs.get)
+            claims.append((f"{dataset}: BOURNE AUC {bourne:.3f} > {best} "
+                           f"{aucs[best]:.3f} - 0.03", bourne > aucs[best] - 0.03))
+    return claims

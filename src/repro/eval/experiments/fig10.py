@@ -75,6 +75,15 @@ def run(profile: Optional[EvalProfile] = None,
         series_edge[0].append(achieved)
         series_edge[1].append(bourne_edge - uged_auc)
 
+    achieved = [row[1] for row in rows]
+    claims = [(f"achieved C_ano falls with the target "
+               f"({', '.join(f'{c:.3f}' for c in achieved)})",
+               all(b <= a + 1e-9 for a, b in zip(achieved, achieved[1:])))]
+    for target_c, _, bourne_node, slgad_node, bourne_edge, _ in rows:
+        claims += [(f"C={target_c}: BOURNE node AUC {bourne_node:.3f} > SL-GAD "
+                    f"{slgad_node:.3f} - 0.1", bourne_node > slgad_node - 0.1),
+                   (f"C={target_c}: BOURNE edge AUC {bourne_edge:.3f} > 0.55",
+                    bourne_edge > 0.55)]
     return ExperimentResult(
         experiment="fig10_correlation",
         headers=["target_C", "achieved_C_ano", "BOURNE_node", "SL-GAD_node",
@@ -86,6 +95,7 @@ def run(profile: Optional[EvalProfile] = None,
         },
         notes="Attributive-only injection; achieved C_ano is measured "
               "post-injection (Eq. 26).",
+        claims=claims,
     )
 
 

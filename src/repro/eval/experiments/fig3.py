@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from ...metrics import downsample_curve, roc_auc_score, roc_curve
 from ..runner import EvalProfile, get_profile
-from .common import ExperimentResult, run_detection
+from .common import ExperimentResult, bourne_lead_claims, run_detection
 
 DATASETS = ["cora", "pubmed", "acm", "blogcatalog", "flickr"]
 METHODS = ["Radar", "ANOMALOUS", "DOMINANT", "AnomalyDAE", "DGI", "CoLA", "SL-GAD"]
@@ -52,12 +52,18 @@ def run(profile: Optional[EvalProfile] = None,
             series[f"dgraph/{name}"] = (grid.tolist(), tpr_grid.tolist())
             rows.append(["dgraph", name, roc_auc_score(graph.node_labels, scores)])
 
+    malformed = [name for name, (fpr, tpr) in series.items()
+                 if not (len(fpr) == len(tpr) and tpr[0] <= 0.2 and tpr[-1] == 1.0
+                         and all(b >= a - 1e-9 for a, b in zip(tpr, tpr[1:])))]
     return ExperimentResult(
         experiment="fig3_roc_nad",
         headers=["dataset", "method", "AUC"],
         rows=rows,
         series=series,
         notes="Each series is the (FPR, TPR) polyline of one panel curve.",
+        claims=[(f"every ROC curve rises from TPR <= 0.2 to 1.0 without "
+                 f"falling (malformed: {malformed})", not malformed)]
+        + bourne_lead_claims(rows, 2),
     )
 
 

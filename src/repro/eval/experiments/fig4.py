@@ -6,7 +6,7 @@ from typing import Optional, Sequence
 
 from ...metrics import downsample_curve, roc_auc_score, roc_curve
 from ..runner import EvalProfile, get_profile
-from .common import ExperimentResult, run_detection
+from .common import ExperimentResult, bourne_lead_claims, run_detection
 
 DATASETS = ["cora", "pubmed", "acm", "blogcatalog", "flickr"]
 METHODS = ["AANE", "UGED", "GAE"]
@@ -47,12 +47,15 @@ def run(profile: Optional[EvalProfile] = None,
             series[f"dgraph/{name}"] = (grid.tolist(), tpr_grid.tolist())
             rows.append(["dgraph", name, roc_auc_score(graph.edge_labels, scores)])
 
+    malformed = [name for name, (_, tpr) in series.items() if tpr[-1] != 1.0]
     return ExperimentResult(
         experiment="fig4_roc_ead",
         headers=["dataset", "method", "AUC"],
         rows=rows,
         series=series,
         notes="Each series is the (FPR, TPR) polyline of one panel curve.",
+        claims=[(f"every ROC curve ends at TPR 1.0 (malformed: {malformed})",
+                 not malformed)] + bourne_lead_claims(rows, 2),
     )
 
 

@@ -38,6 +38,9 @@ def run(profile: Optional[EvalProfile] = None,
         notes=(f"profile={profile.name} scale={profile.scale}; paper columns "
                "are Table II values at full size. DGraph is the synthetic "
                "financial stand-in (see DESIGN.md)."),
+        claims=[(f"{row[0]}: {row[1]} nodes, {row[3]} edges, {row[7]} node "
+                 f"and {row[9]} edge anomalies, all > 0",
+                 min(row[1], row[3], row[7], row[9]) > 0) for row in rows],
     )
 
 

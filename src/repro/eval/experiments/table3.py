@@ -13,7 +13,7 @@ from ...baselines import NODE_BASELINES
 from ...metrics import detection_summary
 from ..paper_reference import TABLE3_NAD
 from ..runner import EvalProfile, get_profile
-from .common import ExperimentResult, run_detection
+from .common import ExperimentResult, bourne_lead_claims, run_detection
 
 DATASETS = ["cora", "pubmed", "acm", "blogcatalog", "flickr"]
 _PAPER_KEYS = {"cora": "Cora", "pubmed": "Pubmed", "acm": "ACM",
@@ -50,20 +50,9 @@ def run(profile: Optional[EvalProfile] = None,
         notes=(f"profile={profile.name}; PRE/REC at the best-F1 threshold "
                "(DESIGN.md interpretation note). Shape claim: BOURNE has "
                "the highest AUC per dataset."),
-    )
-
-
-def bourne_wins(result: ExperimentResult) -> bool:
-    """Check the headline claim on a finished Table III run."""
-    by_dataset: dict = {}
-    for dataset, method, _, _, auc, _ in result.rows:
-        by_dataset.setdefault(dataset, {})[method] = auc
-    return all(
-        max(scores, key=scores.get) == "BOURNE" for scores in by_dataset.values()
+        claims=bourne_lead_claims(rows, 4, floor=0.7),
     )
 
 
 if __name__ == "__main__":
-    outcome = run()
-    print(outcome.render())
-    print(f"\nBOURNE best on every dataset: {bourne_wins(outcome)}")
+    print(run().render())

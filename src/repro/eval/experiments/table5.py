@@ -69,9 +69,17 @@ def run(profile: Optional[EvalProfile] = None,
     profile = profile or get_profile()
     datasets = list(datasets) if datasets is not None else DATASETS
 
-    rows = []
+    rows, claims = [], []
     for dataset in datasets:
         outcome = _run_matched(dataset, profile)
+        train = {name: usage["train"].seconds for name, usage in outcome.items()}
+        cola, slgad = (train[name] / train["BOURNE"] for name in ("CoLA", "SL-GAD"))
+        claims += [
+            (f"{dataset}: SL-GAD/BOURNE training time {slgad:.2f} > 0.8 x "
+             f"CoLA/BOURNE {cola:.2f}", slgad > 0.8 * cola),
+            (f"{dataset}: CoLA trains slower than BOURNE (CoLA/BOURNE "
+             f"training time {cola:.2f} > 1)", cola > 1.0),
+        ]
         paper_train = TABLE5_TIME["training"].get(
             {"cora": "Cora", "pubmed": "Pubmed", "acm": "ACM",
              "dgraph": "DGraph"}.get(dataset, ""), {})
@@ -93,6 +101,7 @@ def run(profile: Optional[EvalProfile] = None,
                "models). Absolute numbers are CPU seconds / tracemalloc "
                "MB (paper: GPU). Shape claim: BOURNE cheapest, gap grows "
                "with dataset size."),
+        claims=claims,
     )
 
 

@@ -9,8 +9,8 @@ Responsibilities:
   with wall-clock + memory accounting.
 
 Budget profiles decouple *what* an experiment computes from *how much*
-CPU it spends: ``quick`` for tests, ``default`` for the bench suite,
-``full`` approaching the paper's settings.
+CPU it spends: ``quick`` for tests, ``default`` for the paper claims
+(``scripts/run_experiment.py``), ``full`` approaching the paper's settings.
 """
 
 from __future__ import annotations

@@ -39,7 +39,6 @@ import json
 import logging
 from typing import Optional, Tuple
 
-from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.metrics import LATENCY_BUCKETS, MetricsRegistry
 from ..obs.trace import FlightRecorder, span_tree
@@ -895,17 +894,7 @@ class Gateway:
                 self.metrics.gauge(
                     f"lifecycle_{key}",
                     f"lifecycle controller {key}").set(float(value))
-        text = self.metrics.render()
-        # Fold in process-wide metrics other layers registered into the
-        # global registry (gateway-owned names win on collision).
-        global_registry = obs_metrics.get_registry()
-        extra = [line
-                 for name in global_registry.names()
-                 if self.metrics.get(name) is None
-                 for line in global_registry.get(name).render()]
-        if extra:
-            text += "\n".join(extra) + "\n"
-        return text
+        return self.metrics.render()
 
     async def _write_http(self, writer, status: int, payload,
                           content_type: Optional[str] = None,

@@ -7,8 +7,7 @@ Three pieces, one import surface:
   recent plus slow/errored traces, and the capture/adopt pair that
   ships spans across the worker-process boundary.
 * :mod:`repro.obs.metrics` — the ``Counter``/``Gauge``/``Histogram``
-  registry (the gateway's ``/metrics`` renders it), plus the
-  process-wide :data:`GLOBAL_REGISTRY` every layer may record into.
+  registry (the gateway's ``/metrics`` renders it).
 * :mod:`repro.obs.profiling` — the one wall-clock/peak-memory timing
   utility (the experiments, benchmarks and tracing share it).
 
@@ -22,13 +21,11 @@ equivalence pin holds with tracing on.
 
 from .metrics import (
     BATCH_BUCKETS,
-    GLOBAL_REGISTRY,
     LATENCY_BUCKETS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    get_registry,
 )
 from .profiling import ResourceUsage, measure, profile_call
 
@@ -86,8 +83,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "GLOBAL_REGISTRY",
-    "get_registry",
     "LATENCY_BUCKETS",
     "BATCH_BUCKETS",
     # profiling

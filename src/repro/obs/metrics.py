@@ -1,10 +1,10 @@
 """Repo-wide metrics: counters, gauges, histograms, Prometheus text.
 
-Every layer — gateway, serving, graph, parallel, core — can record
-into one process-wide registry.  The asyncio event loop, the batcher's
-scoring thread, and trainer threads all record into plain Python
-ints/floats (GIL-atomic enough for monitoring counters), and ``MetricsRegistry.render()`` produces the
-Prometheus text exposition format served at ``GET /metrics``.
+Each gateway owns one :class:`MetricsRegistry`.  The asyncio event
+loop and the batcher's scoring thread record into plain Python
+ints/floats (GIL-atomic enough for monitoring counters), and
+``MetricsRegistry.render()`` produces the Prometheus text exposition
+format served at ``GET /metrics``.
 Histograms use fixed bucket bounds and estimate quantiles by linear
 interpolation inside the bucket that crosses the requested rank — the
 standard client-side approximation.
@@ -206,14 +206,3 @@ class MetricsRegistry:
             else:
                 out[name] = metric.value
         return out
-
-
-#: The process-wide registry: gateway, serving, parallel, and core
-#: instrumentation all default here so one ``/metrics`` scrape (or one
-#: ``snapshot()``) sees the whole process.
-GLOBAL_REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide :data:`GLOBAL_REGISTRY`."""
-    return GLOBAL_REGISTRY

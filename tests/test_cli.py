@@ -216,6 +216,23 @@ class TestExperimentCommand:
         assert code == 0
         assert "table2_datasets" in capsys.readouterr().out
 
+    def test_failed_claim_exits_nonzero(self, capsys, monkeypatch, tmp_path):
+        from types import SimpleNamespace
+
+        from repro.eval.experiments import ALL_EXPERIMENTS, ExperimentResult
+
+        def run(profile):
+            return ExperimentResult(
+                "stub", ["x"], [[1]],
+                claims=[("stub holds", True), ("stub fails", False)])
+
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        monkeypatch.setitem(ALL_EXPERIMENTS, "stub", SimpleNamespace(run=run))
+        assert main(["experiment", "stub", "--profile", "quick"]) == 1
+        out = capsys.readouterr().out
+        assert "[holds] stub holds" in out
+        assert "[FAILS] stub fails" in out
+
 
 class TestParser:
     def test_requires_command(self):

@@ -619,8 +619,3 @@ class TestRegistrySurface:
         registry.counter("b_total")
         registry.gauge("a_now")
         assert registry.names() == ["a_now", "b_total"]
-
-    def test_global_registry_is_shared(self):
-        from repro.obs.metrics import GLOBAL_REGISTRY, get_registry
-
-        assert get_registry() is GLOBAL_REGISTRY
