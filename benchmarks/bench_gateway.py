@@ -72,8 +72,7 @@ async def run_client(host, port, nodes, latencies, scores):
 
 async def bench_gateway(service, nodes):
     """Closed-loop load: CONNS connections, one request in flight each."""
-    gateway = Gateway(service, max_batch=CONNS, max_delay_ms=50.0,
-                      max_queue=4 * CONNS)
+    gateway = Gateway(service, max_batch=CONNS, max_queue=4 * CONNS)
     host, port = await gateway.start("127.0.0.1", 0)
     latencies, scores = [], {}
     slices = [nodes[i::CONNS] for i in range(CONNS)]

@@ -61,8 +61,8 @@ async def run_client(host, port, nodes, scores):
 
 async def drive_gateway(service, nodes, tracing):
     """One closed-loop run; returns (scores, elapsed, recorded_traces)."""
-    gateway = Gateway(service, max_batch=CONNS, max_delay_ms=50.0,
-                      max_queue=4 * CONNS, tracing=tracing)
+    gateway = Gateway(service, max_batch=CONNS, max_queue=4 * CONNS,
+                      tracing=tracing)
     host, port = await gateway.start("127.0.0.1", 0)
     scores = {}
     slices = [nodes[i::CONNS] for i in range(CONNS)]

@@ -80,7 +80,7 @@ async def bench_single(graph, config, nodes):
     """Baseline: single-service gateway, one in-process batcher, plus
     the tenant routing path (same service attached under a name)."""
     gateway = Gateway(harness.build_service(graph, config), max_batch=CONNS,
-                      max_delay_ms=5.0, max_queue=4 * CONNS, tracing=False)
+                      max_queue=4 * CONNS, tracing=False)
     router = gateway.router
     router.add(router.make_endpoint("tenant-a",
                                     harness.build_service(graph, config)))
@@ -96,8 +96,7 @@ async def bench_single(graph, config, nodes):
 async def bench_pool(graph, config, nodes):
     """The contender: a ReplicaPool of REPLICAS worker processes."""
     gateway = Gateway(harness.build_service(graph, config), replicas=REPLICAS,
-                      max_batch=CONNS, max_delay_ms=5.0,
-                      max_queue=4 * CONNS, tracing=False)
+                      max_batch=CONNS, max_queue=4 * CONNS, tracing=False)
     host, port = await gateway.start("127.0.0.1", 0)
     try:
         scores, elapsed = await drive(host, port, nodes)

@@ -372,8 +372,7 @@ def autotrain_phase(tmp, registry_dir, env):
         [sys.executable, "-m", "repro", "serve",
          "--registry", registry_dir, "--name", "smoke",
          "--dataset", DATASET, "--scale", str(SCALE), "--rounds", "1",
-         "--listen", "127.0.0.1:0", "--max-batch", "8",
-         "--max-delay-ms", "5", "--max-queue", "64",
+         "--listen", "127.0.0.1:0", "--max-batch", "8", "--max-queue", "64",
          "--poll-interval", "0.2", "--autotrain", policy_path],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
     try:
@@ -414,8 +413,7 @@ def router_phase(tmp, registry_dir, env):
         [sys.executable, "-m", "repro", "serve",
          "--registry", registry_dir, "--name", "smoke",
          "--dataset", DATASET, "--scale", str(SCALE), "--rounds", "1",
-         "--listen", "127.0.0.1:0", "--max-batch", "8",
-         "--max-delay-ms", "5", "--max-queue", "64",
+         "--listen", "127.0.0.1:0", "--max-batch", "8", "--max-queue", "64",
          "--replicas", "3", "--tenants", spec_path],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
     try:
@@ -465,8 +463,7 @@ def main() -> int:
             [sys.executable, "-m", "repro", "serve",
              "--registry", registry_dir, "--name", "smoke",
              "--dataset", DATASET, "--scale", str(SCALE), "--rounds", "1",
-             "--listen", "127.0.0.1:0", "--max-batch", "8",
-             "--max-delay-ms", "5", "--max-queue", "64",
+             "--listen", "127.0.0.1:0", "--max-batch", "8", "--max-queue", "64",
              "--compact-threshold", "0.05"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
             text=True)

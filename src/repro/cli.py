@@ -135,11 +135,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "instead of the stdin JSONL loop (NDJSON + "
                             "HTTP/1.1; port 0 picks an ephemeral port)")
     serve.add_argument("--max-batch", type=int, default=32,
-                       help="micro-batch cap: concurrent score requests "
-                            "coalesce into one forward batch up to this size")
-    serve.add_argument("--max-delay-ms", type=float, default=2.0,
-                       help="micro-batch deadline: a partial batch is "
-                            "dispatched this long after its first request")
+                       help="micro-batch cap: score requests queued while "
+                            "a batch scores dispatch together as the next "
+                            "forward batch, up to this size")
     serve.add_argument("--max-queue", type=int, default=256,
                        help="admission bound: in-flight requests beyond "
                             "this are shed with a 429-style rejection")
@@ -398,7 +396,7 @@ def _cmd_serve(args) -> int:
                 model_version=model_version,
                 lifecycle=lifecycle,
                 lifecycle_interval=lifecycle_interval,
-                max_batch=args.max_batch, max_delay_ms=args.max_delay_ms,
+                max_batch=args.max_batch,
                 max_queue=args.max_queue, rate=args.rate_limit,
                 burst=args.burst, refresh_workers=args.workers,
                 poll_interval=args.poll_interval,

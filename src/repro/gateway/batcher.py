@@ -4,9 +4,12 @@ Concurrent clients each ask for one score at a time, but a forward pass
 over a batch of ``B`` targets costs far less than ``B`` single-target
 passes (the block-diagonal sparse matmuls are shared).  The
 :class:`MicroBatcher` bridges that gap: score requests queue up on the
-event loop, a dispatcher collects them into batches bounded by
-``max_batch`` (size) and ``max_delay_ms`` (deadline), and each batch is
-scored by ONE ``ScoringService.score_nodes`` call.
+event loop, and whenever the scoring thread is free a dispatcher takes
+everything queued, up to ``max_batch``, and scores it with ONE
+``ScoringService.score_nodes`` call.  Requests that arrive while a
+batch is scoring form the next batch, so batches grow with load and no
+request waits for batch-mates that have not arrived: a lone request
+dispatches at once.
 
 Determinism: the service derives every draw from ``(seed, round,
 target)`` — never from batch layout — so a coalesced batch scores
@@ -43,15 +46,15 @@ class _ScoreItem:
     a trace — the common untraced path stores a constant).
     """
 
-    kind: str                    # "node" | "edge"
-    payload: Tuple[int, ...]     # (node,) or (u, v)
+    kind: str  # "node" | "edge"
+    payload: Tuple[int, ...]  # (node,) or (u, v)
     future: "asyncio.Future[float]" = field(repr=False, default=None)
     ctx: Optional[object] = field(repr=False, default=None)
     enqueued: float = 0.0
 
 
 class MicroBatcher:
-    """Deadline/size-bounded coalescer over a :class:`ScoringService`.
+    """Size-bounded coalescer over a :class:`ScoringService`.
 
     Parameters
     ----------
@@ -59,30 +62,24 @@ class MicroBatcher:
         The scoring service; accessed only from the batcher's executor
         thread after :meth:`start`.
     max_batch:
-        Dispatch a batch as soon as this many requests are waiting.
-    max_delay_ms:
-        Dispatch a partial batch this long after its first request
-        arrived — the latency price paid for coalescing opportunity.
+        Cap on requests per batch.  Each time the scoring thread is
+        free, the dispatcher takes up to this many queued requests.
     metrics:
         Optional :class:`MetricsRegistry` to record batch sizes, queue
         depth, and dispatch counts into.
     """
 
-    def __init__(self, service, max_batch: int = 32,
-                 max_delay_ms: float = 2.0,
-                 metrics: Optional[MetricsRegistry] = None):
+    def __init__(
+        self, service, max_batch: int = 32, metrics: Optional[MetricsRegistry] = None
+    ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_delay_ms < 0:
-            raise ValueError("max_delay_ms must be >= 0")
         self.service = service
         self.max_batch = int(max_batch)
-        self.max_delay = float(max_delay_ms) / 1000.0
         self._pending: Deque[_ScoreItem] = deque()
         self._wakeup: Optional[asyncio.Event] = None
         self._dispatcher: Optional[asyncio.Task] = None
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="scoring")
+        self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="scoring")
         self._stopping = False
         self._started = False
         self._inflight = 0
@@ -90,11 +87,15 @@ class MicroBatcher:
         self.requests_coalesced = 0
         metrics = metrics if metrics is not None else MetricsRegistry()
         self._batch_hist = metrics.histogram(
-            "gateway_batch_size", "requests coalesced per forward batch",
-            buckets=BATCH_BUCKETS)
+            "gateway_batch_size",
+            "requests coalesced per forward batch",
+            buckets=BATCH_BUCKETS,
+        )
         self._queue_gauge = metrics.gauge(
-            "gateway_batcher_queue_depth", "score requests awaiting a batch",
-            fn=lambda: len(self._pending))
+            "gateway_batcher_queue_depth",
+            "score requests awaiting a batch",
+            fn=lambda: len(self._pending),
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -166,8 +167,8 @@ class MicroBatcher:
             raise RuntimeError("batcher is not accepting work")
         loop = asyncio.get_running_loop()
         ctx = obs_trace.current_context()
-        item = _ScoreItem(kind, payload, loop.create_future(), ctx=ctx,
-                          enqueued=time.perf_counter() if ctx else 0.0)
+        enqueued = time.perf_counter() if ctx else 0.0
+        item = _ScoreItem(kind, payload, loop.create_future(), ctx, enqueued)
         self._inflight += 1
         item.future.add_done_callback(lambda _f: self._settle())
         self._pending.append(item)
@@ -181,7 +182,6 @@ class MicroBatcher:
     # Dispatcher (event-loop side)
     # ------------------------------------------------------------------
     async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             if not self._pending:
                 if self._stopping:
@@ -189,21 +189,11 @@ class MicroBatcher:
                 self._wakeup.clear()
                 await self._wakeup.wait()
                 continue
-            # A batch window opens with the oldest waiting request and
-            # closes at max_batch items or max_delay seconds, whichever
-            # comes first (stopping closes it immediately: drain fast).
-            deadline = loop.time() + self.max_delay
-            while len(self._pending) < self.max_batch and not self._stopping:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                self._wakeup.clear()
-                try:
-                    await asyncio.wait_for(self._wakeup.wait(), remaining)
-                except asyncio.TimeoutError:
-                    break
-            batch = [self._pending.popleft()
-                     for _ in range(min(self.max_batch, len(self._pending)))]
+            # The scoring thread is free: take what is queued.  Requests
+            # that arrive while this batch scores form the next one, and
+            # stopping drains the queue the same way.
+            count = min(self.max_batch, len(self._pending))
+            batch = [self._pending.popleft() for _ in range(count)]
             await self._dispatch(batch)
 
     async def _dispatch(self, batch: List[_ScoreItem]) -> None:
@@ -213,7 +203,8 @@ class MicroBatcher:
         self._batch_hist.observe(len(batch))
         try:
             results = await loop.run_in_executor(
-                self._executor, self._score_batch, batch)
+                self._executor, self._score_batch, batch
+            )
         except Exception as error:  # scoring thread died — fail the batch
             for item in batch:
                 if not item.future.done():
@@ -246,17 +237,25 @@ class MicroBatcher:
             now = time.perf_counter()
             for item in traced:
                 obs_trace.record_span(
-                    item.ctx, "batcher.coalesce", item.enqueued,
-                    now - item.enqueued, kind=item.kind,
-                    batch_size=len(batch))
+                    item.ctx,
+                    "batcher.coalesce",
+                    item.enqueued,
+                    now - item.enqueued,
+                    kind=item.kind,
+                    batch_size=len(batch),
+                )
             lead = traced[0]
             for item in traced[1:]:
                 if item.ctx.trace is lead.ctx.trace:
                     continue  # same request: it owns the batch subtree
                 obs_trace.record_span(
-                    item.ctx, "batcher.shared_batch", now, 0.0,
+                    item.ctx,
+                    "batcher.shared_batch",
+                    now,
+                    0.0,
                     lead_trace=lead.ctx.trace.trace_id,
-                    batch_size=len(batch))
+                    batch_size=len(batch),
+                )
             with obs_trace.use_context(lead.ctx):
                 with obs_trace.span("batcher.batch") as sp:
                     sp.set(batch_size=len(batch), traced=len(traced))
@@ -273,22 +272,22 @@ class MicroBatcher:
                 if 0 <= node < service.store.num_nodes:
                     node_items.append(item)
                 else:
-                    results.append((item, IndexError(
+                    error = IndexError(
                         f"node {node} not in store "
-                        f"(num_nodes={service.store.num_nodes})")))
+                        f"(num_nodes={service.store.num_nodes})"
+                    )
+                    results.append((item, error))
             else:
                 try:
-                    results.append(
-                        (item, service.score_edge(*item.payload)))
+                    results.append((item, service.score_edge(*item.payload)))
                 except Exception as error:
                     results.append((item, error))
         if node_items:
             try:
-                scores = service.score_nodes(
-                    [item.payload[0] for item in node_items])
+                scores = service.score_nodes([item.payload[0] for item in node_items])
                 results.extend(
-                    (item, float(score))
-                    for item, score in zip(node_items, scores))
+                    (item, float(score)) for item, score in zip(node_items, scores)
+                )
             except Exception as error:
                 results.extend((item, error) for item in node_items)
         return results

@@ -140,15 +140,15 @@ class _Replica:
 class ServiceEndpoint:
     """One named service behind the router — the single-batcher path.
 
-    With ``replicas == 1`` this is exactly the PR 5 gateway wiring: one
-    :class:`MicroBatcher` owning all service access on one scoring
-    thread.  :class:`ReplicaPool` subclasses it for the fan-out path.
+    One :class:`MicroBatcher` owns all service access on one scoring
+    thread: score requests queue in it and dispatch, up to
+    ``max_batch`` at a time, as soon as that thread is free.
+    :class:`ReplicaPool` subclasses it for the fan-out path.
     """
 
     replicas = 1
 
     def __init__(self, name: str, service, *, max_batch: int = 32,
-                 max_delay_ms: float = 2.0,
                  metrics: Optional[MetricsRegistry] = None,
                  registry=None, model_name: Optional[str] = None,
                  model_version: Optional[int] = None):
@@ -157,9 +157,7 @@ class ServiceEndpoint:
         self.registry = registry
         self.model_name = model_name
         self.served_version = model_version
-        self.batcher = MicroBatcher(service, max_batch=max_batch,
-                                    max_delay_ms=max_delay_ms,
-                                    metrics=metrics)
+        self.batcher = MicroBatcher(service, max_batch=max_batch, metrics=metrics)
         self.spec: Optional["TenantSpec"] = None
         self.last_used = time.monotonic()
 
@@ -229,20 +227,17 @@ class ReplicaPool(ServiceEndpoint):
     """
 
     def __init__(self, name: str, service, *, replicas: int,
-                 max_batch: int = 32, max_delay_ms: float = 2.0,
-                 metrics: Optional[MetricsRegistry] = None,
+                 max_batch: int = 32, metrics: Optional[MetricsRegistry] = None,
                  registry=None, model_name: Optional[str] = None,
                  model_version: Optional[int] = None):
         if replicas < 2:
             raise ValueError("ReplicaPool needs replicas >= 2; use "
                              "ServiceEndpoint for a single replica")
         super().__init__(name, service, max_batch=max_batch,
-                         max_delay_ms=max_delay_ms, metrics=metrics,
-                         registry=registry, model_name=model_name,
-                         model_version=model_version)
+                         metrics=metrics, registry=registry,
+                         model_name=model_name, model_version=model_version)
         self.replicas = int(replicas)
         self._max_batch = int(max_batch)
-        self._max_delay_ms = float(max_delay_ms)
         self._metrics = metrics
         self._replica_list: List[_Replica] = []
         self._graph_ref = None
@@ -296,7 +291,7 @@ class ReplicaPool(ServiceEndpoint):
         for replica in self._replica_list:
             replica.batcher = MicroBatcher(
                 _ReplicaProxy(self, replica), max_batch=self._max_batch,
-                max_delay_ms=self._max_delay_ms, metrics=self._metrics)
+                metrics=self._metrics)
             await replica.batcher.start()
         self._gate.set()
         self._drained.set()
@@ -559,13 +554,12 @@ class ServiceRouter:
     """
 
     def __init__(self, *, metrics: Optional[MetricsRegistry] = None,
-                 max_batch: int = 32, max_delay_ms: float = 2.0):
+                 max_batch: int = 32):
         self._endpoints: Dict[str, ServiceEndpoint] = {}
         self._specs: Dict[str, TenantSpec] = {}
         self._boot_locks: Dict[str, asyncio.Lock] = {}
         self._metrics = metrics
         self._max_batch = int(max_batch)
-        self._max_delay_ms = float(max_delay_ms)
         self.default_name = DEFAULT_SERVICE
         self.attaches = 0
         self.detaches = 0
@@ -577,7 +571,6 @@ class ServiceRouter:
                       model_version: Optional[int] = None,
                       spec: Optional[TenantSpec] = None) -> ServiceEndpoint:
         kwargs = dict(max_batch=self._max_batch,
-                      max_delay_ms=self._max_delay_ms,
                       metrics=self._metrics, registry=registry,
                       model_name=model_name, model_version=model_version)
         if int(replicas) > 1:

@@ -105,9 +105,15 @@ class Gateway:
         Optional :class:`~repro.serving.registry.ModelRegistry` source
         enabling ``POST /v1/reload`` and background version watching
         for the default service.
-    max_batch / max_delay_ms:
-        Micro-batching knobs (see :class:`MicroBatcher`), shared by
-        every endpoint the router creates.
+    max_batch:
+        Micro-batch cap (see :class:`MicroBatcher`), shared by every
+        endpoint the router creates.
+    max_delay_ms:
+        Accepted and ignored: batches dispatch as soon as the scoring
+        thread is free, so there is no batch window to bound.  The
+        keyword stays so callers written against the earlier windowed
+        batcher, such as ``perfbench/workloads.py``, still construct a
+        gateway.
     max_queue / rate / burst:
         Admission knobs (see :class:`AdmissionController`).
     refresh_workers:
@@ -132,8 +138,9 @@ class Gateway:
         default service.  The gateway rewires its store hooks onto the
         scoring thread (snapshots/signal reads never race batches),
         reports the endpoint's actually-served version to the
-        guardrail, and — when ``lifecycle_interval`` is set — ticks the
-        controller in a background task every that many seconds.
+        guardrail, forks its retrain worker in :meth:`start`, and —
+        when ``lifecycle_interval`` is set — ticks the controller in a
+        background task every that many seconds.
         Admin surface: the ``lifecycle_status`` op / ``GET
         /v1/lifecycle``, and ``{"op": "lifecycle", "action":
         trigger|pause|resume|rollback}`` / ``POST /v1/lifecycle``.
@@ -175,9 +182,7 @@ class Gateway:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.admission = AdmissionController(max_queue=max_queue,
                                              rate=rate, burst=burst)
-        self.router = ServiceRouter(metrics=self.metrics,
-                                    max_batch=max_batch,
-                                    max_delay_ms=max_delay_ms)
+        self.router = ServiceRouter(metrics=self.metrics, max_batch=max_batch)
         if service is not None:
             self.router.add(self.router.make_endpoint(
                 DEFAULT_SERVICE, service, replicas=replicas,
@@ -278,6 +283,8 @@ class Gateway:
             self._sweeper = asyncio.ensure_future(self._sweep_idle())
         if self.lifecycle is not None and self._default is not None:
             self._wire_lifecycle()
+            await asyncio.get_running_loop().run_in_executor(
+                None, self.lifecycle.start)
             if self.lifecycle_interval is not None:
                 self._lifecycle = asyncio.ensure_future(
                     self._lifecycle_loop())

@@ -40,6 +40,7 @@ timestamps collected across ticks.
 from __future__ import annotations
 
 import os
+import shutil
 import tempfile
 import threading
 import time
@@ -271,8 +272,7 @@ class LifecycleController:
             "grain": self.grain,
             "out_path": out_path,
         }
-        if self._retrainer is None:
-            self._retrainer = WorkerPool(1)
+        self.start()
         self._future = self._retrainer.submit(_retrain_task, payload)
         self.triggers += 1
         self._cycle = {
@@ -545,6 +545,16 @@ class LifecycleController:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    def start(self) -> None:
+        """Fork the retrain worker now (idempotent): started inside a
+        retrain window, it stalls requests for tens of milliseconds."""
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("lifecycle controller is closed")
+            if self._retrainer is None:
+                self._retrainer = WorkerPool(1)
+                self._retrainer.submit(abs, 0).result()
+
     def _ensure_workdir(self) -> str:
         if self._workdir is None:
             self._workdir = tempfile.mkdtemp(prefix="repro-lifecycle-")
@@ -564,15 +574,7 @@ class LifecycleController:
         if retrainer is not None:
             retrainer.close(wait=wait)
         if self._workdir is not None:
-            try:
-                for entry in os.listdir(self._workdir):
-                    try:
-                        os.unlink(os.path.join(self._workdir, entry))
-                    except OSError:
-                        pass
-                os.rmdir(self._workdir)
-            except OSError:
-                pass
+            shutil.rmtree(self._workdir, ignore_errors=True)
             self._workdir = None
 
     def __enter__(self) -> "LifecycleController":

@@ -10,6 +10,7 @@ shutdown drains gracefully.
 
 import asyncio
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -142,8 +143,7 @@ class TestCoalescedScoring:
                          for u, v in edges]
             return await asyncio.gather(*node_jobs, *edge_jobs)
 
-        responses = run_with_gateway(client, service=service,
-                                     max_batch=8, max_delay_ms=100)
+        responses = run_with_gateway(client, service=service, max_batch=8)
         node_scores = [r["scores"][str(n)]
                        for n, r in zip(nodes, responses[:len(nodes)])]
         edge_scores = [r["score"] for r in responses[len(nodes):]]
@@ -163,10 +163,25 @@ class TestCoalescedScoring:
             return await ndjson_one(
                 host, port, {"op": "score", "nodes": list(range(10))})
 
-        response = run_with_gateway(client, service=service,
-                                    max_batch=16, max_delay_ms=20)
+        response = run_with_gateway(client, service=service, max_batch=16)
         got = np.asarray([response["scores"][str(n)] for n in range(10)])
         np.testing.assert_array_equal(got, expected)
+
+    def test_lone_request_needs_no_batch_window(self):
+        """A lone score request dispatches as soon as it is queued.
+        ``max_delay_ms`` is accepted and ignored, so even a 10 s value
+        cannot hold the request back."""
+        service = make_service()
+        expected = make_service().score_node(3)
+
+        async def client(gateway, host, port):
+            return await asyncio.wait_for(
+                ndjson_one(host, port, {"op": "score", "nodes": [3]}), 2.0)
+
+        response = run_with_gateway(client, service=service,
+                                    max_delay_ms=10_000)
+        assert response["ok"]
+        assert response["scores"]["3"] == expected
 
     def test_request_id_echoed_for_pipelining(self):
         async def client(gateway, host, port):
@@ -332,8 +347,7 @@ class TestAdmissionIntegration:
             return await asyncio.gather(*jobs)
 
         responses = run_with_gateway(client, service=service,
-                                     max_queue=2, max_batch=4,
-                                     max_delay_ms=25)
+                                     max_queue=2, max_batch=4)
         succeeded = [r for r in responses if r["ok"]]
         shed = [r for r in responses if not r["ok"]]
         assert succeeded, "at least some requests must be admitted"
@@ -405,7 +419,7 @@ class TestHotSwap:
         before, status, reload_body, others, after, health = \
             run_with_gateway(client, service=service,
                              registry=registry, model_name="detector",
-                             model_version=1, max_batch=4, max_delay_ms=10)
+                             model_version=1, max_batch=4)
         assert before["scores"]["7"] == expected_v1
         assert status == 200
         assert reload_body["swapped"] is True and reload_body["version"] == 2
@@ -452,16 +466,33 @@ class TestHotSwap:
 class TestGracefulDrain:
     def test_stop_completes_inflight_then_refuses(self):
         service = make_service()
+        scoring, release = threading.Event(), threading.Event()
+        score_nodes = service.score_nodes
+
+        def held_score_nodes(nodes):
+            scoring.set()
+            release.wait(10.0)
+            return score_nodes(nodes)
+
+        service.score_nodes = held_score_nodes
 
         async def scenario():
-            gateway = Gateway(service, max_batch=4, max_delay_ms=10)
+            loop = asyncio.get_running_loop()
+            gateway = Gateway(service, max_batch=4)
             host, port = await gateway.start("127.0.0.1", 0)
             inflight = [asyncio.ensure_future(
                 ndjson_one(host, port, {"op": "score", "nodes": [n]}))
                 for n in range(4)]
-            # Let the requests reach the server before stopping.
-            await asyncio.sleep(0.05)
-            drained = await gateway.stop(drain_timeout=10.0)
+            # Stop while a batch is held in scoring, so at least one
+            # request is still in flight when the drain begins.
+            try:
+                assert await loop.run_in_executor(None, scoring.wait, 10.0)
+                stopping = asyncio.ensure_future(
+                    gateway.stop(drain_timeout=10.0))
+                await asyncio.sleep(0.05)
+            finally:
+                release.set()
+            drained = await stopping
             responses = await asyncio.gather(*inflight,
                                              return_exceptions=True)
             with pytest.raises((ConnectionError, OSError)):
@@ -551,7 +582,7 @@ class TestStreamingWorkload:
                 writer.close()
                 await writer.wait_closed()
 
-        run_with_gateway(client, service=service, max_delay_ms=5)
+        run_with_gateway(client, service=service)
 
         for event in events:
             driver.apply(event)

@@ -2,6 +2,7 @@
 micro-batcher, and the shared request protocol."""
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -223,7 +224,7 @@ class TestMicroBatcher:
         expected = [reference.score_node(node) for node in range(12)]
 
         async def scenario():
-            batcher = MicroBatcher(service, max_batch=6, max_delay_ms=200)
+            batcher = MicroBatcher(service, max_batch=6)
             await batcher.start()
             try:
                 scores = await asyncio.gather(
@@ -239,11 +240,54 @@ class TestMicroBatcher:
         assert service.stats()["flushes"] == 2
         assert reference.stats()["flushes"] == 12
 
-    def test_deadline_flushes_partial_batch(self):
+    def test_arrivals_during_a_batch_form_the_next_batch(self):
+        """Requests that arrive while a batch is scoring wait only for
+        that batch, then dispatch together as the next one, and score
+        bitwise what sequential scoring produces."""
+        service = make_service()
+        reference = make_service()
+        expected = [reference.score_node(node) for node in range(6)]
+        entered, release = threading.Event(), threading.Event()
+        score_nodes = service.score_nodes
+
+        def gated_score_nodes(nodes):
+            if not entered.is_set():
+                entered.set()
+                release.wait(10.0)
+            return score_nodes(nodes)
+
+        service.score_nodes = gated_score_nodes
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            batcher = MicroBatcher(service, max_batch=8)
+            await batcher.start()
+            try:
+                first = asyncio.ensure_future(batcher.score_node(0))
+                assert await loop.run_in_executor(None, entered.wait, 10.0)
+                # The first batch is blocked inside score_nodes: these
+                # five queue behind it.
+                rest = [asyncio.ensure_future(batcher.score_node(node))
+                        for node in range(1, 6)]
+                await asyncio.sleep(0)
+                assert batcher.inflight == 6
+                release.set()
+                scores = await asyncio.gather(first, *rest)
+            finally:
+                release.set()
+                await batcher.stop()
+            return scores, batcher
+
+        scores, batcher = asyncio.run(scenario())
+        assert scores == expected
+        assert batcher.batches_dispatched == 2
+        assert batcher.requests_coalesced == 6
+
+    def test_lone_request_dispatches(self):
         service = make_service()
 
         async def scenario():
-            batcher = MicroBatcher(service, max_batch=64, max_delay_ms=20)
+            batcher = MicroBatcher(service, max_batch=64)
             await batcher.start()
             try:
                 return await asyncio.wait_for(batcher.score_node(0), 5.0)
@@ -256,7 +300,7 @@ class TestMicroBatcher:
         service = make_service()
 
         async def scenario():
-            batcher = MicroBatcher(service, max_batch=4, max_delay_ms=50)
+            batcher = MicroBatcher(service, max_batch=4)
             await batcher.start()
             try:
                 results = await asyncio.gather(
@@ -280,7 +324,7 @@ class TestMicroBatcher:
         expected_node = reference.score_node(5)
 
         async def scenario():
-            batcher = MicroBatcher(service, max_batch=4, max_delay_ms=100)
+            batcher = MicroBatcher(service, max_batch=4)
             await batcher.start()
             try:
                 return await asyncio.gather(
@@ -296,7 +340,7 @@ class TestMicroBatcher:
         service = make_service()
 
         async def scenario():
-            batcher = MicroBatcher(service, max_batch=4, max_delay_ms=10)
+            batcher = MicroBatcher(service, max_batch=4)
             await batcher.start()
             try:
                 before = await batcher.submit(service.stats)
@@ -314,7 +358,7 @@ class TestMicroBatcher:
         service = make_service()
 
         async def scenario():
-            batcher = MicroBatcher(service, max_batch=2, max_delay_ms=10)
+            batcher = MicroBatcher(service, max_batch=2)
             await batcher.start()
             await batcher.stop()
             with pytest.raises(RuntimeError):
@@ -326,5 +370,3 @@ class TestMicroBatcher:
         service = make_service()
         with pytest.raises(ValueError):
             MicroBatcher(service, max_batch=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(service, max_delay_ms=-1)

@@ -668,3 +668,41 @@ class TestGatewayLifecycle:
                 await gateway.stop(drain_timeout=5.0)
 
         asyncio.run(scenario())
+
+    def test_gateway_starts_retrain_worker_before_first_retrain(
+            self, tmp_path):
+        """``Gateway.start`` forks the retrain worker, so a retrain
+        window never pays for starting a process; the retrain then
+        runs on that same worker."""
+        graph = random_graph()
+        model = Bourne(graph.num_features, tiny_config())
+        registry = ModelRegistry(str(tmp_path / "models"))
+        registry.publish(model, "m")
+        store = GraphStore.from_graph(graph, influence_radius=2)
+        service = ScoringService(model, store, rounds=1)
+        controller = LifecycleController(
+            service, registry, "m",
+            TriggerPolicy(drift_threshold=None, mutation_threshold=None),
+            epochs=1, probe_size=8)
+
+        async def scenario():
+            gateway = Gateway(service, registry=registry, model_name="m",
+                              model_version=1, lifecycle=controller)
+            await gateway.start("127.0.0.1", 0)
+            try:
+                started = controller._retrainer.pids
+                assert len(started) == 1
+                response = await gateway.dispatch(
+                    {"op": "lifecycle", "action": "trigger"}, "test")
+                assert response["ok"] and response["triggered"]
+                idle = await asyncio.get_running_loop().run_in_executor(
+                    None, controller.wait_idle, 300)
+                assert idle and controller.retrains_completed == 1
+                assert controller._retrainer.pids == started
+            finally:
+                await gateway.stop(drain_timeout=5.0)
+            assert controller.state == "closed"
+            with pytest.raises(RuntimeError, match="closed"):
+                controller.start()
+
+        asyncio.run(scenario())

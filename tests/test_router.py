@@ -280,8 +280,7 @@ class TestReplicaPool:
             return True
 
         assert run_with_gateway(scenario, service=make_service(),
-                                replicas=2, max_batch=8, max_delay_ms=1.0,
-                                tracing=False)
+                                replicas=2, max_batch=8, tracing=False)
 
     def test_replica_failover_when_worker_dies(self):
         """SIGKILLing one replica's worker process marks it unhealthy;
@@ -308,8 +307,7 @@ class TestReplicaPool:
             return True
 
         assert run_with_gateway(scenario, service=make_service(),
-                                replicas=3, max_batch=8, max_delay_ms=1.0,
-                                tracing=False)
+                                replicas=3, max_batch=8, tracing=False)
 
     def test_replica_pool_leaves_no_shared_memory(self, no_shm_leak):
         """Start → in-place feature publish → topology rebind → stop
@@ -327,7 +325,7 @@ class TestReplicaPool:
 
         async def scenario():
             pool = ReplicaPool("leak", make_service(), replicas=2,
-                               max_batch=8, max_delay_ms=1.0)
+                               max_batch=8)
             await pool.start()
             try:
                 for request in (
@@ -378,7 +376,7 @@ class TestReplicaPool:
         assert run_with_gateway(
             scenario, service=service, registry=registry,
             model_name="pool-model", model_version=1, replicas=2,
-            max_batch=8, max_delay_ms=1.0, tracing=False)
+            max_batch=8, tracing=False)
 
 
 # ----------------------------------------------------------------------
@@ -446,8 +444,7 @@ class TestTenantRouting:
             return True
 
         assert run_with_gateway(scenario, tenants=[spec_a, spec_b],
-                                max_batch=8, max_delay_ms=1.0,
-                                tracing=False)
+                                max_batch=8, tracing=False)
 
     def test_lazy_boot_and_idle_eviction(self, tmp_path):
         """Tenants boot on first request, evict after idle_ttl with no
@@ -481,8 +478,7 @@ class TestTenantRouting:
             return True
 
         assert run_with_gateway(scenario, tenants=[spec], idle_ttl=0.2,
-                                max_batch=8, max_delay_ms=1.0,
-                                tracing=False)
+                                max_batch=8, tracing=False)
 
     def test_attach_detach_under_live_traffic(self, tmp_path):
         """attach_service / detach_service admin ops take effect while
@@ -533,8 +529,7 @@ class TestTenantRouting:
             assert outcomes and all(outcomes)
             return True
 
-        assert run_with_gateway(scenario, max_batch=8, max_delay_ms=1.0,
-                                tracing=False)
+        assert run_with_gateway(scenario, max_batch=8, tracing=False)
 
     def test_attach_requires_spec_and_name(self):
         async def scenario(gateway, host, port):
