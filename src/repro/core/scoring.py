@@ -285,7 +285,6 @@ def score_graph(
     batch_size: Optional[int] = None,
     seed: Optional[int] = None,
     workers: Optional[int] = None,
-    shards: Optional[int] = None,
     pool=None,
     backend=None,
 ) -> AnomalyScores:
@@ -303,15 +302,15 @@ def score_graph(
         Seed for inference-time sampling/augmentation; defaults to the
         model seed shifted so inference never replays training draws.
     workers:
-        When > 1, fan the target range out to that many worker
-        processes via :func:`repro.parallel.score_graph_sharded`.  The
-        merged output is bitwise-identical to the serial path with view
-        augmentation on or off — Γ1/Γ2 draws are counter-based, keyed
-        by the same per-``(round, target)`` seeds as sampling.
-    shards / pool:
-        Forwarded to the sharded engine: number of even work shards
-        (default ``4 × workers``) and an optional persistent
-        :class:`repro.parallel.WorkerPool` to reuse.
+        When > 1, fan the target range out as ``4 × workers`` even
+        shards to that many worker processes via
+        :func:`repro.parallel.score_graph_sharded`.  The merged output
+        is bitwise-identical to the serial path with view augmentation
+        on or off — Γ1/Γ2 draws are counter-based, keyed by the same
+        per-``(round, target)`` seeds as sampling.
+    pool:
+        An optional persistent :class:`repro.parallel.WorkerPool` for
+        the sharded engine to reuse.
     backend:
         Compute backend for the forward pass — a registered name
         (``"numpy"``/``"fused"``), a backend instance, or ``None`` for
@@ -327,7 +326,7 @@ def score_graph(
         from ..parallel import score_graph_sharded
         return score_graph_sharded(
             model, graph, rounds=rounds, batch_size=batch_size, seed=seed,
-            workers=workers, shards=shards, pool=pool, backend=backend,
+            workers=workers, pool=pool, backend=backend,
         )
     edge_sum = np.zeros(graph.num_edges)
     edge_count = np.zeros(graph.num_edges)

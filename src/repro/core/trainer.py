@@ -14,10 +14,14 @@ The trainer is built around a deterministic, shard-invariant step:
 
 Because the chunk boundaries depend only on ``(batch length, grain)``
 and the merge order is fixed, distributing the chunks of a step over
-worker processes (``workers > 1``, :mod:`repro.parallel.training`)
-produces bitwise-identical loss histories and final parameters to the
-serial path for *any* workers/shards combination — the serial loop and
-the sharded workers execute the very same two functions.
+worker processes (``workers > 1``) produces bitwise-identical loss
+histories and final parameters to the serial path for *any* worker
+count — the serial loop and the workers'
+:func:`repro.parallel.engine.train_task` execute the very same two
+functions.  Sharded training is a thin client of
+:class:`repro.parallel.engine.WorkerPool`: each :meth:`BourneTrainer.fit`
+binds the graph once, each step publishes the whole model and fans its
+chunks out with ``pool.run``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..graph.graph import Graph
-from ..graph.index import derive_stream_seed, derive_target_seeds
+from ..graph.index import derive_stream_seed, derive_target_seeds, index_of
 from ..graph.sampling import count_target_edge_owners
 from ..obs import trace as obs_trace
 from ..optim.adam import Adam
@@ -55,14 +59,15 @@ def epoch_permutation_rng(seed: int) -> np.random.Generator:
 
     A named ``derive_stream_seed`` stream (replacing the old
     ``seed + 7`` offset) so target orders are decoupled from every
-    other consumer of the base seed; both the serial and the sharded
-    trainer draw epoch permutations from exactly this generator.
+    other consumer of the base seed; serial and sharded training draw
+    epoch permutations from exactly this generator.
     """
     return rng_from_seed(int(derive_stream_seed(seed, _EPOCH_PERM_TAG)))
 
 
-def training_batch_streams(seed: int, epoch: int, step: int,
-                           targets: np.ndarray) -> Tuple[np.ndarray, int]:
+def training_batch_streams(
+    seed: int, epoch: int, step: int, targets: np.ndarray
+) -> Tuple[np.ndarray, int]:
     """Counter-based randomness of one optimization step.
 
     Returns ``(target_seeds, mask_seed)``: one ``uint64`` seed per
@@ -72,8 +77,7 @@ def training_batch_streams(seed: int, epoch: int, step: int,
     cannot change any draw.
     """
     base = derive_stream_seed(seed, _BATCH_AUG_TAG, epoch, step)
-    target_seeds = derive_target_seeds(
-        int(base), np.asarray(targets, dtype=np.int64))
+    target_seeds = derive_target_seeds(int(base), np.asarray(targets, dtype=np.int64))
     mask_seed = int(derive_stream_seed(int(base), _BATCH_MASK_TAG))
     return target_seeds, mask_seed
 
@@ -88,13 +92,15 @@ def chunk_bounds(num_targets: int, grain: int) -> List[Tuple[int, int]]:
     """
     if grain < 1:
         raise ValueError("grain must be >= 1")
-    return [(start, min(start + grain, num_targets))
-            for start in range(0, num_targets, grain)]
+    return [
+        (start, min(start + grain, num_targets))
+        for start in range(0, num_targets, grain)
+    ]
 
 
-def batch_loss_scales(mode: str, batch_size: int,
-                      num_edge_owners: int) -> Tuple[Optional[float],
-                                                     Optional[float]]:
+def batch_loss_scales(
+    mode: str, batch_size: int, num_edge_owners: int
+) -> Tuple[Optional[float], Optional[float]]:
     """Per-chunk loss scales of one minibatch (Eq. 15/19/20 weights).
 
     ``node_scale`` multiplies node-score sums (``weight / B``) and
@@ -114,10 +120,15 @@ def batch_loss_scales(mode: str, batch_size: int,
     return node_scale, edge_scale
 
 
-def train_chunk(model: Bourne, graph, targets: np.ndarray,
-                target_seeds: np.ndarray, node_scale: Optional[float],
-                edge_scale: Optional[float],
-                mask_seed: int) -> Tuple[float, List[Optional[np.ndarray]]]:
+def train_chunk(
+    model: Bourne,
+    graph,
+    targets: np.ndarray,
+    target_seeds: np.ndarray,
+    node_scale: Optional[float],
+    edge_scale: Optional[float],
+    mask_seed: int,
+) -> Tuple[float, List[Optional[np.ndarray]]]:
     """Forward + backward one gradient-accumulation chunk.
 
     Returns ``(chunk loss, per-parameter gradients)`` in
@@ -130,8 +141,9 @@ def train_chunk(model: Bourne, graph, targets: np.ndarray,
     params = model.trainable_parameters()
     for param in params:
         param.grad = None
-    gviews, hviews = model.prepare_batch(graph, targets, augment=True,
-                                         target_seeds=target_seeds)
+    gviews, hviews = model.prepare_batch(
+        graph, targets, augment=True, target_seeds=target_seeds
+    )
     with obs_trace.span("train.forward") as sp:
         sp.set(chunk=len(targets))
         scores = model.forward_batch(gviews, hviews, mask_seed=mask_seed)
@@ -154,7 +166,7 @@ def merge_chunk_grads(
 
     The single accumulation-order authority: serial training merges its
     in-process chunk results through this function, and the sharded
-    parent feeds it the worker results in the same chunk order, so the
+    trainer feeds it the worker results in the same chunk order, so the
     summed floats are identical however the chunks were computed.
     """
     total = 0.0
@@ -190,27 +202,28 @@ class BourneTrainer:
         Targets per gradient-accumulation chunk (default
         ``max(1, batch_size // 8)``).  The chunk layout is part of the
         training semantics — changing ``grain`` changes float rounding
-        and therefore the trajectory — while ``workers``/``shards``
-        never are: any sharding of the same chunks is bitwise-identical.
+        and therefore the trajectory — while ``workers`` never is: any
+        distribution of the same chunks is bitwise-identical.
     workers:
-        When > 1, fan each step's chunks out to a persistent process
-        pool (:class:`repro.parallel.training.ShardedTrainingRunner`);
-        the pool lives until :meth:`close` (or the ``with`` block ends)
-        so repeated epochs and ``fit`` calls amortize worker spin-up.
-    shards:
-        Work-shard count per step (default ``4 × workers``); an even
-        split of the chunk sequence places the shard boundaries.
+        When > 1, fan each step's chunks out as ``4 × workers`` even
+        shards to a persistent :class:`repro.parallel.WorkerPool`,
+        created by the first sharded :meth:`fit`.  It lives until
+        :meth:`close` (or the ``with`` block ends), so repeated epochs
+        and ``fit`` calls amortize worker spin-up.
     pool:
         An existing :class:`repro.parallel.WorkerPool` to share (for
         example with ``ScoringService.refresh``); the trainer will not
         close a borrowed pool.
     """
 
-    def __init__(self, model: Bourne, config: Optional[BourneConfig] = None,
-                 grain: Optional[int] = None,
-                 workers: Optional[int] = None,
-                 shards: Optional[int] = None,
-                 pool=None):
+    def __init__(
+        self,
+        model: Bourne,
+        config: Optional[BourneConfig] = None,
+        grain: Optional[int] = None,
+        workers: Optional[int] = None,
+        pool=None,
+    ):
         self.model = model
         self.config = config or model.config
         self.optimizer = Adam(
@@ -219,31 +232,26 @@ class BourneTrainer:
             weight_decay=self.config.weight_decay,
         )
         self._epoch_rng = epoch_permutation_rng(self.config.seed)
-        self.grain = (int(grain) if grain is not None
-                      else max(1, self.config.batch_size // 8))
+        self.grain = (
+            int(grain) if grain is not None else max(1, self.config.batch_size // 8)
+        )
         if self.grain < 1:
             raise ValueError("grain must be >= 1")
         self.workers = workers
-        self.shards = shards
-        self._pool = pool
-        self._runner = None
+        #: The worker pool backing sharded training (``None`` until the
+        #: first sharded fit, unless one was borrowed).
+        self.pool = pool
+        self._owns_pool = pool is None
         self._epochs_trained = 0
 
     # ------------------------------------------------------------------
-    # Sharded-runner lifecycle
+    # Worker pool
     # ------------------------------------------------------------------
-    @property
-    def pool(self):
-        """The worker pool backing sharded training (``None`` serial)."""
-        if self._runner is not None:
-            return self._runner.pool
-        return self._pool
-
     def close(self) -> None:
-        """Shut down the sharded runner (borrowed pools stay alive)."""
-        if self._runner is not None:
-            self._runner.close()
-            self._runner = None
+        """Shut down the trainer's own pool (a borrowed pool stays alive)."""
+        if self._owns_pool and self.pool is not None:
+            self.pool.close()
+            self.pool = None
 
     def __enter__(self) -> "BourneTrainer":
         return self
@@ -251,70 +259,107 @@ class BourneTrainer:
     def __exit__(self, *_exc) -> None:
         self.close()
 
-    def _ensure_runner(self, graph):
+    def _bind_graph(self, graph):
+        """Export ``graph`` into the pool; ``None`` when training serially.
+
+        Bound afresh by every :meth:`fit`, so a ``GraphStore`` whose
+        features or topology moved since the last fit is never trained
+        on stale values.
+        """
         if self.workers is None or self.workers <= 1:
             return None
-        if self._runner is None:
-            from ..parallel.training import ShardedTrainingRunner
-            self._runner = ShardedTrainingRunner(
-                self.model, graph, workers=self.workers,
-                shards=self.shards, pool=self._pool,
-            )
-        else:
-            self._runner.bind(graph)
-        return self._runner
+        from ..parallel.engine import WorkerPool
+
+        if self.pool is None:
+            self.pool = WorkerPool(self.workers)
+        return self.pool.bind_graph(graph.features, index_of(graph))
+
+    def _run_chunks(
+        self, graph_ref, chunks, node_scale, edge_scale, mask_seed
+    ) -> List[Tuple[float, List[Optional[np.ndarray]]]]:
+        """One step's chunk results from the pool, in ascending chunk order.
+
+        Publishes the whole model first, so every worker trains on this
+        step's parameters, then groups whole chunks into ``4 × workers``
+        even shards, one :func:`~repro.parallel.engine.train_task` each.
+        """
+        from ..parallel.engine import (
+            SHARDS_PER_WORKER,
+            TrainTask,
+            even_shards,
+            train_task,
+        )
+
+        with obs_trace.span("train.publish"):
+            model_ref = self.pool.publish_model(self.model)
+        with obs_trace.span("train.shard_fanout") as sp:
+            sp.set(chunks=len(chunks))
+            plan = even_shards(len(chunks), SHARDS_PER_WORKER * self.workers)
+            tasks = [
+                TrainTask(
+                    graph_ref,
+                    model_ref,
+                    chunks[start:stop],
+                    node_scale,
+                    edge_scale,
+                    mask_seed,
+                )
+                for start, stop in plan
+            ]
+            per_shard = self.pool.run(train_task, tasks, label="sharded training")
+        return [result for shard in per_shard for result in shard]
 
     # ------------------------------------------------------------------
     # Optimization
     # ------------------------------------------------------------------
-    def _loss_scales(self, graph, targets: np.ndarray,
-                     target_seeds: np.ndarray):
+    def _loss_scales(self, graph, targets: np.ndarray, target_seeds: np.ndarray):
         cfg = self.config
         if cfg.mode == "node_only":
             owners = 0
         else:
             owners = count_target_edge_owners(
-                graph, targets, target_seeds, cfg.hop_size, cfg.subgraph_size)
+                graph, targets, target_seeds, cfg.hop_size, cfg.subgraph_size
+            )
         return batch_loss_scales(cfg.mode, len(targets), owners)
 
-    def _optimize_batch(self, graph, epoch: int, step: int,
-                        batch: np.ndarray, runner) -> float:
-        """One chunked optimization step; returns the batch loss."""
+    def _optimize_batch(
+        self, graph, epoch: int, step: int, batch: np.ndarray, graph_ref
+    ) -> float:
+        """One chunked optimization step; returns the batch loss.
+
+        ``graph_ref`` is the pool's binding of ``graph`` when training
+        is sharded, ``None`` when the chunks run in this process.
+        """
         cfg = self.config
         with obs_trace.trace("train.step") as root:
             root.set(epoch=epoch, step=step, batch=len(batch))
             target_seeds, mask_seed = training_batch_streams(
-                cfg.seed, epoch, step, batch)
-            node_scale, edge_scale = self._loss_scales(
-                graph, batch, target_seeds)
-            bounds = chunk_bounds(len(batch), self.grain)
-            if runner is None:
+                cfg.seed, epoch, step, batch
+            )
+            node_scale, edge_scale = self._loss_scales(graph, batch, target_seeds)
+            chunks = [
+                (batch[start:stop], target_seeds[start:stop])
+                for start, stop in chunk_bounds(len(batch), self.grain)
+            ]
+            scales = (node_scale, edge_scale, mask_seed)
+            if graph_ref is None:
                 results = [
-                    train_chunk(self.model, graph, batch[start:stop],
-                                target_seeds[start:stop], node_scale,
-                                edge_scale, mask_seed)
-                    for start, stop in bounds
+                    train_chunk(self.model, graph, targets, seeds, *scales)
+                    for targets, seeds in chunks
                 ]
             else:
-                with obs_trace.span("train.shard_fanout") as sp:
-                    sp.set(chunks=len(bounds))
-                    results = runner.run_step(batch, target_seeds, bounds,
-                                              node_scale, edge_scale,
-                                              mask_seed)
+                results = self._run_chunks(graph_ref, chunks, *scales)
             with obs_trace.span("train.optimize"):
                 loss_value, grads = merge_chunk_grads(
-                    results, len(self.optimizer.params))
+                    results, len(self.optimizer.params)
+                )
                 self.optimizer.step(grads)
                 self.model.update_target()
-            if runner is not None:
-                with obs_trace.span("train.mailbox"):
-                    # Ship only the parameters this step rewrote;
-                    # workers memcpy the same delta, not the model.
-                    runner.publish_step(grads)
         return loss_value
 
-    def fit(self, graph: Graph, epochs: Optional[int] = None,
-            verbose: bool = False) -> TrainingHistory:
+    def fit(
+        self, graph: Graph, epochs: Optional[int] = None, verbose: bool = False
+    ) -> TrainingHistory:
         """Train for ``epochs`` (default from config); returns the history.
 
         Each epoch covers every node (or a ``targets_per_epoch``
@@ -325,7 +370,7 @@ class BourneTrainer:
         cfg = self.config
         epochs = epochs if epochs is not None else cfg.epochs
         history = TrainingHistory()
-        runner = self._ensure_runner(graph)
+        graph_ref = self._bind_graph(graph)
         for epoch_in_call in range(epochs):
             epoch = self._epochs_trained
             order = self._epoch_rng.permutation(graph.num_nodes)
@@ -333,33 +378,36 @@ class BourneTrainer:
                 order = order[: cfg.targets_per_epoch]
             epoch_losses = []
             for step, start in enumerate(range(0, len(order), cfg.batch_size)):
-                batch = order[start:start + cfg.batch_size]
+                batch = order[start : start + cfg.batch_size]
                 epoch_losses.append(
-                    self._optimize_batch(graph, epoch, step, batch, runner))
+                    self._optimize_batch(graph, epoch, step, batch, graph_ref)
+                )
             mean_loss = float(np.mean(epoch_losses))
             history.losses.append(mean_loss)
             self._epochs_trained += 1
             if verbose:
-                LOGGER.info("epoch %d/%d loss %.4f",
-                            epoch_in_call + 1, epochs, mean_loss)
+                LOGGER.info(
+                    "epoch %d/%d loss %.4f", epoch_in_call + 1, epochs, mean_loss
+                )
         return history
 
 
-def train_bourne(graph: Graph, config: Optional[BourneConfig] = None,
-                 epochs: Optional[int] = None,
-                 verbose: bool = False,
-                 workers: Optional[int] = None,
-                 shards: Optional[int] = None,
-                 grain: Optional[int] = None) -> tuple:
+def train_bourne(
+    graph: Graph,
+    config: Optional[BourneConfig] = None,
+    epochs: Optional[int] = None,
+    verbose: bool = False,
+    workers: Optional[int] = None,
+    grain: Optional[int] = None,
+) -> tuple:
     """Convenience: build a model for ``graph``, train it, return both.
 
-    ``workers > 1`` trains through the sharded data-parallel engine
-    (bitwise-identical to serial for the same ``grain``); the worker
-    pool is torn down before returning.  Returns ``(model, history)``.
+    ``workers > 1`` trains on a worker pool (bitwise-identical to
+    serial for the same ``grain``); the pool is torn down before
+    returning.  Returns ``(model, history)``.
     """
     config = config or BourneConfig()
     model = Bourne(graph.num_features, config)
-    with BourneTrainer(model, config, grain=grain, workers=workers,
-                       shards=shards) as trainer:
+    with BourneTrainer(model, config, grain=grain, workers=workers) as trainer:
         history = trainer.fit(graph, epochs=epochs, verbose=verbose)
     return model, history

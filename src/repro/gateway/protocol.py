@@ -9,7 +9,7 @@ HTTP adapter.  A request is a JSON object with an ``op`` field::
     {"op": "add_node", "features": [...]}
     {"op": "add_edge", "u": 0, "v": 5}
     {"op": "update_features", "node": 3, "features": [...]}
-    {"op": "refresh", "workers": 4}
+    {"op": "refresh", "workers": 2}
     {"op": "compact"}
     {"op": "stats"}
 
@@ -24,6 +24,7 @@ must never take a server down, whichever transport delivered it.
 from __future__ import annotations
 
 import json
+import os
 from typing import Optional
 
 import numpy as np
@@ -113,7 +114,8 @@ def dispatch_request(service, request: dict,
     """Dispatch one request against a :class:`ScoringService`.
 
     ``refresh_workers`` is the server-wide default for ``refresh``
-    requests; a request may override it with its own ``workers`` field.
+    requests; a request may override it with its own ``workers`` field,
+    an integer from 1 to the host's CPU count.
     Raises one of :data:`REQUEST_ERRORS` on bad input — the transport
     wraps it with :func:`error_response`.
     """
@@ -123,6 +125,22 @@ def dispatch_request(service, request: dict,
     op = request.get("op")
     with obs_trace.span(f"protocol.{op}"):
         return _dispatch_op(service, request, op, refresh_workers)
+
+
+def _request_workers(value) -> int:
+    """A ``refresh`` request's ``workers``, bounded by the CPU count.
+
+    Checked before any pool exists: under the fork start method a pool
+    launches every worker it was sized for on its first task, so an
+    unbounded value would let one request fork without limit.
+    """
+    limit = os.cpu_count() or 1
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or not 1 <= value <= limit):
+        raise ValueError(
+            f"refresh workers must be an integer from 1 to {limit}, "
+            f"got {value!r}")
+    return value
 
 
 def _dispatch_op(service, request: dict, op,
@@ -151,9 +169,9 @@ def _dispatch_op(service, request: dict, op,
         store.update_features([int(request["node"])], features.reshape(1, -1))
         return {"ok": True, "op": op, "version": store.version}
     if op == "refresh":
-        workers = request.get("workers", refresh_workers)
-        result = service.refresh(
-            workers=None if workers is None else int(workers))
+        workers = (_request_workers(request["workers"])
+                   if "workers" in request else refresh_workers)
+        result = service.refresh(workers=workers)
         order = np.argsort(result.scores)[::-1][:10]
         return {"ok": True, "op": op, "rescored": result.num_rescored,
                 "num_nodes": len(result.scores),

@@ -63,16 +63,15 @@ def _retrain_task(payload: dict) -> dict:
 
     ``train_bourne`` builds a new model from the config's seed and
     every stream it consumes is counter-based, so the result is a pure
-    function of ``(snapshot, config, epochs, grain)`` — workers/shards
-    change wall-clock, never a bit.  The trained checkpoint is saved
+    function of ``(snapshot, config, epochs, grain)`` — workers change
+    wall-clock, never a bit.  The trained checkpoint is saved
     to ``out_path`` (atomically consumed by the parent) instead of
     being pickled back through the future.
     """
     started = time.perf_counter()
     model, history = train_bourne(
         payload["graph"], payload["config"], epochs=payload["epochs"],
-        workers=payload["workers"], shards=payload["shards"],
-        grain=payload["grain"])
+        workers=payload["workers"], grain=payload["grain"])
     save_model(model, payload["out_path"])
     return {"path": payload["out_path"], "losses": list(history.losses),
             "duration": time.perf_counter() - started}
@@ -96,7 +95,7 @@ class LifecycleController:
     policy:
         The :class:`TriggerPolicy`; default thresholds via
         :class:`LifecycleSettings`.
-    epochs / workers / shards / grain:
+    epochs / workers / grain:
         Background-retrain sizing.  ``epochs=None`` uses the config's
         epoch count; ``workers`` > 1 shards the retrain (bitwise equal
         to serial).
@@ -112,7 +111,6 @@ class LifecycleController:
                  policy: Optional[TriggerPolicy] = None, *,
                  epochs: Optional[int] = None,
                  workers: Optional[int] = None,
-                 shards: Optional[int] = None,
                  grain: Optional[int] = None,
                  probe_size: int = 32,
                  probe_seed: int = 101,
@@ -131,7 +129,6 @@ class LifecycleController:
         self.train_config = service.model.config
         self.epochs = epochs
         self.workers = workers
-        self.shards = shards
         self.grain = grain
         self.probe_size = int(probe_size)
         self.probe_seed = int(probe_seed)
@@ -268,7 +265,6 @@ class LifecycleController:
             "config": self.train_config,
             "epochs": self.epochs,
             "workers": self.workers,
-            "shards": self.shards,
             "grain": self.grain,
             "out_path": out_path,
         }
@@ -592,7 +588,6 @@ class LifecycleController:
             policy=settings.policy,
             epochs=settings.epochs,
             workers=settings.workers,
-            shards=settings.shards,
             grain=settings.grain,
             probe_size=settings.probe_size,
             probe_seed=settings.probe_seed,

@@ -99,7 +99,8 @@ class LifecycleSettings:
     """Controller configuration as loaded from a policy JSON file.
 
     ``epochs``/``workers``/``grain`` size the background retrain
-    (``None`` defers to the model config / serial training);
+    (``None`` defers to the model config / serial training; a sharded
+    retrain splits each step into ``4 × workers`` shards);
     ``probe_*`` and ``auc_margin``/``min_score_std`` parameterize
     candidate validation; ``guard_*`` parameterize the post-swap
     regression guardrail (see :mod:`repro.lifecycle.rollback`).
@@ -109,7 +110,6 @@ class LifecycleSettings:
     check_interval_s: float = 1.0
     epochs: Optional[int] = None
     workers: Optional[int] = None
-    shards: Optional[int] = None
     grain: Optional[int] = None
     probe_size: int = 32
     probe_seed: int = 101

@@ -1,4 +1,4 @@
-"""The worker runtime and the sharded scoring entry points.
+"""The worker runtime, its two tasks and the sharded scoring entry points.
 
 Scoring and training are embarrassingly parallel over target nodes once
 every draw is counter-based: sampling, Γ1/Γ2 view augmentation, and the
@@ -8,17 +8,22 @@ be processed in any process and the results merged afterwards.  This
 module holds the repository's one worker runtime — a persistent
 :class:`WorkerPool` whose workers attach the graph and model from
 shared memory (:mod:`repro.parallel.shm`) and cache them across tasks —
-plus the sharded *scoring* entry points.  Sharded *training*
-(:mod:`repro.parallel.training`), the gateway's replica pool and the
-lifecycle retrainer are clients of the same pool.
+the two tasks its workers run (:func:`score_task`, :func:`train_task`)
+and the sharded *scoring* entry points.  Sharded training
+(:class:`repro.core.trainer.BourneTrainer`), the gateway's replica pool
+and the lifecycle retrainer are clients of the same pool.  Every
+sharded client splits its work into ``SHARDS_PER_WORKER × workers``
+even shards.
 
 Bitwise-identical merging
 -------------------------
-Floating-point accumulation is order-sensitive, so the merge does not
-sum per-shard partial sums.  Workers return their raw per-round edge
-contributions in target order; the parent replays them — rounds
-outermost, shards in ascending target order — reproducing the exact
-serial accumulation sequence.  Node evidence needs no replay: each
+Floating-point accumulation is order-sensitive, so no merge sums
+per-shard partial sums.  Training tasks return per-chunk ``(loss,
+gradients)`` pairs, which the trainer merges in chunk order
+(:func:`repro.core.trainer.merge_chunk_grads`).  Scoring workers
+return their raw per-round edge contributions in target order; the
+parent replays them — rounds outermost, shards in ascending target
+order — reproducing the exact serial accumulation sequence.  Node evidence needs no replay: each
 target lives in exactly one shard and accumulates round-major inside
 the worker, just as the serial loop does.  Because the view
 augmentation is counter-based, the merged output is bit-for-bit equal
@@ -43,6 +48,7 @@ from ..core.scoring import (
     finalize_scores,
     replay_edge_rounds,
 )
+from ..core.trainer import train_chunk
 from ..graph.index import index_of
 from ..obs import trace as obs_trace
 from ..serving.service import score_service_span
@@ -61,6 +67,10 @@ from .shm import (
 _MP_CONTEXT = multiprocessing.get_context(
     "fork" if "fork" in multiprocessing.get_all_start_methods() else None
 )
+
+#: Even work shards per worker in every sharded client: more tasks than
+#: workers lets a fast worker pick up the next shard.
+SHARDS_PER_WORKER = 4
 
 #: Worker-process caches, keyed by the pool's monotonically increasing
 #: graph/model tokens so rebinding (a mutated store, a new model)
@@ -180,23 +190,11 @@ class WorkerPool:
             return self._graph_ref
         return self.bind_graph(features, index)
 
-    @property
-    def graph_ref(self) -> Optional[GraphRef]:
-        return self._graph_ref
-
-    @property
-    def bound_model(self) -> Optional[Bourne]:
-        """The model currently occupying the pool's parameter slot."""
-        return self._bound_model
-
-    def publish_model(self, model: Bourne, changed=None) -> ModelRef:
-        """Bind ``model`` (first call / model change) or republish its
-        current parameter values; returns the ref tasks should carry.
-
-        ``changed`` (qualified parameter names) limits a republish to
-        the parameters the last step rewrote — workers then memcpy only
-        those deltas.  It is ignored on a fresh bind, which always
-        exports everything.
+    def publish_model(self, model: Bourne) -> ModelRef:
+        """Bind ``model`` (first call / model change) or republish all
+        its current parameter values; returns the ref tasks should
+        carry.  Workers copy the whole model when the ref's version
+        moved.
         """
         self._check_open()
         if self._bound_model is not model or self._model_export is None:
@@ -209,7 +207,7 @@ class WorkerPool:
             self._bound_model = model
         else:
             self._model_version += 1
-            self._model_export.publish(model, self._model_version, changed=changed)
+            self._model_export.publish(model)
         return ModelRef(self._model_token, self._model_version, self._model_export.spec)
 
     # ------------------------------------------------------------------
@@ -349,6 +347,45 @@ def score_task(task: ScoreTask) -> Tuple[RoundEvidence, List[dict]]:
     return evidence, spans
 
 
+class TrainTask(NamedTuple):
+    """Arguments of :func:`train_task`: refs, one shard's chunks and the
+    step's loss scales.
+
+    ``chunks`` holds ``(targets, target_seeds)`` per accumulation chunk
+    in ascending chunk order; ``node_scale``/``edge_scale``/``mask_seed``
+    are :func:`~repro.core.trainer.train_chunk`'s.
+    """
+
+    graph: GraphRef
+    model: ModelRef
+    chunks: List[Tuple[np.ndarray, np.ndarray]]
+    node_scale: Optional[float]
+    edge_scale: Optional[float]
+    mask_seed: int
+    fail: bool = False
+
+
+def train_task(task: TrainTask) -> List[Tuple[float, List[Optional[np.ndarray]]]]:
+    """Run one shard's training chunks (runs in a worker).
+
+    Executes :func:`~repro.core.trainer.train_chunk`, the function the
+    serial trainer runs, once per chunk in order, and returns the
+    per-chunk ``(loss, gradients)`` pairs; concatenated in shard order
+    they are the step's results in global chunk order.  ``fail`` is a
+    test hook: the task raises instead of training.
+    """
+    if task.fail:
+        raise RuntimeError(f"injected failure training {len(task.chunks)} chunks")
+    model = _ensure_model(task.model)
+    model.train_mode()
+    graph = _ensure_graph(task.graph)
+    scales = (task.node_scale, task.edge_scale, task.mask_seed)
+    return [
+        train_chunk(model, graph, targets, seeds, *scales)
+        for targets, seeds in task.chunks
+    ]
+
+
 def _score_shards(
     model: Bourne,
     features: np.ndarray,
@@ -356,13 +393,12 @@ def _score_shards(
     targets: np.ndarray,
     stream: Tuple[Optional[int], int, int, str],
     workers: int,
-    shards: Optional[int],
     pool: Optional[WorkerPool],
     fail_shard: Optional[int],
     name: str,
     shard_span: str,
 ) -> List[RoundEvidence]:
-    """Score ``targets`` as even contiguous shards on a worker pool.
+    """Score ``targets`` as ``4 × workers`` even shards on a worker pool.
 
     The fan-out both sharded entry points share.  ``stream`` is
     ``(seed, rounds, max_batch, backend name)``; ``name`` labels the
@@ -373,13 +409,13 @@ def _score_shards(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    plan = even_shards(len(targets), shards if shards is not None else 4 * workers)
+    plan = even_shards(len(targets), SHARDS_PER_WORKER * workers)
     own_pool = pool is None
     pool = pool if pool is not None else WorkerPool(workers)
     traced = obs_trace.active()
     try:
         with obs_trace.span(f"parallel.{name}") as sp:
-            sp.set(shards=len(plan), workers=pool.workers, targets=len(targets))
+            sp.set(tasks=len(plan), workers=pool.workers, targets=len(targets))
             graph_ref = pool.bind_graph(features, index)
             model_ref = pool.publish_model(model)
             tasks = [
@@ -409,18 +445,18 @@ def score_graph_sharded(
     batch_size: Optional[int] = None,
     seed: Optional[int] = None,
     workers: int = 2,
-    shards: Optional[int] = None,
     pool: Optional[WorkerPool] = None,
     backend=None,
     _fail_shard: Optional[int] = None,
 ) -> AnomalyScores:
     """Multi-process counterpart of :func:`repro.core.score_graph`.
 
-    Partitions the target range into even contiguous shards, scores
-    them in ``workers`` processes, and merges the evidence in serial
-    accumulation order.  The result is bitwise-identical to the serial
-    batched path for every shard/worker count, with view augmentation
-    on or off (all inference randomness is counter-based).
+    Partitions the target range into ``4 × workers`` even contiguous
+    shards, scores them in ``workers`` processes, and merges the
+    evidence in serial accumulation order.  The result is
+    bitwise-identical to the serial batched path for every worker
+    count, with view augmentation on or off (all inference randomness
+    is counter-based).
 
     ``pool`` reuses an existing :class:`WorkerPool` (it is left open);
     otherwise an ephemeral pool is created and torn down.  ``backend``
@@ -439,7 +475,6 @@ def score_graph_sharded(
         np.arange(index.num_nodes, dtype=np.int64),
         (seed, rounds, batch_size, resolve_backend(backend).name),
         workers,
-        shards,
         pool,
         _fail_shard,
         "scoring",
@@ -459,7 +494,6 @@ def service_refresh_scores(
     service,
     targets: np.ndarray,
     workers: int = 2,
-    shards: Optional[int] = None,
     pool: Optional[WorkerPool] = None,
     _fail_shard: Optional[int] = None,
 ) -> Tuple[np.ndarray, int]:
@@ -480,7 +514,6 @@ def service_refresh_scores(
         np.asarray(targets, dtype=np.int64),
         (service.seed, service.rounds, service.max_batch, service.backend.name),
         workers,
-        shards,
         pool,
         _fail_shard,
         "refresh",

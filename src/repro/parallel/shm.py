@@ -12,12 +12,12 @@ workers attach the same pages and adopt the pre-sorted arrays via
 
 Model parameters get the same treatment through
 :class:`SharedModelExport`, with one twist for training: the parent
-*republishes* new parameter values into the same segments after every
+*republishes* the whole model into the same segments before every
 optimizer step (:meth:`SharedModelExport.publish`) and stamps tasks
-with a version counter, so workers refresh their private copies with a
-plain ``memcpy`` instead of a per-step pickle round trip.  Writes only
-happen while no tasks are outstanding, so no synchronization beyond
-the version number is needed.
+with a version counter, so workers refresh their private copies with
+one ``memcpy`` per parameter instead of a per-step pickle round trip.
+Writes only happen while no tasks are outstanding, so no
+synchronization beyond the version number is needed.
 
 Lifecycle: the parent owns the segments (:class:`SharedGraphExport` /
 :class:`SharedModelExport`), workers attach via
@@ -206,13 +206,16 @@ class SharedGraphExport:
         if spec is None or spec.shm_name is None:
             return False
         features = np.ascontiguousarray(features)
-        if (tuple(features.shape) != tuple(spec.shape)
-                or features.dtype.str != spec.dtype):
+        if (
+            tuple(features.shape) != tuple(spec.shape)
+            or features.dtype.str != spec.dtype
+        ):
             return False
         for block in self._blocks:
             if block.name == spec.shm_name:
-                view = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype),
-                                  buffer=block.buf)
+                view = np.ndarray(
+                    spec.shape, dtype=np.dtype(spec.dtype), buffer=block.buf
+                )
                 view[...] = features
                 return True
         return False
@@ -273,56 +276,29 @@ def _named_model_parameters(model):
             yield prefix + name, param
 
 
-def changed_parameter_names(model, grads) -> frozenset:
-    """Qualified names of every parameter one optimizer step touches.
-
-    ``grads`` is the merged per-parameter gradient list aligned with
-    ``model.trainable_parameters()`` (``None`` entries mean no chunk
-    touched that parameter, so Adam skips it entirely and its value is
-    bit-identical afterwards).  On top of the gradient-bearing
-    parameters, the EMA target update rewrites every ``target.*``
-    parameter each step — unless ``grad_through_target`` put the
-    target parameters in the trainable list instead.
-    """
-    by_id = {id(param): name
-             for name, param in _named_model_parameters(model)}
-    changed = {by_id[id(param)]
-               for param, grad in zip(model.trainable_parameters(), grads)
-               if grad is not None}
-    if not model.config.grad_through_target:
-        changed.update(name for name in by_id.values()
-                       if name.startswith("target."))
-    return frozenset(changed)
-
-
 @dataclass(frozen=True)
 class SharedModelSpec:
     """Everything a worker needs to rebuild and refresh the model.
 
     ``config`` (a plain dataclass) and ``num_features`` travel by
     pickle once per task — they are tiny; the parameter *values* live
-    in the shared-memory ``arrays``.  ``names`` fixes the parameter
-    order and ``stamps`` is one shared ``int64`` per parameter holding
-    the version that last rewrote it, so workers refresh only the
-    parameters that actually changed since their copy.
+    in the shared-memory ``arrays``.
     """
 
     num_features: int
     config: object
     arrays: Dict[str, SharedArraySpec]
-    names: Tuple[str, ...] = ()
-    stamps: Optional[SharedArraySpec] = None
 
 
 class SharedModelExport:
     """Parent-side owner of model parameters placed into shared memory.
 
-    Unlike the immutable graph export, the parameter segments are a
-    *mailbox*: :meth:`publish` copies the model's current values into
-    the same buffers after every optimizer step.  Callers must only
-    publish while no worker tasks are outstanding (the engines
-    guarantee this — a step's tasks are all collected before the next
-    Adam update).
+    Unlike the immutable graph export, the parameter segments are
+    rewritten in place: :meth:`publish` copies the model's current
+    values into the same buffers (the trainer does so before every
+    step's task wave).  Callers must only publish while no worker tasks
+    are outstanding (the engines guarantee this — a step's tasks are
+    all collected before the next Adam update).
     """
 
     def __init__(
@@ -330,13 +306,10 @@ class SharedModelExport:
         spec: SharedModelSpec,
         blocks: List[shared_memory.SharedMemory],
         views: Dict[str, np.ndarray],
-        stamps: Optional[np.ndarray] = None,
     ):
         self.spec = spec
         self._blocks = blocks
         self._views = views
-        self._stamps = stamps
-        self._index = {name: i for i, name in enumerate(spec.names)}
 
     @classmethod
     def create(cls, model) -> "SharedModelExport":
@@ -344,57 +317,28 @@ class SharedModelExport:
         blocks: List[shared_memory.SharedMemory] = []
         views: Dict[str, np.ndarray] = {}
         specs: Dict[str, SharedArraySpec] = {}
-        names: List[str] = []
         try:
             for name, param in _named_model_parameters(model):
                 value = np.ascontiguousarray(param.data)
-                spec = _export_array(value, blocks)
-                specs[name] = spec
-                names.append(name)
-                if spec.shm_name is not None:
+                specs[name] = _export_array(value, blocks)
+                if specs[name].shm_name is not None:
                     views[name] = np.ndarray(
                         value.shape, dtype=value.dtype, buffer=blocks[-1].buf
                     )
-            # Per-parameter last-write versions; version 0 is the
-            # initial full export every worker starts from.
-            stamp_values = np.zeros(len(names), dtype=np.int64)
-            stamp_spec = _export_array(stamp_values, blocks)
-            stamps = (np.ndarray(stamp_values.shape, dtype=np.int64,
-                                 buffer=blocks[-1].buf)
-                      if stamp_spec.shm_name is not None else None)
         except Exception:
             for block in blocks:
                 block.close()
                 block.unlink()
             raise
-        return cls(
-            SharedModelSpec(model.num_features, model.config, specs,
-                            names=tuple(names), stamps=stamp_spec),
-            blocks, views, stamps,
-        )
+        spec = SharedModelSpec(model.num_features, model.config, specs)
+        return cls(spec, blocks, views)
 
-    def publish(self, model, version: Optional[int] = None,
-                changed=None) -> None:
-        """Copy current parameter values into the segments.
-
-        ``changed`` (an iterable of qualified names, e.g. from
-        :func:`changed_parameter_names`) restricts the copy to the
-        parameters an optimizer step actually rewrote — per-step
-        republishing then moves only the touched deltas instead of the
-        whole model.  ``changed=None`` copies everything.  ``version``
-        stamps the copied parameters so attached workers can skip the
-        rest on their next :meth:`AttachedModel.load`.
-        """
-        if changed is not None:
-            changed = set(changed)
+    def publish(self, model) -> None:
+        """Copy every current parameter value into the segments."""
         for name, param in _named_model_parameters(model):
-            if changed is not None and name not in changed:
-                continue
             view = self._views.get(name)
             if view is not None:
                 view[...] = param.data
-            if version is not None and self._stamps is not None:
-                self._stamps[self._index[name]] = version
 
     def destroy(self) -> None:
         """Close and unlink every segment (idempotent)."""
@@ -411,13 +355,10 @@ class SharedModelExport:
 class AttachedModel:
     """Worker-side model bound to a :class:`SharedModelExport`.
 
-    :meth:`load` refreshes the private parameter copies from the shared
-    segments when the parent's version counter moved; versions only
-    change between task waves, so a plain comparison suffices.  With
-    per-parameter stamps attached, only parameters whose last-write
-    stamp is newer than this worker's copy are refreshed — per-step
-    delta publishes cost each worker a handful of ``memcpy``\\ s, not a
-    whole-model copy.
+    :meth:`load` copies every parameter from the shared segments into
+    the private model whenever the parent's version counter moved;
+    versions only change between task waves, so a plain comparison
+    suffices.
     """
 
     def __init__(
@@ -425,35 +366,18 @@ class AttachedModel:
         model,
         views: Dict[str, np.ndarray],
         blocks: List[shared_memory.SharedMemory],
-        stamps: Optional[np.ndarray] = None,
-        names: Tuple[str, ...] = (),
     ):
         self.model = model
         self._views = views
         self._blocks = blocks
-        self._stamps = stamps
-        self._names = names
         self._version: Optional[int] = None
 
     def load(self, version: int) -> "AttachedModel":
-        if version == self._version:
-            return self
-        params = dict(_named_model_parameters(self.model))
-        if self._version is None or self._stamps is None:
-            # First bind (or no stamp channel): copy everything.
+        if version != self._version:
+            params = dict(_named_model_parameters(self.model))
             for name, view in self._views.items():
                 params[name].data[...] = view
-        else:
-            # Stamps are written before the version is announced and
-            # only while no tasks are outstanding, so a stamp newer
-            # than our copy is exactly the changed set.
-            since = self._version
-            for i, name in enumerate(self._names):
-                if self._stamps[i] > since:
-                    view = self._views.get(name)
-                    if view is not None:
-                        params[name].data[...] = view
-        self._version = version
+            self._version = version
         return self
 
     def close(self) -> None:
@@ -480,23 +404,12 @@ def attach_shared_model(spec: SharedModelSpec) -> AttachedModel:
     model = Bourne(spec.num_features, spec.config)
     blocks: List[shared_memory.SharedMemory] = []
     views: Dict[str, np.ndarray] = {}
-    stamps = None
     try:
         for name, array_spec in spec.arrays.items():
-            if array_spec.shm_name is None:
-                continue
-            block = _attach_block(array_spec.shm_name)
-            blocks.append(block)
-            view = np.ndarray(
-                array_spec.shape, dtype=np.dtype(array_spec.dtype), buffer=block.buf
-            )
-            view.flags.writeable = False
-            views[name] = view
-        if spec.stamps is not None and spec.stamps.shm_name is not None:
-            stamps = _attach_array(spec.stamps, blocks)
+            if array_spec.shm_name is not None:
+                views[name] = _attach_array(array_spec, blocks)
     except Exception:
         for block in blocks:
             block.close()
         raise
-    return AttachedModel(model, views, blocks, stamps=stamps,
-                         names=spec.names)
+    return AttachedModel(model, views, blocks)

@@ -344,17 +344,17 @@ class ScoringService:
     # Incremental refresh
     # ------------------------------------------------------------------
     def refresh(self, workers: Optional[int] = None,
-                shards: Optional[int] = None,
                 pool=None) -> RefreshResult:
         """Bring the full score table up to date, re-scoring only nodes
         whose neighbourhood changed since their last score.
 
         ``workers > 1`` drains the stale set through the sharded scoring
         engine (:mod:`repro.parallel`): the store's features and index
-        go into shared memory once, worker processes score contiguous
-        shards of the miss queue with the *same* per-``(seed, round,
-        target)`` streams the in-process path uses, and the merged score
-        table is bitwise-identical to a serial refresh.
+        go into shared memory once, worker processes score the miss
+        queue as ``4 × workers`` contiguous shards with the *same*
+        per-``(seed, round, target)`` streams the in-process path uses,
+        and the merged score table is bitwise-identical to a serial
+        refresh.
         ``pool`` reuses a persistent :class:`repro.parallel.WorkerPool`
         — for example one kept warm by a sharded trainer — instead of
         spinning processes up per refresh.
@@ -369,7 +369,7 @@ class ScoringService:
                    workers=workers if workers is not None else 1)
             if stale and workers is not None and workers > 1:
                 self._refresh_sharded(np.asarray(stale, dtype=np.int64),
-                                      workers, shards, pool)
+                                      workers, pool)
             elif stale:
                 evidence = self._score_span(np.asarray(stale, dtype=np.int64))
                 self._tabulate(stale, evidence.node_sum / self.rounds)
@@ -379,14 +379,14 @@ class ScoringService:
                              version=self.store.version)
 
     def _refresh_sharded(self, targets: np.ndarray, workers: int,
-                         shards: Optional[int], pool=None) -> None:
+                         pool=None) -> None:
         """Score ``targets`` through the multi-process engine and fold
         the scores into the node table exactly like :meth:`_score_span`
         would."""
         from ..parallel import service_refresh_scores
 
         scores, forward_batches = service_refresh_scores(
-            self, targets, workers=workers, shards=shards, pool=pool)
+            self, targets, workers=workers, pool=pool)
         self._tabulate(targets, scores)
         self._forward_batches += forward_batches
         self._nodes_scored += len(targets)

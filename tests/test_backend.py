@@ -15,6 +15,7 @@ import pytest
 from repro.core import Bourne, BourneConfig, score_graph
 from repro.graph import Graph
 from repro.nn.fused import FusedBackend
+from repro.parallel import score_graph_sharded
 from repro.serving import GraphStore, ScoringService
 from repro.tensor.backend import (
     TensorBackend,
@@ -163,12 +164,12 @@ class TestFusedEquivalence:
         assert_close(reference.node_scores, fast.node_scores)
         assert_close(reference.edge_scores, fast.edge_scores)
 
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_sharded_engine_ships_backend_by_name(self, graph, shards):
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_sharded_engine_ships_backend_by_name(self, graph, workers):
         model = Bourne(graph.num_features, tiny_config())
         reference = score_graph(model, graph)
-        fast = score_graph(model, graph, workers=2, shards=shards,
-                           backend="fused")
+        fast = score_graph_sharded(model, graph, workers=workers,
+                                   backend="fused")
         assert_close(reference.node_scores, fast.node_scores)
         assert_close(reference.edge_scores, fast.edge_scores)
 

@@ -3,7 +3,7 @@
 Covers the controller subsystem end to end: trigger-policy semantics
 (with a fake clock), candidate validation and the post-swap guardrail,
 the store's drift/churn counters feeding the trigger signal, the
-per-step delta mailbox, a full standalone retrain cycle whose
+per-step model republish, a full standalone retrain cycle whose
 candidate is bitwise-identical to an offline ``train_bourne`` on the
 same snapshot, and the gateway wiring: drift burst → trigger →
 background retrain → validate → publish → watcher hot-swap under live
@@ -126,8 +126,9 @@ class TestTriggerPolicy:
         assert settings.check_interval_s == 0.5
 
     def test_parse_settings_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="drift_treshold"):
-            parse_settings({"drift_treshold": 2.5})
+        for key in ("drift_treshold", "shards"):
+            with pytest.raises(ValueError, match=key):
+                parse_settings({key: 3})
 
     def test_invalid_policy_values_rejected(self):
         with pytest.raises(ValueError):
@@ -274,26 +275,10 @@ class TestDriftCounters:
 
 
 # ----------------------------------------------------------------------
-# Per-step delta mailbox
+# Per-step model republish
 # ----------------------------------------------------------------------
-class TestDeltaMailbox:
-    def test_changed_parameter_names_tracks_grads_and_ema(self):
-        from repro.parallel.shm import changed_parameter_names
-
-        model = Bourne(6, tiny_config())
-        trainable = model.trainable_parameters()
-        grads = [None] * len(trainable)
-        grads[0] = np.zeros_like(trainable[0].data)
-        changed = changed_parameter_names(model, grads)
-        # exactly one online parameter got a gradient...
-        online = {name for name in changed if name.startswith("online.")}
-        assert len(online) == 1
-        # ...and the EMA rewrites every target parameter each step
-        target_names = {"target." + name
-                        for name, _ in model.target.named_parameters()}
-        assert target_names <= changed
-
-    def test_publish_with_changed_copies_only_the_delta(self):
+class TestModelRepublish:
+    def test_each_full_publish_reaches_attached_worker(self):
         from repro.parallel.shm import SharedModelExport, attach_shared_model
 
         model = Bourne(6, tiny_config())
@@ -303,36 +288,31 @@ class TestDeltaMailbox:
             try:
                 attached.load(0)
                 assert_models_equal(attached.model, model)
-                params = dict(named_params(model))
-                names = list(params)
-                first, second = names[0], names[1]
-                stale_second = params[second].data.copy()
-                params[first].data[...] += 1.0
-                params[second].data[...] += 1.0
-                # Only `first` is declared changed: the worker must see
-                # its new value but keep its stale copy of `second`.
-                export.publish(model, version=1, changed={first})
-                attached.load(1)
-                worker = dict(named_params(attached.model))
-                np.testing.assert_array_equal(worker[first].data,
-                                              params[first].data)
-                np.testing.assert_array_equal(worker[second].data,
-                                              stale_second)
-                # A later full publish reconverges everything.
-                export.publish(model, version=2)
-                attached.load(2)
-                assert_models_equal(attached.model, model)
+                for version in (1, 2, 3):
+                    held = [param.data.copy()
+                            for _, param in named_params(attached.model)]
+                    for _, param in named_params(model):
+                        param.data[...] += 1.0
+                    export.publish(model)
+                    # The worker copies only when the version moves...
+                    attached.load(version - 1)
+                    for copy, (_, param) in zip(
+                            held, named_params(attached.model)):
+                        np.testing.assert_array_equal(param.data, copy)
+                    # ...and then every parameter, not a subset.
+                    attached.load(version)
+                    assert_models_equal(attached.model, model)
             finally:
                 attached.close()
         finally:
             export.destroy()
 
-    def test_sharded_training_stays_bitwise_with_delta_publish(self):
+    def test_sharded_training_stays_bitwise_with_per_step_publish(self):
         graph = random_graph(n=30, m=60)
         config = tiny_config(epochs=2)
         serial, serial_history = train_bourne(graph, config, epochs=2)
         sharded, sharded_history = train_bourne(graph, config, epochs=2,
-                                                workers=2, shards=3)
+                                                workers=2)
         np.testing.assert_array_equal(np.asarray(serial_history.losses),
                                       np.asarray(sharded_history.losses))
         assert_models_equal(serial, sharded)

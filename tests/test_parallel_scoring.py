@@ -1,9 +1,9 @@
 """Sharded multi-process scoring: bitwise equality, edge cases, crashes.
 
-The engine's contract is that sharding is *unobservable*: any
-``(workers, shards)`` combination merges to the exact bits the serial
-batched path produces (augmentation off; ``node_only``'s counter-based
-forward mask included).  These tests pin that contract plus the even
+The engine's contract is that sharding is *unobservable*: any worker
+count (``4 × workers`` even shards) and any forward batch size merge
+to the exact bits the serial batched path produces (augmentation off;
+``node_only``'s counter-based forward mask included).  These tests pin that contract plus the even
 split's partition invariants, the worker pool's task surface, the
 shared-memory round trip, and worker-crash propagation.
 """
@@ -25,6 +25,7 @@ from repro.parallel import (
     score_graph_sharded,
     service_refresh_scores,
 )
+from repro.parallel.engine import SHARDS_PER_WORKER
 from repro.serving import ScoringService
 
 
@@ -63,9 +64,11 @@ def serial_scores(model, graph):
 
 
 class TestBitwiseEquality:
-    @pytest.mark.parametrize("workers,shards", [(2, None), (3, 7)])
-    def test_matches_serial(self, model, graph, serial_scores, workers, shards):
-        result = score_graph(model, graph, workers=workers, shards=shards)
+    @pytest.mark.parametrize("workers,batch_size", [(2, None), (3, 7)])
+    def test_matches_serial(self, model, graph, serial_scores, workers,
+                            batch_size):
+        result = score_graph(model, graph, workers=workers,
+                             batch_size=batch_size)
         np.testing.assert_array_equal(result.node_scores,
                                       serial_scores.node_scores)
         np.testing.assert_array_equal(result.edge_scores,
@@ -75,38 +78,38 @@ class TestBitwiseEquality:
         np.testing.assert_array_equal(result.edge_rounds,
                                       serial_scores.edge_rounds)
 
-    def test_single_shard(self, model, graph, serial_scores):
-        one = score_graph(model, graph, workers=2, shards=1)
+    def test_single_worker_pool(self, model, graph, serial_scores):
+        one = score_graph_sharded(model, graph, workers=1)
         np.testing.assert_array_equal(one.node_scores,
                                       serial_scores.node_scores)
         np.testing.assert_array_equal(one.edge_scores,
                                       serial_scores.edge_scores)
 
-    def test_more_shards_than_targets(self, model, graph, serial_scores):
-        """shards > N forces empty shards; the merge must ignore them."""
-        result = score_graph(model, graph, workers=2,
-                             shards=graph.num_nodes + 25)
-        np.testing.assert_array_equal(result.node_scores,
-                                      serial_scores.node_scores)
-        np.testing.assert_array_equal(result.edge_scores,
-                                      serial_scores.edge_scores)
+    def test_more_shards_than_targets(self):
+        """5 nodes on 2 workers make 8 shards, 3 of them empty; the
+        merge must ignore them."""
+        tiny = small_graph(seed=4, num_nodes=5, num_edges=6)
+        assert tiny.num_nodes < SHARDS_PER_WORKER * 2
+        model = Bourne(tiny.num_features, tiny_config())
+        serial = score_graph(model, tiny)
+        result = score_graph(model, tiny, workers=2)
+        np.testing.assert_array_equal(result.node_scores, serial.node_scores)
+        np.testing.assert_array_equal(result.edge_scores, serial.edge_scores)
 
 
 class TestCrashPropagation:
     def test_worker_exception_reaches_parent(self, model, graph):
         with pytest.raises(RuntimeError, match="shard 2"):
-            score_graph_sharded(model, graph, workers=2, shards=4,
-                                _fail_shard=2)
+            score_graph_sharded(model, graph, workers=2, _fail_shard=2)
 
     def test_failure_does_not_leak_shared_memory(self, model, graph,
                                                  no_shm_leak):
         # The engine unlinks its segments even on worker failure; a
         # subsequent run must start clean and still be bitwise-correct.
         with no_shm_leak(), pytest.raises(RuntimeError):
-            score_graph_sharded(model, graph, workers=2, shards=3,
-                                _fail_shard=0)
+            score_graph_sharded(model, graph, workers=2, _fail_shard=0)
         serial = score_graph(model, graph)
-        again = score_graph(model, graph, workers=2, shards=3)
+        again = score_graph(model, graph, workers=2)
         np.testing.assert_array_equal(again.node_scores, serial.node_scores)
 
 
@@ -131,7 +134,7 @@ class TestNodeOnlyMask:
         small = score_graph(model, graph, batch_size=7)
         large = score_graph(model, graph, batch_size=64)
         np.testing.assert_array_equal(small.node_scores, large.node_scores)
-        sharded = score_graph(model, graph, workers=2, shards=5)
+        sharded = score_graph(model, graph, workers=3)
         np.testing.assert_array_equal(small.node_scores, sharded.node_scores)
 
 
@@ -161,8 +164,8 @@ class TestShardPlanner:
         for shards in (0, -1):
             with pytest.raises(ValueError, match="shards"):
                 even_shards(5, shards)
-        with pytest.raises(ValueError, match="shards"):
-            score_graph_sharded(model, graph, workers=2, shards=0)
+        with pytest.raises(ValueError, match="workers"):
+            score_graph_sharded(model, graph, workers=0)
 
 
 def _worker_pid(_task) -> int:
@@ -227,7 +230,7 @@ class TestServiceShardedRefresh:
         serial = ScoringService(model, graph.copy(), rounds=2)
         sharded = ScoringService(model, graph.copy(), rounds=2)
         expected = serial.refresh()
-        result = sharded.refresh(workers=2, shards=3)
+        result = sharded.refresh(workers=2)
         np.testing.assert_array_equal(result.scores, expected.scores)
         np.testing.assert_array_equal(result.rescored, expected.rescored)
         # Stats reflect the drained miss queue.
@@ -247,6 +250,17 @@ class TestServiceShardedRefresh:
         result = sharded.refresh(workers=2)
         np.testing.assert_array_equal(result.rescored, expected.rescored)
         np.testing.assert_array_equal(result.scores, expected.scores)
+        # A feature write at a degree-1 node stales fewer nodes than the
+        # 8 shards of a 2-worker refresh, so some shards are empty.
+        node = int(np.argmin(np.diff(graph.index.indptr)))
+        for service in (serial, sharded):
+            service.store.update_features(
+                [node], service.store.features[[node]] + 1.0)
+        expected = serial.refresh()
+        assert 0 < len(expected.rescored) < SHARDS_PER_WORKER * 2
+        result = sharded.refresh(workers=2)
+        np.testing.assert_array_equal(result.rescored, expected.rescored)
+        np.testing.assert_array_equal(result.scores, expected.scores)
 
     def test_refresh_crash_propagates(self, graph):
         config = tiny_config(eval_rounds=2)
@@ -255,4 +269,4 @@ class TestServiceShardedRefresh:
         with pytest.raises(RuntimeError, match="shard"):
             service_refresh_scores(service,
                                    np.arange(graph.num_nodes),
-                                   workers=2, shards=3, _fail_shard=1)
+                                   workers=2, _fail_shard=1)

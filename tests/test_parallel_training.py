@@ -2,13 +2,13 @@
 
 The trainer's contract is that sharding is *unobservable*: for a fixed
 ``grain`` (the gradient-accumulation chunk size, part of the training
-semantics) any ``(workers, shards)`` combination produces bitwise-
-identical loss histories and final parameters to serial
-``BourneTrainer.fit`` — augmentation on, because every draw is
-counter-based.  These tests pin that contract (property-based over
-worker/shard/grain combinations, plus the edge cases: shards > chunks,
-empty shards, one worker), the loss-normalization pre-pass, worker
-crash propagation, persistent pool reuse, and the named epoch-
+semantics) any worker count produces bitwise-identical loss histories
+and final parameters to serial ``BourneTrainer.fit`` — augmentation
+on, because every draw is counter-based.  These tests pin that
+contract (property-based over worker/grain combinations, plus the edge
+cases: shards > chunks, empty shards, one worker process), the
+loss-normalization pre-pass, worker crash propagation, persistent pool
+reuse with a graph rebound at every fit, and the named epoch-
 permutation stream that replaced the old ``seed + 7`` coupling.
 """
 
@@ -32,8 +32,8 @@ from repro.graph.sampling import (
     count_target_edge_owners,
     sample_enclosing_subgraphs,
 )
-from repro.parallel import WorkerPool
-from repro.parallel.training import ShardedTrainingRunner
+from repro.parallel import TrainTask, WorkerPool, train_task
+from repro.parallel.engine import SHARDS_PER_WORKER
 from repro.utils.seed import rng_from_seed
 
 
@@ -72,10 +72,10 @@ def serial_fit(graph, config, grain, epochs=None):
     return history.losses, fit_params(model)
 
 
-def sharded_fit(graph, config, grain, workers, shards, epochs=None):
+def sharded_fit(graph, config, grain, workers, epochs=None):
     model = Bourne(graph.num_features, config)
-    with BourneTrainer(model, config, grain=grain, workers=workers,
-                       shards=shards) as trainer:
+    with BourneTrainer(model, config, grain=grain,
+                       workers=workers) as trainer:
         history = trainer.fit(graph, epochs=epochs)
     return history.losses, fit_params(model)
 
@@ -94,17 +94,20 @@ class TestBitwiseEquivalence:
     def serial(self, graph):
         return serial_fit(graph, tiny_config(), grain=4)
 
-    @pytest.mark.parametrize("workers,shards", [(2, None), (2, 3), (3, 7)])
-    def test_matches_serial(self, graph, serial, workers, shards):
-        result = sharded_fit(graph, tiny_config(), grain=4,
-                             workers=workers, shards=shards)
+    @pytest.mark.parametrize("workers,grain", [(2, None), (2, 3), (3, 7)])
+    def test_matches_serial(self, graph, workers, grain):
+        """Any worker count, at the default grain and at ragged ones."""
+        serial = serial_fit(graph, tiny_config(), grain=grain)
+        result = sharded_fit(graph, tiny_config(), grain=grain,
+                             workers=workers)
         assert_same_run(result, serial)
 
     def test_more_shards_than_chunks(self, graph, serial):
-        """shards ≫ chunks forces empty shards; the merge must skip
-        them without disturbing chunk order."""
-        result = sharded_fit(graph, tiny_config(), grain=4,
-                             workers=2, shards=40)
+        """A 16-target batch at grain 4 has 4 chunks against 12 shards:
+        the empty shards must not disturb chunk order."""
+        workers = 3
+        assert len(chunk_bounds(16, 4)) < SHARDS_PER_WORKER * workers
+        result = sharded_fit(graph, tiny_config(), grain=4, workers=workers)
         assert_same_run(result, serial)
 
     def test_single_worker_pool(self, graph, serial):
@@ -112,12 +115,10 @@ class TestBitwiseEquivalence:
         memory + replayed merge — and must stay bitwise-exact."""
         config = tiny_config()
         model = Bourne(graph.num_features, config)
-        trainer = BourneTrainer(model, config, grain=4, workers=2)
-        trainer._runner = ShardedTrainingRunner(model, graph, workers=1)
-        try:
-            history = trainer.fit(graph)
-        finally:
-            trainer.close()
+        with WorkerPool(1) as pool:
+            with BourneTrainer(model, config, grain=4, workers=2,
+                               pool=pool) as trainer:
+                history = trainer.fit(graph)
         assert_same_run((history.losses, fit_params(model)), serial)
 
     def test_grain_one_and_whole_batch(self, graph):
@@ -125,34 +126,33 @@ class TestBitwiseEquivalence:
         for grain in (1, 16):
             serial = serial_fit(graph, tiny_config(), grain=grain)
             sharded = sharded_fit(graph, tiny_config(), grain=grain,
-                                  workers=2, shards=5)
+                                  workers=2)
             assert_same_run(sharded, serial)
 
     @settings(max_examples=5, deadline=None)
     @given(workers=st.integers(min_value=1, max_value=3),
-           shards=st.integers(min_value=1, max_value=9),
            grain=st.integers(min_value=2, max_value=10))
-    def test_property_any_workers_shards(self, graph, workers, shards, grain):
+    def test_property_any_workers_and_grain(self, graph, workers, grain):
         config = tiny_config()
         serial = serial_fit(graph, config, grain=grain)
         if workers == 1:
             result = serial_fit(graph, config, grain=grain)
         else:
             result = sharded_fit(graph, config, grain=grain,
-                                 workers=workers, shards=shards)
+                                 workers=workers)
         assert_same_run(result, serial)
 
     @pytest.mark.parametrize("mode", ["node_only", "edge_only"])
     def test_ablation_modes(self, graph, mode):
         config = tiny_config(mode=mode)
         serial = serial_fit(graph, config, grain=5)
-        sharded = sharded_fit(graph, config, grain=5, workers=2, shards=3)
+        sharded = sharded_fit(graph, config, grain=5, workers=3)
         assert_same_run(sharded, serial)
 
     def test_multi_epoch_persistent_pool(self, graph):
         config = tiny_config(epochs=3)
         serial = serial_fit(graph, config, grain=4)
-        sharded = sharded_fit(graph, config, grain=4, workers=2, shards=4)
+        sharded = sharded_fit(graph, config, grain=4, workers=2)
         assert_same_run(sharded, serial)
 
 
@@ -199,7 +199,7 @@ class TestPersistentPool:
             pool.run(_worker_pid, [()])
 
     def test_rebinds_after_store_mutation(self, graph):
-        """A mutated ``GraphStore`` rebuilds its index; the runner must
+        """A mutated ``GraphStore`` rebuilds its index; the trainer must
         re-export instead of training workers on stale topology."""
         from repro.serving import GraphStore
 
@@ -212,6 +212,28 @@ class TestPersistentPool:
                                workers=workers) as trainer:
                 trainer.fit(store)
                 store.add_edge(0, graph.num_nodes - 1)
+                trainer.fit(store, epochs=1)
+            return fit_params(model)
+
+        serial, sharded = run(None), run(2)
+        for a, b in zip(serial, sharded):
+            np.testing.assert_array_equal(a, b)
+
+    def test_rebinds_after_feature_update(self, graph):
+        """``update_features`` keeps the store's index object, so only a
+        fresh bind at every fit ships the new values to the workers."""
+        from repro.serving import GraphStore
+
+        config = tiny_config()
+
+        def run(workers):
+            store = GraphStore.from_graph(graph.copy(), influence_radius=2)
+            model = Bourne(graph.num_features, config)
+            with BourneTrainer(model, config, grain=4,
+                               workers=workers) as trainer:
+                trainer.fit(store)
+                nodes = np.arange(0, store.num_nodes, 3)
+                store.update_features(nodes, store.features[nodes] + 1.0)
                 trainer.fit(store, epochs=1)
             return fit_params(model)
 
@@ -238,37 +260,47 @@ class TestPersistentPool:
             assert len(more.losses) == 1
 
 
+def _failing_task(trainer, graph):
+    """A training task that raises in a worker of ``trainer``'s pool.
+
+    Building it rebinds the pool's graph and model slots between fits,
+    as another client sharing the pool would.
+    """
+    pool = trainer.pool
+    return TrainTask(pool.bind_graph(graph.features, graph.index),
+                     pool.publish_model(trainer.model), [], None, None, 0,
+                     fail=True)
+
+
 class TestCrashPropagation:
     def test_worker_exception_reaches_parent(self, graph):
         config = tiny_config()
         model = Bourne(graph.num_features, config)
-        trainer = BourneTrainer(model, config, grain=4, workers=2)
-        try:
-            runner = trainer._ensure_runner(graph)
-            runner._fail_shard = 1
+        with BourneTrainer(model, config, grain=4, workers=2) as trainer:
+            trainer.fit(graph)
             with pytest.raises(RuntimeError,
-                               match="sharded training failed in shard 1"):
-                trainer.fit(graph)
-        finally:
-            trainer.close()
+                               match="sharded run failed in shard 0.*"
+                                     "injected failure training"):
+                trainer.pool.run(train_task, [_failing_task(trainer, graph)])
 
     def test_pool_usable_after_task_failure(self, graph):
+        """A failed task leaves the trainer's pool usable: the next fit
+        still matches an uninterrupted serial trainer bitwise."""
         config = tiny_config()
         model = Bourne(graph.num_features, config)
-        trainer = BourneTrainer(model, config, grain=4, workers=2)
-        try:
-            runner = trainer._ensure_runner(graph)
-            runner._fail_shard = 0
-            with pytest.raises(RuntimeError, match="sharded training"):
-                trainer.fit(graph)
-            runner._fail_shard = None
-            fresh = Bourne(graph.num_features, config)
-            with BourneTrainer(fresh, config, grain=4, workers=2,
-                               pool=trainer.pool) as retry:
-                history = retry.fit(graph)
-            assert len(history.losses) == config.epochs
-        finally:
-            trainer.close()
+        with BourneTrainer(model, config, grain=4, workers=2) as trainer:
+            trainer.fit(graph)
+            with pytest.raises(RuntimeError, match="injected failure"):
+                trainer.pool.run(train_task, [_failing_task(trainer, graph)])
+            history = trainer.fit(graph, epochs=1)
+        assert len(history.losses) == 1
+
+        serial_model = Bourne(graph.num_features, config)
+        serial_trainer = BourneTrainer(serial_model, config, grain=4)
+        serial_trainer.fit(graph)
+        serial_trainer.fit(graph, epochs=1)
+        for a, b in zip(fit_params(model), fit_params(serial_model)):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestLossNormalizationPrepass:

@@ -13,6 +13,7 @@ Content-Length gets a 400 envelope instead of a dead connection.
 
 import asyncio
 import json
+import os
 
 import numpy as np
 import pytest
@@ -139,6 +140,11 @@ HANDLER_ERRORS = [
      {"op": "score", "nodes": [0], "service": 7}, "/v1/score_node"),
     ("detach-unknown",
      {"op": "detach_service", "name": "ghost"}, "/v1/admin"),
+    # A request may not size a refresh pool past the host's cores; the
+    # bound is checked before any worker process is started.
+    ("refresh-zero-workers", {"op": "refresh", "workers": 0}, "/v1/update"),
+    ("refresh-workers-over-cores",
+     {"op": "refresh", "workers": (os.cpu_count() or 1) + 1}, "/v1/update"),
 ]
 
 
