@@ -100,7 +100,6 @@ def main() -> int:
         augment_at_inference=False,
     )
     model = Bourne(graph.num_features, config)
-    model.eval_mode()
     batches = prebuilt_batches(model, graph)
     per_pass = graph.num_nodes
     print(f"prebuilt {len(batches)} batches of <= {BATCH_SIZE} targets")

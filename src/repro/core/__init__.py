@@ -1,11 +1,10 @@
 """BOURNE core: the paper's primary contribution."""
 
-from .config import BourneConfig, citation_config, social_config
+from .config import BourneConfig
 from .discriminator import discriminate
 from .model import BatchScores, Bourne
 from .persistence import load_model, save_model
 from .scoring import AnomalyScores, score_graph
-from .subgraph_scoring import SubgraphScore, rank_communities, score_subgraphs
 from .trainer import BourneTrainer, TrainingHistory, train_bourne
 from .variants import (
     ABLATIONS,
@@ -28,12 +27,7 @@ __all__ = [
     "BatchScores",
     "save_model",
     "load_model",
-    "SubgraphScore",
-    "score_subgraphs",
-    "rank_communities",
     "discriminate",
-    "citation_config",
-    "social_config",
     "ABLATIONS",
     "without_patch_level",
     "without_subgraph_level",

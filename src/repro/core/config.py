@@ -14,17 +14,15 @@ class BourneConfig:
     Paper defaults (Section V-C): hop size k = 2; subgraph size K = 12
     (40 for the denser social networks); one-layer encoders of width
     128; predictor hidden size 512; τ = 0.99; lr = 1e-3; R = 160
-    evaluation rounds; α, β grid-searched in [0.2, 1.0].
+    evaluation rounds; α, β grid-searched in [0.2, 1.0].  The
+    per-dataset K, α and β the experiments run are
+    :func:`repro.eval.runner.bourne_config`'s.
 
     Attributes beyond the paper's table:
 
     mode:
         ``"unified"`` (full model), ``"node_only"`` (w/o HGNN ablation),
         or ``"edge_only"`` (w/o GNN ablation).
-    grad_through_target:
-        Alternative gradient routing (see DESIGN.md interpretation
-        notes); the default matches Algorithm 1 (stop-gradient on the
-        hypergraph branch).
     feature_mask_prob / incidence_drop_prob:
         Γ1 node-feature masking and Γ2 hyperedge perturbation rates.
     targets_per_epoch:
@@ -43,11 +41,6 @@ class BourneConfig:
     hidden_dim: int = 128
     predictor_hidden: int = 512
     num_layers: int = 1
-    readout: str = "mean"
-    #: Graph-branch convolution family: "gcn" (paper default) or "sage"
-    #: (the paper notes any off-the-shelf GNN works; SAGE's parameter
-    #: layout only matches a SAGE target, hence node_only mode only).
-    backbone: str = "gcn"
 
     # Discriminator
     alpha: float = 0.6
@@ -64,9 +57,8 @@ class BourneConfig:
     # Inference
     eval_rounds: int = 160
 
-    # Variants / interpretation flags
+    # Variants
     mode: str = "unified"
-    grad_through_target: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -78,13 +70,6 @@ class BourneConfig:
             raise ValueError("decay_rate must be in [0, 1)")
         if self.mode not in ("unified", "node_only", "edge_only"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.backbone not in ("gcn", "sage"):
-            raise ValueError(f"unknown backbone {self.backbone!r}")
-        if self.backbone == "sage" and self.mode != "node_only":
-            raise ValueError(
-                "backbone='sage' requires mode='node_only': the SAGE "
-                "parameter layout cannot be EMA-mirrored into an HGNN"
-            )
         if self.subgraph_size < 1:
             raise ValueError("subgraph_size must be >= 1")
         if self.num_layers < 1:
@@ -94,14 +79,3 @@ class BourneConfig:
         """Return a copy with the given fields replaced."""
         return replace(self, **kwargs)
 
-
-def social_config(**overrides) -> BourneConfig:
-    """Paper configuration for BlogCatalog / Flickr (K = 40)."""
-    base = BourneConfig(subgraph_size=40, alpha=0.2, beta=0.8)
-    return base.updated(**overrides) if overrides else base
-
-
-def citation_config(**overrides) -> BourneConfig:
-    """Paper configuration for Cora / Pubmed / ACM (K = 12)."""
-    base = BourneConfig(subgraph_size=12, alpha=0.8, beta=0.2)
-    return base.updated(**overrides) if overrides else base

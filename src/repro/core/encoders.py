@@ -1,13 +1,16 @@
-"""The two encoding channels of BOURNE (Section IV-B / IV-C).
+"""The two encoding networks of BOURNE (Section IV-B / IV-C).
 
-* :class:`GraphViewEncoder` — L-layer GCN followed by a 2-layer MLP
-  predictor ``p_θ`` (the **online** network θ).
-* :class:`HypergraphViewEncoder` — L-layer HGNN (the **target** network
-  φ, updated only by EMA).
+* :class:`OnlineEncoder` — an L-layer conv stack followed by the
+  2-layer MLP predictor ``p_θ`` (the **online** network θ).
+* :class:`TargetEncoder` — an L-layer conv stack with no predictor (the
+  **target** network φ, updated only by EMA).
 
-The two encoders expose *encoder* parameters with identical shapes in
-identical order (one ``(d_in, d_out)`` filter plus one PReLU slope per
-layer), which is what makes the cross-architecture EMA update
+Both stacks use the one :class:`~repro.nn.conv.GCNConv` layer class:
+Eq. 4 (GCN) and Eq. 10 (HGNN) differ only in the propagation operator,
+which :meth:`repro.core.model.Bourne.forward_batch` picks per branch
+and per mode.  The two encoders therefore expose *encoder* parameters
+with identical shapes in identical order (one ``(d_in, d_out)`` filter
+plus one PReLU slope per layer), which is what makes the EMA update
 ``φ ← τφ + (1−τ)θ`` well defined.  The predictor belongs to the online
 side only, as in BYOL/BGRL.
 """
@@ -18,147 +21,58 @@ from typing import List
 
 import numpy as np
 
-from ..nn.conv import GCNConv, HGNNConv
+from ..nn.conv import GCNConv
 from ..nn.linear import MLP
 from ..nn.module import Module
-from ..nn.sage import SAGEConv
 from ..tensor.autograd import Tensor
 
 
-def _graph_conv_class(backbone: str):
-    if backbone == "gcn":
-        return GCNConv
-    if backbone == "sage":
-        return SAGEConv
-    raise ValueError(f"unknown graph backbone {backbone!r} (gcn|sage)")
+class TargetEncoder(Module):
+    """Conv stack ``conv0 … conv{L-1}``: the target network."""
 
-
-def _conv_weights(conv) -> list:
-    """EMA-mirrored parameters of one convolution, in a fixed order."""
-    if isinstance(conv, SAGEConv):
-        return [conv.weight_self, conv.weight_neigh, conv.act.alpha]
-    return [conv.weight, conv.act.alpha]
-
-
-class GraphViewEncoder(Module):
-    """Online channel: graph-conv stack + MLP predictor.
-
-    ``backbone`` selects the convolution family (``"gcn"`` default, or
-    ``"sage"`` — usable when the target branch shares the same layout,
-    i.e. the ``node_only`` mode).
-    """
-
-    def __init__(self, in_features: int, hidden_dim: int,
-                 predictor_hidden: int, num_layers: int,
-                 rng: np.random.Generator, backbone: str = "gcn"):
+    def __init__(
+        self,
+        in_features: int,
+        hidden_dim: int,
+        num_layers: int,
+        rng: np.random.Generator,
+    ):
         super().__init__()
-        conv_cls = _graph_conv_class(backbone)
         dims = [in_features] + [hidden_dim] * num_layers
-        self._convs = []
+        self.convs: List[GCNConv] = []
         for index, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
-            conv = conv_cls(d_in, d_out, rng)
+            conv = GCNConv(d_in, d_out, rng)
             setattr(self, f"conv{index}", conv)
-            self._convs.append(conv)
-        self.predictor = MLP(hidden_dim, [predictor_hidden], hidden_dim, rng)
+            self.convs.append(conv)
 
     def forward(self, operator, features) -> Tensor:
         h = features if isinstance(features, Tensor) else Tensor(features)
-        for conv in self._convs:
-            h = conv(operator, h)
-        return self.predictor(h)
-
-    def encoder_parameters(self) -> list:
-        """Parameters mirrored into the target network (excludes predictor)."""
-        params = []
-        for conv in self._convs:
-            params.extend(_conv_weights(conv))
-        return params
-
-
-class HypergraphViewEncoder(Module):
-    """Target channel: HGNN stack, no predictor, no gradients."""
-
-    def __init__(self, in_features: int, hidden_dim: int, num_layers: int,
-                 rng: np.random.Generator):
-        super().__init__()
-        dims = [in_features] + [hidden_dim] * num_layers
-        self._convs: List[HGNNConv] = []
-        for index, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
-            conv = HGNNConv(d_in, d_out, rng)
-            setattr(self, f"conv{index}", conv)
-            self._convs.append(conv)
-
-    def forward(self, operator, features) -> Tensor:
-        z = features if isinstance(features, Tensor) else Tensor(features)
-        for conv in self._convs:
-            z = conv(operator, z)
-        return z
-
-    def encoder_parameters(self) -> list:
-        params = []
-        for conv in self._convs:
-            params.append(conv.weight)
-            params.append(conv.act.alpha)
-        return params
-
-
-class GraphTargetEncoder(Module):
-    """Graph-only target channel, used by the ``node_only`` ablation
-    (w/o HGNN: both branches are graph encoders).
-
-    ``backbone`` selects the convolution family (``"gcn"`` default or
-    ``"sage"`` — the paper notes any off-the-shelf GNN works).
-    """
-
-    def __init__(self, in_features: int, hidden_dim: int, num_layers: int,
-                 rng: np.random.Generator, backbone: str = "gcn"):
-        super().__init__()
-        conv_cls = _graph_conv_class(backbone)
-        dims = [in_features] + [hidden_dim] * num_layers
-        self._convs = []
-        for index, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
-            conv = conv_cls(d_in, d_out, rng)
-            setattr(self, f"conv{index}", conv)
-            self._convs.append(conv)
-
-    def forward(self, operator, features) -> Tensor:
-        h = features if isinstance(features, Tensor) else Tensor(features)
-        for conv in self._convs:
+        for conv in self.convs:
             h = conv(operator, h)
         return h
 
     def encoder_parameters(self) -> list:
+        """Parameters the EMA mirrors (the predictor is excluded)."""
         params = []
-        for conv in self._convs:
-            params.extend(_conv_weights(conv))
-        return params
-
-
-class HypergraphOnlineEncoder(Module):
-    """HGNN + predictor online channel for the ``edge_only`` ablation
-    (w/o GNN: both branches are hypergraph encoders)."""
-
-    def __init__(self, in_features: int, hidden_dim: int,
-                 predictor_hidden: int, num_layers: int,
-                 rng: np.random.Generator):
-        super().__init__()
-        dims = [in_features] + [hidden_dim] * num_layers
-        self._convs: List[HGNNConv] = []
-        for index, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
-            conv = HGNNConv(d_in, d_out, rng)
-            setattr(self, f"conv{index}", conv)
-            self._convs.append(conv)
-        self.predictor = MLP(hidden_dim, [predictor_hidden], hidden_dim, rng)
-
-    def forward(self, operator, features) -> Tensor:
-        z = features if isinstance(features, Tensor) else Tensor(features)
-        for conv in self._convs:
-            z = conv(operator, z)
-        return self.predictor(z)
-
-    def encoder_parameters(self) -> list:
-        params = []
-        for conv in self._convs:
+        for conv in self.convs:
             params.append(conv.weight)
             params.append(conv.act.alpha)
         return params
+
+
+class OnlineEncoder(TargetEncoder):
+    """Conv stack plus MLP predictor: the online network."""
+
+    def __init__(
+        self,
+        in_features: int,
+        hidden_dim: int,
+        predictor_hidden: int,
+        num_layers: int,
+        rng: np.random.Generator,
+    ):
+        super().__init__(in_features, hidden_dim, num_layers, rng)
+        self.predictor = MLP(hidden_dim, [predictor_hidden], hidden_dim, rng)
+
+    def forward(self, operator, features) -> Tensor:
+        return self.predictor(super().forward(operator, features))

@@ -21,12 +21,7 @@ from ..tensor.autograd import Tensor, no_grad
 from ..utils.seed import rng_from_seed
 from .config import BourneConfig
 from .discriminator import discriminate
-from .encoders import (
-    GraphTargetEncoder,
-    GraphViewEncoder,
-    HypergraphOnlineEncoder,
-    HypergraphViewEncoder,
-)
+from .encoders import OnlineEncoder, TargetEncoder
 from .views import (
     BatchedGraphViews,
     BatchedHypergraphViews,
@@ -63,25 +58,13 @@ class Bourne:
         cfg = self.config
         init_rng = rng_from_seed(cfg.seed)
 
-        if cfg.mode == "unified":
-            self.online = GraphViewEncoder(num_features, cfg.hidden_dim,
-                                           cfg.predictor_hidden, cfg.num_layers,
-                                           init_rng)
-            self.target = HypergraphViewEncoder(num_features, cfg.hidden_dim,
-                                                cfg.num_layers, init_rng)
-        elif cfg.mode == "node_only":
-            self.online = GraphViewEncoder(num_features, cfg.hidden_dim,
-                                           cfg.predictor_hidden, cfg.num_layers,
-                                           init_rng, backbone=cfg.backbone)
-            self.target = GraphTargetEncoder(num_features, cfg.hidden_dim,
-                                             cfg.num_layers, init_rng,
-                                             backbone=cfg.backbone)
-        else:  # edge_only
-            self.online = HypergraphOnlineEncoder(num_features, cfg.hidden_dim,
-                                                  cfg.predictor_hidden,
-                                                  cfg.num_layers, init_rng)
-            self.target = HypergraphViewEncoder(num_features, cfg.hidden_dim,
-                                                cfg.num_layers, init_rng)
+        # One encoder pair in every mode: the mode only picks which
+        # view's operator each branch reads (forward_batch).
+        self.online = OnlineEncoder(num_features, cfg.hidden_dim,
+                                    cfg.predictor_hidden, cfg.num_layers,
+                                    init_rng)
+        self.target = TargetEncoder(num_features, cfg.hidden_dim,
+                                    cfg.num_layers, init_rng)
 
         self.ema = ExponentialMovingAverage(
             self.online.encoder_parameters(),
@@ -138,8 +121,11 @@ class Bourne:
         """Compute node / edge anomaly scores for one prepared batch.
 
         Gradients flow through the online network only (Algorithm 1);
-        the target network is evaluated under ``no_grad`` unless
-        ``config.grad_through_target`` is set.
+        the target network is evaluated under ``no_grad``.  The mode
+        picks the operators: ``unified`` reads the graph view on the
+        online branch and the hypergraph view on the target branch,
+        ``node_only`` the graph view on both, ``edge_only`` the
+        hypergraph view on both.
 
         ``mask_seed`` keys the ``node_only`` target-branch feature mask
         (required in that mode, ignored in the others): one seed for
@@ -154,11 +140,10 @@ class Bourne:
             return self._forward_node_only(gviews, mask_seed)
         return self._forward_edge_only(hviews)
 
-    def _target_forward(self, operator, features) -> Tensor:
-        if self.config.grad_through_target:
-            return self.target(operator, features)
+    def _target_forward(self, operator, features) -> np.ndarray:
+        """Target-branch embeddings under stop-gradient (plain array)."""
         with no_grad():
-            return self.target(operator, features)
+            return self.target(operator, features).data
 
     def _forward_unified(self, gviews: BatchedGraphViews,
                          hviews: BatchedHypergraphViews) -> BatchScores:
@@ -169,25 +154,17 @@ class Bourne:
         from ..tensor.sparse import spmm
         h_s = spmm(gviews.context_pool, h_all)                # (B, D')
 
-        z_all = self._target_forward(hviews.operator, Tensor(hviews.features))
-        z_data = z_all.data if not cfg.grad_through_target else None
+        z_data = self._target_forward(hviews.operator, Tensor(hviews.features))
+        z_t = Tensor(z_data[hviews.zt_rows])
+        z_p_np = hviews.patch_pool @ z_data
+        z_s_np = hviews.context_pool @ z_data
+        # Degenerate targets without target edges fall back to the
+        # subgraph-level context for the patch term.
+        empty_patch = np.asarray(hviews.patch_pool.sum(axis=1)).reshape(-1) == 0
+        z_p_np = np.where(empty_patch[:, None], z_s_np, z_p_np)
 
-        if cfg.grad_through_target:
-            z_t = z_all[hviews.zt_rows]
-            z_p = spmm(hviews.patch_pool, z_all)
-            z_s = spmm(hviews.context_pool, z_all)
-            z_p_arr, z_s_arr = z_p, z_s
-        else:
-            z_t = Tensor(z_all.data[hviews.zt_rows])
-            z_p_np = hviews.patch_pool @ z_data
-            z_s_np = hviews.context_pool @ z_data
-            # Degenerate targets without target edges fall back to the
-            # subgraph-level context for the patch term.
-            empty_patch = np.asarray(hviews.patch_pool.sum(axis=1)).reshape(-1) == 0
-            z_p_np = np.where(empty_patch[:, None], z_s_np, z_p_np)
-            z_p_arr, z_s_arr = Tensor(z_p_np), Tensor(z_s_np)
-
-        node_scores = discriminate(h_t, z_p_arr, z_s_arr, cfg.alpha, cfg.beta)
+        node_scores = discriminate(h_t, Tensor(z_p_np), Tensor(z_s_np),
+                                   cfg.alpha, cfg.beta)
 
         if len(hviews.zt_rows):
             edge_scores = discriminate(
@@ -209,7 +186,7 @@ class Bourne:
 
     def _forward_node_only(self, gviews: BatchedGraphViews,
                            mask_seed: Optional[int]) -> BatchScores:
-        """w/o HGNN ablation: both branches are graph encoders."""
+        """w/o HGNN ablation: both branches read the graph view."""
         cfg = self.config
         h_all = self.online(gviews.operator, Tensor(gviews.features))
         h_t = h_all[gviews.target_rows]
@@ -217,8 +194,7 @@ class Bourne:
         augmented = seeded_mask_features(gviews.features,
                                          cfg.feature_mask_prob, mask_seed,
                                          view_starts=gviews.patch_rows)
-        z_all = self._target_forward(gviews.operator, Tensor(augmented))
-        z_data = z_all.data
+        z_data = self._target_forward(gviews.operator, Tensor(augmented))
         h_p_ctx = Tensor(z_data[gviews.patch_rows])
         h_s_ctx = Tensor(gviews.context_pool @ z_data)
 
@@ -232,7 +208,7 @@ class Bourne:
         )
 
     def _forward_edge_only(self, hviews: BatchedHypergraphViews) -> BatchScores:
-        """w/o GNN ablation: both branches are hypergraph encoders."""
+        """w/o GNN ablation: both branches read the hypergraph view."""
         cfg = self.config
         if len(hviews.zt_rows) == 0:
             return BatchScores(None, None, hviews.edge_owner,
@@ -241,8 +217,7 @@ class Bourne:
         z_online = self.online(hviews.operator, Tensor(hviews.features))
         z_t = z_online[hviews.zt_rows]
 
-        z_ctx = self._target_forward(hviews.operator, Tensor(hviews.features))
-        z_data = z_ctx.data
+        z_data = self._target_forward(hviews.operator, Tensor(hviews.features))
         patch_ctx = Tensor(z_data[hviews.edge_patch_rows])
         subgraph_ctx_all = hviews.context_pool @ z_data
         subgraph_ctx = Tensor(subgraph_ctx_all[hviews.edge_owner])
@@ -302,23 +277,9 @@ class Bourne:
     # Parameter plumbing
     # ------------------------------------------------------------------
     def trainable_parameters(self) -> list:
-        """Parameters the optimizer updates (online network; plus target
-        when ``grad_through_target`` is enabled)."""
-        params = self.online.parameters()
-        if self.config.grad_through_target:
-            params = params + self.target.parameters()
-        return params
+        """Parameters the optimizer updates: the online network."""
+        return self.online.parameters()
 
     def update_target(self) -> None:
-        """EMA step φ ← τφ + (1−τ)θ (Eq. 22), skipped when gradients
-        already flow through the target."""
-        if not self.config.grad_through_target:
-            self.ema.update()
-
-    def eval_mode(self) -> None:
-        self.online.eval()
-        self.target.eval()
-
-    def train_mode(self) -> None:
-        self.online.train()
-        self.target.train()
+        """EMA step φ ← τφ + (1−τ)θ (Eq. 22)."""
+        self.ema.update()

@@ -21,6 +21,12 @@ from .model import Bourne
 #: load identically; bump this when the payload layout changes.
 FORMAT_VERSION = 2
 
+#: Config keys of removed options, each with the one value this build
+#: runs.  Checkpoints written before the removal carry them; a key that
+#: holds that value is dropped on load, any other value is refused.
+_RETIRED_CONFIG_KEYS = {"readout": "mean", "backbone": "gcn",
+                        "grad_through_target": False}
+
 
 def save_model(model: Bourne, path: str) -> str:
     """Serialize ``model`` (parameters + config) to ``path`` (.npz)."""
@@ -54,6 +60,12 @@ def load_model(path: str) -> Bourne:
             "model with a matching version of repro")
     config_json = bytes(archive["__config__"]).decode("utf-8")
     config_dict = json.loads(config_json)
+    for key, supported in _RETIRED_CONFIG_KEYS.items():
+        value = config_dict.pop(key, supported)
+        if value != supported:
+            raise ValueError(
+                f"checkpoint {path!r} sets the removed option {key}={value!r}; "
+                f"this build only runs {key}={supported!r}")
     config = BourneConfig(**config_dict)
     num_features = int(archive["__num_features__"][0])
 

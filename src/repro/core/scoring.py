@@ -39,6 +39,7 @@ import numpy as np
 from ..graph.graph import Graph
 from ..graph.index import derive_stream_seed, derive_target_seeds
 from ..obs import trace as obs_trace
+from ..tensor.autograd import no_grad
 from ..tensor.backend import resolve_backend
 from ..utils.seed import rng_from_seed
 from .model import Bourne
@@ -207,7 +208,8 @@ def score_target_span(
                 sp.set(rounds=len(group), chunk=len(chunk))
                 gviews, hviews = build_views(view_targets, view_rounds,
                                              view_seeds)
-            with obs_trace.span("scoring.forward") as sp:
+            # Inference records no autograd graph on any backend.
+            with obs_trace.span("scoring.forward") as sp, no_grad():
                 sp.set(views=len(view_targets), backend=backend.name)
                 scores = backend.forward_batch(
                     model, gviews, hviews, mask_seed=mask_seeds[view_rounds])
@@ -331,7 +333,6 @@ def score_graph(
     edge_sum = np.zeros(graph.num_edges)
     edge_count = np.zeros(graph.num_edges)
 
-    model.eval_mode()
     # One base per round, drawn up front: per-target seeds derive from
     # (round base, target id) — never from batch layout.  The
     # accumulation loop itself is score_target_span, shared with the
@@ -342,6 +343,5 @@ def score_graph(
         batch_size, offline_view_builder(model, graph), backend=backend,
     )
     replay_edge_rounds(edge_sum, edge_count, rounds, [evidence])
-    model.train_mode()
     return finalize_scores(evidence.node_sum, evidence.node_count,
                            edge_sum, edge_count)

@@ -1,9 +1,7 @@
-"""Graph and hypergraph substrate."""
+"""Graph substrate: storage, streaming deltas, sampling, GCN operators."""
 
 from .delta import DeltaOverlay, OverlayIndex
-from .dual import dual_hypergraph, edge_features, incidence_from_edges
 from .graph import Graph, canonical_edges
-from .hypergraph import Hypergraph
 from .index import (
     GraphIndex,
     derive_stream_seed,
@@ -11,7 +9,7 @@ from .index import (
     index_of,
     seeded_uniform,
 )
-from .normalize import gcn_operator, hgnn_operator, row_normalize
+from .normalize import gcn_operator
 from .sampling import (
     SampledSubgraph,
     SampledSubgraphBatch,
@@ -25,18 +23,12 @@ __all__ = [
     "DeltaOverlay",
     "Graph",
     "GraphIndex",
-    "Hypergraph",
     "OverlayIndex",
     "canonical_edges",
     "derive_stream_seed",
     "derive_target_seeds",
-    "dual_hypergraph",
-    "edge_features",
-    "incidence_from_edges",
     "index_of",
     "gcn_operator",
-    "hgnn_operator",
-    "row_normalize",
     "seeded_uniform",
     "SampledSubgraph",
     "SampledSubgraphBatch",

@@ -1,4 +1,9 @@
-"""Propagation-operator constructions for GCN and HGNN layers."""
+"""Propagation-operator constructions: the GCN operator (Eq. 4), single
+and batched, and block-diagonal stacking.
+
+The HGNN operator (Eq. 10) is built for a whole batch of views in
+:mod:`repro.core.views`.
+"""
 
 from __future__ import annotations
 
@@ -25,40 +30,6 @@ def gcn_operator(adjacency, add_self_loops: bool = True) -> sp.csr_matrix:
     inv_sqrt[nonzero] = degrees[nonzero] ** -0.5
     d_inv = sp.diags(inv_sqrt)
     return (d_inv @ adjacency @ d_inv).tocsr()
-
-
-def hgnn_operator(incidence) -> sp.csr_matrix:
-    """HGNN propagation ``D_v^{-1/2} M W_e D_e^{-1} Mᵀ D_v^{-1/2}`` (Eq. 10).
-
-    Hyperedge weights ``W_e`` are the identity, per the paper.  Zero-degree
-    nodes/hyperedges receive zero coefficients.
-    """
-    if not sp.issparse(incidence):
-        incidence = sp.csr_matrix(np.asarray(incidence, dtype=np.float64))
-    incidence = incidence.tocsr().astype(np.float64)
-    node_degrees = np.asarray(incidence.sum(axis=1)).reshape(-1)
-    edge_degrees = np.asarray(incidence.sum(axis=0)).reshape(-1)
-    dv_inv_sqrt = np.zeros_like(node_degrees)
-    nz = node_degrees > 0
-    dv_inv_sqrt[nz] = node_degrees[nz] ** -0.5
-    de_inv = np.zeros_like(edge_degrees)
-    nz = edge_degrees > 0
-    de_inv[nz] = 1.0 / edge_degrees[nz]
-    dv = sp.diags(dv_inv_sqrt)
-    de = sp.diags(de_inv)
-    return (dv @ incidence @ de @ incidence.T @ dv).tocsr()
-
-
-def row_normalize(matrix) -> sp.csr_matrix:
-    """Row-stochastic normalization ``D^{-1} A`` (used by RWR sampling)."""
-    if not sp.issparse(matrix):
-        matrix = sp.csr_matrix(np.asarray(matrix, dtype=np.float64))
-    matrix = matrix.tocsr().astype(np.float64)
-    degrees = np.asarray(matrix.sum(axis=1)).reshape(-1)
-    inv = np.zeros_like(degrees)
-    nonzero = degrees > 0
-    inv[nonzero] = 1.0 / degrees[nonzero]
-    return (sp.diags(inv) @ matrix).tocsr()
 
 
 def block_diag_csr(blocks: np.ndarray) -> sp.csr_matrix:

@@ -9,7 +9,6 @@ from .ranking import (
     recall_at_k,
     roc_auc_score,
 )
-from .significance import bootstrap_auc_difference
 
 __all__ = [
     "roc_auc_score",
@@ -21,5 +20,4 @@ __all__ = [
     "roc_curve",
     "downsample_curve",
     "auc_from_curve",
-    "bootstrap_auc_difference",
 ]

@@ -2,13 +2,11 @@
 
 from .activations import ELU, LeakyReLU, PReLU, ReLU, Sigmoid, Tanh
 from .attention import GATConv
-from .conv import GCNConv, HGNNConv
+from .conv import GCNConv
 from .dropout import Dropout
 from .linear import MLP, Linear
 from .losses import bce_with_logits, cosine_disagreement, mse_loss, reconstruction_errors
 from .module import Module, Parameter, Sequential
-from .readout import get_readout, max_readout, mean_readout, sum_readout
-from .sage import SAGEConv
 
 __all__ = [
     "Module",
@@ -17,9 +15,7 @@ __all__ = [
     "Linear",
     "MLP",
     "GCNConv",
-    "HGNNConv",
     "GATConv",
-    "SAGEConv",
     "Dropout",
     "PReLU",
     "ReLU",
@@ -27,10 +23,6 @@ __all__ = [
     "Sigmoid",
     "ELU",
     "LeakyReLU",
-    "mean_readout",
-    "sum_readout",
-    "max_readout",
-    "get_readout",
     "mse_loss",
     "bce_with_logits",
     "cosine_disagreement",

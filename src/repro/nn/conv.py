@@ -1,9 +1,17 @@
-"""Graph convolution layers.
+"""Graph convolution layer shared by BOURNE's GCN and HGNN branches.
 
-The propagation operator (normalized adjacency) is precomputed by the
-caller — see :mod:`repro.graph.normalize` — and passed per forward call,
-so the same layer weights serve any (sub)graph.  This matches BOURNE's
-batched use where every target node brings its own enclosing subgraph.
+The propagation operator is precomputed by the caller and passed per
+forward call, so the same layer weights serve any (sub)graph.  This
+matches BOURNE's batched use where every target node brings its own
+enclosing subgraph.
+
+Eq. 4 (GCN) and Eq. 10 (HGNN) are the same layer,
+``H' = σ(P H Θ)``; they differ only in the operator ``P``: the
+symmetric normalized adjacency ``D̃^{-1/2} Ã D̃^{-1/2}`` of a graph view,
+or ``D_v^{-1/2} M W_e D_e^{-1} Mᵀ D_v^{-1/2}`` (identity ``W_e``) of a
+dual-hypergraph view.  One ``(in, out)`` filter plus one PReLU slope per
+layer on both branches is what makes BOURNE's exponential-moving-average
+update ``φ ← τφ + (1−τ)θ`` well defined across the two encoders.
 """
 
 from __future__ import annotations
@@ -20,21 +28,20 @@ from .module import Module, Parameter
 
 
 class GCNConv(Module):
-    """One GCN layer: ``H' = σ(D̃^{-1/2} Ã D̃^{-1/2} H Θ)`` (Eq. 4).
+    """One propagation layer: ``H' = σ(P H Θ)`` (Eq. 4 and Eq. 10).
 
-    The symmetric normalization is baked into the ``operator`` argument.
+    The normalization is baked into the ``operator`` argument.
     Activation (PReLU per the paper) is applied unless ``activation`` is
     ``None``.
     """
 
     def __init__(self, in_features: int, out_features: int,
-                 rng: np.random.Generator, bias: bool = False,
+                 rng: np.random.Generator,
                  activation: Optional[str] = "prelu"):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(init.xavier_uniform((in_features, out_features), rng))
-        self.bias = Parameter(init.zeros(out_features)) if bias else None
         if activation == "prelu":
             self.act = PReLU()
         elif activation is None:
@@ -53,48 +60,7 @@ class GCNConv(Module):
         x:
             Node features, shape ``(n, in_features)``.
         """
-        support = x @ self.weight
-        out = spmm(operator, support)
-        if self.bias is not None:
-            out = out + self.bias
-        if self.act is not None:
-            out = self.act(out)
-        return out
-
-
-class HGNNConv(Module):
-    """One hypergraph convolution layer (Eq. 10).
-
-    ``H' = σ(D_v^{-1/2} M W_e D_e^{-1} Mᵀ D_v^{-1/2} H Φ)`` with identity
-    hyperedge weights.  As with :class:`GCNConv`, the full propagation
-    operator is precomputed (see ``hgnn_operator``) and passed in.
-
-    The layer's parameter layout intentionally matches :class:`GCNConv`
-    (one ``(in, out)`` filter + one PReLU slope) so BOURNE's exponential-
-    moving-average update ``φ ← τφ + (1−τ)θ`` is well defined across the
-    two encoders.
-    """
-
-    def __init__(self, in_features: int, out_features: int,
-                 rng: np.random.Generator, bias: bool = False,
-                 activation: Optional[str] = "prelu"):
-        super().__init__()
-        self.in_features = in_features
-        self.out_features = out_features
-        self.weight = Parameter(init.xavier_uniform((in_features, out_features), rng))
-        self.bias = Parameter(init.zeros(out_features)) if bias else None
-        if activation == "prelu":
-            self.act = PReLU()
-        elif activation is None:
-            self.act = None
-        else:
-            raise ValueError(f"unsupported activation {activation!r}")
-
-    def forward(self, operator, x: Tensor) -> Tensor:
-        support = x @ self.weight
-        out = spmm(operator, support)
-        if self.bias is not None:
-            out = out + self.bias
+        out = spmm(operator, x @ self.weight)
         if self.act is not None:
             out = self.act(out)
         return out

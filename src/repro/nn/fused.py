@@ -16,10 +16,11 @@ plus an in-place PReLU (:func:`_bmm_prelu`).
 
 Accuracy contract: scores stay within ``1e-5`` relative tolerance of
 the float64 reference (``tests/test_backend.py`` sweeps it across batch
-sizes, shard counts, and modes).  Unsupported shapes — ``edge_only``
-mode, SAGE backbones, conv biases, ``grad_through_target``, batches
-without a dense operator stack — fall back to the reference forward,
-so the fast backend is always *safe* to select.
+sizes, shard counts, and modes).  Two cases fall back to the reference
+forward, so the fast backend is always *safe* to select: ``edge_only``
+mode, and a batch without a dense operator stack (an empty batch, or
+ragged views).  Every conv of every BOURNE encoder is
+``PReLU(operator @ (x @ W))`` with no bias, at any depth.
 """
 
 from __future__ import annotations
@@ -37,9 +38,7 @@ from ..core.views import (
 )
 from ..tensor.autograd import Tensor
 from ..tensor.backend import TensorBackend
-from .activations import PReLU
-from .conv import GCNConv, HGNNConv
-from .linear import MLP, Linear
+from .linear import Linear
 
 #: Matches ``repro.tensor.functional.EPS`` — the discriminator's
 #: normalization epsilon; the fused cosine must use the same guard.
@@ -81,34 +80,19 @@ class Workspace:
         return len(self._buffers)
 
 
-def _conv_stack_spec(convs) -> Optional[List[Tuple[np.ndarray, float]]]:
-    """Float32 ``(weight, prelu_alpha)`` snapshot of a conv stack.
-
-    Returns ``None`` when any layer falls outside the fused contract
-    (non-GCN/HGNN conv — e.g. SAGE — a bias term, or a non-PReLU
-    activation): the caller then falls back to the reference forward.
-    """
-    spec = []
-    for conv in convs:
-        if not isinstance(conv, (GCNConv, HGNNConv)):
-            return None
-        if conv.bias is not None:
-            return None
-        if not isinstance(conv.act, PReLU):
-            return None
-        spec.append(
-            (
-                np.ascontiguousarray(conv.weight.data, dtype=np.float32),
-                float(conv.act.alpha.data),
-            )
+def _conv_stack_spec(convs) -> List[Tuple[np.ndarray, float]]:
+    """Float32 ``(weight, prelu_alpha)`` snapshot of a conv stack."""
+    return [
+        (
+            np.ascontiguousarray(conv.weight.data, dtype=np.float32),
+            float(conv.act.alpha.data),
         )
-    return spec
+        for conv in convs
+    ]
 
 
-def _mlp_spec(mlp) -> Optional[List[tuple]]:
+def _mlp_spec(mlp) -> List[tuple]:
     """Float32 op list (``("linear", w, b)`` / ``("prelu", alpha)``)."""
-    if not isinstance(mlp, MLP):
-        return None
     spec = []
     for layer in mlp._layers:
         if isinstance(layer, Linear):
@@ -122,21 +106,20 @@ def _mlp_spec(mlp) -> Optional[List[tuple]]:
                     bias,
                 )
             )
-        elif isinstance(layer, PReLU):
+        else:  # PReLU
             spec.append(("prelu", float(layer.alpha.data), None))
-        else:
-            return None
     return spec
 
 
 class CompiledModel:
     """Float32 weight snapshot of one :class:`Bourne` for fused inference.
 
-    ``supported`` is ``False`` when the model falls outside the fused
-    contract; the snapshot then never runs.  ``sources`` keeps the exact
-    parameter arrays the snapshot was taken from — Adam and the EMA both
-    *rebind* ``param.data`` rather than writing in place, so an identity
-    sweep over the live parameters detects staleness exactly.
+    ``supported`` is ``False`` in ``edge_only`` mode, the one mode
+    outside the fused contract; the snapshot then never runs.
+    ``sources`` keeps the exact parameter arrays the snapshot was taken
+    from — Adam and the EMA both *rebind* ``param.data`` rather than
+    writing in place, so an identity sweep over the live parameters
+    detects staleness exactly.
     """
 
     def __init__(self, model: Bourne):
@@ -145,19 +128,10 @@ class CompiledModel:
         self.alpha = float(cfg.alpha)
         self.beta = float(cfg.beta)
         self.feature_mask_prob = float(cfg.feature_mask_prob)
-        self.online_stack = None
-        self.online_mlp = None
-        self.target_stack = None
-        self.supported = False
-        if self.mode in ("unified", "node_only") and not cfg.grad_through_target:
-            self.online_stack = _conv_stack_spec(getattr(model.online, "_convs", ()))
-            self.online_mlp = _mlp_spec(getattr(model.online, "predictor", None))
-            self.target_stack = _conv_stack_spec(getattr(model.target, "_convs", ()))
-            self.supported = (
-                self.online_stack is not None
-                and self.online_mlp is not None
-                and self.target_stack is not None
-            )
+        self.supported = self.mode != "edge_only"
+        self.online_stack = _conv_stack_spec(model.online.convs)
+        self.online_mlp = _mlp_spec(model.online.predictor)
+        self.target_stack = _conv_stack_spec(model.target.convs)
         self.sources = [
             param.data
             for param in model.online.parameters() + model.target.parameters()
@@ -210,10 +184,11 @@ class FusedInferenceKernel:
     ) -> Optional[BatchScores]:
         """Fused scores for one batch, or ``None`` to request fallback."""
         compiled = self.refresh(model)
-        if not compiled.supported:
-            self.fallbacks += 1
-            return None
-        if gviews.operator_stack is None or gviews.batch_size == 0:
+        if (
+            not compiled.supported
+            or gviews.operator_stack is None
+            or gviews.batch_size == 0
+        ):
             self.fallbacks += 1
             return None
         self.forwards += 1

@@ -335,7 +335,6 @@ def score_task(task: ScoreTask) -> Tuple[RoundEvidence, List[dict]]:
     if task.fail:
         raise RuntimeError(f"injected failure scoring {len(task.targets)} targets")
     model = _ensure_model(task.model)
-    model.eval_mode()
     graph = _ensure_graph(task.graph)
     backend = resolve_backend(task.backend)
     args = (model, graph, task.targets, task.seed, task.rounds, task.max_batch)
@@ -377,7 +376,6 @@ def train_task(task: TrainTask) -> List[Tuple[float, List[Optional[np.ndarray]]]
     if task.fail:
         raise RuntimeError(f"injected failure training {len(task.chunks)} chunks")
     model = _ensure_model(task.model)
-    model.train_mode()
     graph = _ensure_graph(task.graph)
     scales = (task.node_scale, task.edge_scale, task.mask_seed)
     return [

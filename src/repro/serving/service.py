@@ -200,7 +200,6 @@ class ScoringService:
         self._set_seed(cfg.seed if seed is None else seed)
         self.max_batch = max_batch if max_batch is not None else cfg.batch_size
         self.backend = resolve_backend(backend)
-        model.eval_mode()
 
         self._node_table: Dict[int, Tuple[float, int]] = {}
         self._edge_scores: Dict[Tuple[int, int], Tuple[float, int]] = {}
@@ -402,7 +401,6 @@ class ScoringService:
         self._check_model(model)
         self.model = model
         self._set_seed(self.seed if self._explicit_seed else model.config.seed)
-        model.eval_mode()
         self._node_table.clear()
         self._edge_scores.clear()
         self._swaps += 1

@@ -17,6 +17,7 @@ are coerced to ``float64``.
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -25,7 +26,14 @@ DEFAULT_DTYPE = np.float64
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    """Per-thread gradient-recording flag; on in every new thread."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 @contextlib.contextmanager
@@ -34,20 +42,21 @@ def no_grad():
 
     Operations executed inside the block produce tensors detached from
     the autodiff graph.  Used for target-network (EMA) forward passes
-    and for inference.
+    and for inference.  The flag is per thread: a block on one thread
+    (say, a serving batcher's scoring thread) never changes whether
+    another thread records gradients.
     """
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad_mode.enabled = previous
 
 
 def is_grad_enabled() -> bool:
-    """Return whether operations currently record gradients."""
-    return _grad_enabled
+    """Return whether operations on this thread record gradients."""
+    return _grad_mode.enabled
 
 
 #: Rows per BLAS call in :func:`tiled_matmul`.
@@ -141,7 +150,7 @@ class Tensor:
             array = array.astype(DEFAULT_DTYPE)
         self.data: np.ndarray = array
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad: bool = bool(requires_grad) and _grad_enabled
+        self.requires_grad: bool = bool(requires_grad) and is_grad_enabled()
         self._parents: tuple = tuple(_parents) if self.requires_grad else ()
         self._backward: Optional[Callable[[np.ndarray], None]] = (
             _backward if self.requires_grad else None
@@ -204,7 +213,7 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        requires = _grad_enabled and any(p.requires_grad for p in parents)
+        requires = is_grad_enabled() and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = tuple(p for p in parents if p.requires_grad)

@@ -1,4 +1,4 @@
-"""Numerical gradient checking for the autograd engine.
+"""Numerical gradient checking for the autograd engine — a test helper.
 
 Central finite differences against the analytical backward pass.  Used
 throughout the test suite (including hypothesis property tests) to
@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autograd import Tensor
+from repro.tensor import Tensor
 
 
 def numerical_gradient(

@@ -24,7 +24,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.views import BatchedGraphViews, BatchedHypergraphViews
-from repro.graph.dual import edge_features
 from repro.graph.index import derive_target_seeds
 from repro.graph.sampling import SampledSubgraph, sample_enclosing_subgraphs
 
@@ -104,6 +103,15 @@ def _inverse_power(values: np.ndarray, exponent: float) -> np.ndarray:
     positive = values > 0
     out[positive] = values[positive] ** exponent
     return out
+
+
+def edge_features(features: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Dual node features (Definition 2): each edge's endpoint mean."""
+    features = np.asarray(features, dtype=np.float64)
+    if len(edges) == 0:
+        return np.zeros((0, features.shape[1]))
+    edges = np.asarray(edges, dtype=np.int64)
+    return 0.5 * (features[edges[:, 0]] + features[edges[:, 1]])
 
 
 def dense_gcn_operator(adjacency: np.ndarray) -> np.ndarray:

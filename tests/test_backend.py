@@ -7,16 +7,19 @@ relative tolerance of the reference on every score and must fall back
 (bitwise-equal) on anything outside the fused contract.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 from repro.core import Bourne, BourneConfig, score_graph
-from repro.graph import Graph
+from repro.graph import Graph, derive_target_seeds
 from repro.nn.fused import FusedBackend
 from repro.parallel import score_graph_sharded
 from repro.serving import GraphStore, ScoringService
+from repro.serving.service import score_service_span
+from repro.tensor import is_grad_enabled
 from repro.tensor.backend import (
     TensorBackend,
     available_backends,
@@ -206,14 +209,53 @@ class TestServiceBackend:
         assert service.backend is backend
 
 
+class GradModeRecorder(TensorBackend):
+    """Reference forward that records whether gradients were on."""
+
+    name = "grad-mode-recorder"
+
+    def __init__(self):
+        self.grad_enabled = []
+
+    def forward_batch(self, model, gviews, hviews, mask_seed=None):
+        self.grad_enabled.append(is_grad_enabled())
+        return super().forward_batch(model, gviews, hviews, mask_seed=mask_seed)
+
+
+class TestInferenceRecordsNoGraph:
+    """Every scoring surface runs its forwards under ``no_grad``."""
+
+    def test_score_graph(self, graph):
+        model = Bourne(graph.num_features, tiny_config())
+        recorder = GradModeRecorder()
+        score_graph(model, graph, backend=recorder)
+        assert recorder.grad_enabled and not any(recorder.grad_enabled)
+        assert is_grad_enabled()
+
+    def test_score_service_span(self, graph):
+        model = Bourne(graph.num_features, tiny_config())
+        recorder = GradModeRecorder()
+        score_service_span(model, graph, np.arange(10), seed=4, rounds=2,
+                           max_batch=8, backend=recorder)
+        assert recorder.grad_enabled and not any(recorder.grad_enabled)
+
+    def test_service_score_nodes(self, graph):
+        config = tiny_config()
+        model = Bourne(graph.num_features, config)
+        store = GraphStore.from_graph(graph,
+                                      influence_radius=config.hop_size)
+        recorder = GradModeRecorder()
+        service = ScoringService(model, store, rounds=2, backend=recorder)
+        service.score_nodes(list(range(12)))
+        assert recorder.grad_enabled and not any(recorder.grad_enabled)
+
+
 class TestFallbacks:
     def fused_kernel(self, backend, model):
         return backend.kernel_for(model)
 
     @pytest.mark.parametrize("config_kwargs", [
         dict(mode="edge_only"),
-        dict(mode="node_only", backbone="sage"),
-        dict(grad_through_target=True),
     ])
     def test_unsupported_models_fall_back_bitwise(self, graph, config_kwargs):
         model = Bourne(graph.num_features, tiny_config(**config_kwargs))
@@ -225,6 +267,24 @@ class TestFallbacks:
         kernel = self.fused_kernel(backend, model)
         assert kernel.fallbacks > 0
         assert kernel.forwards == 0
+
+    def test_batch_without_operator_stack_falls_back_bitwise(self, graph):
+        """The other fallback: views with no dense operator stack (an
+        empty batch, or ragged views such as the test oracle builds)."""
+        model = Bourne(graph.num_features, tiny_config())
+        targets = np.arange(6, dtype=np.int64)
+        gviews, hviews = model.prepare_batch(
+            graph, targets, derive_target_seeds(0, targets))
+        ragged = dataclasses.replace(gviews, operator_stack=None)
+        backend = FusedBackend()
+        fast = backend.forward_batch(model, ragged, hviews)
+        reference = model.forward_batch(gviews, hviews)
+        assert np.array_equal(fast.node_scores.data,
+                              reference.node_scores.data)
+        assert np.array_equal(fast.edge_scores.data,
+                              reference.edge_scores.data)
+        kernel = self.fused_kernel(backend, model)
+        assert (kernel.fallbacks, kernel.forwards) == (1, 0)
 
     def test_supported_model_runs_fused_not_fallback(self, graph):
         model = Bourne(graph.num_features, tiny_config())

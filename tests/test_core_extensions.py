@@ -1,5 +1,6 @@
-"""Tests for the library extensions: persistence, subgraph scoring,
-alternative backbone, headline aggregation."""
+"""Tests for the library extensions: persistence, headline aggregation."""
+
+import json
 
 import numpy as np
 import pytest
@@ -8,14 +9,10 @@ from repro.core import (
     Bourne,
     BourneConfig,
     load_model,
-    rank_communities,
     save_model,
     score_graph,
-    score_subgraphs,
     train_bourne,
 )
-from repro.nn import SAGEConv
-from repro.tensor import Tensor
 
 from conftest import make_planted_graph
 
@@ -26,6 +23,19 @@ FAST = dict(hidden_dim=16, predictor_hidden=32, subgraph_size=5,
 @pytest.fixture(scope="module")
 def planted():
     return make_planted_graph(seed=4, num_nodes=80, num_anomalies=8)
+
+
+def with_config_keys(path, out, **keys):
+    """Copy of checkpoint ``path`` at ``out`` whose config also holds
+    ``keys`` — what checkpoints of older builds carry."""
+    with np.load(path) as npz:
+        archive = dict(npz)
+    config = json.loads(bytes(archive["__config__"]).decode("utf-8"))
+    config.update(keys)
+    archive["__config__"] = np.frombuffer(json.dumps(config).encode("utf-8"),
+                                          dtype=np.uint8)
+    np.savez(out, **archive)
+    return out
 
 
 class TestPersistence:
@@ -56,64 +66,36 @@ class TestPersistence:
             assert na == nb
             np.testing.assert_array_equal(pa.data, pb.data)
 
+    @pytest.mark.parametrize("mode", ["unified", "node_only", "edge_only"])
+    def test_checkpoint_with_retired_keys_loads(self, planted, tmp_path,
+                                                mode):
+        """Checkpoints written while the config still had ``readout``,
+        ``backbone`` and ``grad_through_target`` load and score
+        bitwise-equal when those hold the one value this build runs."""
+        model = Bourne(planted.num_features, BourneConfig(mode=mode, **FAST))
+        rng = np.random.default_rng(5)
+        for param in model.online.parameters() + model.target.parameters():
+            param.data = param.data + 0.1 * rng.normal(size=param.data.shape)
+        path = save_model(model, str(tmp_path / "m.npz"))
+        old = with_config_keys(path, str(tmp_path / "old.npz"), readout="mean",
+                               backbone="gcn", grad_through_target=False)
+        restored = load_model(old)
+        assert restored.config == model.config
+        original = score_graph(model, planted, rounds=2, seed=3)
+        recovered = score_graph(restored, planted, rounds=2, seed=3)
+        np.testing.assert_array_equal(original.node_scores,
+                                      recovered.node_scores)
+        np.testing.assert_array_equal(original.edge_scores,
+                                      recovered.edge_scores)
 
-class TestSubgraphScoring:
-    @pytest.fixture(scope="class")
-    def scored(self, planted):
-        config = BourneConfig(epochs=6, alpha=0.8, beta=0.4, **FAST)
-        model, _ = train_bourne(planted, config)
-        return score_graph(model, planted, rounds=3)
-
-    def test_scores_candidates(self, planted, scored):
-        anomalous = np.where(planted.node_labels == 1)[0][:5]
-        normal = np.where(planted.node_labels == 0)[0][:5]
-        results = score_subgraphs(planted, scored,
-                                  [anomalous.tolist(), normal.tolist()])
-        assert len(results) == 2
-        assert results[0].z_score > results[1].z_score
-
-    def test_empty_candidate_rejected(self, planted, scored):
-        with pytest.raises(ValueError):
-            score_subgraphs(planted, scored, [[]])
-
-    def test_invalid_weight_rejected(self, planted, scored):
-        with pytest.raises(ValueError):
-            score_subgraphs(planted, scored, [[0, 1]], node_weight=2.0)
-
-    def test_rank_communities_returns_sorted(self, planted, scored):
-        ranked = rank_communities(planted, scored, num_seeds=5)
-        assert len(ranked) == 5
-        z_scores = [r.z_score for r in ranked]
-        assert z_scores == sorted(z_scores, reverse=True)
-
-
-class TestSageBackbone:
-    def test_sage_layer_shapes_and_grads(self, rng):
-        import scipy.sparse as sp
-        from repro.graph import row_normalize
-        operator = row_normalize(sp.csr_matrix(np.ones((4, 4)) - np.eye(4)))
-        conv = SAGEConv(3, 5, rng)
-        out = conv(operator, Tensor(np.ones((4, 3))))
-        assert out.shape == (4, 5)
-        out.sum().backward()
-        assert conv.weight_self.grad is not None
-        assert conv.weight_neigh.grad is not None
-
-    def test_sage_requires_node_only_mode(self):
-        with pytest.raises(ValueError):
-            BourneConfig(backbone="sage")        # unified mode
-
-    def test_sage_node_only_trains(self, planted):
-        config = BourneConfig(epochs=2, mode="node_only", backbone="sage",
-                              **FAST)
-        model, history = train_bourne(planted, config)
-        assert np.isfinite(history.losses[-1])
-        scores = score_graph(model, planted, rounds=2)
-        assert np.all(np.isfinite(scores.node_scores))
-
-    def test_unknown_backbone_rejected(self):
-        with pytest.raises(ValueError):
-            BourneConfig(backbone="transformer")
+    def test_checkpoint_with_retired_option_rejected(self, planted, tmp_path):
+        model = Bourne(planted.num_features,
+                       BourneConfig(mode="node_only", **FAST))
+        path = save_model(model, str(tmp_path / "m.npz"))
+        old = with_config_keys(path, str(tmp_path / "old.npz"),
+                               backbone="sage")
+        with pytest.raises(ValueError, match="removed option backbone"):
+            load_model(old)
 
 
 class TestHeadlineExperiment:

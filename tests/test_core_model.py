@@ -1,9 +1,11 @@
 """Unit tests for the BOURNE model: forward, loss, stop-grad, EMA, modes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.core import Bourne, BourneConfig, citation_config, social_config
+from repro.core import Bourne, BourneConfig
 from repro.core.trainer import batch_loss_scales
 from repro.core.variants import (
     ABLATIONS,
@@ -55,10 +57,6 @@ class TestConfig:
         assert cfg.decay_rate == 0.99
         assert cfg.learning_rate == 1e-3
         assert cfg.eval_rounds == 160
-
-    def test_presets(self):
-        assert social_config().subgraph_size == 40
-        assert citation_config().subgraph_size == 12
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
@@ -148,12 +146,43 @@ class TestEMA:
         target = set(id(p) for p in model.target.parameters())
         assert trainable.isdisjoint(target)
 
-    def test_grad_through_target_adds_parameters(self, tiny_graph, config):
-        cfg = config.updated(grad_through_target=True)
-        model = Bourne(tiny_graph.num_features, cfg)
-        trainable = set(id(p) for p in model.trainable_parameters())
-        target = set(id(p) for p in model.target.parameters())
-        assert target <= trainable
+
+#: ``named_parameters()`` of a fresh two-layer model and the sha256 of
+#: its initial online/target parameters (names and float64 bytes, in
+#: order), recorded while each mode still built its own encoder classes:
+#: one encoder pair keeps every init draw, so checkpoints and score pins
+#: carry over unchanged.
+ONLINE_NAMES = ["conv0.weight", "conv0.act.alpha", "conv1.weight",
+                "conv1.act.alpha", "predictor.fc0.weight",
+                "predictor.fc0.bias", "predictor.act0.alpha",
+                "predictor.fc1.weight", "predictor.fc1.bias"]
+TARGET_NAMES = ["conv0.weight", "conv0.act.alpha", "conv1.weight",
+                "conv1.act.alpha"]
+ONLINE_SHA256 = ("0fa864ea9296475cffa9d0f9bdfb3534"
+                 "dbfb235057735fe007f011349aff1e43")
+TARGET_SHA256 = ("299ff4c9813f1e68da4388e1a95a1208"
+                 "e4fd4d4d127fad3ec95d058bec32ee10")
+
+
+def parameter_digest(named) -> str:
+    digest = hashlib.sha256()
+    for name, param in named:
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(param.data,
+                                           dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("mode", ["unified", "node_only", "edge_only"])
+def test_encoder_layout_pin(mode):
+    model = Bourne(6, BourneConfig(hidden_dim=8, predictor_hidden=16,
+                                   num_layers=2, seed=11, mode=mode))
+    online = list(model.online.named_parameters())
+    target = list(model.target.named_parameters())
+    assert [name for name, _ in online] == ONLINE_NAMES
+    assert [name for name, _ in target] == TARGET_NAMES
+    assert parameter_digest(online) == ONLINE_SHA256
+    assert parameter_digest(target) == TARGET_SHA256
 
 
 class TestModes:
@@ -169,7 +198,6 @@ class TestModes:
         gviews, hviews = prepare(model, tiny_graph, [0, 2])
         with pytest.raises(ValueError, match="mask_seed"):
             model.forward_batch(gviews, hviews)
-        model.eval_mode()
         with pytest.raises(ValueError, match="mask_seed"):
             resolve_backend("fused").forward_batch(model, gviews, hviews)
 

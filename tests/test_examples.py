@@ -62,9 +62,3 @@ def test_scalability_study_runs():
     out = run_example("scalability_study.py", {"REPRO_EPOCHS": "1"})
     assert "acceleration vs BOURNE" in out
     assert "SL-GAD" in out
-
-
-def test_subgraph_hunting_runs():
-    out = run_example("subgraph_hunting.py", {"REPRO_EPOCHS": "3"})
-    assert "z-score" in out
-    assert "enrichment" in out

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.metrics import (
     auc_from_curve,
     average_precision,
-    bootstrap_auc_difference,
     detection_summary,
     downsample_curve,
     precision_at_k,
@@ -134,28 +133,3 @@ class TestRocCurve:
         with pytest.raises(ValueError):
             roc_curve(np.ones(3), np.arange(3.0))
 
-
-class TestSignificance:
-    def test_clear_difference_significant(self, rng):
-        labels = rng.integers(0, 2, size=400)
-        labels[:2] = [0, 1]
-        good = labels + rng.normal(0, 0.2, size=400)
-        bad = rng.normal(size=400)
-        result = bootstrap_auc_difference(labels, good, bad, rng, num_rounds=100)
-        assert result["auc_difference"] > 0.3
-        assert result["p_value"] < 0.05
-
-    def test_no_difference_not_significant(self, rng):
-        labels = rng.integers(0, 2, size=200)
-        labels[:2] = [0, 1]
-        scores = rng.normal(size=200)
-        result = bootstrap_auc_difference(labels, scores, scores.copy(), rng,
-                                          num_rounds=50)
-        assert result["p_value"] > 0.5
-
-    def test_reports_rounds(self, rng):
-        labels = np.array([0, 1] * 20)
-        scores = rng.normal(size=40)
-        result = bootstrap_auc_difference(labels, scores, scores + 0.1, rng,
-                                          num_rounds=30)
-        assert 0 < result["rounds"] <= 30

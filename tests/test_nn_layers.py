@@ -1,24 +1,22 @@
-"""Unit tests for neural layers: Linear, MLP, GCN, HGNN, GAT, readouts."""
+"""Unit tests for neural layers: Linear, MLP, GCN/HGNN conv, GAT."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.graph import gcn_operator, hgnn_operator
+from repro.core import Bourne, BourneConfig
+from repro.graph import gcn_operator
 from repro.nn import (
     Dropout,
     GATConv,
     GCNConv,
-    HGNNConv,
     Linear,
     MLP,
     PReLU,
-    get_readout,
-    max_readout,
-    mean_readout,
-    sum_readout,
 )
 from repro.tensor import Tensor
+
+from reference_views import dense_hgnn_operator
 
 
 class TestLinear:
@@ -93,33 +91,29 @@ class TestGCNConv:
         solo = conv(gcn_operator(sp.csr_matrix((2, 2))), Tensor(x)).data
         assert not np.allclose(out, solo)
 
-    def test_bias_option(self, rng):
-        conv = GCNConv(3, 2, rng, bias=True)
-        assert conv.bias is not None
-
     def test_invalid_activation(self, rng):
         with pytest.raises(ValueError):
             GCNConv(3, 2, rng, activation="gelu")
 
 
 class TestHGNNConv:
+    """Eq. 10 is the GCNConv layer over the HGNN operator."""
+
     def test_shape(self, rng):
-        incidence = sp.csr_matrix(np.array([[1, 0], [1, 1], [0, 1]], dtype=float))
-        operator = hgnn_operator(incidence)
-        conv = HGNNConv(4, 6, rng)
+        incidence = np.array([[1, 0], [1, 1], [0, 1]], dtype=float)
+        operator = dense_hgnn_operator(incidence)
+        conv = GCNConv(4, 6, rng)
         out = conv(operator, Tensor(np.ones((3, 4))))
         assert out.shape == (3, 6)
 
-    def test_parameter_layout_matches_gcn(self, rng):
-        gcn = GCNConv(4, 6, rng)
-        hgnn = HGNNConv(4, 6, rng)
-        gcn_shapes = [p.data.shape for p in gcn.parameters()]
-        hgnn_shapes = [p.data.shape for p in hgnn.parameters()]
-        assert gcn_shapes == hgnn_shapes
-
-    def test_invalid_activation(self, rng):
-        with pytest.raises(ValueError):
-            HGNNConv(3, 2, rng, activation="bad")
+    def test_parameter_layout_matches_gcn(self):
+        """The hypergraph (target) branch mirrors the graph (online)
+        branch's conv parameters one for one, as the EMA needs."""
+        model = Bourne(5, BourneConfig(hidden_dim=6, predictor_hidden=8,
+                                       num_layers=2))
+        online = [p.data.shape for p in model.online.encoder_parameters()]
+        target = [p.data.shape for p in model.target.encoder_parameters()]
+        assert online == target == [(5, 6), (), (6, 6), ()]
 
 
 class TestGATConv:
@@ -162,25 +156,6 @@ class TestDropoutModule:
     def test_invalid_p(self, rng):
         with pytest.raises(ValueError):
             Dropout(1.5, rng)
-
-
-class TestReadouts:
-    def test_mean(self):
-        h = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        np.testing.assert_allclose(mean_readout(h).data, [2.0, 3.0])
-
-    def test_sum(self):
-        h = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        np.testing.assert_allclose(sum_readout(h).data, [4.0, 6.0])
-
-    def test_max(self):
-        h = Tensor(np.array([[1.0, 5.0], [3.0, 4.0]]))
-        np.testing.assert_allclose(max_readout(h).data, [3.0, 5.0])
-
-    def test_get_readout(self):
-        assert get_readout("mean") is mean_readout
-        with pytest.raises(ValueError):
-            get_readout("median")
 
 
 class TestPReLU:

@@ -118,7 +118,6 @@ class TestStackedLoop:
     def test_matches_per_round_loop(self, graph, mode, augment, max_batch):
         model = Bourne(graph.num_features, small_config(
             mode=mode, augment_at_inference=augment))
-        model.eval_mode()
         bases, masks = inference_round_streams(model.config, ROUNDS, 21)
         targets = np.arange(graph.num_nodes, dtype=np.int64)[::-1].copy()
         stacked = score_target_span(model, targets, bases, masks, max_batch,
@@ -132,7 +131,6 @@ class TestStackedLoop:
         (10, 14), (256, 1)])
     def test_no_forward_exceeds_max_batch(self, graph, max_batch, forwards):
         model = Bourne(graph.num_features, small_config())
-        model.eval_mode()
         bases, masks = inference_round_streams(model.config, ROUNDS, 0)
         backend = CountingBackend()
         evidence = score_target_span(

@@ -1,10 +1,24 @@
 """Unit tests for the reverse-mode autodiff engine."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, concat, gradcheck, no_grad, ones, stack, where, zeros
+from repro.tensor import (
+    Tensor,
+    concat,
+    is_grad_enabled,
+    no_grad,
+    ones,
+    stack,
+    where,
+    zeros,
+)
 from repro.tensor.autograd import _unbroadcast
+
+from gradcheck import gradcheck
 
 
 class TestTensorBasics:
@@ -294,3 +308,88 @@ class TestHelpers:
     def test_unbroadcast_noop_when_same_shape(self):
         grad = np.ones((2, 2))
         assert _unbroadcast(grad, (2, 2)) is grad
+
+
+class TestGradModeThreads:
+    def test_interleaved_no_grad_blocks_leave_every_thread_enabled(self):
+        """Thread A enters ``no_grad``, B enters, A exits, B exits: the
+        order two serving threads can produce.  Every thread must
+        record gradients again afterwards."""
+        a_in, b_in = threading.Event(), threading.Event()
+        a_out, b_out = threading.Event(), threading.Event()
+        enabled = {}
+
+        def thread_a():
+            with no_grad():
+                a_in.set()
+                b_in.wait(10)
+            a_out.set()
+            b_out.wait(10)
+            enabled["a"] = is_grad_enabled()
+
+        def thread_b():
+            a_in.wait(10)
+            with no_grad():
+                b_in.set()
+                a_out.wait(10)
+            b_out.set()
+            enabled["b"] = is_grad_enabled()
+
+        threads = [threading.Thread(target=thread_a),
+                   threading.Thread(target=thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive()
+        enabled["main"] = is_grad_enabled()
+        assert enabled == {"a": True, "b": True, "main": True}
+        assert Tensor(np.ones(2), requires_grad=True).requires_grad
+
+    def test_no_grad_on_one_thread_leaves_others_recording(self):
+        inside, release = threading.Event(), threading.Event()
+
+        def hold_no_grad():
+            with no_grad():
+                inside.set()
+                release.wait(10)
+
+        thread = threading.Thread(target=hold_no_grad)
+        thread.start()
+        try:
+            assert inside.wait(10)
+            assert is_grad_enabled()
+            assert Tensor(np.ones(2), requires_grad=True).requires_grad
+        finally:
+            release.set()
+            thread.join(10)
+        assert not thread.is_alive()
+
+    def test_stress_many_threads_toggling(self):
+        """More threads than cores enter and leave ``no_grad`` with a
+        short switch interval; each sees only its own flag."""
+        errors = []
+
+        def toggle():
+            for _ in range(300):
+                if not is_grad_enabled():
+                    errors.append("disabled outside no_grad")
+                with no_grad():
+                    if is_grad_enabled():
+                        errors.append("enabled inside no_grad")
+                    if Tensor(np.ones(1), requires_grad=True).requires_grad:
+                        errors.append("graph recorded inside no_grad")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=toggle) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert is_grad_enabled()

@@ -10,7 +10,6 @@ from repro.tensor import (
     dropout,
     elu,
     frobenius_error_rows,
-    gradcheck,
     l2_normalize,
     leaky_relu,
     log_softmax,
@@ -19,6 +18,8 @@ from repro.tensor import (
     relu,
     softmax,
 )
+
+from gradcheck import gradcheck
 
 
 class TestActivations:

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.tensor import Tensor, gradcheck
+from repro.tensor import Tensor
+
+from gradcheck import gradcheck
 
 FINITE = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False,
                    allow_infinity=False, width=64)
