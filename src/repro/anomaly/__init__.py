@@ -2,7 +2,6 @@
 
 from .correlation import anomaly_correlation, inject_with_correlation
 from .injection import (
-    InjectionReport,
     inject_attributive,
     inject_benchmark_anomalies,
     inject_structural,
@@ -12,7 +11,6 @@ __all__ = [
     "inject_structural",
     "inject_attributive",
     "inject_benchmark_anomalies",
-    "InjectionReport",
     "anomaly_correlation",
     "inject_with_correlation",
 ]

@@ -16,22 +16,10 @@ Defaults: ``n_p = 15``, ``k = 50``, ``s = 2`` (paper values).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..graph.graph import Graph
 from ..utils.validation import check_positive
-
-
-@dataclass(frozen=True)
-class InjectionReport:
-    """What an injection pass actually added."""
-
-    structural_nodes: int
-    structural_edges: int
-    attributive_nodes: int
-    attributive_edges: int
 
 
 def inject_structural(

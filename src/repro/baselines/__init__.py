@@ -7,7 +7,7 @@ CoLA, SL-GAD.  Edge anomaly detection: AANE, UGED, GAE.
 from .aane import AANE
 from .anomalous import Anomalous
 from .anomaly_dae import AnomalyDAE
-from .base import BaseDetector, normalize_rows, sample_negative_edges
+from .base import BaseDetector, sample_negative_edges
 from .cola import CoLA
 from .dgi import DGI
 from .dominant import Dominant
@@ -37,7 +37,6 @@ EDGE_BASELINES = {
 __all__ = [
     "BaseDetector",
     "sample_negative_edges",
-    "normalize_rows",
     "Radar",
     "Anomalous",
     "Dominant",

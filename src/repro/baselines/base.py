@@ -55,12 +55,6 @@ def sample_negative_edges(graph: Graph, count: int,
     return np.asarray(negatives, dtype=np.int64).reshape(-1, 2)
 
 
-def normalize_rows(matrix: np.ndarray, order: int = 2) -> np.ndarray:
-    """L-``order`` row normalization with zero-row protection."""
-    norms = np.linalg.norm(matrix, ord=order, axis=1, keepdims=True)
-    return matrix / np.maximum(norms, 1e-12)
-
-
 def structure_score_from_embeddings(
     embeddings: np.ndarray, graph: Graph, rng: np.random.Generator,
     samples_per_node: int = 10,
@@ -70,7 +64,7 @@ def structure_score_from_embeddings(
     For each node, BCE of σ(z_i·z_j) over its incident edges (label 1)
     and ``samples_per_node`` random non-neighbours (label 0) — the
     sampled surrogate of the dense ``||A − σ(ZZᵀ)||`` objective that
-    keeps memory linear (see DESIGN.md).
+    keeps memory linear in the edge count.
     """
     n = graph.num_nodes
     errors = np.zeros(n)

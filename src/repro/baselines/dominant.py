@@ -5,7 +5,7 @@ GCN layer) reconstructs X and a structure decoder reconstructs A via
 ``σ(ZZᵀ)``.  Node anomaly score is the convex combination of the two
 per-node reconstruction errors.  The structure term is evaluated on
 incident edges plus sampled non-edges, keeping memory linear in |E|
-(DESIGN.md substitution note).
+instead of the paper's dense ``n × n`` reconstruction.
 """
 
 from __future__ import annotations

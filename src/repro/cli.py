@@ -45,7 +45,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    from .tensor.backend import available_backends
+    from .tensor.backend import BACKENDS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     score.add_argument("--out", default="scores.csv",
                        help="CSV prefix; writes <out>.nodes.csv / <out>.edges.csv")
     score.add_argument("--backend", default=None,
-                       choices=available_backends(),
+                       choices=BACKENDS,
                        help="tensor backend for inference (default: the "
                             "bitwise-pinned numpy reference; 'fused' trades "
                             "the pin for an allocation-free fast path within "
@@ -125,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="worker processes used by `refresh` requests to "
                             "drain large miss queues through the sharded engine")
     serve.add_argument("--backend", default=None,
-                       choices=available_backends(),
+                       choices=BACKENDS,
                        help="tensor backend for served inference (default: "
                             "the bitwise-pinned numpy reference)")
     serve.add_argument("--input", default="-",
@@ -163,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-trace", action="store_true",
                        help="disable request tracing (the flight recorder "
                             "and /v1/trace endpoints; tracing is on by "
-                            "default and costs <5%% throughput)")
+                            "default and costs about 8%% throughput)")
     serve.add_argument("--trace-slow-ms", type=float, default=250.0,
                        help="requests at least this slow (or errored) are "
                             "retained in the recorder's slow ring beyond "

@@ -176,10 +176,11 @@ def score_target_span(
     micro-batches of any size produces.
 
     ``backend`` selects the compute backend for the forward pass (a
-    registered name, a :class:`repro.tensor.TensorBackend` instance, or
-    ``None`` for the process default) — this call site is the single
-    seam every scoring surface inherits it through.  The default
-    ``numpy`` backend is the model's own forward, bitwise-unchanged.
+    name from :data:`repro.tensor.BACKENDS`, a
+    :class:`repro.tensor.TensorBackend` instance, or ``None`` for the
+    numpy reference) — this call site is the single seam every scoring
+    surface inherits it through.  The ``numpy`` reference is the
+    model's own forward, bitwise-unchanged.
     """
     backend = resolve_backend(backend)
     targets = np.asarray(targets, dtype=np.int64)
@@ -314,12 +315,12 @@ def score_graph(
         An optional persistent :class:`repro.parallel.WorkerPool` for
         the sharded engine to reuse.
     backend:
-        Compute backend for the forward pass — a registered name
+        Compute backend for the forward pass — a backend name
         (``"numpy"``/``"fused"``), a backend instance, or ``None`` for
-        the process default.  The ``numpy`` reference is the bitwise
+        the numpy reference.  The ``numpy`` reference is the bitwise
         pin; the ``fused`` backend stays within ``1e-5`` relative
-        tolerance (workers > 1 requires a registered name so worker
-        processes can resolve it).
+        tolerance (workers > 1 ship the backend's name, which worker
+        processes resolve locally).
     """
     cfg = model.config
     rounds = rounds if rounds is not None else cfg.eval_rounds

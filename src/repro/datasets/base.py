@@ -72,8 +72,8 @@ PAPER_SPECS: Dict[str, DatasetSpec] = {
     "blogcatalog": DatasetSpec("blogcatalog", "social", 5_196, 343_486, 8_189, clique_count=10),
     "flickr": DatasetSpec("flickr", "social", 7_575, 479_476, 12_047, clique_count=15),
     # DGraph is 3.7M nodes in the paper; the synthetic stand-in defaults
-    # to 50k nodes (see DESIGN.md, substitutions) and keeps the 17
-    # profile attributes and real (planted) fraud labels.
+    # to 50k nodes and keeps the 17 profile attributes and ground-truth
+    # (planted) fraud labels.
     "dgraph": DatasetSpec("dgraph", "financial", 50_000, 58_000, 17,
                           clique_count=0, has_ground_truth_nodes=True),
 }

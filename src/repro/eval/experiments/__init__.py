@@ -1,4 +1,4 @@
-"""Per-table / per-figure experiment runners (see DESIGN.md §4).
+"""Per-table / per-figure experiment runners.
 
 Each module exposes ``run(profile=None, ...) -> ExperimentResult`` and is
 executable as a script, e.g.::

@@ -1,9 +1,9 @@
 """Experiment E-F3 — Figure 3: ROC curves for node anomaly detection.
 
 Emits one (FPR, TPR) series per method per dataset, downsampled to a
-fixed grid, exactly the data behind the paper's plots.  DGraph is
-included with BOURNE and DOMINANT only (the paper notes the other
-baselines run out of memory there).
+fixed grid, exactly the data behind the paper's plots.  DGraph runs
+BOURNE and DOMINANT only (the paper notes the other baselines run out
+of memory there).
 """
 
 from __future__ import annotations
@@ -14,15 +14,16 @@ from ...metrics import downsample_curve, roc_auc_score, roc_curve
 from ..runner import EvalProfile, get_profile
 from .common import ExperimentResult, bourne_lead_claims, run_detection
 
-DATASETS = ["cora", "pubmed", "acm", "blogcatalog", "flickr"]
+DATASETS = ["cora", "pubmed", "acm", "blogcatalog", "flickr", "dgraph"]
 METHODS = ["Radar", "ANOMALOUS", "DOMINANT", "AnomalyDAE", "DGI", "CoLA", "SL-GAD"]
+#: The baselines the paper runs on DGraph, in place of ``methods``.
+DGRAPH_METHODS = ["DOMINANT"]
 
 
 def run(profile: Optional[EvalProfile] = None,
         datasets: Optional[Sequence[str]] = None,
         methods: Optional[Sequence[str]] = None,
-        curve_points: int = 25,
-        include_dgraph: bool = True) -> ExperimentResult:
+        curve_points: int = 25) -> ExperimentResult:
     """ROC series for every NAD method on every dataset."""
     profile = profile or get_profile()
     datasets = list(datasets) if datasets is not None else DATASETS
@@ -31,26 +32,16 @@ def run(profile: Optional[EvalProfile] = None,
     rows = []
     series = {}
     for dataset in datasets:
-        outcome = run_detection(dataset, profile, node_methods=methods,
+        baselines = DGRAPH_METHODS if dataset == "dgraph" else methods
+        outcome = run_detection(dataset, profile, node_methods=baselines,
                                 edge_methods=[])
         graph = outcome["graph"]
-        for name in methods + ["BOURNE"]:
+        for name in baselines + ["BOURNE"]:
             scores = outcome["methods"][name]["node_scores"]
             fpr, tpr, _ = roc_curve(graph.node_labels, scores)
             grid, tpr_grid = downsample_curve(fpr, tpr, points=curve_points)
             series[f"{dataset}/{name}"] = (grid.tolist(), tpr_grid.tolist())
             rows.append([dataset, name, roc_auc_score(graph.node_labels, scores)])
-
-    if include_dgraph:
-        outcome = run_detection("dgraph", profile, node_methods=["DOMINANT"],
-                                edge_methods=[])
-        graph = outcome["graph"]
-        for name in ("DOMINANT", "BOURNE"):
-            scores = outcome["methods"][name]["node_scores"]
-            fpr, tpr, _ = roc_curve(graph.node_labels, scores)
-            grid, tpr_grid = downsample_curve(fpr, tpr, points=curve_points)
-            series[f"dgraph/{name}"] = (grid.tolist(), tpr_grid.tolist())
-            rows.append(["dgraph", name, roc_auc_score(graph.node_labels, scores)])
 
     malformed = [name for name, (fpr, tpr) in series.items()
                  if not (len(fpr) == len(tpr) and tpr[0] <= 0.2 and tpr[-1] == 1.0

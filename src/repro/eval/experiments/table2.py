@@ -36,8 +36,8 @@ def run(profile: Optional[EvalProfile] = None,
                  "attrs", "paper_attrs", "NA", "paper_NA", "EA", "paper_EA"],
         rows=rows,
         notes=(f"profile={profile.name} scale={profile.scale}; paper columns "
-               "are Table II values at full size. DGraph is the synthetic "
-               "financial stand-in (see DESIGN.md)."),
+               "are Table II values at full size. DGraph is a synthetic "
+               "financial stand-in with planted fraud labels."),
         claims=[(f"{row[0]}: {row[1]} nodes, {row[3]} edges, {row[7]} node "
                  f"and {row[9]} edge anomalies, all > 0",
                  min(row[1], row[3], row[7], row[9]) > 0) for row in rows],

@@ -48,7 +48,7 @@ def run(profile: Optional[EvalProfile] = None,
         headers=["dataset", "method", "PRE", "REC", "AUC", "paper_AUC"],
         rows=rows,
         notes=(f"profile={profile.name}; PRE/REC at the best-F1 threshold "
-               "(DESIGN.md interpretation note). Shape claim: BOURNE has "
+               "(the paper states none). Shape claim: BOURNE has "
                "the highest AUC per dataset."),
         claims=bourne_lead_claims(rows, 4, floor=0.7),
     )

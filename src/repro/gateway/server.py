@@ -870,6 +870,8 @@ class Gateway:
                     slow_ms = float(value)
                 elif key == "limit":
                     limit = int(value)
+                    if limit < 0:  # out[:-n] would drop the oldest n
+                        raise ValueError(limit)
             except ValueError:
                 return 400, transport_error(
                     f"bad query parameter {part!r}", "BadRequest", 400), None

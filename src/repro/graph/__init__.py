@@ -14,7 +14,6 @@ from .sampling import (
     SampledSubgraph,
     SampledSubgraphBatch,
     induce_slot_edges,
-    random_walk_subgraph,
     random_walk_subgraphs,
     sample_enclosing_subgraphs,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "SampledSubgraph",
     "SampledSubgraphBatch",
     "induce_slot_edges",
-    "random_walk_subgraph",
     "random_walk_subgraphs",
     "sample_enclosing_subgraphs",
 ]

@@ -8,10 +8,10 @@
   prioritized 1-hop choice, layered CSR-frontier k-hop pool expansion,
   and a single ``searchsorted`` edge induction over every candidate
   slot pair, returning a flat ragged :class:`SampledSubgraphBatch`.
-* :func:`random_walk_subgraph` / :func:`random_walk_subgraphs` —
-  random walk with restart, the sampler used by the CoLA and SL-GAD
-  baselines; the batched form advances all walks in lock-step, so its
-  only Python loop is over walk *steps*, never over targets.
+* :func:`random_walk_subgraphs` — random walk with restart, the
+  sampler used by the CoLA and SL-GAD baselines; it advances all walks
+  in lock-step, so its only Python loop is over walk *steps*, never
+  over targets.
 
 BOURNE's sampling randomness is counter-based (:mod:`repro.graph.index`):
 each target draws from a stream keyed by its own ``uint64`` seed, so a
@@ -26,7 +26,6 @@ from typing import Iterator, List, Optional, Sequence
 import numpy as np
 
 from ..obs import trace as obs_trace
-from .graph import Graph
 from .index import GraphIndex, index_of, seeded_uniform
 
 #: Stream tags of the batch sampler's per-target draws.
@@ -435,44 +434,6 @@ def sample_enclosing_subgraphs(
     )
 
 
-def random_walk_subgraph(
-    graph: Graph,
-    start: int,
-    size: int,
-    rng: np.random.Generator,
-    restart_prob: float = 0.5,
-    max_steps: Optional[int] = None,
-) -> np.ndarray:
-    """Random walk with restart; returns ``size`` node ids (start first).
-
-    Used by the CoLA / SL-GAD baselines.  If the walk cannot reach enough
-    distinct nodes, the result is padded by repeating the start node —
-    the standard practice in the reference implementations.
-    """
-    if max_steps is None:
-        max_steps = 20 * size
-    visited: List[int] = [int(start)]
-    seen = {int(start)}
-    current = int(start)
-    for _ in range(max_steps):
-        if len(visited) >= size:
-            break
-        if rng.random() < restart_prob:
-            current = int(start)
-            continue
-        neighbors = graph.neighbors(current)
-        if len(neighbors) == 0:
-            current = int(start)
-            continue
-        current = int(neighbors[rng.integers(0, len(neighbors))])
-        if current not in seen:
-            seen.add(current)
-            visited.append(current)
-    while len(visited) < size:
-        visited.append(int(start))
-    return np.asarray(visited[:size], dtype=np.int64)
-
-
 def random_walk_subgraphs(
     graph,
     starts: Sequence[int],
@@ -483,11 +444,11 @@ def random_walk_subgraphs(
 ) -> np.ndarray:
     """Random walks with restart for a whole start batch, in lock-step.
 
-    Vectorized counterpart of :func:`random_walk_subgraph`: all walks
-    advance together, so the only Python loop is over steps (bounded by
-    ``max_steps``), not over targets.  Returns ``(B, size)`` node ids
-    with each start first; walks that cannot reach ``size`` distinct
-    nodes are padded with their start node.
+    All walks advance together, so the only Python loop is over steps
+    (bounded by ``max_steps``), not over targets.  Returns ``(B, size)``
+    node ids with each start first; walks that cannot reach ``size``
+    distinct nodes are padded with their start node, the standard
+    practice in the CoLA / SL-GAD reference implementations.
     """
     if max_steps is None:
         max_steps = 20 * size

@@ -73,8 +73,8 @@ def average_precision(labels, scores) -> float:
 def precision_recall_at_best_f1(labels, scores) -> Tuple[float, float, float]:
     """(precision, recall, threshold) at the F1-maximizing operating point.
 
-    The paper reports PRE/REC without stating a threshold; this is the
-    standard deterministic choice (see DESIGN.md interpretation notes).
+    The paper reports PRE/REC without stating a threshold; the
+    F1-maximizing one is the standard deterministic choice.
     """
     labels, scores = _validate(labels, scores)
     order = np.argsort(scores)[::-1]

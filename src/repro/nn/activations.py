@@ -1,11 +1,11 @@
-"""Activation modules."""
+"""The PReLU activation module (the paper's choice for every encoder)."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ..tensor import functional as F
-from ..tensor.autograd import Tensor, as_tensor
+from ..tensor.autograd import Tensor
 from .module import Module, Parameter
 
 
@@ -18,36 +18,3 @@ class PReLU(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.prelu(x, self.alpha)
-
-
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.relu(x)
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return as_tensor(x).tanh()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return as_tensor(x).sigmoid()
-
-
-class ELU(Module):
-    def __init__(self, alpha: float = 1.0):
-        super().__init__()
-        self._alpha = alpha
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.elu(x, alpha=self._alpha)
-
-
-class LeakyReLU(Module):
-    def __init__(self, negative_slope: float = 0.2):
-        super().__init__()
-        self._slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.leaky_relu(x, negative_slope=self._slope)

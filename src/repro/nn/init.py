@@ -16,20 +16,6 @@ def xavier_uniform(shape, rng: np.random.Generator, gain: float = 1.0) -> np.nda
     return rng.uniform(-limit, limit, size=shape)
 
 
-def xavier_normal(shape, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier normal initialization."""
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def kaiming_uniform(shape, rng: np.random.Generator) -> np.ndarray:
-    """He uniform initialization for ReLU-family activations."""
-    fan_in, _ = _fans(shape)
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def zeros(shape) -> np.ndarray:
     """All-zero initialization (biases)."""
     return np.zeros(shape)

@@ -35,7 +35,6 @@ class Module:
     def __init__(self):
         object.__setattr__(self, "_parameters", OrderedDict())
         object.__setattr__(self, "_modules", OrderedDict())
-        object.__setattr__(self, "training", True)
 
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Parameter):
@@ -57,29 +56,6 @@ class Module:
     def parameters(self) -> List[Parameter]:
         """Return all trainable parameters of this module tree."""
         return [param for _, param in self.named_parameters()]
-
-    def modules(self) -> Iterator["Module"]:
-        """Yield this module and every descendant module."""
-        yield self
-        for module in self._modules.values():
-            yield from module.modules()
-
-    def num_parameters(self) -> int:
-        """Total number of scalar parameters."""
-        return sum(p.data.size for p in self.parameters())
-
-    # ------------------------------------------------------------------
-    # Training state
-    # ------------------------------------------------------------------
-    def train(self, mode: bool = True) -> "Module":
-        """Set training mode recursively (affects dropout etc.)."""
-        for module in self.modules():
-            object.__setattr__(module, "training", mode)
-        return self
-
-    def eval(self) -> "Module":
-        """Set evaluation mode recursively."""
-        return self.train(False)
 
     def zero_grad(self) -> None:
         """Clear gradients on every parameter."""
@@ -108,10 +84,6 @@ class Module:
                                  f"{param.data.shape} vs {value.shape}")
             param.data = value.copy()
 
-    def copy_parameters_from(self, other: "Module") -> None:
-        """Hard-copy parameters from a module with an identical layout."""
-        self.load_state_dict(other.state_dict())
-
     # ------------------------------------------------------------------
     # Call protocol
     # ------------------------------------------------------------------
@@ -121,24 +93,3 @@ class Module:
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
-
-class Sequential(Module):
-    """Apply child modules in order."""
-
-    def __init__(self, *layers: Module):
-        super().__init__()
-        self._layers = []
-        for index, layer in enumerate(layers):
-            setattr(self, f"layer{index}", layer)
-            self._layers.append(layer)
-
-    def forward(self, x):
-        for layer in self._layers:
-            x = layer(x)
-        return x
-
-    def __iter__(self):
-        return iter(self._layers)
-
-    def __len__(self):
-        return len(self._layers)

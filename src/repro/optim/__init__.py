@@ -1,8 +1,6 @@
 """Optimizers and target-network updaters."""
 
 from .adam import Adam
-from .clip import clip_grad_norm
 from .ema import ExponentialMovingAverage
-from .sgd import SGD
 
-__all__ = ["Adam", "SGD", "ExponentialMovingAverage", "clip_grad_norm"]
+__all__ = ["Adam", "ExponentialMovingAverage"]

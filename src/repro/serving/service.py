@@ -169,11 +169,10 @@ class ScoringService:
         Cap on views — ``(target, round)`` pairs — per forward call
         (default: model batch size).
     backend:
-        Compute backend for the forward passes — a registered name
-        (``"numpy"``/``"fused"``) or a backend instance;
-        ``None`` uses the process default (the bitwise-pinned numpy
-        reference).  Sharded refreshes ship the backend *name* to the
-        worker processes.
+        Compute backend for the forward passes — a backend name
+        (``"numpy"``/``"fused"``) or a backend instance; ``None`` is
+        the bitwise-pinned numpy reference.  Sharded refreshes ship the
+        backend *name* to the worker processes.
     """
 
     def __init__(

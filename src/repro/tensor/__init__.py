@@ -1,38 +1,13 @@
 """From-scratch reverse-mode autodiff substrate (numpy-backed)."""
 
-from .backend import (
-    TensorBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
-from .autograd import (
-    Tensor,
-    as_tensor,
-    concat,
-    is_grad_enabled,
-    no_grad,
-    ones,
-    stack,
-    where,
-    zeros,
-)
+from .backend import BACKENDS, TensorBackend, resolve_backend
+from .autograd import Tensor, as_tensor, concat, is_grad_enabled, no_grad
 from .functional import (
     binary_cross_entropy_with_logits,
     cosine_similarity,
-    dropout,
-    elu,
-    frobenius_error_rows,
     l2_normalize,
     leaky_relu,
-    log_softmax,
-    mse,
     prelu,
-    relu,
-    softmax,
 )
 from .sparse import spmm, to_csr
 
@@ -40,31 +15,16 @@ __all__ = [
     "Tensor",
     "as_tensor",
     "concat",
-    "stack",
-    "where",
-    "zeros",
-    "ones",
     "no_grad",
     "is_grad_enabled",
-    "relu",
     "leaky_relu",
     "prelu",
-    "elu",
-    "softmax",
-    "log_softmax",
     "l2_normalize",
     "cosine_similarity",
-    "dropout",
-    "mse",
     "binary_cross_entropy_with_logits",
-    "frobenius_error_rows",
     "spmm",
     "to_csr",
+    "BACKENDS",
     "TensorBackend",
-    "available_backends",
-    "get_backend",
-    "set_backend",
     "resolve_backend",
-    "register_backend",
-    "use_backend",
 ]

@@ -542,16 +542,6 @@ class Tensor:
         return Tensor._make(data, (self,), backward)
 
 
-def zeros(*shape, requires_grad: bool = False) -> Tensor:
-    """Create a zero tensor of the given shape."""
-    return Tensor(np.zeros(shape, dtype=DEFAULT_DTYPE), requires_grad=requires_grad)
-
-
-def ones(*shape, requires_grad: bool = False) -> Tensor:
-    """Create a ones tensor of the given shape."""
-    return Tensor(np.ones(shape, dtype=DEFAULT_DTYPE), requires_grad=requires_grad)
-
-
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient support."""
     tensors = [as_tensor(t) for t in tensors]
@@ -568,31 +558,3 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
     return Tensor._make(data, tensors, backward)
 
-
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis with gradient support."""
-    tensors = [as_tensor(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        slabs = np.split(grad, len(tensors), axis=axis)
-        for tensor, slab in zip(tensors, slabs):
-            if tensor.requires_grad:
-                tensor._accumulate(np.squeeze(slab, axis=axis))
-
-    return Tensor._make(data, tensors, backward)
-
-
-def where(condition: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:
-    """Differentiable ``np.where`` (condition is a constant mask)."""
-    a, b = as_tensor(a), as_tensor(b)
-    condition = np.asarray(condition, dtype=bool)
-    data = np.where(condition, a.data, b.data)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad * condition)
-        if b.requires_grad:
-            b._accumulate(grad * ~condition)
-
-    return Tensor._make(data, (a, b), backward)

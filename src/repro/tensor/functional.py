@@ -1,23 +1,17 @@
 """Functional operations composed on top of the autograd primitives.
 
-These are the building blocks used by :mod:`repro.nn` layers and the
-BOURNE discriminator: activations with learnable slopes, softmax
-families, row normalization, cosine similarity, and dropout.
+These are the building blocks used by :mod:`repro.nn` layers, the
+BOURNE discriminator and the baselines: the (parametric) leaky ReLUs,
+row normalization, cosine similarity, and logistic loss.
 """
 
 from __future__ import annotations
-
 
 import numpy as np
 
 from .autograd import Tensor, as_tensor
 
 EPS = 1e-12
-
-
-def relu(x: Tensor) -> Tensor:
-    """Rectified linear unit."""
-    return as_tensor(x).relu()
 
 
 def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
@@ -41,30 +35,6 @@ def prelu(x: Tensor, alpha: Tensor) -> Tensor:
     return positive - negative
 
 
-def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
-    """Exponential linear unit (used by the GAT attention encoder)."""
-    x = as_tensor(x)
-    mask = x.data > 0
-    from .autograd import where
-
-    return where(mask, x, (x.clip(-60.0, 60.0).exp() - 1.0) * alpha)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    x = as_tensor(x)
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    exp = shifted.exp()
-    return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Log-softmax along ``axis``."""
-    x = as_tensor(x)
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-
-
 def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:
     """Normalize rows (or the given axis) to unit L2 norm."""
     x = as_tensor(x)
@@ -82,24 +52,6 @@ def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
     return (l2_normalize(a, axis=axis) * l2_normalize(b, axis=axis)).sum(axis=axis)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout: zero entries with probability ``p`` and rescale."""
-    x = as_tensor(x)
-    if not training or p <= 0.0:
-        return x
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    mask = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-    return x * Tensor(mask)
-
-
-def mse(prediction: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error over all elements."""
-    prediction, target = as_tensor(prediction), as_tensor(target)
-    diff = prediction - target.detach()
-    return (diff * diff).mean()
-
-
 def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Numerically stable BCE on raw logits against constant targets.
 
@@ -111,14 +63,3 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Ten
     product = logits * Tensor(targets)
     softplus = ((-(logits.abs())).exp() + 1.0).log()
     return (positive - product + softplus).mean()
-
-
-def frobenius_error_rows(prediction: Tensor, target: np.ndarray) -> Tensor:
-    """Per-row L2 reconstruction error ``||pred_i - target_i||_2``.
-
-    Used by reconstruction-based detectors (DOMINANT, AnomalyDAE, SL-GAD)
-    to turn a reconstruction into per-node anomaly evidence.
-    """
-    prediction = as_tensor(prediction)
-    diff = prediction - Tensor(np.asarray(target, dtype=prediction.data.dtype))
-    return ((diff * diff).sum(axis=1) + EPS).sqrt()

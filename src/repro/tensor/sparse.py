@@ -43,9 +43,10 @@ def spmm(operator, x: Tensor) -> Tensor:
             f"spmm shape mismatch: operator {operator.shape} @ x {x.data.shape}"
         )
     data = operator @ x.data
-    transposed = operator.T.tocsr()
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate(transposed @ grad)
+        # Built only when a gradient flows: never under no_grad or for
+        # a constant input.
+        x._accumulate(operator.T.tocsr() @ grad)
 
     return Tensor._make(np.asarray(data), (x,), backward)

@@ -8,8 +8,6 @@ subgraph sampling, augmentations, and evaluation rounds.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 
@@ -17,8 +15,3 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     """Create a generator from an integer seed."""
     return np.random.default_rng(seed)
 
-
-def spawn(parent: np.random.Generator, count: int) -> List[np.random.Generator]:
-    """Derive ``count`` independent child generators from ``parent``."""
-    seeds = parent.integers(0, 2**63 - 1, size=count)
-    return [np.random.default_rng(int(s)) for s in seeds]

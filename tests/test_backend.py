@@ -1,4 +1,4 @@
-"""The tensor-backend seam: registry, fused kernels, tolerance, fallback.
+"""The tensor-backend seam: resolution, fused kernels, tolerance, fallback.
 
 The ``numpy`` backend is the bitwise-pinned reference — the golden
 digests here freeze the default scoring path.  The ``fused`` backend is
@@ -20,15 +20,7 @@ from repro.parallel import score_graph_sharded
 from repro.serving import GraphStore, ScoringService
 from repro.serving.service import score_service_span
 from repro.tensor import is_grad_enabled
-from repro.tensor.backend import (
-    TensorBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
+from repro.tensor.backend import BACKENDS, TensorBackend, resolve_backend
 
 RTOL = 1e-5
 
@@ -72,18 +64,18 @@ def graph():
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        names = available_backends()
-        assert {"numpy", "fused"} <= set(names)
-        assert names == tuple(sorted(names))
+        assert BACKENDS == ("fused", "numpy")
+        for name in BACKENDS:
+            assert resolve_backend(name).name == name
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown tensor backend"):
             resolve_backend("no-such-backend")
 
     def test_default_is_the_numpy_reference(self):
-        backend = get_backend()
-        assert backend.name == "numpy"
-        assert resolve_backend(None) is backend
+        backend = resolve_backend(None)
+        assert type(backend) is TensorBackend and backend.name == "numpy"
+        assert resolve_backend("numpy") is backend
 
     def test_resolution_caches_one_instance_per_name(self):
         assert resolve_backend("fused") is resolve_backend("fused")
@@ -91,33 +83,6 @@ class TestRegistry:
     def test_instances_pass_through(self):
         backend = FusedBackend()
         assert resolve_backend(backend) is backend
-
-    def test_set_backend_none_restores_reference(self):
-        try:
-            assert set_backend("fused").name == "fused"
-            assert get_backend().name == "fused"
-        finally:
-            assert set_backend(None).name == "numpy"
-        assert get_backend().name == "numpy"
-
-    def test_use_backend_scopes_the_switch(self):
-        before = get_backend()
-        with use_backend("fused") as backend:
-            assert backend.name == "fused"
-            assert get_backend() is backend
-        assert get_backend() is before
-
-    def test_custom_backend_registration(self):
-        class Doubling(TensorBackend):
-            name = "test-doubling"
-
-        register_backend("test-doubling", Doubling)
-        assert "test-doubling" in available_backends()
-        assert resolve_backend("test-doubling").name == "test-doubling"
-
-    def test_rejects_unnamed_registration(self):
-        with pytest.raises(ValueError):
-            register_backend("", TensorBackend)
 
 
 class TestReferencePin:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from reference_views import khop_neighbors, sample_subgraph
 
-from repro.graph import Graph, random_walk_subgraph
+from repro.graph import Graph
 
 
 class TestKhop:
@@ -88,25 +88,3 @@ class TestEnclosingSubgraph:
         g = Graph(rng.normal(size=(3, 2)), np.array([[0, 1]]))
         sub = sample_subgraph(g, 0, k=2, size=5)
         assert sub.num_nodes == 6          # padded despite 1 neighbour
-
-
-class TestRandomWalk:
-    def test_start_first_and_size(self, tiny_graph, rng):
-        nodes = random_walk_subgraph(tiny_graph, 3, size=4, rng=rng)
-        assert nodes[0] == 3
-        assert len(nodes) == 4
-
-    def test_isolated_start_pads(self, rng):
-        g = Graph(rng.normal(size=(3, 2)), np.array([[1, 2]]))
-        nodes = random_walk_subgraph(g, 0, size=4, rng=rng)
-        np.testing.assert_array_equal(nodes, [0, 0, 0, 0])
-
-    def test_visits_are_reachable(self, tiny_graph, rng):
-        nodes = random_walk_subgraph(tiny_graph, 0, size=5, rng=rng)
-        reachable = {0, 1, 2, 3, 4, 5, 6, 7}
-        assert set(nodes.tolist()) <= reachable
-
-    def test_deterministic_given_rng(self, tiny_graph):
-        a = random_walk_subgraph(tiny_graph, 0, 5, np.random.default_rng(3))
-        b = random_walk_subgraph(tiny_graph, 0, 5, np.random.default_rng(3))
-        np.testing.assert_array_equal(a, b)

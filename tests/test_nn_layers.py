@@ -7,7 +7,6 @@ import scipy.sparse as sp
 from repro.core import Bourne, BourneConfig
 from repro.graph import gcn_operator
 from repro.nn import (
-    Dropout,
     GATConv,
     GCNConv,
     Linear,
@@ -144,18 +143,6 @@ class TestGATConv:
         out = conv(edges, 3, Tensor(x)).data
         expected = (np.ones((1, 2)) @ conv.weight.data).reshape(-1)
         np.testing.assert_allclose(out[2], expected, atol=1e-9)
-
-
-class TestDropoutModule:
-    def test_respects_eval_mode(self, rng):
-        drop = Dropout(0.5, rng)
-        drop.eval()
-        x = Tensor(np.ones((3, 3)))
-        np.testing.assert_array_equal(drop(x).data, x.data)
-
-    def test_invalid_p(self, rng):
-        with pytest.raises(ValueError):
-            Dropout(1.5, rng)
 
 
 class TestPReLU:

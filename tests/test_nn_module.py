@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Linear, Module, Parameter, Sequential, Tanh
+from repro.nn import Linear, Module, Parameter
 
 
 class _Block(Module):
@@ -28,14 +28,6 @@ class TestRegistration:
         block = _Block(rng)
         assert len(block.parameters()) == 3
 
-    def test_num_parameters(self, rng):
-        block = _Block(rng)
-        assert block.num_parameters() == 3 * 2 + 2 + 1
-
-    def test_modules_iteration(self, rng):
-        block = _Block(rng)
-        assert sum(1 for _ in block.modules()) == 2
-
     def test_non_parameter_attrs_not_registered(self, rng):
         layer = Linear(2, 2, rng)
         layer.note = "hello"
@@ -43,14 +35,6 @@ class TestRegistration:
 
 
 class TestTrainEval:
-    def test_train_eval_recursive(self, rng):
-        block = _Block(rng)
-        block.eval()
-        assert not block.training
-        assert not block.inner.training
-        block.train()
-        assert block.inner.training
-
     def test_zero_grad(self, rng):
         block = _Block(rng)
         out = block(np.ones((1, 3)))
@@ -94,28 +78,6 @@ class TestStateDict:
         state["inner.weight"] = np.zeros((5, 5))
         with pytest.raises(ValueError):
             block.load_state_dict(state)
-
-    def test_copy_parameters_from(self, rng):
-        a = _Block(rng)
-        b = _Block(np.random.default_rng(7))
-        b.copy_parameters_from(a)
-        np.testing.assert_allclose(a.scale.data, b.scale.data)
-
-
-class TestSequential:
-    def test_applies_in_order(self, rng):
-        seq = Sequential(Linear(3, 4, rng), Tanh(), Linear(4, 2, rng))
-        out = seq(np.ones((5, 3)))
-        assert out.shape == (5, 2)
-
-    def test_len_and_iter(self, rng):
-        seq = Sequential(Linear(2, 2, rng), Tanh())
-        assert len(seq) == 2
-        assert len(list(seq)) == 2
-
-    def test_parameters_from_children(self, rng):
-        seq = Sequential(Linear(2, 2, rng), Linear(2, 2, rng))
-        assert len(seq.parameters()) == 4
 
 
 class TestForwardProtocol:

@@ -542,6 +542,28 @@ class TestGatewayTraceSurface:
         for summary in listing["traces"]:
             assert summary["num_spans"] > 0
 
+    def test_traces_negative_limit_rejected(self):
+        async def client(gateway, host, port):
+            for node in range(5):
+                await self._http(host, port, "POST", "/v1/score_node",
+                                 {"node": node})
+            replies = {}
+            for limit in (-1, -4, 0, 2):
+                status, body = await self._http(
+                    host, port, "GET", f"/v1/traces?limit={limit}")
+                replies[limit] = (status, json.loads(body))
+            return replies
+
+        replies = self._run(client)
+        for limit in (-1, -4):
+            status, body = replies[limit]
+            assert status == 400
+            assert body["ok"] is False
+            assert body["error_type"] == "BadRequest"
+            assert f"limit={limit}" in body["error"]
+        assert replies[0][0] == 200 and replies[0][1]["traces"] == []
+        assert replies[2][0] == 200 and len(replies[2][1]["traces"]) == 2
+
     def test_tracing_disabled_gateway(self):
         async def client(gateway, host, port):
             status, body = await self._http(

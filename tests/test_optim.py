@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import Parameter
-from repro.optim import SGD, Adam, ExponentialMovingAverage, clip_grad_norm
+from repro.optim import Adam, ExponentialMovingAverage
 from repro.tensor import Tensor
 
 
@@ -62,41 +62,6 @@ class TestAdam:
         assert abs(param.data[0] + 0.01) < 1e-6
 
 
-class TestSGD:
-    def test_plain_step(self):
-        param = Parameter(np.array([1.0]))
-        optimizer = SGD([param], lr=0.1)
-        param.grad = np.array([2.0])
-        optimizer.step()
-        assert param.data[0] == pytest.approx(0.8)
-
-    def test_momentum_accelerates(self):
-        p1 = Parameter(np.array([0.0]))
-        p2 = Parameter(np.array([0.0]))
-        plain = SGD([p1], lr=0.1)
-        heavy = SGD([p2], lr=0.1, momentum=0.9)
-        for _ in range(5):
-            p1.grad = np.array([1.0])
-            p2.grad = np.array([1.0])
-            plain.step()
-            heavy.step()
-        assert abs(p2.data[0]) > abs(p1.data[0])
-
-    def test_converges_on_quadratic(self):
-        param = Parameter(np.zeros(3))
-        target = np.array([1.0, 2.0, -1.0])
-        optimizer = SGD([param], lr=0.05)
-        for _ in range(300):
-            optimizer.zero_grad()
-            quadratic_loss(param, target).backward()
-            optimizer.step()
-        np.testing.assert_allclose(param.data, target, atol=1e-3)
-
-    def test_empty_params_rejected(self):
-        with pytest.raises(ValueError):
-            SGD([])
-
-
 class TestEMA:
     def test_initialize_copies(self):
         online = [Parameter(np.full(3, 5.0))]
@@ -145,21 +110,3 @@ class TestEMA:
         low, high = min(start, online_value), max(start, online_value)
         assert low - 1e-9 <= target[0].data[0] <= high + 1e-9
 
-
-class TestClipGradNorm:
-    def test_no_clip_below_threshold(self):
-        param = Parameter(np.zeros(3))
-        param.grad = np.array([0.1, 0.1, 0.1])
-        norm = clip_grad_norm([param], max_norm=10.0)
-        assert norm == pytest.approx(np.sqrt(0.03))
-        np.testing.assert_allclose(param.grad, [0.1, 0.1, 0.1])
-
-    def test_clips_to_max_norm(self):
-        param = Parameter(np.zeros(2))
-        param.grad = np.array([3.0, 4.0])
-        clip_grad_norm([param], max_norm=1.0)
-        assert np.linalg.norm(param.grad) == pytest.approx(1.0, rel=1e-6)
-
-    def test_invalid_max_norm(self):
-        with pytest.raises(ValueError):
-            clip_grad_norm([], max_norm=0.0)

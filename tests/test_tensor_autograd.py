@@ -6,16 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.tensor import (
-    Tensor,
-    concat,
-    is_grad_enabled,
-    no_grad,
-    ones,
-    stack,
-    where,
-    zeros,
-)
+from repro.tensor import Tensor, concat, is_grad_enabled, no_grad
 from repro.tensor.autograd import _unbroadcast
 
 from gradcheck import gradcheck
@@ -212,10 +203,6 @@ class TestShapes:
         gradcheck(lambda a, b: concat([a, b], axis=1),
                   [rng.normal(size=(2, 3)), rng.normal(size=(2, 2))])
 
-    def test_stack(self, rng):
-        gradcheck(lambda a, b: stack([a, b], axis=0),
-                  [rng.normal(size=(3,)), rng.normal(size=(3,))])
-
 
 class TestReductions:
     def test_sum_all(self, rng):
@@ -281,20 +268,8 @@ class TestElementwise:
         x.clip(-1.0, 1.0).sum().backward()
         np.testing.assert_allclose(x.grad, [0.0, 1.0, 0.0])
 
-    def test_where(self):
-        cond = np.array([True, False])
-        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        b = Tensor(np.array([10.0, 20.0]), requires_grad=True)
-        where(cond, a, b).sum().backward()
-        np.testing.assert_allclose(a.grad, [1.0, 0.0])
-        np.testing.assert_allclose(b.grad, [0.0, 1.0])
-
 
 class TestHelpers:
-    def test_zeros_ones(self):
-        assert zeros(2, 3).shape == (2, 3)
-        assert np.all(ones(2).data == 1.0)
-
     def test_unbroadcast_to_row(self):
         grad = np.ones((3, 4))
         out = _unbroadcast(grad, (4,))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.tensor import Tensor, spmm, to_csr
+from repro.tensor import Tensor, no_grad, spmm, to_csr
 
 
 class TestToCsr:
@@ -57,3 +57,25 @@ class TestSpmm:
         operator = sp.eye(2, format="csr")
         out = spmm(operator, Tensor(np.ones((2, 2))))
         assert not out.requires_grad
+
+    def test_transpose_built_only_when_a_gradient_flows(self, rng):
+        class CountingCSR(sp.csr_matrix):
+            transposes = 0
+
+            def transpose(self, *args, **kwargs):
+                self.transposes += 1
+                return super().transpose(*args, **kwargs)
+
+        operator = CountingCSR(
+            sp.random(4, 5, density=0.5, random_state=4, format="csr"))
+        with no_grad():
+            spmm(operator, Tensor(rng.normal(size=(5, 3)), requires_grad=True))
+        spmm(operator, Tensor(rng.normal(size=(5, 3))))
+        assert operator.transposes == 0
+        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        out = spmm(operator, x)
+        assert operator.transposes == 0
+        grad = rng.normal(size=(4, 3))
+        out.backward(grad)
+        assert operator.transposes == 1
+        np.testing.assert_allclose(x.grad, operator.toarray().T @ grad)

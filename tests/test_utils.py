@@ -11,7 +11,6 @@ from repro.utils import (
     check_probability,
     get_logger,
     rng_from_seed,
-    spawn,
 )
 
 
@@ -20,18 +19,6 @@ class TestSeed:
         a = rng_from_seed(42).random(5)
         b = rng_from_seed(42).random(5)
         np.testing.assert_array_equal(a, b)
-
-    def test_spawn_children_independent(self):
-        parent = rng_from_seed(0)
-        children = spawn(parent, 3)
-        assert len(children) == 3
-        draws = [c.random() for c in children]
-        assert len(set(draws)) == 3
-
-    def test_spawn_deterministic(self):
-        a = [c.random() for c in spawn(rng_from_seed(1), 2)]
-        b = [c.random() for c in spawn(rng_from_seed(1), 2)]
-        assert a == b
 
 
 class TestValidation:
