@@ -1,13 +1,12 @@
 #!/usr/bin/env python
-"""Gateway throughput: coalesced micro-batching vs. the JSONL loop.
+"""Gateway throughput: coalesced micro-batching vs. sequential scoring.
 
 A closed-loop load generator opens ``CONNS`` concurrent TCP
 connections to a live :class:`repro.gateway.Gateway` and drives one
 score request at a time per connection over distinct target nodes,
 recording sustained throughput and per-request tail latency.  The
-baseline is the single-request JSONL loop (`python -m repro serve`
-without ``--listen``): the same requests dispatched one at a time
-through the same protocol layer, JSON round-trip included.
+baseline is sequential ``ScoringService.score_nodes`` calls: the same
+requests answered one at a time, JSON round trip included.
 
 Both paths must return bitwise-identical scores — the service derives
 every draw from ``(seed, round, target)``, so coalescing can change
@@ -31,7 +30,7 @@ import harness
 import numpy as np
 
 from repro.core import BourneConfig
-from repro.gateway import Gateway, dispatch_request
+from repro.gateway import Gateway
 
 SCALE = 0.15
 CONNS = 8
@@ -41,12 +40,16 @@ TARGET_SPEEDUP = 2.0
 
 
 def bench_sequential(service, nodes):
-    """The JSONL-loop baseline: one request, one response, repeat."""
+    """The sequential baseline: one request, one response, repeat."""
     scores = {}
     start = time.perf_counter()
     for node in nodes:
         request = json.loads(json.dumps({"op": "score", "nodes": [int(node)]}))
-        response = json.loads(json.dumps(dispatch_request(service, request)))
+        answered = service.score_nodes(request["nodes"])
+        response = json.loads(json.dumps({
+            "ok": True, "op": "score",
+            "scores": {str(n): float(score)
+                       for n, score in zip(request["nodes"], answered)}}))
         scores[int(node)] = response["scores"][str(node)]
     elapsed = time.perf_counter() - start
     return scores, elapsed
@@ -99,7 +102,7 @@ def main() -> int:
     sequential = harness.build_service(graph, config)
     seq_scores, seq_time = bench_sequential(sequential, nodes)
     seq_rps = total / seq_time
-    print(f"sequential JSONL loop: {total} requests in {seq_time:.2f}s "
+    print(f"sequential score_nodes: {total} requests in {seq_time:.2f}s "
           f"({seq_rps:.0f} req/s, {sequential.stats()['flushes']} flushes)")
 
     served = harness.build_service(graph, config)

@@ -4,8 +4,9 @@
 Prebuilds one round of inference view batches — the same ``(B, K+2,
 K+2)`` operator stacks ``score_target_span`` feeds the model — then
 times *forward passes only* through each registered tensor backend on
-one core.  The reference backend runs the bitwise-pinned autograd
-path; the fused backend runs the allocation-free float32 kernel.
+one core.  The reference backend runs the bitwise-pinned numpy path
+under ``no_grad``, as scoring does; the fused backend runs the
+allocation-free float32 kernel.
 Fused scores are verified against the reference within 1e-5 relative
 tolerance before any timing counts.
 
@@ -29,6 +30,7 @@ import numpy as np
 from repro.core import Bourne, BourneConfig
 from repro.core.scoring import inference_round_streams
 from repro.graph.index import derive_target_seeds
+from repro.tensor.autograd import no_grad
 from repro.tensor.backend import resolve_backend
 
 NODES = 3000
@@ -60,13 +62,18 @@ def prebuilt_batches(model, graph):
 
 
 def forward_all(backend, model, batches):
-    """One full pass over the prebuilt batches; returns mean node scores."""
+    """One full pass over the prebuilt batches; returns mean node scores.
+
+    Runs under ``no_grad`` like every scoring forward, so the numpy
+    reference records no autograd graph.
+    """
     parts = []
-    for gviews, hviews, mask_seed in batches:
-        scores = backend.forward_batch(
-            model, gviews, hviews, mask_seed=mask_seed
-        )
-        parts.append(np.asarray(scores.node_scores.data, dtype=np.float64))
+    with no_grad():
+        for gviews, hviews, mask_seed in batches:
+            scores = backend.forward_batch(
+                model, gviews, hviews, mask_seed=mask_seed
+            )
+            parts.append(np.asarray(scores.node_scores.data, dtype=np.float64))
     return np.concatenate(parts)
 
 

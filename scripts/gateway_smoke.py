@@ -1,8 +1,14 @@
 #!/usr/bin/env python
 """Gateway smoke test: boot the real CLI server, fire mixed traffic.
 
-Launches ``python -m repro serve --listen`` as a subprocess (registry
-source, ephemeral port), then exercises the full surface over real
+First, stdin: a request file piped into ``python -m repro serve
+--replicas 2`` (no ``--listen``) must answer through the gateway —
+the ready line, a 400 envelope for a malformed line, a two-replica
+pool in ``stats`` — with node and edge scores bitwise those of a
+``--replicas 1`` session, and exit 0 at end of input; a second stdin
+session that stays open must drain and exit 0 on SIGINT.  Then it
+launches ``python -m repro serve --listen`` as a subprocess (registry
+source, ephemeral port) and exercises the full surface over real
 sockets: concurrent NDJSON scoring, mutations, HTTP endpoints
 (``/healthz``, ``/metrics``, ``/v1/score_node``, ``/v1/score_edge``,
 ``/v1/update``), a zero-downtime hot-swap via ``/v1/reload``, and a
@@ -361,6 +367,86 @@ async def drive_autotrain(host, port, registry_dir):
           "NDJSON lifecycle resume")
 
 
+def serve_command(registry_dir, *extra):
+    return [sys.executable, "-m", "repro", "serve",
+            "--registry", registry_dir, "--name", "smoke",
+            "--dataset", DATASET, "--scale", str(SCALE), "--rounds", "1",
+            *extra]
+
+
+def stdin_scores(responses):
+    return [r.get("scores", r.get("score")) for r in responses
+            if r.get("op") in ("score", "score_edge")]
+
+
+def stdin_phase(registry_dir, env):
+    requests = [json.dumps(r) for r in (
+        {"op": "score", "nodes": [0, 1, 2, 3]},
+        {"op": "add_edge", "u": 0, "v": 7},
+        {"op": "score_edge", "u": 0, "v": 7},
+        {"op": "score", "nodes": [0, 7, 11]},
+        {"op": "stats"},
+    )]
+    lines = requests[:1] + ["{not json"] + requests[1:]
+    runs = {}
+    for replicas in (1, 2):
+        print(f"stdin: python -m repro serve --replicas {replicas} "
+              "< requests ...")
+        done = subprocess.run(
+            serve_command(registry_dir, "--replicas", str(replicas)),
+            input="".join(line + "\n" for line in lines),
+            capture_output=True, env=env, text=True, timeout=120)
+        if done.returncode != 0:
+            print(done.stderr, file=sys.stderr)
+        check(done.returncode == 0,
+              f"--replicas {replicas} exits 0 at end of input")
+        runs[replicas] = [json.loads(line)
+                          for line in done.stdout.splitlines()]
+    ready, *responses = runs[2]
+    check(ready["op"] == "ready" and "listen" not in ready,
+          "stdin session announced readiness without a socket")
+    check(len(responses) == len(lines), "one response line per request")
+    malformed = responses[1]
+    check(malformed["ok"] is False and malformed["code"] == 400
+          and malformed["error_type"] == "ValueError",
+          "malformed line answered with the 400 envelope")
+    check(responses[-1]["stats"]["replica_pool"]["replicas"] == 2,
+          "stats shows a 2-replica pool behind stdin")
+    check(all(r["ok"] for r in responses if r is not malformed),
+          "every well-formed request answered")
+    scores = stdin_scores(responses)
+    check(len(scores) == 3 and scores == stdin_scores(runs[1][1:]),
+          "node and edge scores bitwise those of --replicas 1")
+
+    print("stdin: SIGINT on an open session...")
+    process = subprocess.Popen(
+        serve_command(registry_dir, "--replicas", "2"),
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=env, text=True)
+    try:
+        check(json.loads(process.stdout.readline())["op"] == "ready",
+              "open stdin session announced readiness")
+        process.stdin.write(requests[0] + "\n")
+        process.stdin.flush()
+        answered = json.loads(process.stdout.readline())
+        check(answered["ok"] and answered["scores"] == runs[1][1]["scores"],
+              "open session answered a score")
+        process.send_signal(signal.SIGINT)
+        code = process.wait(timeout=30)
+        check(code == 0, f"SIGINT drained the open session (code {code})")
+    except Exception:
+        process.kill()
+        _, stderr = process.communicate(timeout=10)
+        print("--- stdin server stderr ---", file=sys.stderr)
+        print(stderr, file=sys.stderr)
+        raise
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=10)
+        process.stdin.close()
+
+
 def autotrain_phase(tmp, registry_dir, env):
     policy_path = os.path.join(tmp, "autotrain.json")
     with open(policy_path, "w") as handle:
@@ -369,11 +455,9 @@ def autotrain_phase(tmp, registry_dir, env):
                    "probe_size": 8, "auc_margin": 1.0}, handle)
     print("\nbooting: python -m repro serve --autotrain ...")
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve",
-         "--registry", registry_dir, "--name", "smoke",
-         "--dataset", DATASET, "--scale", str(SCALE), "--rounds", "1",
-         "--listen", "127.0.0.1:0", "--max-batch", "8", "--max-queue", "64",
-         "--poll-interval", "0.2", "--autotrain", policy_path],
+        serve_command(registry_dir, "--listen", "127.0.0.1:0",
+                      "--max-batch", "8", "--max-queue", "64",
+                      "--poll-interval", "0.2", "--autotrain", policy_path),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
     try:
         ready = json.loads(process.stdout.readline())
@@ -410,11 +494,9 @@ def router_phase(tmp, registry_dir, env):
         ]}, handle)
     print("\nbooting: python -m repro serve --replicas 3 --tenants ...")
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve",
-         "--registry", registry_dir, "--name", "smoke",
-         "--dataset", DATASET, "--scale", str(SCALE), "--rounds", "1",
-         "--listen", "127.0.0.1:0", "--max-batch", "8", "--max-queue", "64",
-         "--replicas", "3", "--tenants", spec_path],
+        serve_command(registry_dir, "--listen", "127.0.0.1:0",
+                      "--max-batch", "8", "--max-queue", "64",
+                      "--replicas", "3", "--tenants", spec_path),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
     try:
         ready = json.loads(process.stdout.readline())
@@ -458,13 +540,12 @@ def main() -> int:
         env = dict(os.environ)
         env["PYTHONPATH"] = (os.path.join(ROOT, "src")
                              + os.pathsep + env.get("PYTHONPATH", ""))
-        print("booting: python -m repro serve --listen 127.0.0.1:0 ...")
+        stdin_phase(registry_dir, env)
+        print("\nbooting: python -m repro serve --listen 127.0.0.1:0 ...")
         process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve",
-             "--registry", registry_dir, "--name", "smoke",
-             "--dataset", DATASET, "--scale", str(SCALE), "--rounds", "1",
-             "--listen", "127.0.0.1:0", "--max-batch", "8", "--max-queue", "64",
-             "--compact-threshold", "0.05"],
+            serve_command(registry_dir, "--listen", "127.0.0.1:0",
+                          "--max-batch", "8", "--max-queue", "64",
+                          "--compact-threshold", "0.05"),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
             text=True)
         try:

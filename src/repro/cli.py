@@ -10,13 +10,14 @@ Commands
     writing per-node / per-edge scores as CSV.
 ``serve``
     Long-lived scoring service: load a checkpoint (directly or from a
-    model registry), build a mutable graph store, and answer JSONL
-    requests — score, add_node, add_edge, update_features, refresh,
-    stats — from stdin or a file.  With ``--listen HOST:PORT`` the
-    same request schema is served over the network instead, through
-    the async gateway (:mod:`repro.gateway`): NDJSON over TCP plus an
-    HTTP/1.1 adapter, with dynamic micro-batching, admission control,
-    Prometheus ``/metrics``, and zero-downtime model hot-swaps.
+    model registry), build a mutable graph store, and answer NDJSON
+    requests — score, score_edge, add_node, add_edge, update_features,
+    refresh, compact, stats — through the async gateway
+    (:mod:`repro.gateway`), with dynamic micro-batching, admission
+    control, tracing, replicas and tenants.  Requests come from stdin
+    or a file; with ``--listen HOST:PORT`` they come over the network
+    instead: NDJSON over TCP plus an HTTP/1.1 adapter with Prometheus
+    ``/metrics`` and zero-downtime model hot-swaps.
 ``experiment``
     Run one of the paper's table/figure experiments; exits 1 when one
     of its paper claims does not hold.
@@ -91,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "1e-5 relative tolerance)")
 
     serve = commands.add_parser(
-        "serve", help="serve scores for a mutable graph over JSONL requests")
+        "serve", help="serve scores for a mutable graph over NDJSON requests")
     _add_common(serve)
     source = serve.add_mutually_exclusive_group()
     source.add_argument("--model", help="checkpoint from `train --save`")
@@ -100,9 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="multi-tenant mode: boot one store per tenant "
                             "from a JSON spec file (a list of tenant "
                             "objects, or {\"tenants\": [...]}); tenants "
-                            "boot lazily on first request; requires "
-                            "--listen; combinable with --model/--registry "
-                            "for a default service")
+                            "boot lazily on first request; combinable "
+                            "with --model/--registry for a default service")
     serve.add_argument("--idle-ttl", type=float, default=None,
                        help="evict tenants idle this many seconds (their "
                             "specs stay registered, so the next request "
@@ -115,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             ">1 shares the graph read-only via shared "
                             "memory, dispatches reads to the least-loaded "
                             "replica, and fans mutations in through a "
-                            "single writer (with --listen)")
+                            "single writer")
     serve.add_argument("--name", help="registry model name (with --registry)")
     serve.add_argument("--model-version", type=int, default=None,
                        help="registry version (default: latest)")
@@ -129,10 +129,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="tensor backend for served inference (default: "
                             "the bitwise-pinned numpy reference)")
     serve.add_argument("--input", default="-",
-                       help="JSONL request file ('-' for stdin)")
+                       help="NDJSON request file ('-' for stdin); one "
+                            "response line per request, in order")
     serve.add_argument("--listen", metavar="HOST:PORT", default=None,
-                       help="serve over TCP through the async gateway "
-                            "instead of the stdin JSONL loop (NDJSON + "
+                       help="serve over TCP instead of stdin (NDJSON + "
                             "HTTP/1.1; port 0 picks an ephemeral port)")
     serve.add_argument("--max-batch", type=int, default=32,
                        help="micro-batch cap: score requests queued while "
@@ -157,9 +157,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "mutation_threshold, check_interval_s, epochs, "
                             "...) drives background retrains, candidate "
                             "validation, zero-downtime publishes, and "
-                            "automatic rollback (requires --listen and "
-                            "--registry; pair with --poll-interval so the "
-                            "watcher swaps published candidates)")
+                            "automatic rollback (requires --registry; "
+                            "pair with --poll-interval so the watcher "
+                            "swaps published candidates)")
     serve.add_argument("--no-trace", action="store_true",
                        help="disable request tracing (the flight recorder "
                             "and /v1/trace endpoints; tracing is on by "
@@ -262,164 +262,82 @@ def _cmd_score(args) -> int:
     return 0
 
 
-def _serve_loop(service, source, out, refresh_workers=None) -> int:
-    """Answer JSONL requests from ``source`` on ``out``, one line each.
-
-    Robustness contract: malformed JSON or a failing request emits a
-    structured ``{"ok": false, ...}`` response (with ``error_type`` and
-    the request's ``id`` echoed when present) instead of a traceback;
-    every response is flushed per line so downstream pipes see it
-    promptly; a closed output pipe ends the loop cleanly instead of
-    crashing the process.
-    """
-    import json
-
-    from .gateway.protocol import (
-        REQUEST_ERRORS,
-        attach_request_id,
-        dispatch_request,
-        error_response,
-        parse_request,
-    )
-
-    def emit(response) -> bool:
-        try:
-            out.write(json.dumps(response) + "\n")
-            out.flush()
-            return True
-        except (BrokenPipeError, ValueError):
-            # Downstream pipe closed (or `out` itself was closed):
-            # stop serving; nobody is listening anymore.
-            return False
-
-    for line in source:
-        line = line.strip()
-        if not line:
-            continue
-        request = None
-        try:
-            request = parse_request(line)
-            response = attach_request_id(
-                dispatch_request(service, request,
-                                 refresh_workers=refresh_workers),
-                request)
-        # RuntimeError/OSError cover sharded-refresh failures (worker
-        # crash, shared-memory exhaustion): one bad request must not
-        # take the server down.
-        except REQUEST_ERRORS as error:
-            response = error_response(error, request)
-        if not emit(response):
-            return 0
-    return 0
-
-
 def _cmd_serve(args) -> int:
-    import json
+    import asyncio
+    import os
 
-    from .core import load_model
-    from .datasets import load_benchmark
-    from .eval import normalize_graph
-    from .serving import GraphStore, ModelRegistry, ScoringService
+    from .gateway import (DEFAULT_SERVICE, TenantSpec, build_tenant_service,
+                          load_tenant_specs, run_gateway)
 
     if not (args.model or args.registry or args.tenants):
         raise SystemExit("serve needs a model source: --model, --registry, "
                          "or --tenants")
-    if args.tenants and not args.listen:
-        raise SystemExit("--tenants requires --listen (tenant routing is a "
-                         "gateway feature)")
     if args.replicas < 1:
         raise SystemExit("--replicas must be >= 1")
-    if args.replicas > 1 and not args.listen:
-        raise SystemExit("--replicas requires --listen")
-    if args.autotrain and not (args.listen and args.registry):
-        raise SystemExit("--autotrain requires --listen and --registry "
-                         "(candidates publish through the registry and the "
-                         "gateway ticks the controller)")
-
-    tenants = None
-    if args.tenants:
-        from .gateway import load_tenant_specs
-
-        tenants = load_tenant_specs(args.tenants)
-
-    registry = None
-    model_version = None
-    service = None
-    if args.model or args.registry:
-        if args.registry:
-            if not args.name:
-                raise SystemExit("--registry requires --name")
-            registry = ModelRegistry(args.registry)
-            model_version = (args.model_version
-                             if args.model_version is not None
-                             else registry.latest(args.name))
-            model = registry.load(args.name, model_version)
-        else:
-            model = load_model(args.model)
-        graph = normalize_graph(load_benchmark(args.dataset, seed=args.seed,
-                                               scale=args.scale))
-        if model.num_features != graph.num_features:
-            raise SystemExit(
-                f"checkpoint expects {model.num_features} features but "
-                f"{args.dataset}@{args.scale} has {graph.num_features}; "
-                "match --dataset/--scale/--seed with the training run")
-        store = GraphStore.from_graph(
-            graph, influence_radius=model.config.hop_size,
-            compact_threshold=(None if args.compact_threshold < 0
-                               else args.compact_threshold))
-        service = ScoringService(model, store, rounds=args.rounds,
-                                 backend=args.backend)
-
+    if args.registry and not args.name:
+        raise SystemExit("--registry requires --name")
+    if args.autotrain and not args.registry:
+        raise SystemExit("--autotrain requires --registry (candidates "
+                         "publish through the registry)")
+    host, port = None, 0
     if args.listen:
-        import asyncio
-
-        from .gateway import run_gateway
-
         host, _, port = args.listen.rpartition(":")
         if not host or not port.isdigit() or int(port) > 65535:
             raise SystemExit(f"--listen expects HOST:PORT, got {args.listen!r}")
-        lifecycle = None
-        lifecycle_interval = None
-        if args.autotrain:
-            from .lifecycle import LifecycleController, load_settings
+        port = int(port)
 
-            settings = load_settings(args.autotrain)
-            lifecycle = LifecycleController.from_settings(
-                service, registry, args.name, settings,
-                workers=(settings.workers if settings.workers is not None
-                         else args.workers))
-            lifecycle_interval = settings.check_interval_s
-        try:
-            asyncio.run(run_gateway(
-                service, host, int(port),
-                registry=registry, model_name=args.name,
-                model_version=model_version,
-                lifecycle=lifecycle,
-                lifecycle_interval=lifecycle_interval,
-                max_batch=args.max_batch,
-                max_queue=args.max_queue, rate=args.rate_limit,
-                burst=args.burst, refresh_workers=args.workers,
-                poll_interval=args.poll_interval,
-                replicas=args.replicas, tenants=tenants,
-                idle_ttl=args.idle_ttl,
-                lazy_tenants=not args.eager_tenants,
-                tracing=not args.no_trace,
-                trace_slow_ms=args.trace_slow_ms,
-            ))
-        except KeyboardInterrupt:
-            pass  # asyncio.run cancelled the gateway; it drained on exit
-        return 0
-
-    print(json.dumps({"ok": True, "op": "ready",
-                      "num_nodes": store.num_nodes,
-                      "num_edges": store.num_edges}), flush=True)
-    source = sys.stdin if args.input == "-" else open(args.input)
+    service = registry = model_version = None
     try:
-        return _serve_loop(service, source, sys.stdout,
-                           refresh_workers=args.workers)
+        tenants = load_tenant_specs(args.tenants) if args.tenants else None
+        if args.model or args.registry:
+            service, registry, model_version = build_tenant_service(TenantSpec(
+                DEFAULT_SERVICE, dataset=args.dataset, scale=args.scale,
+                seed=args.seed, rounds=args.rounds, model=args.model,
+                registry=args.registry, model_name=args.name,
+                model_version=args.model_version, backend=args.backend,
+                compact_threshold=(None if args.compact_threshold < 0
+                                   else args.compact_threshold)))
+    except ValueError as error:
+        raise SystemExit(str(error))
+
+    lifecycle = None
+    lifecycle_interval = None
+    if args.autotrain:
+        from .lifecycle import LifecycleController, load_settings
+
+        settings = load_settings(args.autotrain)
+        lifecycle = LifecycleController.from_settings(
+            service, registry, args.name, settings,
+            workers=(settings.workers if settings.workers is not None
+                     else args.workers))
+        lifecycle_interval = settings.check_interval_s
+    stdin = None
+    if host is None:
+        stdin = (sys.stdin.fileno() if args.input == "-"
+                 else os.open(args.input, os.O_RDONLY))
+    try:
+        asyncio.run(run_gateway(
+            service, host, port, stdin=stdin,
+            registry=registry, model_name=args.name,
+            model_version=model_version,
+            lifecycle=lifecycle,
+            lifecycle_interval=lifecycle_interval,
+            max_batch=args.max_batch,
+            max_queue=args.max_queue, rate=args.rate_limit,
+            burst=args.burst, refresh_workers=args.workers,
+            poll_interval=args.poll_interval,
+            replicas=args.replicas, tenants=tenants,
+            idle_ttl=args.idle_ttl,
+            lazy_tenants=not args.eager_tenants,
+            tracing=not args.no_trace,
+            trace_slow_ms=args.trace_slow_ms,
+        ))
+    except KeyboardInterrupt:
+        pass  # asyncio.run cancelled the gateway; it drained on exit
     finally:
-        if source is not sys.stdin:
-            source.close()
+        if stdin is not None and args.input != "-":
+            os.close(stdin)
+    return 0
 
 
 def _http_get_json(host: str, port: int, path: str) -> dict:

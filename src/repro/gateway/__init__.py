@@ -1,7 +1,7 @@
-"""Async serving gateway: networked API over the online scoring layer.
+"""Async serving gateway: the one request path to the online scoring layer.
 
-Builds the network front door for :mod:`repro.serving` — an asyncio TCP
-server speaking newline-delimited JSON plus an HTTP/1.1 adapter, with
+Builds the front door for :mod:`repro.serving` — newline-delimited JSON
+over stdin or TCP plus an HTTP/1.1 adapter, all asyncio, with
 dynamic micro-batching (concurrent requests coalesce into shared
 forward batches, bitwise-equal to sequential scoring), admission
 control with load shedding and per-client rate limits, Prometheus

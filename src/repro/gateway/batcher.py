@@ -82,7 +82,6 @@ class MicroBatcher:
         self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="scoring")
         self._stopping = False
         self._started = False
-        self._inflight = 0
         self.batches_dispatched = 0
         self.requests_coalesced = 0
         metrics = metrics if metrics is not None else MetricsRegistry()
@@ -122,13 +121,6 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     # Request API (event-loop side)
     # ------------------------------------------------------------------
-    @property
-    def inflight(self) -> int:
-        """Score requests and submitted calls accepted but not yet
-        answered — the load signal replica pools pick the least-loaded
-        batcher by."""
-        return self._inflight
-
     async def score_node(self, node: int) -> float:
         return await self._enqueue("node", (int(node),))
 
@@ -143,20 +135,16 @@ class MicroBatcher:
             raise RuntimeError("batcher is not accepting work")
         loop = asyncio.get_running_loop()
         ctx = obs_trace.current_context()
-        self._inflight += 1
-        try:
-            if ctx is None:
-                return await loop.run_in_executor(self._executor, fn, *args)
+        if ctx is None:
+            return await loop.run_in_executor(self._executor, fn, *args)
 
-            def traced_call():
-                # contextvars don't cross run_in_executor: re-adopt the
-                # submitting request's span on the scoring thread.
-                with obs_trace.use_context(ctx):
-                    return fn(*args)
+        def traced_call():
+            # contextvars don't cross run_in_executor: re-adopt the
+            # submitting request's span on the scoring thread.
+            with obs_trace.use_context(ctx):
+                return fn(*args)
 
-            return await loop.run_in_executor(self._executor, traced_call)
-        finally:
-            self._inflight -= 1
+        return await loop.run_in_executor(self._executor, traced_call)
 
     async def swap_model(self, model) -> None:
         """Hot-swap the served model between batches."""
@@ -169,14 +157,9 @@ class MicroBatcher:
         ctx = obs_trace.current_context()
         enqueued = time.perf_counter() if ctx else 0.0
         item = _ScoreItem(kind, payload, loop.create_future(), ctx, enqueued)
-        self._inflight += 1
-        item.future.add_done_callback(lambda _f: self._settle())
         self._pending.append(item)
         self._wakeup.set()
         return item.future
-
-    def _settle(self) -> None:
-        self._inflight -= 1
 
     # ------------------------------------------------------------------
     # Dispatcher (event-loop side)

@@ -1,8 +1,11 @@
 """Request protocol shared by every serving transport.
 
-One request schema serves three transports: the CLI's stdin JSONL loop,
-the gateway's newline-delimited-JSON TCP protocol, and the gateway's
-HTTP adapter.  A request is a JSON object with an ``op`` field::
+One request schema serves every transport ``serve`` speaks — lines on
+stdin (or ``--input FILE``), NDJSON over TCP, the HTTP adapter — and
+:meth:`repro.gateway.Gateway.dispatch` answers them all.  This module
+holds request parsing, the error envelopes, and
+:func:`dispatch_request` for the store, refresh, compact and stats ops.
+A request is a JSON object with an ``op`` field::
 
     {"op": "score", "nodes": [0, 1, 2]}
     {"op": "score_edge", "u": 0, "v": 5}
@@ -13,12 +16,14 @@ HTTP adapter.  A request is a JSON object with an ``op`` field::
     {"op": "compact"}
     {"op": "stats"}
 
-Responses echo ``op`` (and ``id`` when the request carried one, so
-pipelining clients can correlate) and set ``ok``.  Errors come back as
-``{"ok": false, "error": ..., "error_type": ..., "code": ...}`` — the
-same envelope on every transport (``code`` doubles as the HTTP status
-when the request arrived over the HTTP adapter) — and a bad request
-must never take a server down, whichever transport delivered it.
+Node ids, edge endpoints, versions and worker counts must be JSON
+integers (:func:`request_int`).  Responses echo ``op`` (and ``id`` when
+the request carried one, so pipelining clients can correlate) and set
+``ok``.  Errors come back as ``{"ok": false, "error": ...,
+"error_type": ..., "code": ...}`` — the same envelope on every
+transport (``code`` doubles as the HTTP status when the request arrived
+over the HTTP adapter) — and a bad request must never take a server
+down, whichever transport delivered it.
 """
 
 from __future__ import annotations
@@ -109,13 +114,27 @@ def attach_request_id(response: dict, request) -> dict:
     return response
 
 
+def request_int(value, field: str) -> int:
+    """``value`` of request field ``field`` as an integer.
+
+    A JSON bool, float or string is a ``ValueError`` (a 400 envelope):
+    ``int()`` would silently turn ``2.7`` into node 2 and ``true`` into
+    node 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def dispatch_request(service, request: dict,
                      refresh_workers: Optional[int] = None) -> dict:
-    """Dispatch one request against a :class:`ScoringService`.
+    """Run one store, refresh, compact or stats request against a
+    :class:`ScoringService`.
 
-    ``refresh_workers`` is the server-wide default for ``refresh``
-    requests; a request may override it with its own ``workers`` field,
-    an integer from 1 to the host's CPU count.
+    ``score`` and ``score_edge`` are answered by the gateway's batcher,
+    not here.  ``refresh_workers`` is the server-wide default for
+    ``refresh`` requests; a request may override it with its own
+    ``workers`` field, an integer from 1 to the host's CPU count.
     Raises one of :data:`REQUEST_ERRORS` on bad input — the transport
     wraps it with :func:`error_response`.
     """
@@ -135,8 +154,7 @@ def _request_workers(value) -> int:
     unbounded value would let one request fork without limit.
     """
     limit = os.cpu_count() or 1
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or not 1 <= value <= limit):
+    if not 1 <= request_int(value, "refresh workers") <= limit:
         raise ValueError(
             f"refresh workers must be an integer from 1 to {limit}, "
             f"got {value!r}")
@@ -146,27 +164,20 @@ def _request_workers(value) -> int:
 def _dispatch_op(service, request: dict, op,
                  refresh_workers: Optional[int]) -> dict:
     store = service.store
-    if op == "score":
-        nodes = [int(n) for n in request["nodes"]]
-        scores = service.score_nodes(nodes)
-        return {"ok": True, "op": op,
-                "scores": {str(n): float(s) for n, s in zip(nodes, scores)}}
-    if op == "score_edge":
-        u, v = int(request["u"]), int(request["v"])
-        return {"ok": True, "op": op, "u": u, "v": v,
-                "score": service.score_edge(u, v)}
     if op == "add_node":
         features = np.asarray(request["features"], dtype=np.float64)
         (node,) = store.add_nodes(features.reshape(1, -1))
         return {"ok": True, "op": op, "node": int(node),
                 "version": store.version}
     if op == "add_edge":
-        added = store.add_edge(int(request["u"]), int(request["v"]))
+        added = store.add_edge(request_int(request["u"], "u"),
+                               request_int(request["v"], "v"))
         return {"ok": True, "op": op, "added": bool(added),
                 "version": store.version}
     if op == "update_features":
         features = np.asarray(request["features"], dtype=np.float64)
-        store.update_features([int(request["node"])], features.reshape(1, -1))
+        store.update_features([request_int(request["node"], "node")],
+                              features.reshape(1, -1))
         return {"ok": True, "op": op, "version": store.version}
     if op == "refresh":
         workers = (_request_workers(request["workers"])

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.scoring import RoundEvidence, mean_edge_rounds
+from ..core.scoring import RoundEvidence
 from ..obs.metrics import MetricsRegistry
 from ..parallel.engine import ScoreTask, WorkerPool, score_task
 from ..serving.service import edge_mean_from_evidence
@@ -103,16 +103,10 @@ class _ReplicaProxy:
         return [float(s) for s in evidence.node_sum / self._pool.service.rounds]
 
     def score_edge(self, u: int, v: int) -> float:
-        store = self._pool.service.store
         key = (min(int(u), int(v)), max(int(u), int(v)))
-        if not store.has_edge(*key):
-            raise KeyError(f"edge {key} not in store")
-        edge_id = int(store.edge_id(*key))
-        rounds = self._pool.service.rounds
-        evidence = self._run(list(key))
+        edge_id = self.store.edge_id(*key)
         mean, _imputed = edge_mean_from_evidence(
-            evidence.node_sum / rounds, mean_edge_rounds(rounds, [evidence]),
-            edge_id)
+            self._run(list(key)), self._pool.service.rounds, edge_id)
         return mean
 
 
@@ -505,8 +499,10 @@ def load_tenant_specs(path: str) -> List[TenantSpec]:
 def build_tenant_service(spec: TenantSpec):
     """Build ``(service, registry, model_version)`` for one tenant.
 
-    CPU-bound (dataset generation + store build); the router runs it in
-    an executor so lazy boots never stall the event loop.
+    The one service recipe: ``serve`` describes its default service as
+    a spec too.  CPU-bound (dataset generation + store build); the
+    router runs it in an executor so lazy boots never stall the event
+    loop.
     """
     from ..core import load_model
     from ..datasets import load_benchmark
@@ -527,9 +523,10 @@ def build_tenant_service(spec: TenantSpec):
                                            scale=spec.scale))
     if model.num_features != graph.num_features:
         raise ValueError(
-            f"tenant {spec.name!r}: model expects {model.num_features} "
+            f"service {spec.name!r}: model expects {model.num_features} "
             f"features but {spec.dataset}@{spec.scale} has "
-            f"{graph.num_features}")
+            f"{graph.num_features}; match dataset, scale and seed with "
+            "the training run")
     store = GraphStore.from_graph(
         graph, influence_radius=model.config.hop_size,
         compact_threshold=spec.compact_threshold)

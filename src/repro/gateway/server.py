@@ -1,15 +1,17 @@
-"""Asyncio serving gateway: many services, two wire protocols.
+"""Asyncio serving gateway: many services, three transports.
 
-:class:`Gateway` puts a network front door on one or more
+:class:`Gateway` is the one front door to one or more
 :class:`~repro.serving.service.ScoringService` instances behind a
-:class:`~repro.gateway.router.ServiceRouter`:
+:class:`~repro.gateway.router.ServiceRouter`; :meth:`Gateway.dispatch`
+answers every request ``serve`` receives, whatever carried it:
 
-* **NDJSON over TCP** — the CLI's stdin JSONL schema
-  (:mod:`repro.gateway.protocol`), one request object per line, one
-  response line each, pipelinable.  A connection speaks NDJSON unless
-  its first line looks like an HTTP request.  A request's ``"service"``
-  field routes it to a named service; without it the default service
-  answers.
+* **NDJSON** — the request schema of :mod:`repro.gateway.protocol`,
+  one request object per line, one response line each, in order.  Over
+  TCP it is pipelinable, and a connection speaks NDJSON unless its
+  first line looks like an HTTP request.  :meth:`Gateway.serve_stdio`
+  runs the same line loop over stdin (``serve`` without ``--listen``).
+  A request's ``"service"`` field routes it to a named service; without
+  it the default service answers.
 * **HTTP/1.1 adapter** — ``POST /v1/score_node``, ``POST
   /v1/score_edge``, ``POST /v1/update``, ``POST /v1/reload``, ``POST
   /v1/admin``, ``POST /v1/lifecycle``, ``GET /healthz``, ``GET
@@ -35,8 +37,13 @@ transports (the ``code`` doubles as the HTTP status).
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import json
 import logging
+import os
+import queue
+import sys
+import threading
 from typing import Optional, Tuple
 
 from ..obs import trace as obs_trace
@@ -51,6 +58,7 @@ from .protocol import (
     error_response,
     parse_request,
     rejection_response,
+    request_int,
     transport_error,
 )
 from .router import (
@@ -230,16 +238,11 @@ class Gateway:
                            fn=lambda: float(len(self.router.names())))
 
     # ------------------------------------------------------------------
-    # Back-compat single-service surface (the default endpoint's)
+    # The default endpoint's surface
     # ------------------------------------------------------------------
     @property
     def _default(self) -> Optional[ServiceEndpoint]:
         return self.router.get(self.router.default_name)
-
-    @property
-    def service(self):
-        endpoint = self._default
-        return endpoint.service if endpoint is not None else None
 
     @property
     def batcher(self):
@@ -251,21 +254,15 @@ class Gateway:
         endpoint = self._default
         return endpoint.served_version if endpoint is not None else None
 
-    @served_version.setter
-    def served_version(self, value: Optional[int]) -> None:
-        endpoint = self._default
-        if endpoint is None:
-            raise ValueError("no default service is attached")
-        endpoint.served_version = value
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    async def start(self, host: str = "127.0.0.1",
-                    port: int = 0) -> Tuple[str, int]:
+    async def start(self, host: Optional[str] = "127.0.0.1",
+                    port: int = 0) -> Optional[Tuple[str, int]]:
         """Start the endpoints, the TCP server, and (optionally) the
         registry watcher and idle sweeper; returns the bound
-        ``(host, port)``."""
+        ``(host, port)``.  ``host=None`` opens no socket (the stdin
+        transport) and returns ``None``."""
         if self.recorder is not None:
             self._prev_recorder = obs_trace.install(self.recorder)
         for endpoint in self.router.endpoints():
@@ -273,8 +270,9 @@ class Gateway:
         if not self._lazy_tenants:
             for name in self.router.spec_names():
                 await self.router.resolve(name)
-        self._server = await asyncio.start_server(
-            self._handle_connection, host, port, limit=_MAX_LINE)
+        if host is not None:
+            self._server = await asyncio.start_server(
+                self._handle_connection, host, port, limit=_MAX_LINE)
         if (self.registry is not None and self.model_name is not None
                 and self.poll_interval is not None
                 and self._default is not None):
@@ -288,6 +286,8 @@ class Gateway:
             if self.lifecycle_interval is not None:
                 self._lifecycle = asyncio.ensure_future(
                     self._lifecycle_loop())
+        if self._server is None:
+            return None
         sock = self._server.sockets[0].getsockname()
         return sock[0], sock[1]
 
@@ -380,7 +380,11 @@ class Gateway:
             if first.startswith(_HTTP_METHODS):
                 await self._http_loop(reader, writer, first, client)
             else:
-                await self._ndjson_loop(reader, writer, first, client)
+                async def send(text: str) -> None:
+                    writer.write(text.encode())
+                    await writer.drain()
+
+                await self._ndjson_loop(first, reader.readline, send, client)
         # ValueError covers StreamReader.readline on an over-limit line
         # (it converts LimitOverrunError): drop the connection cleanly —
         # the stream cannot be resynced past a truncated request.
@@ -401,18 +405,45 @@ class Gateway:
                 pass
 
     # ------------------------------------------------------------------
-    # NDJSON transport
+    # NDJSON transport (TCP connections and stdin)
     # ------------------------------------------------------------------
-    async def _ndjson_loop(self, reader, writer, first_line: bytes,
+    async def _ndjson_loop(self, line: bytes, readline, send,
                            client: str) -> None:
-        line = first_line
+        """Answer request lines in order, one ``send`` per non-blank
+        line, until ``readline`` returns ``b""``."""
         while line:
             text = line.decode("utf-8", errors="replace").strip()
             if text:
                 response = await self._handle_request_line(text, client)
-                writer.write((json.dumps(response) + "\n").encode())
-                await writer.drain()
-            line = await reader.readline()
+                await send(json.dumps(response) + "\n")
+            line = await readline()
+
+    async def serve_stdio(self, fd: int, out) -> None:
+        """Answer the NDJSON lines of file descriptor ``fd`` on the text
+        stream ``out``, flushing each response, until end of input or a
+        closed ``out``.  Reads block, so a daemon thread makes them with
+        raw ``os.read``, which holds no interpreter lock: a read still
+        blocked at exit cannot stall shutdown."""
+        asks: queue.SimpleQueue = queue.SimpleQueue()
+        threading.Thread(target=_read_lines, args=(fd, asks),
+                         name="stdin-reader", daemon=True).start()
+
+        async def readline() -> bytes:
+            ask: concurrent.futures.Future = concurrent.futures.Future()
+            asks.put(ask)
+            return await asyncio.wrap_future(ask)
+
+        async def send(text: str) -> None:
+            out.write(text)
+            out.flush()
+
+        try:
+            await self._ndjson_loop(await readline(), readline, send,
+                                    "stdin")
+        except (BrokenPipeError, ValueError):
+            pass  # ``out`` is closed: nobody reads the answers any more
+        finally:
+            asks.put(None)
 
     async def _handle_request_line(self, text: str, client: str) -> dict:
         try:
@@ -497,7 +528,10 @@ class Gateway:
                         request: dict) -> dict:
         op = request.get("op")
         if op == "score":
-            nodes = [int(n) for n in request["nodes"]]
+            nodes = request["nodes"]
+            if not isinstance(nodes, list):
+                raise ValueError(f"nodes must be a JSON list, got {nodes!r}")
+            nodes = [request_int(node, "each node id") for node in nodes]
             scores = await asyncio.gather(
                 *(endpoint.score_node(n) for n in nodes),
                 return_exceptions=True)
@@ -508,12 +542,15 @@ class Gateway:
                     "scores": {str(n): float(s)
                                for n, s in zip(nodes, scores)}}
         if op == "score_edge":
-            u, v = int(request["u"]), int(request["v"])
+            u = request_int(request["u"], "u")
+            v = request_int(request["v"], "v")
             score = await endpoint.score_edge(u, v)
             return {"ok": True, "op": op, "u": u, "v": v, "score": score}
         if op == "reload":
-            return await self.reload(request.get("version"),
-                                     endpoint=endpoint)
+            version = request.get("version")
+            return await self.reload(
+                None if version is None else request_int(version, "version"),
+                endpoint=endpoint)
         # Mutations / stats / refresh run serialized on the endpoint's
         # scoring thread, FIFO with forward batches (replica pools add
         # the quiesce + shared-memory resync around mutations).
@@ -633,7 +670,6 @@ class Gateway:
         if version is None:
             version = await loop.run_in_executor(
                 None, endpoint.registry.latest, endpoint.model_name)
-        version = int(version)
         if version == endpoint.served_version:
             return {"ok": True, "op": "reload", "service": endpoint.name,
                     "version": version, "swapped": False}
@@ -925,34 +961,64 @@ class Gateway:
         await writer.drain()
 
 
-async def run_gateway(service=None, host: str = "127.0.0.1", port: int = 0, *,
-                      registry=None, model_name: Optional[str] = None,
-                      ready_line: bool = True,
-                      **gateway_kwargs) -> None:
-    """Run a gateway until cancelled (the CLI's ``--listen`` path).
+def _read_lines(fd: int, asks: queue.SimpleQueue) -> None:
+    """Answer each future from ``asks`` with the next line of ``fd``
+    (``b""`` at end of input) until ``asks`` yields ``None``; reading
+    only when asked, it never reads ahead of the requests answered."""
+    buffered = b""
+    for ask in iter(asks.get, None):
+        if not ask.set_running_or_notify_cancel():
+            continue
+        try:
+            while b"\n" not in buffered:
+                chunk = os.read(fd, 1 << 16)
+                if not chunk:
+                    break
+                buffered += chunk
+            line, newline, buffered = buffered.partition(b"\n")
+            ask.set_result(line + newline)
+        except Exception as error:  # handed to the awaiting session
+            ask.set_exception(error)
 
-    Prints one NDJSON ready line with the bound address so callers
-    (scripts, the smoke test) can discover an ephemeral port.  On
-    cancellation (SIGINT via ``asyncio.run``'s KeyboardInterrupt
-    handling) the gateway drains gracefully.  ``service=None`` boots a
-    tenants-only gateway (pass ``tenants=[...]``).
+
+async def run_gateway(service=None, host: Optional[str] = None,
+                      port: int = 0, *, stdin: Optional[int] = None,
+                      out=None, registry=None,
+                      model_name: Optional[str] = None,
+                      **gateway_kwargs) -> None:
+    """Run a gateway for ``serve``: on ``host:port`` until cancelled, or
+    with ``host=None`` on the lines of file descriptor ``stdin`` until
+    they end.
+
+    Writes one NDJSON ready line to ``out`` (default ``sys.stdout``),
+    with the bound address when there is a socket.  On cancellation
+    (SIGINT via ``asyncio.run``) the gateway drains: the request in
+    flight is still answered.  ``service=None`` boots a tenants-only
+    gateway (pass ``tenants=[...]``).
     """
+    out = sys.stdout if out is None else out
     gateway = Gateway(service, registry=registry, model_name=model_name,
                       **gateway_kwargs)
-    bound_host, bound_port = await gateway.start(host, port)
-    if ready_line:
-        payload = {"ok": True, "op": "ready",
-                   "listen": f"{bound_host}:{bound_port}"}
+    address = await gateway.start(host, port)
+    session = None
+    try:
+        payload = {"ok": True, "op": "ready"}
+        if address is not None:
+            payload["listen"] = f"{address[0]}:{address[1]}"
         if service is not None:
             payload["num_nodes"] = service.store.num_nodes
             payload["num_edges"] = service.store.num_edges
         payload["services"] = gateway.router.names()
         payload["lazy_services"] = sorted(
             set(gateway.router.spec_names()) - set(gateway.router.names()))
-        print(json.dumps(payload), flush=True)
-    try:
-        await gateway.serve_forever()
-    except asyncio.CancelledError:
-        pass
+        out.write(json.dumps(payload) + "\n")
+        out.flush()
+        session = asyncio.ensure_future(
+            gateway.serve_forever() if address is not None
+            else gateway.serve_stdio(stdin, out))
+        await asyncio.shield(session)
     finally:
         await gateway.stop()
+        if session is not None:
+            session.cancel()
+            await asyncio.gather(session, return_exceptions=True)

@@ -2,7 +2,7 @@
 and event-stream replay on top of trained BOURNE checkpoints."""
 
 from .registry import ModelRegistry
-from .service import PendingScore, RefreshResult, ScoringService
+from .service import RefreshResult, ScoringService
 from .store import GraphStore
 from .stream import (
     EdgeArrived,
@@ -17,7 +17,6 @@ from .stream import (
 __all__ = [
     "GraphStore",
     "ScoringService",
-    "PendingScore",
     "RefreshResult",
     "ModelRegistry",
     "NodeArrived",

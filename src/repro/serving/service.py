@@ -1,14 +1,15 @@
-"""Online scoring service: micro-batched, score-tabled, incrementally refreshed.
+"""Online scoring service: batched, score-tabled, incrementally refreshed.
 
 :class:`ScoringService` turns a trained :class:`repro.core.Bourne`
 checkpoint into a long-lived scorer over a mutable
 :class:`~repro.serving.store.GraphStore`:
 
-* **Micro-batching** — score requests are enqueued and resolved at
-  ``flush()`` time by the shared span loop, which runs a chunk of
-  targets across all ``R`` rounds in one ``forward_batch`` call, so
-  concurrent requests share one sampler call, one view build and one
-  forward instead of paying one each.
+* **One request entry** — :meth:`ScoringService.score_nodes` answers
+  fresh score-table entries and scores the misses in one call of the
+  span loop, which runs a chunk of targets across all ``R`` rounds in
+  one ``forward_batch`` call.  The gateway's batcher hands it every
+  request queued while the previous batch ran, so concurrent requests
+  share one sampler call, one view build and one forward.
 * **Offline streams** — the service draws from the same counter-based
   streams as :func:`repro.core.score_graph`: one sampling base and one
   ``node_only`` mask seed per round from
@@ -72,20 +73,19 @@ def score_service_span(model: Bourne, graph_like, targets: np.ndarray,
         offline_view_builder(model, graph_like), backend=backend)
 
 
-def edge_mean_from_evidence(endpoint_scores: np.ndarray,
-                            means: Dict[int, float],
+def edge_mean_from_evidence(evidence: RoundEvidence, rounds: int,
                             edge_id: int) -> Tuple[float, bool]:
-    """Resolve one edge's score from its endpoints' round evidence.
+    """Resolve one edge's score from its two endpoints' round evidence.
 
     ``(mean, imputed)``: the edge's mean contribution across rounds
     when the sampler realized it, else the endpoint-score mean
     (``imputed=True``) — the offline scorer's treatment of unsampled
-    edges.  Shared by :meth:`ScoringService.score_edge` and the replica
-    workers so both resolve identically, bit for bit.
+    edges.  The service, the replica workers' proxy and
+    :func:`score_edge_span` all resolve through here, bit for bit alike.
     """
-    mean = means.get(edge_id)
+    mean = mean_edge_rounds(rounds, [evidence]).get(edge_id)
     if mean is None:
-        return float(np.asarray(endpoint_scores).mean()), True
+        return float((evidence.node_sum / rounds).mean()), True
     return float(mean), False
 
 
@@ -106,30 +106,7 @@ def score_edge_span(model: Bourne, graph_like, u: int, v: int, edge_id: int,
     evidence = score_service_span(
         model, graph_like, np.asarray(key, dtype=np.int64),
         seed, rounds, max_batch, backend=backend)
-    scores = evidence.node_sum / rounds
-    means = mean_edge_rounds(rounds, [evidence])
-    return edge_mean_from_evidence(scores, means, int(edge_id))
-
-
-class PendingScore:
-    """Handle for an enqueued request; resolved by ``flush()``."""
-
-    __slots__ = ("node", "_value")
-
-    def __init__(self, node: int):
-        self.node = node
-        self._value: Optional[float] = None
-
-    @property
-    def done(self) -> bool:
-        return self._value is not None
-
-    def result(self) -> float:
-        if self._value is None:
-            raise RuntimeError(
-                f"score for node {self.node} not computed yet; "
-                "call ScoringService.flush() first")
-        return self._value
+    return edge_mean_from_evidence(evidence, rounds, int(edge_id))
 
 
 @dataclass
@@ -202,7 +179,6 @@ class ScoringService:
 
         self._node_table: Dict[int, Tuple[float, int]] = {}
         self._edge_scores: Dict[Tuple[int, int], Tuple[float, int]] = {}
-        self._pending: Dict[int, PendingScore] = {}
         self._requests = 0
         self._flushes = 0
         self._forward_batches = 0
@@ -239,36 +215,28 @@ class ScoringService:
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
-    def enqueue(self, node: int) -> PendingScore:
-        """Register a score request; duplicates share one handle."""
-        node = int(node)
-        if not 0 <= node < self.store.num_nodes:
-            raise IndexError(f"node {node} not in store "
-                             f"(num_nodes={self.store.num_nodes})")
-        self._requests += 1
-        handle = self._pending.get(node)
-        if handle is None:
-            handle = PendingScore(node)
-            self._pending[node] = handle
-        return handle
+    def score_nodes(self, nodes: Sequence[int],
+                    _force: bool = False) -> np.ndarray:
+        """Scores of ``nodes``, in order; the one request entry.
 
-    def flush(self) -> int:
-        """Resolve all pending requests with micro-batched forwards.
-
-        Requests whose table entry is still fresh are answered from the
-        score table; the rest are recomputed in shared batches.  Returns
-        the number of nodes actually recomputed.
+        The whole list is validated before anything is counted or
+        scored.  Fresh table entries answer directly; the distinct
+        misses are scored in one span call.  ``_force`` treats every
+        node as a miss so the forward passes actually run even for
+        already-tabled nodes.
         """
-        if not self._pending:
-            return 0
+        nodes = [int(node) for node in nodes]
+        for node in nodes:
+            if not 0 <= node < self.store.num_nodes:
+                raise IndexError(f"node {node} not in store "
+                                 f"(num_nodes={self.store.num_nodes})")
+        self._requests += len(nodes)
         self._flushes += 1
-        pending = self._pending
-        self._pending = {}
         stale: List[int] = []
-        for node, handle in pending.items():
+        for node in dict.fromkeys(nodes):
             cached = self._node_table.get(node)
-            if cached is not None and cached[1] >= self.store.region_version(node):
-                handle._value = cached[0]
+            if (not _force and cached is not None
+                    and cached[1] >= self.store.region_version(node)):
                 self._table_hits += 1
             else:
                 stale.append(node)
@@ -276,28 +244,10 @@ class ScoringService:
             self._table_misses += len(stale)
             evidence = self._score_span(np.asarray(stale, dtype=np.int64))
             self._tabulate(stale, evidence.node_sum / self.rounds)
-            for node in stale:
-                pending[node]._value = self._node_table[node][0]
-        return len(stale)
+        return np.asarray([self._node_table[node][0] for node in nodes])
 
     def score_node(self, node: int) -> float:
-        handle = self.enqueue(node)
-        self.flush()
-        return handle.result()
-
-    def score_nodes(self, nodes: Sequence[int],
-                    _force: bool = False) -> np.ndarray:
-        """Score ``nodes`` in one micro-batched pass.
-
-        ``_force`` drops fresh table entries first so the forward
-        passes actually run even for already-tabled nodes.
-        """
-        handles = [self.enqueue(n) for n in nodes]
-        if _force:
-            for handle in handles:
-                self._node_table.pop(handle.node, None)
-        self.flush()
-        return np.asarray([h.result() for h in handles])
+        return float(self.score_nodes([node])[0])
 
     def score_edge(self, u: int, v: int) -> float:
         """Score edge ``(u, v)`` from its endpoints' fresh evidence.
@@ -316,8 +266,7 @@ class ScoringService:
         treatment of unsampled edges.
         """
         key = (min(int(u), int(v)), max(int(u), int(v)))
-        if not self.store.has_edge(*key):
-            raise KeyError(f"edge {key} not in store")
+        edge_id = self.store.edge_id(*key)
         self._edge_requests += 1
         needed = max(self.store.region_version(key[0]),
                      self.store.region_version(key[1]))
@@ -328,11 +277,8 @@ class ScoringService:
         with obs_trace.span("service.score_edge") as sp:
             sp.set(u=key[0], v=key[1])
             evidence = self._score_span(np.asarray(key, dtype=np.int64))
-        scores = evidence.node_sum / self.rounds
-        self._tabulate(key, scores)
-        mean, imputed = edge_mean_from_evidence(
-            scores, mean_edge_rounds(self.rounds, [evidence]),
-            self.store.edge_id(*key))
+        self._tabulate(key, evidence.node_sum / self.rounds)
+        mean, imputed = edge_mean_from_evidence(evidence, self.rounds, edge_id)
         if imputed:
             self._edge_imputations += 1
         self._edge_scores[key] = (mean, self.store.version)
@@ -439,13 +385,12 @@ class ScoringService:
         ``table_hits``/``table_misses`` tally *request-path* score-table
         answers vs. recomputations (refresh rescans and edge-endpoint
         scorings count toward ``nodes_scored``, not misses);
-        ``pending`` is the current micro-batch queue depth.  The
-        gateway's ``/metrics`` endpoint re-exports all of these in
-        Prometheus text format.
+        ``flushes`` counts :meth:`score_nodes` calls.  The gateway's
+        ``/metrics`` endpoint re-exports all of these in Prometheus text
+        format.
         """
         return {
             "requests": self._requests,
-            "pending": len(self._pending),
             "flushes": self._flushes,
             "forward_batches": self._forward_batches,
             "nodes_scored": self._nodes_scored,

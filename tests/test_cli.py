@@ -143,8 +143,60 @@ class TestServeCommand:
                   "--scale", "0.08", "--listen", "nonsense"])
 
 
+class TestServeTopologies:
+    """Replica pools and tenants answer stdin too, with the scores of
+    one in-process service."""
+
+    REQUESTS = [
+        {"op": "score", "nodes": [0, 1, 2, 3]},
+        {"op": "add_edge", "u": 0, "v": 5},
+        {"op": "score_edge", "u": 0, "v": 5},
+        {"op": "score", "nodes": [0, 5, 9]},
+    ]
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("serve") / "model.npz")
+        main(["train", "--dataset", "cora", "--scale", "0.08",
+              "--epochs", "1", "--hidden", "16", "--subgraph-size", "4",
+              "--rounds", "1", "--save", path])
+        return path
+
+    def _scores(self, capsys, tmp_path, argv, service=None):
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text("\n".join(
+            json.dumps(dict(r, service=service) if service else r)
+            for r in self.REQUESTS) + "\n")
+        capsys.readouterr()
+        assert main(["serve", "--dataset", "cora", "--scale", "0.08",
+                     "--rounds", "1", "--input", str(requests)] + argv) == 0
+        lines = [json.loads(line) for line in
+                 capsys.readouterr().out.strip().splitlines()]
+        assert lines[0]["op"] == "ready"
+        assert all(line["ok"] for line in lines), lines
+        return [line.get("scores", line.get("score")) for line in lines[1:]
+                if line["op"] in ("score", "score_edge")]
+
+    def test_replicas_without_listen(self, checkpoint, capsys, tmp_path):
+        single = self._scores(capsys, tmp_path, ["--model", checkpoint])
+        pooled = self._scores(capsys, tmp_path,
+                              ["--model", checkpoint, "--replicas", "2"])
+        assert pooled == single
+
+    def test_tenants_without_listen(self, checkpoint, capsys, tmp_path):
+        single = self._scores(capsys, tmp_path, ["--model", checkpoint])
+        spec = tmp_path / "tenants.json"
+        spec.write_text(json.dumps([
+            {"name": "t", "model": checkpoint, "dataset": "cora",
+             "scale": 0.08, "rounds": 1, "replicas": 2}]))
+        tenant = self._scores(capsys, tmp_path, ["--tenants", str(spec)],
+                              service="t")
+        assert tenant == single
+
+
 class TestServeLoop:
-    """The request loop's robustness contract, tested in isolation."""
+    """The stdin session's robustness contract, tested in isolation: the
+    gateway's line loop over a file descriptor."""
 
     def _service(self, tmp_path):
         import numpy as np
@@ -163,9 +215,21 @@ class TestServeLoop:
                                       influence_radius=2)
         return ScoringService(model, store, rounds=1)
 
-    def test_responses_flushed_per_line(self, tmp_path):
-        from repro.cli import _serve_loop
+    def _serve(self, tmp_path, lines, out):
+        import asyncio
 
+        from repro.gateway import run_gateway
+
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text("\n".join(lines) + "\n")
+        fd = os.open(requests, os.O_RDONLY)
+        try:
+            asyncio.run(run_gateway(self._service(tmp_path), stdin=fd,
+                                    out=out))
+        finally:
+            os.close(fd)
+
+    def test_responses_flushed_per_line(self, tmp_path):
         class CountingOut:
             def __init__(self):
                 self.flushes = 0
@@ -178,14 +242,12 @@ class TestServeLoop:
                 self.flushes += 1
 
         out = CountingOut()
-        source = [json.dumps({"op": "stats"}), "", json.dumps({"op": "stats"})]
-        assert _serve_loop(self._service(tmp_path), source, out) == 0
-        assert len(out.lines) == 2
-        assert out.flushes == 2  # one flush per response line
+        self._serve(tmp_path, [json.dumps({"op": "stats"}), "",
+                               json.dumps({"op": "stats"})], out)
+        assert len(out.lines) == 3  # the ready line, then one per request
+        assert out.flushes == 3  # one flush per line
 
     def test_broken_pipe_exits_cleanly(self, tmp_path):
-        from repro.cli import _serve_loop
-
         class BrokenOut:
             def __init__(self):
                 self.writes = 0
@@ -199,10 +261,55 @@ class TestServeLoop:
                 pass
 
         out = BrokenOut()
-        source = [json.dumps({"op": "stats"})] * 5
-        # The loop must stop serving and return cleanly, not raise.
-        assert _serve_loop(self._service(tmp_path), source, out) == 0
+        # The session must end at the first failed write and return
+        # cleanly, not raise.
+        self._serve(tmp_path, [json.dumps({"op": "stats"})] * 5, out)
         assert out.writes == 2
+
+    def test_cancel_drains_the_request_in_flight(self, tmp_path):
+        """Cancelling the session (what SIGINT does) while a request
+        scores still answers that request before the gateway stops."""
+        import asyncio
+        import io
+        import threading
+
+        from repro.gateway import run_gateway
+
+        service = self._service(tmp_path)
+        entered, release = threading.Event(), threading.Event()
+        score_nodes = service.score_nodes
+
+        def gated_score_nodes(nodes):
+            entered.set()
+            release.wait(10.0)
+            return score_nodes(nodes)
+
+        service.score_nodes = gated_score_nodes
+        read_fd, write_fd = os.pipe()
+        out = io.StringIO()
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            session = asyncio.ensure_future(
+                run_gateway(service, stdin=read_fd, out=out))
+            os.write(write_fd, b'{"op": "score", "nodes": [3]}\n')
+            assert await loop.run_in_executor(None, entered.wait, 10.0)
+            session.cancel()
+            await asyncio.sleep(0.05)
+            release.set()
+            with pytest.raises(asyncio.CancelledError):
+                await session
+
+        try:
+            asyncio.run(scenario())
+        finally:
+            release.set()
+            os.close(write_fd)  # the reader thread's blocked read ends
+            os.close(read_fd)
+        ready, answered = [json.loads(line)
+                           for line in out.getvalue().splitlines()]
+        assert ready["op"] == "ready"
+        assert answered["ok"] and "3" in answered["scores"]
 
 
 class TestExperimentCommand:

@@ -260,7 +260,8 @@ class TestMicroBatcher:
 
         async def scenario():
             loop = asyncio.get_running_loop()
-            batcher = MicroBatcher(service, max_batch=8)
+            metrics = MetricsRegistry()
+            batcher = MicroBatcher(service, max_batch=8, metrics=metrics)
             await batcher.start()
             try:
                 first = asyncio.ensure_future(batcher.score_node(0))
@@ -270,7 +271,7 @@ class TestMicroBatcher:
                 rest = [asyncio.ensure_future(batcher.score_node(node))
                         for node in range(1, 6)]
                 await asyncio.sleep(0)
-                assert batcher.inflight == 6
+                assert metrics.get("gateway_batcher_queue_depth").value == 5
                 release.set()
                 scores = await asyncio.gather(first, *rest)
             finally:

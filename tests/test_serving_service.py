@@ -162,17 +162,18 @@ class TestServedEqualsSpanFunctions:
 
 class TestMicroBatching:
     def test_pending_resolved_by_single_flush(self, model):
+        """One ``score_nodes`` call scores its distinct misses together."""
         features, edges = random_topology(seed=6, n=30, m=60)
         service = ScoringService(model, Graph(features, edges), rounds=2)
-        handles = [service.enqueue(i) for i in (1, 5, 9, 5)]
-        assert handles[1] is handles[3]  # duplicates share one handle
-        with pytest.raises(RuntimeError):
-            handles[0].result()
-        before = service.stats()["forward_batches"]
-        service.flush()
+        before = service.stats()
+        scores = service.score_nodes([1, 5, 9, 5])
+        after = service.stats()
+        assert scores[1] == scores[3]  # a duplicate is scored once
         # 3 distinct targets x 2 rounds fit one forward (max_batch 16)
-        assert service.stats()["forward_batches"] == before + 1
-        assert all(h.done for h in handles)
+        assert after["forward_batches"] == before["forward_batches"] + 1
+        assert after["flushes"] == before["flushes"] + 1
+        assert after["nodes_scored"] == before["nodes_scored"] + 3
+        assert after["requests"] == before["requests"] + 4
 
     def test_fresh_requests_served_from_table(self, model):
         features, edges = random_topology(seed=6, n=30, m=60)
@@ -194,7 +195,18 @@ class TestMicroBatching:
         features, edges = random_topology(seed=6, n=30, m=60)
         service = ScoringService(model, Graph(features, edges), rounds=1)
         with pytest.raises(IndexError):
-            service.enqueue(99)
+            service.score_nodes([99])
+
+    def test_rejected_list_leaves_nothing_behind(self, model):
+        """A list with one bad node is refused whole: its valid nodes
+        are neither counted nor scored by the next call."""
+        features, edges = random_topology(seed=6, n=30, m=60)
+        service = ScoringService(model, Graph(features, edges), rounds=1)
+        with pytest.raises(IndexError):
+            service.score_nodes([0, 99])
+        assert service.stats()["requests"] == 0
+        service.score_nodes([1])
+        assert service.stats()["nodes_scored"] == 1
 
 
 class TestEdgeScoring:

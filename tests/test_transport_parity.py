@@ -4,14 +4,16 @@ The transport contract: every error — handler failures, admission
 rejections, routing misses, and transport-level framing problems —
 answers with the same ``{"ok": false, "error", "error_type", "code"}``
 envelope on both transports, and over HTTP the status line equals the
-envelope's ``code``.  These tests sweep every error path through both
-wires and diff the envelopes, plus the two HTTP framing bugfixes:
+envelope's ``code``.  Lines on stdin answer exactly as NDJSON lines
+do.  These tests sweep every error path through the wires and diff
+the envelopes, plus the two HTTP framing bugfixes:
 a request body larger than the NDJSON line cap (1 MiB) is rejected
 with 413 *without reading the body*, and a negative or non-numeric
 Content-Length gets a 400 envelope instead of a dead connection.
 """
 
 import asyncio
+import io
 import json
 import os
 
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core import Bourne, BourneConfig
-from repro.gateway import Gateway
+from repro.gateway import Gateway, run_gateway
 from repro.gateway.server import _MAX_LINE
 from repro.graph import Graph
 from repro.serving import GraphStore, ScoringService
@@ -145,6 +147,18 @@ HANDLER_ERRORS = [
     ("refresh-zero-workers", {"op": "refresh", "workers": 0}, "/v1/update"),
     ("refresh-workers-over-cores",
      {"op": "refresh", "workers": (os.cpu_count() or 1) + 1}, "/v1/update"),
+    # Ids must be JSON integers: int() would read "12" as nodes 1 and 2,
+    # 2.7 as node 2, true as node 1 and (1.9, 6.2) as edge (1, 6).
+    ("nodes-string", {"op": "score", "nodes": "12"}, "/v1/score_node"),
+    ("node-float", {"op": "score", "nodes": [2.7]}, "/v1/score_node"),
+    ("node-bool", {"op": "score", "nodes": [True]}, "/v1/score_node"),
+    ("edge-float-ends", {"op": "score_edge", "u": 1.9, "v": 6.2},
+     "/v1/score_edge"),
+    ("add-edge-string-ends", {"op": "add_edge", "u": "0", "v": "5"},
+     "/v1/update"),
+    ("update-float-node",
+     {"op": "update_features", "node": 3.5, "features": [0.0] * 6},
+     "/v1/update"),
 ]
 
 
@@ -165,6 +179,34 @@ class TestHandlerErrorParity:
             return True
 
         assert run_with_gateway(scenario, tracing=False)
+
+    def test_stdin_lines_answer_the_ndjson_envelope(self, tmp_path):
+        """``serve`` without ``--listen``: each request as a stdin line
+        gets the envelope the same line gets over an NDJSON connection."""
+        async def scenario(gateway, host, port):
+            return [await ndjson_one(host, port, request_body)
+                    for _, request_body, _ in HANDLER_ERRORS]
+
+        expected = run_with_gateway(scenario, tracing=False)
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text("".join(json.dumps(request_body) + "\n"
+                                    for _, request_body, _ in HANDLER_ERRORS))
+        out = io.StringIO()
+        fd = os.open(requests, os.O_RDONLY)
+        try:
+            asyncio.run(run_gateway(make_service(), stdin=fd, out=out,
+                                    tracing=False))
+        finally:
+            os.close(fd)
+        ready, *responses = [json.loads(line)
+                             for line in out.getvalue().splitlines()]
+        assert ready["op"] == "ready" and "listen" not in ready
+        assert len(responses) == len(HANDLER_ERRORS)
+        for (label, _, _), stdin, ndjson in zip(HANDLER_ERRORS, responses,
+                                                expected):
+            assert_envelope(stdin)
+            assert strip_transport_fields(stdin) \
+                == strip_transport_fields(ndjson), label
 
     def test_unknown_op_skips_update_route_guard(self):
         """The /v1/update route pre-validates ops; the NDJSON transport
