@@ -279,7 +279,7 @@ def _cmd_serve(args) -> int:
     if args.autotrain and not args.registry:
         raise SystemExit("--autotrain requires --registry (candidates "
                          "publish through the registry)")
-    host, port = None, 0
+    host, port = "127.0.0.1", 0
     if args.listen:
         host, _, port = args.listen.rpartition(":")
         if not host or not port.isdigit() or int(port) > 65535:
@@ -300,8 +300,7 @@ def _cmd_serve(args) -> int:
     except ValueError as error:
         raise SystemExit(str(error))
 
-    lifecycle = None
-    lifecycle_interval = None
+    lifecycle = lifecycle_interval = None
     if args.autotrain:
         from .lifecycle import LifecycleController, load_settings
 
@@ -311,18 +310,15 @@ def _cmd_serve(args) -> int:
             workers=(settings.workers if settings.workers is not None
                      else args.workers))
         lifecycle_interval = settings.check_interval_s
-    stdin = None
-    if host is None:
-        stdin = (sys.stdin.fileno() if args.input == "-"
-                 else os.open(args.input, os.O_RDONLY))
+    stdin = None if args.listen else (
+        sys.stdin.fileno() if args.input == "-"
+        else os.open(args.input, os.O_RDONLY))
     try:
         asyncio.run(run_gateway(
             service, host, port, stdin=stdin,
             registry=registry, model_name=args.name,
-            model_version=model_version,
-            lifecycle=lifecycle,
-            lifecycle_interval=lifecycle_interval,
-            max_batch=args.max_batch,
+            model_version=model_version, lifecycle=lifecycle,
+            lifecycle_interval=lifecycle_interval, max_batch=args.max_batch,
             max_queue=args.max_queue, rate=args.rate_limit,
             burst=args.burst, refresh_workers=args.workers,
             poll_interval=args.poll_interval,

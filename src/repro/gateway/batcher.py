@@ -18,9 +18,10 @@ tests assert this).  Coalescing changes latency, never scores.
 
 Threading model: all ``ScoringService`` access — coalesced scoring,
 mutations, stats, refresh, and model swaps — runs on ONE dedicated
-executor thread, submitted FIFO.  That serializes the service without
-locks and gives hot-swaps a natural barrier: a swap submitted while a
-batch is scoring runs *between* batches, never inside one.
+executor thread (or, started ``inline``, on the event-loop thread),
+submitted FIFO.  That serializes the service without locks and gives
+hot-swaps a natural barrier: a swap submitted while a batch is scoring
+runs *between* batches, never inside one.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ class MicroBatcher:
     Parameters
     ----------
     service:
-        The scoring service; accessed only from the batcher's executor
-        thread after :meth:`start`.
+        The scoring service; after :meth:`start` only the batcher's
+        service calls touch it (see the threading model above).
     max_batch:
         Cap on requests per batch.  Each time the scoring thread is
         free, the dispatcher takes up to this many queued requests.
@@ -79,7 +80,7 @@ class MicroBatcher:
         self._pending: Deque[_ScoreItem] = deque()
         self._wakeup: Optional[asyncio.Event] = None
         self._dispatcher: Optional[asyncio.Task] = None
-        self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="scoring")
+        self._executor: Optional[ThreadPoolExecutor] = None
         self._stopping = False
         self._started = False
         self.batches_dispatched = 0
@@ -99,11 +100,16 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> None:
+    async def start(self, inline: bool = False) -> None:
+        """Start the dispatcher.  ``inline=True`` makes service calls on
+        the event-loop thread: a gateway without a socket has one
+        sequential client, which a scoring thread only slows down."""
         if self._started:
             return
         self._started = True
         self._stopping = False
+        self._executor = None if inline else ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="scoring")
         self._wakeup = asyncio.Event()
         self._dispatcher = asyncio.ensure_future(self._run())
 
@@ -116,7 +122,15 @@ class MicroBatcher:
         await self._dispatcher
         self._dispatcher = None
         self._started = False
-        self._executor.shutdown(wait=True)
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+
+    async def _call(self, fn, *args) -> Any:
+        """``fn(*args)`` on the scoring thread, or at once when inline."""
+        if self._executor is None:
+            return fn(*args)
+        return await asyncio.get_running_loop().run_in_executor(
+            self._executor, fn, *args)
 
     # ------------------------------------------------------------------
     # Request API (event-loop side)
@@ -133,10 +147,9 @@ class MicroBatcher:
         call never interleaves with a forward batch."""
         if not self._started or self._stopping:
             raise RuntimeError("batcher is not accepting work")
-        loop = asyncio.get_running_loop()
         ctx = obs_trace.current_context()
         if ctx is None:
-            return await loop.run_in_executor(self._executor, fn, *args)
+            return await self._call(fn, *args)
 
         def traced_call():
             # contextvars don't cross run_in_executor: re-adopt the
@@ -144,7 +157,7 @@ class MicroBatcher:
             with obs_trace.use_context(ctx):
                 return fn(*args)
 
-        return await loop.run_in_executor(self._executor, traced_call)
+        return await self._call(traced_call)
 
     async def swap_model(self, model) -> None:
         """Hot-swap the served model between batches."""
@@ -180,15 +193,12 @@ class MicroBatcher:
             await self._dispatch(batch)
 
     async def _dispatch(self, batch: List[_ScoreItem]) -> None:
-        loop = asyncio.get_running_loop()
         self.batches_dispatched += 1
         self.requests_coalesced += len(batch)
         self._batch_hist.observe(len(batch))
         try:
-            results = await loop.run_in_executor(
-                self._executor, self._score_batch, batch
-            )
-        except Exception as error:  # scoring thread died — fail the batch
+            results = await self._call(self._score_batch, batch)
+        except Exception as error:  # the batch call died — fail it all
             for item in batch:
                 if not item.future.done():
                     item.future.set_exception(error)

@@ -159,8 +159,8 @@ class ServiceEndpoint:
         self.last_used = time.monotonic()
 
     # -- lifecycle -----------------------------------------------------
-    async def start(self) -> None:
-        await self.batcher.start()
+    async def start(self, inline: bool = False) -> None:
+        await self.batcher.start(inline)
 
     async def stop(self) -> None:
         await self.batcher.stop()
@@ -263,11 +263,11 @@ class ReplicaPool(ServiceEndpoint):
         self._model_ref = self._exports.publish_model(self.service.model)
 
     # -- lifecycle -----------------------------------------------------
-    async def start(self) -> None:
+    async def start(self, inline: bool = False) -> None:
         if self._started:
             return
         self._started = True
-        await self.batcher.start()  # the writer path
+        await self.batcher.start(inline)  # the writer path
         loop = asyncio.get_running_loop()
 
         def spawn() -> None:
@@ -286,7 +286,7 @@ class ReplicaPool(ServiceEndpoint):
             replica.batcher = MicroBatcher(
                 _ReplicaProxy(self, replica), max_batch=self._max_batch,
                 metrics=self._metrics)
-            await replica.batcher.start()
+            await replica.batcher.start(inline)
         self._gate.set()
         self._drained.set()
         log_event(LOGGER, logging.INFO, "replica pool started",
@@ -558,6 +558,7 @@ class ServiceRouter:
         self._metrics = metrics
         self._max_batch = int(max_batch)
         self.default_name = DEFAULT_SERVICE
+        self.inline = False  # endpoints start inline (see MicroBatcher)
         self.attaches = 0
         self.detaches = 0
         self.evictions = 0
@@ -611,7 +612,7 @@ class ServiceRouter:
 
     async def attach(self, endpoint: ServiceEndpoint) -> ServiceEndpoint:
         self.add(endpoint)
-        await endpoint.start()
+        await endpoint.start(self.inline)
         return endpoint
 
     async def detach(self, name: str,

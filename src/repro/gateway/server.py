@@ -44,6 +44,7 @@ import os
 import queue
 import sys
 import threading
+from collections import deque
 from typing import Optional, Tuple
 
 from ..obs import trace as obs_trace
@@ -117,11 +118,8 @@ class Gateway:
         Micro-batch cap (see :class:`MicroBatcher`), shared by every
         endpoint the router creates.
     max_delay_ms:
-        Accepted and ignored: batches dispatch as soon as the scoring
-        thread is free, so there is no batch window to bound.  The
-        keyword stays so callers written against the earlier windowed
-        batcher, such as ``perfbench/workloads.py``, still construct a
-        gateway.
+        Ignored: batches dispatch as soon as the scoring thread is free.
+        Kept for callers such as ``perfbench/workloads.py``.
     max_queue / rate / burst:
         Admission knobs (see :class:`AdmissionController`).
     refresh_workers:
@@ -143,25 +141,20 @@ class Gateway:
         registered, so the next request reboots them).
     lifecycle / lifecycle_interval:
         Optional :class:`~repro.lifecycle.LifecycleController` for the
-        default service.  The gateway rewires its store hooks onto the
-        scoring thread (snapshots/signal reads never race batches),
-        reports the endpoint's actually-served version to the
-        guardrail, forks its retrain worker in :meth:`start`, and —
-        when ``lifecycle_interval`` is set — ticks the controller in a
-        background task every that many seconds.
-        Admin surface: the ``lifecycle_status`` op / ``GET
-        /v1/lifecycle``, and ``{"op": "lifecycle", "action":
-        trigger|pause|resume|rollback}`` / ``POST /v1/lifecycle``.
-        ``lifecycle_interval=None`` leaves ticking to those admin ops.
+        default service.  The gateway serializes its store reads with
+        forward batches, reports the endpoint's served version to the
+        guardrail, forks its retrain worker in :meth:`start` and, with
+        ``lifecycle_interval`` set, ticks it every that many seconds
+        (otherwise only ``{"op": "lifecycle", "action": ...}`` / ``POST
+        /v1/lifecycle`` drive it; ``lifecycle_status`` / ``GET
+        /v1/lifecycle`` read it).
     tracing / trace_slow_ms / recorder:
-        Request tracing: every admitted request runs under a
-        ``gateway.<op>`` trace recorded into a
-        :class:`~repro.obs.trace.FlightRecorder` (installed process-wide
-        for the gateway's lifetime) and served back through
+        Every admitted request runs under a ``gateway.<op>`` trace,
+        recorded into a :class:`~repro.obs.trace.FlightRecorder`
+        (installed process-wide while the gateway runs) and served by
         ``GET /v1/trace/<id>`` / ``GET /v1/traces``.  ``trace_slow_ms``
-        sets the recorder's slow-retention threshold; pass an existing
-        ``recorder`` to share one, or ``tracing=False`` to turn the
-        whole layer into no-ops.
+        is its slow-retention threshold; pass a ``recorder`` to share
+        one, or ``tracing=False`` to make the layer no-ops.
     """
 
     def __init__(self, service=None, registry=None,
@@ -216,6 +209,7 @@ class Gateway:
         self._watcher: Optional[asyncio.Task] = None
         self._sweeper: Optional[asyncio.Task] = None
         self._lifecycle: Optional[asyncio.Task] = None
+        self._stopping = False  # set by stop(): stdin reads no more lines
         self._requests_total = self.metrics.counter(
             "gateway_requests_total", "requests received (all transports)")
         self._shed_total = self.metrics.counter(
@@ -262,11 +256,12 @@ class Gateway:
         """Start the endpoints, the TCP server, and (optionally) the
         registry watcher and idle sweeper; returns the bound
         ``(host, port)``.  ``host=None`` opens no socket (the stdin
-        transport) and returns ``None``."""
+        transport), starts the endpoints inline and returns ``None``."""
         if self.recorder is not None:
             self._prev_recorder = obs_trace.install(self.recorder)
+        self.router.inline = host is None
         for endpoint in self.router.endpoints():
-            await endpoint.start()
+            await endpoint.start(self.router.inline)
         if not self._lazy_tenants:
             for name in self.router.spec_names():
                 await self.router.resolve(name)
@@ -294,9 +289,9 @@ class Gateway:
     def _wire_lifecycle(self) -> None:
         """Point the controller's deployment hooks at this gateway.
 
-        Store reads (snapshot + drift/churn signal) are serialized onto
-        the default endpoint's scoring thread — the controller ticks in
-        an executor thread, so ``run_coroutine_threadsafe`` back into
+        Store reads (snapshot + drift/churn signal) are submitted to
+        the default endpoint's batcher — the controller ticks in an
+        executor thread, so ``run_coroutine_threadsafe`` back into
         the loop is safe — and the guardrail watches the version the
         endpoint *actually* serves, not merely the registry's latest.
         """
@@ -318,6 +313,7 @@ class Gateway:
         """Graceful shutdown: stop accepting, drain in-flight requests,
         stop every endpoint.  Returns ``True`` if the drain completed
         inside ``drain_timeout``."""
+        self._stopping = True
         for task_attr in ("_watcher", "_sweeper", "_lifecycle"):
             task = getattr(self, task_attr)
             if task is not None:
@@ -420,18 +416,28 @@ class Gateway:
 
     async def serve_stdio(self, fd: int, out) -> None:
         """Answer the NDJSON lines of file descriptor ``fd`` on the text
-        stream ``out``, flushing each response, until end of input or a
-        closed ``out``.  Reads block, so a daemon thread makes them with
-        raw ``os.read``, which holds no interpreter lock: a read still
-        blocked at exit cannot stall shutdown."""
+        stream ``out``, flushing each response, until end of input, a
+        closed ``out`` or :meth:`stop`.  Once every line read is answered
+        a daemon thread reads the next chunk with raw ``os.read``, which
+        holds no lock: a read blocked at exit cannot stall shutdown."""
         asks: queue.SimpleQueue = queue.SimpleQueue()
-        threading.Thread(target=_read_lines, args=(fd, asks),
+        threading.Thread(target=_read_chunks, args=(fd, asks),
                          name="stdin-reader", daemon=True).start()
+        lines: deque = deque()
+        partial = b""
 
         async def readline() -> bytes:
-            ask: concurrent.futures.Future = concurrent.futures.Future()
-            asks.put(ask)
-            return await asyncio.wrap_future(ask)
+            nonlocal partial
+            while not (lines or self._stopping):
+                ask: concurrent.futures.Future = concurrent.futures.Future()
+                asks.put(ask)
+                chunk = await asyncio.wrap_future(ask)
+                *complete, partial = (partial + chunk).split(b"\n")
+                lines.extend(line + b"\n" for line in complete)
+                if not chunk:  # end of input; the last line may lack "\n"
+                    lines.append(partial)
+                    partial = b""
+            return b"" if self._stopping else lines.popleft()
 
         async def send(text: str) -> None:
             out.write(text)
@@ -961,45 +967,37 @@ class Gateway:
         await writer.drain()
 
 
-def _read_lines(fd: int, asks: queue.SimpleQueue) -> None:
-    """Answer each future from ``asks`` with the next line of ``fd``
-    (``b""`` at end of input) until ``asks`` yields ``None``; reading
-    only when asked, it never reads ahead of the requests answered."""
-    buffered = b""
+def _read_chunks(fd: int, asks: queue.SimpleQueue) -> None:
+    """Answer each future from ``asks`` with the next chunk of ``fd``
+    (``b""`` at end of input) until ``asks`` yields ``None``."""
     for ask in iter(asks.get, None):
         if not ask.set_running_or_notify_cancel():
             continue
         try:
-            while b"\n" not in buffered:
-                chunk = os.read(fd, 1 << 16)
-                if not chunk:
-                    break
-                buffered += chunk
-            line, newline, buffered = buffered.partition(b"\n")
-            ask.set_result(line + newline)
+            ask.set_result(os.read(fd, 1 << 16))
         except Exception as error:  # handed to the awaiting session
             ask.set_exception(error)
 
 
-async def run_gateway(service=None, host: Optional[str] = None,
+async def run_gateway(service=None, host: str = "127.0.0.1",
                       port: int = 0, *, stdin: Optional[int] = None,
                       out=None, registry=None,
                       model_name: Optional[str] = None,
                       **gateway_kwargs) -> None:
-    """Run a gateway for ``serve``: on ``host:port`` until cancelled, or
-    with ``host=None`` on the lines of file descriptor ``stdin`` until
-    they end.
+    """Run a gateway for ``serve``: on the lines of file descriptor
+    ``stdin`` until they end, or, with ``stdin=None``, on
+    ``host:port`` until cancelled.
 
     Writes one NDJSON ready line to ``out`` (default ``sys.stdout``),
     with the bound address when there is a socket.  On cancellation
     (SIGINT via ``asyncio.run``) the gateway drains: the request in
-    flight is still answered.  ``service=None`` boots a tenants-only
-    gateway (pass ``tenants=[...]``).
+    flight is answered and no further stdin line is read.
+    ``service=None`` boots a tenants-only gateway (``tenants=[...]``).
     """
     out = sys.stdout if out is None else out
     gateway = Gateway(service, registry=registry, model_name=model_name,
                       **gateway_kwargs)
-    address = await gateway.start(host, port)
+    address = await gateway.start(None if stdin is not None else host, port)
     session = None
     try:
         payload = {"ok": True, "op": "ready"}
@@ -1014,8 +1012,8 @@ async def run_gateway(service=None, host: Optional[str] = None,
         out.write(json.dumps(payload) + "\n")
         out.flush()
         session = asyncio.ensure_future(
-            gateway.serve_forever() if address is not None
-            else gateway.serve_stdio(stdin, out))
+            gateway.serve_stdio(stdin, out) if stdin is not None
+            else gateway.serve_forever())
         await asyncio.shield(session)
     finally:
         await gateway.stop()

@@ -268,23 +268,16 @@ class TestServeLoop:
 
     def test_cancel_drains_the_request_in_flight(self, tmp_path):
         """Cancelling the session (what SIGINT does) while a request
-        scores still answers that request before the gateway stops."""
+        scores still answers that request before the gateway stops, and
+        reads no further line: a queued line is neither answered nor
+        rejected."""
         import asyncio
         import io
-        import threading
 
         from repro.gateway import run_gateway
 
         service = self._service(tmp_path)
-        entered, release = threading.Event(), threading.Event()
         score_nodes = service.score_nodes
-
-        def gated_score_nodes(nodes):
-            entered.set()
-            release.wait(10.0)
-            return score_nodes(nodes)
-
-        service.score_nodes = gated_score_nodes
         read_fd, write_fd = os.pipe()
         out = io.StringIO()
 
@@ -292,24 +285,94 @@ class TestServeLoop:
             loop = asyncio.get_running_loop()
             session = asyncio.ensure_future(
                 run_gateway(service, stdin=read_fd, out=out))
-            os.write(write_fd, b'{"op": "score", "nodes": [3]}\n')
-            assert await loop.run_in_executor(None, entered.wait, 10.0)
-            session.cancel()
-            await asyncio.sleep(0.05)
-            release.set()
+
+            def cancelling_score_nodes(nodes):
+                loop.call_soon_threadsafe(session.cancel)
+                return score_nodes(nodes)
+
+            service.score_nodes = cancelling_score_nodes
+            os.write(write_fd, b'{"op": "score", "nodes": [3]}\n'
+                               b'{"op": "stats"}\n')
             with pytest.raises(asyncio.CancelledError):
                 await session
 
         try:
             asyncio.run(scenario())
         finally:
-            release.set()
             os.close(write_fd)  # the reader thread's blocked read ends
             os.close(read_fd)
-        ready, answered = [json.loads(line)
-                           for line in out.getvalue().splitlines()]
+        lines = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert len(lines) == 2  # the ready line and the one answer
+        ready, answered = lines
         assert ready["op"] == "ready"
         assert answered["ok"] and "3" in answered["scores"]
+
+    def test_lines_split_across_reads(self, tmp_path):
+        """A line that arrives in pieces is answered once it is whole,
+        and a last line without a newline is answered at end of input."""
+        import asyncio
+        import io
+        import threading
+        import time
+
+        from repro.gateway import run_gateway
+
+        read_fd, write_fd = os.pipe()
+
+        def produce():
+            for piece in (b'{"op": "st', b'ats"}\n\n{"op": "score", ',
+                          b'"nodes": [3]}'):
+                os.write(write_fd, piece)
+                time.sleep(0.05)
+            os.close(write_fd)
+
+        producer = threading.Thread(target=produce)
+        producer.start()
+        out = io.StringIO()
+        try:
+            asyncio.run(run_gateway(self._service(tmp_path), stdin=read_fd,
+                                    out=out))
+        finally:
+            producer.join()
+            os.close(read_fd)
+        ready, stats, score = [json.loads(line)
+                               for line in out.getvalue().splitlines()]
+        assert ready["op"] == "ready"
+        assert stats["ok"] and stats["op"] == "stats"
+        assert score["ok"] and "3" in score["scores"]
+
+    def test_without_stdin_the_gateway_listens(self, tmp_path):
+        """``run_gateway(service)`` listens on an ephemeral port of
+        127.0.0.1 until cancelled; only ``stdin`` selects the stdin
+        session."""
+        import asyncio
+        import io
+
+        from repro.gateway import run_gateway
+
+        out = io.StringIO()
+
+        async def scenario():
+            session = asyncio.ensure_future(
+                run_gateway(self._service(tmp_path), out=out))
+            while not out.getvalue():
+                await asyncio.sleep(0.01)
+            ready = json.loads(out.getvalue())
+            host, port = ready["listen"].rsplit(":", 1)
+            reader, writer = await asyncio.open_connection(host, int(port))
+            writer.write(b'{"op": "stats"}\n')
+            await writer.drain()
+            response = json.loads(await reader.readline())
+            writer.close()
+            await writer.wait_closed()
+            session.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await session
+            return ready, response
+
+        ready, response = asyncio.run(scenario())
+        assert ready["listen"].startswith("127.0.0.1:")
+        assert response["ok"] and response["op"] == "stats"
 
 
 class TestExperimentCommand:
