@@ -125,7 +125,7 @@ def main() -> int:
     pool_rps = total / pool_time
     print(f"{REPLICAS}-replica pool @ {CONNS} connections: {total} requests "
           f"in {pool_time:.2f}s ({pool_rps:.0f} req/s, dispatched "
-          f"{pool_stats['dispatched']}, healthy {pool_stats['healthy']})")
+          f"{pool_stats['dispatched']}, respawns {pool_stats['respawns']})")
 
     bitwise_replicas = single_scores == pool_scores
     bitwise_tenant = single_scores == tenant_scores

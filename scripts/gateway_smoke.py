@@ -241,29 +241,31 @@ async def drive_router(host, port, registry_dir):
     check({"default", "tenant-a", "tenant-b"} <= set(names),
           "tenants booted on first use, listed in /v1/services")
 
-    print("replica pool failover (SIGKILL mid-run)...")
+    print("replica respawn (SIGKILL mid-run)...")
     stats = (await ndjson_session(host, port,
                                   [{"op": "stats"}]))[0]["stats"]
     pool = stats["replica_pool"]
-    check(pool["replicas"] == 3 and pool["healthy"] == 3,
+    killed = pool["pids"][0]
+    check(pool["replicas"] == 3 and len(pool["pids"]) == 3,
           "default service runs a 3-replica pool")
     baseline = (await ndjson_session(
         host, port, [{"op": "score", "nodes": [5]}]))[0]
     hammer = [asyncio.ensure_future(
         ndjson_session(host, port, [{"op": "score", "nodes": [n % 20]}]))
         for n in range(24)]
-    os.kill(pool["pids"][0], signal.SIGKILL)
+    os.kill(killed, signal.SIGKILL)
     results = [r for batch in await asyncio.gather(*hammer) for r in batch]
     check(all(r["ok"] for r in results),
           "24 in-flight scores survived a replica SIGKILL")
     after = await ndjson_session(host, port, [
         {"op": "score", "nodes": [5]}, {"op": "stats"}])
     check(after[0]["scores"]["5"] == baseline["scores"]["5"],
-          "scores bitwise-stable across failover")
+          "scores bitwise-stable across the respawn")
     pool = after[1]["stats"]["replica_pool"]
-    check(pool["healthy"] == 2 and pool["failovers"] >= 1,
-          f"pool degraded cleanly (healthy={pool['healthy']}, "
-          f"failovers={pool['failovers']})")
+    check(len(pool["pids"]) == 3 and killed not in pool["pids"]
+          and pool["respawns"] >= 1,
+          f"killed replica replaced (pids={pool['pids']}, "
+          f"respawns={pool['respawns']})")
 
     print("live attach/detach...")
     attach = await ndjson_session(host, port, [

@@ -330,6 +330,8 @@ def _cmd_serve(args) -> int:
         ))
     except KeyboardInterrupt:
         pass  # asyncio.run cancelled the gateway; it drained on exit
+    except ValueError as error:  # a bad gateway setting, before the ready line
+        raise SystemExit(str(error))
     finally:
         if stdin is not None and args.input != "-":
             os.close(stdin)
@@ -372,11 +374,13 @@ def _render_span_node(node: dict, depth: int, out) -> None:
 
 def _render_stage_table(rows, out) -> None:
     out.write(f"{'stage':<32s} {'calls':>6s} {'total_ms':>10s} "
-              f"{'mean_ms':>9s} {'max_ms':>9s} {'share':>6s}\n")
+              f"{'self_ms':>10s} {'mean_ms':>9s} {'max_ms':>9s} "
+              f"{'share':>6s}\n")
     for row in rows:
         out.write(f"{row['stage']:<32s} {row['calls']:>6d} "
-                  f"{row['total_ms']:>10.2f} {row['mean_ms']:>9.3f} "
-                  f"{row['max_ms']:>9.3f} {row['share']:>5.1%}\n")
+                  f"{row['total_ms']:>10.2f} {row['self_ms']:>10.2f} "
+                  f"{row['mean_ms']:>9.3f} {row['max_ms']:>9.3f} "
+                  f"{row['share']:>5.1%}\n")
 
 
 def _trace_connect(args) -> int:

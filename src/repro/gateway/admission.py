@@ -71,6 +71,9 @@ class AdmissionController:
                  clock: Callable[[], float] = time.monotonic):
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
+        if (rate is not None and rate <= 0) or (burst is not None and burst <= 0):
+            raise ValueError(f"rate and burst must be positive, got rate={rate}, "
+                             f"burst={burst}")
         self.max_queue = int(max_queue)
         self.rate = rate
         self.burst = burst if burst is not None else (rate or 0) * 2

@@ -15,7 +15,7 @@ seam between the transports and the services that lifts that limit:
   :class:`~repro.parallel.engine.WorkerPool`.  The graph lives in POSIX
   shared memory once (:mod:`repro.parallel.shm` ships base + overlay),
   every replica's worker attaches it read-only, and reads go to the
-  least-loaded healthy replica.  Mutations fan in through a single
+  least-loaded replica.  Mutations fan in through a single
   writer: the pool closes its read gate, drains in-flight scores,
   applies the mutation on the primary service's scoring thread, resyncs
   shared memory, and reopens — so mutation ordering is exactly the
@@ -36,7 +36,6 @@ import asyncio
 import logging
 import re
 import time
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
@@ -95,7 +94,7 @@ class _ReplicaProxy:
                          service.rounds, service.max_batch,
                          service.backend.name)
         self._replica.dispatched += 1
-        evidence, _spans = self._replica.pool.submit(score_task, task).result()
+        evidence, _spans = self._replica.pool.run(score_task, [task])[0]
         return evidence
 
     def score_nodes(self, nodes) -> List[float]:
@@ -112,18 +111,13 @@ class _ReplicaProxy:
 
 class _Replica:
     """Parent-side handle for one replica: a one-worker
-    :class:`WorkerPool`, its micro-batcher, and the load/health
-    bookkeeping."""
+    :class:`WorkerPool`, its micro-batcher, and the load bookkeeping."""
 
-    __slots__ = ("index", "pool", "batcher", "pid", "healthy",
-                 "inflight", "dispatched")
+    __slots__ = ("pool", "batcher", "inflight", "dispatched")
 
-    def __init__(self, index: int, pool: WorkerPool):
-        self.index = index
+    def __init__(self, pool: WorkerPool):
         self.pool = pool
         self.batcher: Optional[MicroBatcher] = None
-        self.pid: Optional[int] = None
-        self.healthy = True
         self.inflight = 0
         self.dispatched = 0
 
@@ -199,13 +193,13 @@ class ServiceEndpoint:
 class ReplicaPool(ServiceEndpoint):
     """N replicas of one service sharing the graph read-only via shm.
 
-    Reads (``score_node`` / ``score_edge``) dispatch to the healthy
-    replica with the fewest in-flight requests; each replica is a
-    one-worker :class:`~repro.parallel.engine.WorkerPool` wrapped in its
-    own :class:`MicroBatcher`, so concurrent requests still coalesce
-    into shared forward batches per replica.  A replica whose process
-    dies is marked unhealthy and its in-flight reads retry on the
-    survivors.
+    Reads (``score_node`` / ``score_edge``) dispatch to the replica
+    with the fewest in-flight requests; each replica is a one-worker
+    :class:`~repro.parallel.engine.WorkerPool` wrapped in its own
+    :class:`MicroBatcher`, so concurrent requests still coalesce into
+    shared forward batches per replica.  A replica whose process dies
+    is respawned by its pool, which reruns the lost batch on the fresh
+    worker (counted in ``pool_stats()["respawns"]``).
 
     Every replica reads one shared export: the first replica's pool
     binds the graph and model, and every replica's tasks carry its
@@ -240,7 +234,6 @@ class ReplicaPool(ServiceEndpoint):
         self._drained = asyncio.Event()
         self._writer_lock = asyncio.Lock()
         self._reads = 0
-        self.failovers = 0
         self._started = False
 
     # -- shared-memory binding (sync; called off the event loop) -------
@@ -271,15 +264,13 @@ class ReplicaPool(ServiceEndpoint):
         loop = asyncio.get_running_loop()
 
         def spawn() -> None:
-            self._replica_list = [_Replica(index, WorkerPool(1))
-                                  for index in range(self.replicas)]
+            self._replica_list = [_Replica(WorkerPool(1))
+                                  for _ in range(self.replicas)]
             self._bind_graph()
             self._publish_model()
-            # Warm every worker now — process spawn happens before
-            # traffic, and the pid is kept for stats/failover tools.
+            # Warm every worker now: process spawn happens before traffic.
             for replica in self._replica_list:
-                replica.pool.submit(abs, 0).result()
-                replica.pid = replica.pool.pids[0]
+                replica.pool.run(abs, [0])
 
         await loop.run_in_executor(None, spawn)
         for replica in self._replica_list:
@@ -291,7 +282,7 @@ class ReplicaPool(ServiceEndpoint):
         self._drained.set()
         log_event(LOGGER, logging.INFO, "replica pool started",
                   service=self.name, replicas=self.replicas,
-                  pids=[replica.pid for replica in self._replica_list])
+                  pids=self.pool_stats()["pids"])
 
     async def stop(self) -> None:
         if not self._started:
@@ -310,52 +301,22 @@ class ReplicaPool(ServiceEndpoint):
         await asyncio.get_running_loop().run_in_executor(None, close_pools)
         self._replica_list = []
 
-    # -- read path: least-loaded dispatch with failover ----------------
-    def _pick(self) -> Optional[_Replica]:
-        best = None
-        for replica in self._replica_list:
-            if not replica.healthy:
-                continue
-            if best is None or replica.inflight < best.inflight:
-                best = replica
-        return best
-
-    def _fail_replica(self, replica: _Replica, error: BaseException) -> None:
-        if not replica.healthy:
-            return
-        replica.healthy = False
-        self.failovers += 1
-        log_event(LOGGER, logging.WARNING, "replica failed over",
-                  service=self.name, replica=replica.index,
-                  pid=replica.pid, error=str(error),
-                  error_type=type(error).__name__)
-
+    # -- read path: least-loaded dispatch -------------------------------
     async def _read(self, kind: str, args: tuple) -> float:
-        while True:
-            await self._gate.wait()
-            replica = self._pick()
-            if replica is None:
-                raise RuntimeError(
-                    f"service {self.name!r}: no healthy replicas left")
-            self._reads += 1
-            self._drained.clear()
-            replica.inflight += 1
-            try:
-                if kind == "node":
-                    return await replica.batcher.score_node(args[0])
-                return await replica.batcher.score_edge(*args)
-            except BrokenExecutor as error:
-                # The replica's worker process died (crash or kill):
-                # mark it unhealthy and retry on the survivors.  Per-
-                # request errors (bad node, missing edge) are ordinary
-                # exceptions and propagate to the caller untouched.
-                self._fail_replica(replica, error)
-                continue
-            finally:
-                replica.inflight -= 1
-                self._reads -= 1
-                if self._reads == 0:
-                    self._drained.set()
+        await self._gate.wait()
+        replica = min(self._replica_list, key=lambda r: r.inflight)
+        self._reads += 1
+        self._drained.clear()
+        replica.inflight += 1
+        try:
+            if kind == "node":
+                return await replica.batcher.score_node(args[0])
+            return await replica.batcher.score_edge(*args)
+        finally:
+            replica.inflight -= 1
+            self._reads -= 1
+            if self._reads == 0:
+                self._drained.set()
 
     async def score_node(self, node: int) -> float:
         return await self._read("node", (int(node),))
@@ -399,20 +360,14 @@ class ReplicaPool(ServiceEndpoint):
 
     # -- introspection -------------------------------------------------
     def pool_stats(self) -> dict:
+        replicas = self._replica_list
         return {
             "replicas": self.replicas,
-            "healthy": sum(1 for r in self._replica_list if r.healthy),
-            "pids": [r.pid for r in self._replica_list],
-            "inflight": [r.inflight for r in self._replica_list],
-            "dispatched": [r.dispatched for r in self._replica_list],
-            "failovers": self.failovers,
+            "pids": [pid for r in replicas for pid in r.pool.pids],
+            "inflight": [r.inflight for r in replicas],
+            "dispatched": [r.dispatched for r in replicas],
+            "respawns": sum(r.pool.respawns for r in replicas),
         }
-
-    def describe(self) -> dict:
-        info = super().describe()
-        info["healthy_replicas"] = sum(
-            1 for r in self._replica_list if r.healthy)
-        return info
 
 
 # ----------------------------------------------------------------------
@@ -552,6 +507,8 @@ class ServiceRouter:
 
     def __init__(self, *, metrics: Optional[MetricsRegistry] = None,
                  max_batch: int = 32):
+        if max_batch < 1:  # checked here too: tenants build batchers late
+            raise ValueError("max_batch must be >= 1")
         self._endpoints: Dict[str, ServiceEndpoint] = {}
         self._specs: Dict[str, TenantSpec] = {}
         self._boot_locks: Dict[str, asyncio.Lock] = {}

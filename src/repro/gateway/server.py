@@ -45,7 +45,7 @@ import queue
 import sys
 import threading
 from collections import deque
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..obs import trace as obs_trace
 from ..obs.metrics import LATENCY_BUCKETS, MetricsRegistry
@@ -206,16 +206,16 @@ class Gateway:
         self.lifecycle = lifecycle
         self.lifecycle_interval = lifecycle_interval
         self._server: Optional[asyncio.base_events.Server] = None
-        self._watcher: Optional[asyncio.Task] = None
-        self._sweeper: Optional[asyncio.Task] = None
-        self._lifecycle: Optional[asyncio.Task] = None
+        self._periodic: List[asyncio.Task] = []  # see _every
         self._stopping = False  # set by stop(): stdin reads no more lines
         self._requests_total = self.metrics.counter(
             "gateway_requests_total", "requests received (all transports)")
         self._shed_total = self.metrics.counter(
             "gateway_shed_total", "requests rejected by admission control")
         self._errors_total = self.metrics.counter(
-            "gateway_request_errors_total", "requests answered with ok=false")
+            "gateway_request_errors_total",
+            "requests answered with ok=false, plus failed steps of the "
+            "registry watcher, idle sweeper and lifecycle ticker")
         self._swaps_total = self.metrics.counter(
             "gateway_model_swaps_total", "zero-downtime model hot-swaps")
         self._connections = self.metrics.counter(
@@ -268,23 +268,51 @@ class Gateway:
         if host is not None:
             self._server = await asyncio.start_server(
                 self._handle_connection, host, port, limit=_MAX_LINE)
+        loop = asyncio.get_running_loop()
         if (self.registry is not None and self.model_name is not None
                 and self.poll_interval is not None
                 and self._default is not None):
-            self._watcher = asyncio.ensure_future(self._watch_registry())
+            self._every(self.poll_interval, self._poll_registry,
+                        "registry watch")
         if self.idle_ttl is not None:
-            self._sweeper = asyncio.ensure_future(self._sweep_idle())
+            # Spec-backed tenants idle past idle_ttl reboot lazily.
+            self._every(max(min(self.idle_ttl / 4.0, 30.0), 0.05),
+                        lambda: self.router.evict_idle(
+                            self.idle_ttl, self.admission.inflight_for),
+                        "idle sweep")
         if self.lifecycle is not None and self._default is not None:
             self._wire_lifecycle()
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.lifecycle.start)
+            await loop.run_in_executor(None, self.lifecycle.start)
             if self.lifecycle_interval is not None:
-                self._lifecycle = asyncio.ensure_future(
-                    self._lifecycle_loop())
+                # A tick that collects a finished retrain validates and
+                # publishes in its executor thread, so it can take
+                # seconds; the controller records its own last_error.
+                self._every(self.lifecycle_interval,
+                            lambda: loop.run_in_executor(
+                                None, self.lifecycle.tick),
+                            "lifecycle tick")
         if self._server is None:
             return None
         sock = self._server.sockets[0].getsockname()
         return sock[0], sock[1]
+
+    def _every(self, interval: float, step, name: str) -> None:
+        """Run the coroutine ``step()`` every ``interval`` seconds until
+        :meth:`stop` cancels it.  A failed step never ends the loop: it
+        is counted in ``gateway_request_errors_total``, logged, and the
+        next step runs on schedule."""
+        async def run() -> None:
+            while True:
+                await asyncio.sleep(interval)
+                try:
+                    await step()
+                except Exception as error:
+                    self._errors_total.inc()
+                    log_event(LOGGER, logging.WARNING, f"{name} failed",
+                              error=str(error),
+                              error_type=type(error).__name__)
+
+        self._periodic.append(asyncio.ensure_future(run()))
 
     def _wire_lifecycle(self) -> None:
         """Point the controller's deployment hooks at this gateway.
@@ -314,15 +342,10 @@ class Gateway:
         stop every endpoint.  Returns ``True`` if the drain completed
         inside ``drain_timeout``."""
         self._stopping = True
-        for task_attr in ("_watcher", "_sweeper", "_lifecycle"):
-            task = getattr(self, task_attr)
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-                setattr(self, task_attr, None)
+        for task in self._periodic:
+            task.cancel()
+        await asyncio.gather(*self._periodic, return_exceptions=True)
+        self._periodic = []
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -344,21 +367,6 @@ class Gateway:
         if self._server is None:
             raise RuntimeError("call start() first")
         await self._server.serve_forever()
-
-    async def _sweep_idle(self) -> None:
-        """Periodically evict spec-backed tenants idle past
-        ``idle_ttl`` (they reboot lazily on the next request)."""
-        interval = max(min(self.idle_ttl / 4.0, 30.0), 0.05)
-        while True:
-            await asyncio.sleep(interval)
-            try:
-                await self.router.evict_idle(self.idle_ttl,
-                                             self.admission.inflight_for)
-            except asyncio.CancelledError:
-                raise
-            except Exception as error:  # sweep must never kill serving
-                log_event(LOGGER, logging.WARNING, "idle sweep failed",
-                          error=str(error), error_type=type(error).__name__)
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -632,27 +640,6 @@ class Gateway:
                 "rollback, status")
         return {"ok": True, "op": op, "action": action, **result}
 
-    async def _lifecycle_loop(self) -> None:
-        """Tick the lifecycle controller on its cadence.
-
-        A tick that collects a finished retrain validates and publishes
-        inline (executor thread), so one tick can take seconds; the
-        loop simply resumes its cadence afterwards.  Tick failures are
-        logged and never kill the loop — the controller records its own
-        ``last_error`` for the status surface.
-        """
-        loop = asyncio.get_running_loop()
-        while True:
-            await asyncio.sleep(self.lifecycle_interval)
-            try:
-                await loop.run_in_executor(None, self.lifecycle.tick)
-            except asyncio.CancelledError:
-                raise
-            except Exception as error:
-                self._errors_total.inc()
-                log_event(LOGGER, logging.WARNING, "lifecycle tick failed",
-                          error=str(error), error_type=type(error).__name__)
-
     # ------------------------------------------------------------------
     # Model hot-swap
     # ------------------------------------------------------------------
@@ -687,26 +674,14 @@ class Gateway:
         return {"ok": True, "op": "reload", "service": endpoint.name,
                 "version": version, "swapped": True}
 
-    async def _watch_registry(self) -> None:
-        """Poll the registry; hot-swap the default service when a newer
-        version appears."""
-        loop = asyncio.get_running_loop()
-        while True:
-            await asyncio.sleep(self.poll_interval)
-            try:
-                latest = await loop.run_in_executor(
-                    None, self.registry.latest, self.model_name)
-                if latest != self.served_version:
-                    await self.reload(latest)
-            except asyncio.CancelledError:
-                raise
-            except Exception as error:
-                # Registry hiccups (partial publish, fs errors) must
-                # not kill the watcher; next poll retries.
-                self._errors_total.inc()
-                log_event(LOGGER, logging.WARNING, "registry watch failed",
-                          model=self.model_name, error=str(error),
-                          error_type=type(error).__name__)
+    async def _poll_registry(self) -> None:
+        """Hot-swap the default service when the registry holds a newer
+        version (a failed poll, e.g. a partial publish, retries on the
+        next one)."""
+        latest = await asyncio.get_running_loop().run_in_executor(
+            None, self.registry.latest, self.model_name)
+        if latest != self.served_version:
+            await self.reload(latest)
 
     # ------------------------------------------------------------------
     # HTTP transport

@@ -510,24 +510,38 @@ def span_tree(trace_record: dict) -> dict:
 def stage_table(traces: Iterable[dict]) -> List[dict]:
     """Aggregate span records by stage name into a per-stage cost table.
 
-    Rows carry ``stage / calls / total_ms / mean_ms / max_ms / share``
-    (share of the summed root durations), sorted by total time — the
-    ``repro trace --profile`` output.
+    Rows carry ``stage / calls / total_ms / self_ms / mean_ms / max_ms /
+    share``, sorted by total time — the ``repro trace --profile``
+    output.  ``total_ms``, ``mean_ms`` and ``max_ms`` are inclusive;
+    ``self_ms`` is exclusive: each span's duration minus its direct
+    children's (found through ``parent_id``), clamped at zero where
+    spans adopted from worker processes overlap their parent.
+    ``share`` is ``self_ms`` over the summed root durations, so the
+    rows of a serial trace sum to 1.
     """
     totals: Dict[str, dict] = {}
     root_ms = 0.0
     for trace_record in traces:
         root_ms += trace_record.get("duration_ms", 0.0)
-        for record in trace_record.get("spans", []):
+        spans = trace_record.get("spans", [])
+        children_ms: Dict[str, float] = {}
+        for record in spans:
+            parent = record.get("parent_id")
+            if parent is not None:
+                children_ms[parent] = (children_ms.get(parent, 0.0)
+                                       + record["duration_ms"])
+        for record in spans:
             row = totals.setdefault(record["name"], {
                 "stage": record["name"], "calls": 0,
-                "total_ms": 0.0, "max_ms": 0.0})
+                "total_ms": 0.0, "self_ms": 0.0, "max_ms": 0.0})
             row["calls"] += 1
             row["total_ms"] += record["duration_ms"]
+            row["self_ms"] += max(record["duration_ms"] - children_ms.get(
+                record.get("span_id"), 0.0), 0.0)
             row["max_ms"] = max(row["max_ms"], record["duration_ms"])
     rows = sorted(totals.values(),
                   key=lambda row: row["total_ms"], reverse=True)
     for row in rows:
         row["mean_ms"] = row["total_ms"] / row["calls"]
-        row["share"] = (row["total_ms"] / root_ms) if root_ms > 0 else 0.0
+        row["share"] = (row["self_ms"] / root_ms) if root_ms > 0 else 0.0
     return rows

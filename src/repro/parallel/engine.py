@@ -34,7 +34,8 @@ augmentation *on or off*.
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import Future, ProcessPoolExecutor
+import threading
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import resource_tracker
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -95,15 +96,15 @@ class ModelRef:
     spec: SharedModelSpec
 
 
-def _ensure_graph(ref: GraphRef):
-    """Attach (or reuse) the shared graph named by ``ref`` (worker side)."""
-    if _WORKER_STATE.get("graph_token") != ref.token:
-        old = _WORKER_STATE.pop("graph", None)
+def _attached(slot: str, ref, attach):
+    """Attach (or reuse) the shared ``slot`` named by ``ref`` (worker side)."""
+    if _WORKER_STATE.get(f"{slot}_token") != ref.token:
+        old = _WORKER_STATE.pop(slot, None)
         if old is not None:
             old.close()
-        _WORKER_STATE["graph"] = attach_shared_graph(ref.spec)
-        _WORKER_STATE["graph_token"] = ref.token
-    return _WORKER_STATE["graph"]
+        _WORKER_STATE[slot] = attach(ref.spec)
+        _WORKER_STATE[f"{slot}_token"] = ref.token
+    return _WORKER_STATE[slot]
 
 
 def _ensure_model(ref: ModelRef) -> Bourne:
@@ -113,13 +114,7 @@ def _ensure_model(ref: ModelRef) -> Bourne:
     (token change); version bumps refresh parameter values in place
     with one copy per array.
     """
-    if _WORKER_STATE.get("model_token") != ref.token:
-        old = _WORKER_STATE.pop("model", None)
-        if old is not None:
-            old.close()
-        _WORKER_STATE["model"] = attach_shared_model(ref.spec)
-        _WORKER_STATE["model_token"] = ref.token
-    return _WORKER_STATE["model"].load(ref.version).model
+    return _attached("model", ref, attach_shared_model).load(ref.version).model
 
 
 class WorkerPool:
@@ -138,6 +133,10 @@ class WorkerPool:
     picklable ref that tasks carry, and workers lazily attach/refresh
     from the ref's token/version.  The refs name parent-owned segments,
     so tasks submitted to *other* pools may carry them too.
+
+    A worker that dies breaks its executor: the next :meth:`submit`
+    swaps in fresh workers and :meth:`run` reruns the tasks it lost, so
+    every client heals with no code of its own.
     """
 
     def __init__(self, workers: int):
@@ -149,9 +148,7 @@ class WorkerPool:
         # and warning about segments the parent already unlinked.
         # Started here, the one tracker is inherited by every worker.
         resource_tracker.ensure_running()
-        self._executor = ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=_MP_CONTEXT
-        )
+        self._executor = ProcessPoolExecutor(self.workers, _MP_CONTEXT)
         self._graph_export: Optional[SharedGraphExport] = None
         self._graph_token = 0
         self._graph_ref: Optional[GraphRef] = None
@@ -159,6 +156,8 @@ class WorkerPool:
         self._model_token = 0
         self._model_version = 0
         self._bound_model: Optional[Bourne] = None
+        self._respawns = 0
+        self._submit_lock = threading.Lock()  # one swap per broken executor
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -218,36 +217,52 @@ class WorkerPool:
         """Pids of the worker processes (empty until the first task)."""
         return sorted(self._executor._processes or ())
 
-    def submit(self, fn, task) -> Future:
-        """Run ``fn(task)`` on one worker; returns its future.
+    @property
+    def respawns(self) -> int:
+        """How many times a dead worker's executor was replaced."""
+        return self._respawns
 
-        A worker process that died surfaces as
-        :class:`~concurrent.futures.BrokenExecutor`, raised here or by
-        the future, unwrapped: callers that fail over (the gateway's
-        replica pool) catch exactly that.
+    def submit(self, fn, task) -> Future:
+        """Run ``fn(task)`` on one worker, first replacing an executor
+        that a dead worker broke; returns its future, which fails with
+        ``BrokenExecutor`` if its worker dies mid-task.
         """
         self._check_open()
-        return self._executor.submit(fn, task)
+        with self._submit_lock:
+            try:
+                return self._executor.submit(fn, task)
+            except BrokenExecutor:
+                self._executor.shutdown(wait=False, cancel_futures=True)
+                self._executor = ProcessPoolExecutor(self.workers, _MP_CONTEXT)
+                self._respawns += 1
+                return self._executor.submit(fn, task)
 
     def run(self, fn, tasks: List[tuple], label: str = "sharded run") -> List:
         """Fan ``tasks`` out; results come back in task (= shard) order.
 
-        A worker exception is re-raised in the parent as
-        ``RuntimeError`` naming the shard; pending tasks are cancelled
-        but the pool itself stays usable (worker processes survive an
-        ordinary task exception).
+        Tasks lost with a dead worker rerun once on fresh workers; tasks
+        are pure and their refs name parent-owned segments, so a rerun
+        returns the same bits.  A second loss, or any other worker
+        exception, is re-raised as ``RuntimeError`` naming the shard;
+        pending tasks are cancelled but the pool stays usable.
         """
-        futures = [self.submit(fn, task) for task in tasks]
-        results: List = []
-        for index, future in enumerate(futures):
-            try:
-                results.append(future.result())
-            except Exception as error:
-                for pending in futures[index + 1 :]:
-                    pending.cancel()
-                raise RuntimeError(
-                    f"{label} failed in shard {index} (of {len(tasks)}): {error}"
-                ) from error
+        results: List = [None] * len(tasks)
+        lost = list(range(len(tasks)))
+        for rerun in (False, True):
+            futures = [(shard, self.submit(fn, tasks[shard])) for shard in lost]
+            lost = []
+            for position, (shard, future) in enumerate(futures):
+                try:
+                    results[shard] = future.result()
+                except Exception as error:
+                    if isinstance(error, BrokenExecutor) and not rerun:
+                        lost.append(shard)
+                        continue
+                    for _, pending in futures[position + 1 :]:
+                        pending.cancel()
+                    raise RuntimeError(
+                        f"{label} failed in shard {shard} (of {len(tasks)}): {error}"
+                    ) from error
         return results
 
     # ------------------------------------------------------------------
@@ -313,7 +328,6 @@ class ScoreTask(NamedTuple):
     max_batch: int
     backend: str
     span_name: Optional[str] = None
-    fail: bool = False
 
 
 def score_task(task: ScoreTask) -> Tuple[RoundEvidence, List[dict]]:
@@ -329,13 +343,10 @@ def score_task(task: ScoreTask) -> Tuple[RoundEvidence, List[dict]]:
     trace) the work runs under that span and its records ship back as
     the second result; the parent re-parents them with
     :func:`repro.obs.trace.adopt_spans`, so ``workers > 1`` calls still
-    produce one trace spanning both processes.  ``fail`` is a test
-    hook: the task raises instead of scoring.
+    produce one trace spanning both processes.
     """
-    if task.fail:
-        raise RuntimeError(f"injected failure scoring {len(task.targets)} targets")
     model = _ensure_model(task.model)
-    graph = _ensure_graph(task.graph)
+    graph = _attached("graph", task.graph, attach_shared_graph)
     backend = resolve_backend(task.backend)
     args = (model, graph, task.targets, task.seed, task.rounds, task.max_batch)
     if task.span_name is None:
@@ -361,7 +372,6 @@ class TrainTask(NamedTuple):
     node_scale: Optional[float]
     edge_scale: Optional[float]
     mask_seed: int
-    fail: bool = False
 
 
 def train_task(task: TrainTask) -> List[Tuple[float, List[Optional[np.ndarray]]]]:
@@ -370,13 +380,10 @@ def train_task(task: TrainTask) -> List[Tuple[float, List[Optional[np.ndarray]]]
     Executes :func:`~repro.core.trainer.train_chunk`, the function the
     serial trainer runs, once per chunk in order, and returns the
     per-chunk ``(loss, gradients)`` pairs; concatenated in shard order
-    they are the step's results in global chunk order.  ``fail`` is a
-    test hook: the task raises instead of training.
+    they are the step's results in global chunk order.
     """
-    if task.fail:
-        raise RuntimeError(f"injected failure training {len(task.chunks)} chunks")
     model = _ensure_model(task.model)
-    graph = _ensure_graph(task.graph)
+    graph = _attached("graph", task.graph, attach_shared_graph)
     scales = (task.node_scale, task.edge_scale, task.mask_seed)
     return [
         train_chunk(model, graph, targets, seeds, *scales)
@@ -392,7 +399,6 @@ def _score_shards(
     stream: Tuple[Optional[int], int, int, str],
     workers: int,
     pool: Optional[WorkerPool],
-    fail_shard: Optional[int],
     name: str,
     shard_span: str,
 ) -> List[RoundEvidence]:
@@ -423,9 +429,8 @@ def _score_shards(
                     targets[start:stop],
                     *stream,
                     span_name=shard_span if traced else None,
-                    fail=shard == fail_shard,
                 )
-                for shard, (start, stop) in enumerate(plan)
+                for start, stop in plan
             ]
             results = pool.run(score_task, tasks, label=f"sharded {name}")
             for _, spans in results:
@@ -445,7 +450,6 @@ def score_graph_sharded(
     workers: int = 2,
     pool: Optional[WorkerPool] = None,
     backend=None,
-    _fail_shard: Optional[int] = None,
 ) -> AnomalyScores:
     """Multi-process counterpart of :func:`repro.core.score_graph`.
 
@@ -459,8 +463,6 @@ def score_graph_sharded(
     ``pool`` reuses an existing :class:`WorkerPool` (it is left open);
     otherwise an ephemeral pool is created and torn down.  ``backend``
     names the tensor backend each worker resolves locally.
-    ``_fail_shard`` is a test hook: the worker handling that shard
-    raises, exercising crash propagation.
     """
     cfg = model.config
     rounds = rounds if rounds is not None else cfg.eval_rounds
@@ -474,7 +476,6 @@ def score_graph_sharded(
         (seed, rounds, batch_size, resolve_backend(backend).name),
         workers,
         pool,
-        _fail_shard,
         "scoring",
         "parallel.score_shard",
     )
@@ -493,7 +494,6 @@ def service_refresh_scores(
     targets: np.ndarray,
     workers: int = 2,
     pool: Optional[WorkerPool] = None,
-    _fail_shard: Optional[int] = None,
 ) -> Tuple[np.ndarray, int]:
     """Drain a service miss queue through the sharded engine.
 
@@ -513,7 +513,6 @@ def service_refresh_scores(
         (service.seed, service.rounds, service.max_batch, service.backend.name),
         workers,
         pool,
-        _fail_shard,
         "refresh",
         "parallel.refresh_shard",
     )

@@ -136,6 +136,20 @@ class TestServeCommand:
         assert lines[1]["error_type"] == "ValueError"
         assert lines[2]["ok"] is True and lines[2]["id"] == "after"
 
+    def test_bad_gateway_setting_exits_before_ready(self, tmp_path, capsys):
+        """``--rate-limit 0`` would refuse every request: serve exits
+        non-zero with one line naming the setting, before the ready
+        line."""
+        checkpoint = self._train_checkpoint(tmp_path, capsys)
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--model", checkpoint, "--dataset", "cora",
+                  "--scale", "0.08", "--rate-limit", "0",
+                  "--input", os.devnull])
+        message = exited.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert "rate" in message
+        assert "ready" not in capsys.readouterr().out
+
     def test_invalid_listen_rejected(self, tmp_path, capsys):
         checkpoint = self._train_checkpoint(tmp_path, capsys)
         with pytest.raises(SystemExit, match="HOST:PORT"):

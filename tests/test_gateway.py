@@ -451,6 +451,45 @@ class TestHotSwap:
         assert version == 2
         assert service.model.config.seed == 99
 
+    def test_watcher_survives_a_failed_poll(self, tmp_path):
+        """A poll that raises is counted and logged; a later poll still
+        swaps the new version in."""
+        features, edges = random_topology()
+        registry = ModelRegistry(str(tmp_path / "registry"))
+        registry.publish(Bourne(features.shape[1], tiny_config(seed=3)),
+                         "detector")
+        registry.publish(Bourne(features.shape[1], tiny_config(seed=99)),
+                         "detector")
+        latest = registry.latest
+        polls = []
+
+        def flaky_latest(name):
+            polls.append(name)
+            if len(polls) == 1:
+                raise OSError("registry unreadable")
+            return latest(name)
+
+        registry.latest = flaky_latest
+        store = GraphStore.from_graph(Graph(features, edges),
+                                      influence_radius=2)
+        service = ScoringService(registry.load("detector", 1), store,
+                                 rounds=1)
+
+        async def client(gateway, host, port):
+            for _ in range(100):
+                await asyncio.sleep(0.05)
+                if gateway.served_version == 2:
+                    break
+            errors = gateway.metrics.get("gateway_request_errors_total")
+            return gateway.served_version, errors.value
+
+        version, errors = run_with_gateway(
+            client, service=service, registry=registry,
+            model_name="detector", model_version=1, poll_interval=0.05)
+        assert version == 2 and len(polls) >= 2
+        assert errors == 1
+        assert service.model.config.seed == 99
+
     def test_reload_without_registry_is_an_error(self):
         async def client(gateway, host, port):
             return await ndjson_one(host, port, {"op": "reload"})

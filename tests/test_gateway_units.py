@@ -161,6 +161,12 @@ class TestAdmission:
         with pytest.raises(RuntimeError):
             AdmissionController().release()
 
+    @pytest.mark.parametrize("rate,burst", [(0, None), (-1.0, None),
+                                            (5.0, 0), (None, -2.0)])
+    def test_non_positive_rate_or_burst_rejected(self, rate, burst):
+        with pytest.raises(ValueError, match="rate and burst must be positive"):
+            AdmissionController(rate=rate, burst=burst)
+
     def test_drain_rejects_and_resolves(self):
         async def scenario():
             admission = AdmissionController(max_queue=4)

@@ -13,6 +13,9 @@ regressed model reaches the registry.
 
 import asyncio
 import json
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -413,6 +416,40 @@ class TestControllerLoop:
             assert not second["triggered"]
             assert controller.wait_idle(timeout=300)
             assert controller.retrains_completed == 1
+        finally:
+            controller.close()
+
+    def test_killed_retrain_worker_is_replaced(self, tmp_path):
+        """The retrain worker dies while idle; the next trigger runs on
+        a fresh worker and publishes its candidate."""
+        graph = random_graph()
+        model = Bourne(graph.num_features, tiny_config())
+        registry = ModelRegistry(str(tmp_path / "models"))
+        registry.publish(model, "m")
+        store = GraphStore.from_graph(graph, influence_radius=2)
+        service = ScoringService(model, store, rounds=1)
+        controller = LifecycleController(
+            service, registry, "m",
+            TriggerPolicy(drift_threshold=None, mutation_threshold=None),
+            epochs=1, probe_size=8, auc_margin=float("inf"))
+        try:
+            controller.start()
+            (killed,) = controller._retrainer.pids
+            os.kill(killed, signal.SIGKILL)
+            # The pool reaps its dead worker once it has seen the death.
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                try:
+                    os.kill(killed, 0)
+                except ProcessLookupError:
+                    break
+                time.sleep(0.01)
+            assert controller.trigger("operator")["triggered"]
+            assert controller.wait_idle(timeout=300)
+            assert controller.retrains_failed == 0
+            assert controller.validations_accepted == 1
+            assert registry.latest("m") == 2
+            assert killed not in controller._retrainer.pids
         finally:
             controller.close()
 

@@ -628,6 +628,41 @@ class TestStageTable:
         assert top["max_ms"] == pytest.approx(6.0)
         assert top["share"] == pytest.approx(0.9)
 
+    def test_nested_spans_report_self_time(self):
+        """A parent's self time excludes its direct children, so the
+        shares of a serial trace sum to 1; overlapping adopted worker
+        spans clamp their parent's self time at zero."""
+        traces = [{
+            "trace_id": "t1", "duration_ms": 10.0, "spans": [
+                {"name": "root", "span_id": "r", "parent_id": None,
+                 "duration_ms": 10.0},
+                {"name": "a", "span_id": "a1", "parent_id": "r",
+                 "duration_ms": 6.0},
+                {"name": "b", "span_id": "b1", "parent_id": "a1",
+                 "duration_ms": 4.0},
+                {"name": "b", "span_id": "b2", "parent_id": "r",
+                 "duration_ms": 3.0},
+            ],
+        }, {
+            "trace_id": "t2", "duration_ms": 2.0, "spans": [
+                {"name": "root", "span_id": "q", "parent_id": None,
+                 "duration_ms": 2.0},
+                {"name": "shard", "span_id": "s1", "parent_id": "q",
+                 "duration_ms": 1.5},
+                {"name": "shard", "span_id": "s2", "parent_id": "q",
+                 "duration_ms": 1.5},
+            ],
+        }]
+        rows = {row["stage"]: row for row in stage_table(traces)}
+        assert rows["root"]["total_ms"] == pytest.approx(12.0)
+        assert rows["root"]["self_ms"] == pytest.approx(1.0)
+        assert rows["a"]["self_ms"] == pytest.approx(2.0)
+        assert rows["b"]["self_ms"] == pytest.approx(7.0)
+        assert rows["shard"]["self_ms"] == pytest.approx(3.0)
+        assert all(row["self_ms"] >= 0 for row in rows.values())
+        serial = stage_table(traces[:1])
+        assert sum(row["share"] for row in serial) == pytest.approx(1.0)
+
     def test_empty_input(self):
         assert stage_table([]) == []
 

@@ -5,10 +5,12 @@ count (``4 × workers`` even shards) and any forward batch size merge
 to the exact bits the serial batched path produces (augmentation off;
 ``node_only``'s counter-based forward mask included).  These tests pin that contract plus the even
 split's partition invariants, the worker pool's task surface, the
-shared-memory round trip, and worker-crash propagation.
+shared-memory round trip, worker-crash propagation, and the pool's
+replacement of a dead worker with a rerun of the tasks it lost.
 """
 
 import os
+import signal
 import time
 
 import numpy as np
@@ -97,17 +99,31 @@ class TestBitwiseEquality:
         np.testing.assert_array_equal(result.edge_scores, serial.edge_scores)
 
 
+def targets_past_the_end(graph, shard, workers=2):
+    """Every target id of ``graph``, with the first id of ``shard`` (of
+    the ``4 × workers`` even shards) replaced by one past the end: that
+    shard's worker fails with ``IndexError``."""
+    targets = np.arange(graph.num_nodes)
+    plan = even_shards(len(targets), SHARDS_PER_WORKER * workers)
+    targets[plan[shard][0]] = graph.num_nodes
+    return targets
+
+
 class TestCrashPropagation:
     def test_worker_exception_reaches_parent(self, model, graph):
-        with pytest.raises(RuntimeError, match="shard 2"):
-            score_graph_sharded(model, graph, workers=2, _fail_shard=2)
+        service = ScoringService(model, graph.copy(), rounds=2)
+        with pytest.raises(RuntimeError, match="shard 2 .*out of bounds"):
+            service_refresh_scores(service, targets_past_the_end(graph, 2),
+                                   workers=2)
 
     def test_failure_does_not_leak_shared_memory(self, model, graph,
                                                  no_shm_leak):
         # The engine unlinks its segments even on worker failure; a
         # subsequent run must start clean and still be bitwise-correct.
+        service = ScoringService(model, graph.copy(), rounds=2)
         with no_shm_leak(), pytest.raises(RuntimeError):
-            score_graph_sharded(model, graph, workers=2, _fail_shard=0)
+            service_refresh_scores(service, targets_past_the_end(graph, 0),
+                                   workers=2)
         serial = score_graph(model, graph)
         again = score_graph(model, graph, workers=2)
         np.testing.assert_array_equal(again.node_scores, serial.node_scores)
@@ -196,6 +212,58 @@ class TestWorkerPool:
             pool.submit(_worker_pid, None)
 
 
+def _die_once(task):
+    """Return the task's value; the first call to run, in any process,
+    kills its worker (``marker`` records that one has died)."""
+    marker, value = task
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return value
+    os._exit(1)
+
+
+def _exit_if_negative(value: int) -> int:
+    if value < 0:
+        os._exit(1)
+    return value
+
+
+class TestWorkerRespawn:
+    """A dead worker is replaced and the tasks it lost rerun once."""
+
+    def test_lost_tasks_rerun_once_on_fresh_workers(self, tmp_path):
+        marker = str(tmp_path / "died")
+        with WorkerPool(2) as pool:
+            results = pool.run(_die_once, [(marker, n) for n in range(4)])
+            assert results == [0, 1, 2, 3]
+            assert pool.respawns == 1
+
+    def test_task_lost_twice_names_its_shard(self):
+        with WorkerPool(2) as pool:
+            with pytest.raises(RuntimeError,
+                               match=r"shard 0 \(of 1\).*terminated abruptly"):
+                pool.run(_exit_if_negative, [-1])
+            assert pool.respawns == 1
+            assert pool.run(abs, [-3, 4]) == [3, 4]
+            assert pool.respawns == 2
+
+    def test_persistent_pool_scores_after_idle_worker_dies(
+            self, model, graph, serial_scores, no_shm_leak):
+        with no_shm_leak():
+            with WorkerPool(2) as pool:
+                pool.run(abs, [0, 1])
+                killed = pool.pids[0]
+                os.kill(killed, signal.SIGKILL)
+                result = score_graph(model, graph, workers=2, pool=pool)
+                assert pool.respawns == 1
+                assert killed not in pool.pids
+        np.testing.assert_array_equal(result.node_scores,
+                                      serial_scores.node_scores)
+        np.testing.assert_array_equal(result.edge_scores,
+                                      serial_scores.edge_scores)
+
+
 class TestSharedGraph:
     def test_roundtrip(self, graph):
         export = SharedGraphExport.create(graph.features, graph.index)
@@ -266,7 +334,6 @@ class TestServiceShardedRefresh:
         config = tiny_config(eval_rounds=2)
         model = Bourne(graph.num_features, config)
         service = ScoringService(model, graph.copy(), rounds=2)
-        with pytest.raises(RuntimeError, match="shard"):
-            service_refresh_scores(service,
-                                   np.arange(graph.num_nodes),
-                                   workers=2, _fail_shard=1)
+        with pytest.raises(RuntimeError, match="shard 1"):
+            service_refresh_scores(service, targets_past_the_end(graph, 1),
+                                   workers=2)

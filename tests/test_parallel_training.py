@@ -13,6 +13,7 @@ permutation stream that replaced the old ``seed + 7`` coupling.
 """
 
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -261,15 +262,18 @@ class TestPersistentPool:
 
 
 def _failing_task(trainer, graph):
-    """A training task that raises in a worker of ``trainer``'s pool.
+    """A training task that raises in a worker of ``trainer``'s pool: its
+    one chunk targets a node id past the end of ``graph``.
 
     Building it rebinds the pool's graph and model slots between fits,
     as another client sharing the pool would.
     """
     pool = trainer.pool
+    targets = np.array([graph.num_nodes], dtype=np.int64)
     return TrainTask(pool.bind_graph(graph.features, graph.index),
-                     pool.publish_model(trainer.model), [], None, None, 0,
-                     fail=True)
+                     pool.publish_model(trainer.model),
+                     [(targets, derive_target_seeds(0, targets))],
+                     None, None, 0)
 
 
 class TestCrashPropagation:
@@ -280,7 +284,7 @@ class TestCrashPropagation:
             trainer.fit(graph)
             with pytest.raises(RuntimeError,
                                match="sharded run failed in shard 0.*"
-                                     "injected failure training"):
+                                     "out of bounds"):
                 trainer.pool.run(train_task, [_failing_task(trainer, graph)])
 
     def test_pool_usable_after_task_failure(self, graph):
@@ -290,7 +294,7 @@ class TestCrashPropagation:
         model = Bourne(graph.num_features, config)
         with BourneTrainer(model, config, grain=4, workers=2) as trainer:
             trainer.fit(graph)
-            with pytest.raises(RuntimeError, match="injected failure"):
+            with pytest.raises(RuntimeError, match="out of bounds"):
                 trainer.pool.run(train_task, [_failing_task(trainer, graph)])
             history = trainer.fit(graph, epochs=1)
         assert len(history.losses) == 1
@@ -299,6 +303,25 @@ class TestCrashPropagation:
         serial_trainer = BourneTrainer(serial_model, config, grain=4)
         serial_trainer.fit(graph)
         serial_trainer.fit(graph, epochs=1)
+        for a, b in zip(fit_params(model), fit_params(serial_model)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_worker_killed_between_fits(self, graph):
+        """A worker SIGKILLed between two fits is replaced: the second
+        fit runs on fresh workers and the trajectory stays bitwise the
+        serial trainer's."""
+        config = tiny_config()
+        model = Bourne(graph.num_features, config)
+        with BourneTrainer(model, config, grain=4, workers=2) as trainer:
+            first = trainer.fit(graph)
+            os.kill(trainer.pool.pids[0], signal.SIGKILL)
+            second = trainer.fit(graph, epochs=1)
+            assert trainer.pool.respawns == 1
+
+        serial_model = Bourne(graph.num_features, config)
+        serial_trainer = BourneTrainer(serial_model, config, grain=4)
+        assert first.losses == serial_trainer.fit(graph).losses
+        assert second.losses == serial_trainer.fit(graph, epochs=1).losses
         for a, b in zip(fit_params(model), fit_params(serial_model)):
             np.testing.assert_array_equal(a, b)
 

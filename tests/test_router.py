@@ -274,7 +274,7 @@ class TestReplicaPool:
 
             stats = await ndjson_one(host, port, {"op": "stats"})
             pool = stats["stats"]["replica_pool"]
-            assert pool["replicas"] == 2 and pool["healthy"] == 2
+            assert pool["replicas"] == 2 and pool["respawns"] == 0
             assert len(pool["pids"]) == 2
             assert sum(pool["dispatched"]) > 0
             return True
@@ -283,9 +283,9 @@ class TestReplicaPool:
                                 replicas=2, max_batch=8, tracing=False)
 
     def test_replica_failover_when_worker_dies(self):
-        """SIGKILLing one replica's worker process marks it unhealthy;
-        in-flight and subsequent requests retry on the survivors with
-        unchanged (bitwise) scores."""
+        """SIGKILLing replica 0's worker process respawns it: the batch
+        it lost reruns on the fresh worker, and every request is
+        answered with unchanged (bitwise) scores."""
         reference = make_service()
         expected = {n: reference.score_node(n) for n in range(8)}
 
@@ -302,8 +302,8 @@ class TestReplicaPool:
                 assert out["scores"][str(n)] == expected[n]
             stats = await ndjson_one(host, port, {"op": "stats"})
             pool = stats["stats"]["replica_pool"]
-            assert pool["healthy"] == 2
-            assert pool["failovers"] == 1
+            assert pool["respawns"] == 1
+            assert len(pool["pids"]) == 3 and pids[0] not in pool["pids"]
             return True
 
         assert run_with_gateway(scenario, service=make_service(),
