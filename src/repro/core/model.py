@@ -26,7 +26,7 @@ from .views import (
     BatchedGraphViews,
     BatchedHypergraphViews,
     build_batched_views,
-    seeded_mask_features,
+    seeded_forward_mask_draws,
 )
 
 
@@ -38,7 +38,15 @@ class BatchScores:
     edge_scores: Optional[Tensor]     # (Σ Mtar,) or None (node_only mode)
     edge_owner: np.ndarray            # (Σ Mtar,)
     edge_orig_ids: np.ndarray         # (Σ Mtar,)
-    node_valid: np.ndarray            # (B,) bool — False for degenerate targets
+
+
+def _graph_readout(h: Tensor, gviews: BatchedGraphViews
+                   ) -> Tuple[Tensor, Tensor, Tensor]:
+    """``(target, patch, context)`` readouts of ``(B·S, D')`` graph-view
+    embeddings: row ``S-1``, row 0 and the mean of rows ``0..S-2``."""
+    batch, size = gviews.operator.shape[:2]
+    h = h.reshape(batch, size, h.shape[1])
+    return h[:, -1], h[:, 0], h[:, :-1].mean(axis=1)
 
 
 class Bourne:
@@ -148,11 +156,8 @@ class Bourne:
     def _forward_unified(self, gviews: BatchedGraphViews,
                          hviews: BatchedHypergraphViews) -> BatchScores:
         cfg = self.config
-        h_all = self.online(gviews.operator, Tensor(gviews.features))
-        h_t = h_all[gviews.target_rows]                       # (B, D')
-        h_p = h_all[gviews.patch_rows]                        # (B, D')
-        from ..tensor.sparse import spmm
-        h_s = spmm(gviews.context_pool, h_all)                # (B, D')
+        h_t, h_p, h_s = _graph_readout(                       # (B, D') each
+            self.online(gviews.operator, Tensor(gviews.features)), gviews)
 
         z_data = self._target_forward(hviews.operator, Tensor(hviews.features))
         z_t = Tensor(z_data[hviews.zt_rows])
@@ -181,22 +186,25 @@ class Bourne:
             edge_scores=edge_scores,
             edge_owner=hviews.edge_owner,
             edge_orig_ids=hviews.edge_orig_ids,
-            node_valid=hviews.has_edges.copy(),
         )
 
     def _forward_node_only(self, gviews: BatchedGraphViews,
                            mask_seed: Optional[int]) -> BatchScores:
         """w/o HGNN ablation: both branches read the graph view."""
         cfg = self.config
-        h_all = self.online(gviews.operator, Tensor(gviews.features))
-        h_t = h_all[gviews.target_rows]
+        h_t, _, _ = _graph_readout(
+            self.online(gviews.operator, Tensor(gviews.features)), gviews)
 
-        augmented = seeded_mask_features(gviews.features,
-                                         cfg.feature_mask_prob, mask_seed,
-                                         view_starts=gviews.patch_rows)
-        z_data = self._target_forward(gviews.operator, Tensor(augmented))
-        h_p_ctx = Tensor(z_data[gviews.patch_rows])
-        h_s_ctx = Tensor(gviews.context_pool @ z_data)
+        features = gviews.features
+        dim = features.shape[1]
+        keep = seeded_forward_mask_draws(dim, cfg.feature_mask_prob, mask_seed)
+        if keep is not None:  # one keep-vector per view, or one for all
+            batch, size = gviews.operator.shape[:2]
+            features = (features.reshape(batch, size, dim)
+                        * keep[:, None, :]).reshape(features.shape)
+        with no_grad():
+            _, h_p_ctx, h_s_ctx = _graph_readout(
+                self.target(gviews.operator, Tensor(features)), gviews)
 
         node_scores = discriminate(h_t, h_p_ctx, h_s_ctx, cfg.alpha, cfg.beta)
         return BatchScores(
@@ -204,7 +212,6 @@ class Bourne:
             edge_scores=None,
             edge_owner=np.zeros(0, dtype=np.int64),
             edge_orig_ids=np.zeros(0, dtype=np.int64),
-            node_valid=np.ones(gviews.batch_size, dtype=bool),
         )
 
     def _forward_edge_only(self, hviews: BatchedHypergraphViews) -> BatchScores:
@@ -212,8 +219,7 @@ class Bourne:
         cfg = self.config
         if len(hviews.zt_rows) == 0:
             return BatchScores(None, None, hviews.edge_owner,
-                               hviews.edge_orig_ids,
-                               np.zeros(len(hviews.has_edges), dtype=bool))
+                               hviews.edge_orig_ids)
         z_online = self.online(hviews.operator, Tensor(hviews.features))
         z_t = z_online[hviews.zt_rows]
 
@@ -229,7 +235,6 @@ class Bourne:
             edge_scores=edge_scores,
             edge_owner=hviews.edge_owner,
             edge_orig_ids=hviews.edge_orig_ids,
-            node_valid=hviews.has_edges.copy(),
         )
 
     # ------------------------------------------------------------------

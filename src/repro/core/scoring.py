@@ -15,8 +15,8 @@ Shared accumulation loop
 :func:`score_target_span` is THE inner scoring loop: the serial
 :func:`score_graph`, the sharded workers
 (:mod:`repro.parallel.engine`), and the serving layer
-(:class:`repro.serving.ScoringService`) all run it with the same view
-builder (:func:`offline_view_builder`) on the same counter-based
+(:class:`repro.serving.ScoringService`) all run it, and it builds every
+view through ``Bourne.prepare_batch`` on the same counter-based
 streams (:func:`inference_round_streams`); they differ only in the
 targets they pass and in how the graph is held (a :class:`Graph`, a
 shared-memory export, or the serving store).  Bitwise equivalence
@@ -32,7 +32,7 @@ evidence back together by replaying the serial accumulation sequence
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -152,27 +152,28 @@ def concat_round_parts(parts_ids: List[np.ndarray],
 def score_target_span(
     model: Bourne,
     targets: np.ndarray,
+    graph,
     round_bases: np.ndarray,
     mask_seeds: np.ndarray,
     batch_size: int,
-    build_views: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple],
     backend=None,
 ) -> RoundEvidence:
-    """Run the multi-round scoring loop over one span of targets.
+    """Run the multi-round scoring loop over one span of ``graph``'s targets.
 
     This is the single inner loop shared by the serial scorer, the
     sharded workers, and the serving layer.  One forward covers a chunk
     of targets across every round — views laid out round-major, never
     more than ``batch_size`` of them; when the rounds alone exceed
     ``batch_size``, each target's rounds are split into groups.
-    ``build_views(view_targets, view_rounds, view_seeds)`` returns the
-    prepared ``(BatchedGraphViews, BatchedHypergraphViews)`` of those
-    views, ``view_seeds`` being each ``(round, target)``'s sampling seed
-    derived from ``round_bases``; the forward masks each view with its
-    round's entry of ``mask_seeds`` (``node_only`` mode).  Every draw is
-    a pure function of ``(round, target)``, and node sums add each
-    target's rounds in round order while edge evidence is split back
-    per round, so the result is bitwise what a per-round loop over
+    ``model.prepare_batch`` samples and builds those views from
+    ``graph`` (a :class:`Graph`, a shared-memory export or the serving
+    store), keyed by each ``(round, target)``'s sampling seed derived
+    from ``round_bases`` and augmented when
+    ``model.config.augment_at_inference`` is set; the forward masks each
+    view with its round's entry of ``mask_seeds`` (``node_only`` mode).
+    Every draw is a pure function of ``(round, target)``, and node sums
+    add each target's rounds in round order while edge evidence is split
+    back per round, so the result is bitwise what a per-round loop over
     micro-batches of any size produces.
 
     ``backend`` selects the compute backend for the forward pass (a
@@ -183,6 +184,7 @@ def score_target_span(
     model's own forward, bitwise-unchanged.
     """
     backend = resolve_backend(backend)
+    augment = model.config.augment_at_inference
     targets = np.asarray(targets, dtype=np.int64)
     round_bases = np.asarray(round_bases, dtype=np.uint64)
     mask_seeds = np.asarray(mask_seeds, dtype=np.uint64)
@@ -202,13 +204,14 @@ def score_target_span(
             view_targets = np.tile(chunk, len(group))
             view_seeds = derive_target_seeds(round_bases[view_rounds],
                                              view_targets)
-            # Tracing stages, not draws: span ids are counter-based and
-            # the callbacks are untouched, so scores stay bitwise-equal
-            # with tracing on (the obs pin tests assert it).
-            with obs_trace.span("scoring.build_views") as sp:
+            # Tracing stages, not draws: span ids are counter-based, so
+            # scores stay bitwise-equal with tracing on (the obs pin
+            # tests assert it).
+            with obs_trace.span("scoring.prepare_batch") as sp:
                 sp.set(rounds=len(group), chunk=len(chunk))
-                gviews, hviews = build_views(view_targets, view_rounds,
-                                             view_seeds)
+                gviews, hviews = model.prepare_batch(
+                    graph, view_targets, target_seeds=view_seeds,
+                    augment=augment)
             # Inference records no autograd graph on any backend.
             with obs_trace.span("scoring.forward") as sp, no_grad():
                 sp.set(views=len(view_targets), backend=backend.name)
@@ -236,19 +239,6 @@ def score_target_span(
         evidence.edge_ids.append(ids)
         evidence.edge_vals.append(vals)
     return evidence
-
-
-def offline_view_builder(model: Bourne, graph):
-    """``build_views`` callback of every scoring path: vectorized
-    sampling + counter-based augmentation, both keyed by each view's
-    ``(round, target)`` seed."""
-    augment = model.config.augment_at_inference
-
-    def build(targets: np.ndarray, _rounds: np.ndarray, seeds: np.ndarray):
-        return model.prepare_batch(graph, targets, augment=augment,
-                                   target_seeds=seeds)
-
-    return build
 
 
 def replay_edge_rounds(edge_sum: np.ndarray, edge_count: np.ndarray,
@@ -340,8 +330,8 @@ def score_graph(
     # sharded workers and the serving layer.
     round_bases, mask_seeds = inference_round_streams(cfg, rounds, seed)
     evidence = score_target_span(
-        model, np.arange(graph.num_nodes), round_bases, mask_seeds,
-        batch_size, offline_view_builder(model, graph), backend=backend,
+        model, np.arange(graph.num_nodes), graph, round_bases, mask_seeds,
+        batch_size, backend=backend,
     )
     replay_edge_rounds(edge_sum, edge_count, rounds, [evidence])
     return finalize_scores(evidence.node_sum, evidence.node_count,

@@ -7,12 +7,14 @@ target batch at once:
 * hypergraph view ``Ĝ*_t = {X̂*_t, M̂*_t}`` — dual transformation,
   Γ1/Γ2 augmentation, and target-edge anonymization (Eq. 7–8),
 
-each stitched into one block-diagonal operator so a forward costs two
-sparse matmuls instead of ``2B``.  Every augmentation draw — the Γ1/Γ2
-view augmentation and the ``node_only`` forward mask — is counter-based,
-keyed by per-target (or per-round) ``uint64`` seeds through the same
-``splitmix64`` streams the sampler uses, so a view never depends on
-batch layout or sharding.
+the graph views as one dense ``(B, S, S)`` operator stack (every view
+has the same ``S = K + 2`` rows) and the ragged hypergraph views as one
+block-diagonal sparse operator, so a forward costs one batched matmul
+and one sparse matmul instead of ``2B``.  Every augmentation draw — the
+Γ1/Γ2 view augmentation and the ``node_only`` forward mask — is
+counter-based, keyed by per-target (or per-round) ``uint64`` seeds
+through the same ``splitmix64`` streams the sampler uses, so a view
+never depends on batch layout or sharding.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..graph.index import seeded_uniform
-from ..graph.normalize import batched_gcn_operator, block_diag_csr
+from ..graph.normalize import batched_gcn_operator
 from ..graph.sampling import SampledSubgraphBatch
 
 
@@ -42,11 +44,16 @@ _VIEW_DROP_STREAM = 5
 def seeded_forward_mask_draws(dim: int, prob: float,
                               seeds) -> Optional[np.ndarray]:
     """Counter-based Γ1 keep-vectors, one ``(D,)`` row per seed
-    (``None`` when masking is disabled); a pure function of ``(seed,
-    dimension)`` shared by :func:`seeded_mask_features` and the fused
-    inference kernels.  ``seeds`` is one seed or an array of them, and
-    is required even when masking is disabled: the ``node_only``
-    forward has no other source for the mask."""
+    (``None`` when masking is disabled).
+
+    The ``node_only`` forward mask of both backends: a pure function of
+    ``(seed, dimension)`` on the same ``splitmix64`` streams the batch
+    sampler uses, so it never depends on how many forwards preceded it.
+    ``seeds`` is one seed (the whole batch) or one per view (the scoring
+    loop feeds each view its round's seed, which makes ``node_only``
+    augmented inference invariant to batch layout and to sharding).  It
+    is required even when masking is disabled: the ``node_only`` forward
+    has no other source for the mask."""
     if seeds is None:
         raise ValueError("the node_only forward mask needs mask_seed")
     if prob <= 0.0:
@@ -57,54 +64,25 @@ def seeded_forward_mask_draws(dim: int, prob: float,
     return draws >= prob
 
 
-def seeded_mask_features(features: np.ndarray, prob: float, seeds,
-                         view_starts: Optional[np.ndarray] = None
-                         ) -> np.ndarray:
-    """Γ1 with counter-based draws: the mask depends on the seed only.
-
-    The mask is a pure function of ``(seed, dimension)`` — the same
-    ``splitmix64`` streams the batch sampler uses — so it never depends
-    on how many forwards preceded it.  One seed masks every
-    row; an array of seeds masks view ``i`` — the rows from
-    ``view_starts[i]`` up to the next view's start — with ``seeds[i]``.
-    Feeding each view its round's seed makes ``node_only`` augmented
-    inference invariant to batch layout and to sharding.
-    """
-    keep = seeded_forward_mask_draws(features.shape[1], prob, seeds)
-    if keep is None:
-        return features
-    if len(keep) > 1:
-        rows = np.diff(np.append(view_starts, len(features)))
-        keep = np.repeat(keep, rows, axis=0)
-    return features * keep
-
-
 # ----------------------------------------------------------------------
 # Batched containers
 # ----------------------------------------------------------------------
 @dataclass
 class BatchedGraphViews:
-    """A minibatch of graph views under one block-diagonal operator.
+    """A minibatch of graph views as one dense ``(B, S, S)`` stack.
 
-    ``operator_stack`` carries the same propagation as ``operator`` but
-    as the dense ``(B, S, S)`` per-view stack (``S`` rows each, patch
-    row 0, target row ``S-1``, context rows ``0..S-2``) when every view
-    is uniform — the layout the batched builders produce.  The fused
-    inference backends (:mod:`repro.nn.fused`) run on the stack; the
-    reference forward ignores it, so both operators always describe
-    the identical system.  ``None`` when views are ragged.
+    Every view has the same layout: row 0 is the anonymized target (the
+    patch row), rows ``1..S-2`` are context, and row ``S-1`` is the raw
+    target copy; the readout's context rows are ``0..S-2``.  Both
+    backends read the views by position from this layout.
     """
 
-    features: np.ndarray        # (Σ rows, D)
-    operator: sp.csr_matrix
-    patch_rows: np.ndarray      # (B,)
-    target_rows: np.ndarray     # (B,)
-    context_pool: sp.csr_matrix  # (B, Σ rows) mean-readout operator
-    operator_stack: Optional[np.ndarray] = None  # (B, S, S) dense stack
+    features: np.ndarray        # (B·S, D)
+    operator: np.ndarray        # (B, S, S) normalized propagation
 
     @property
     def batch_size(self) -> int:
-        return len(self.patch_rows)
+        return len(self.operator)
 
 
 @dataclass
@@ -128,21 +106,17 @@ def batch_graph_views_from_subgraphs(
 
     Exploits the batch's uniform slot count: features, extended
     adjacencies (Eq. 1–2), and GCN operators are built as one ``(B, …)``
-    stack and stitched into the block-diagonal system with pure index
-    arithmetic.  Bitwise the per-target dense construction, block by
-    block (the test suite pins it against a dense per-view oracle).
+    stack.  Bitwise the per-target dense construction, view by view
+    (the test suite pins it against a dense per-view oracle).
     """
     num_views = len(batch)
     ns = batch.slots
     dim = batch.features.shape[1]
     if num_views == 0:
-        return BatchedGraphViews(
-            features=np.zeros((0, dim)),
-            operator=sp.csr_matrix((0, 0)),
-            patch_rows=np.zeros(0, dtype=np.int64),
-            target_rows=np.zeros(0, dtype=np.int64),
-            context_pool=sp.csr_matrix((0, 0)),
-        )
+        # No slot count to read: take the smallest layout (the target
+        # and its raw copy), so readouts need no empty-batch case.
+        return BatchedGraphViews(features=np.zeros((0, dim)),
+                                 operator=np.zeros((0, 2, 2)))
     rows_per = ns + 1
 
     feats = batch.features.reshape(num_views, ns, dim)
@@ -156,23 +130,8 @@ def batch_graph_views_from_subgraphs(
     adjacency[edge_view, slot_a, slot_b] = 1.0
     adjacency[edge_view, slot_b, slot_a] = 1.0
     adjacency[:, ns, ns] = 1.0              # isolated self-loop of Eq. 2
-    operator_stack = batched_gcn_operator(adjacency)
-    operator = block_diag_csr(operator_stack)
-
-    offsets = np.arange(num_views, dtype=np.int64) * rows_per
-    pool_rows = np.repeat(np.arange(num_views), ns)
-    pool_cols = (offsets[:, None] + np.arange(ns)).reshape(-1)
-    context_pool = sp.csr_matrix(
-        (np.full(num_views * ns, 1.0 / ns), (pool_rows, pool_cols)),
-        shape=(num_views, num_views * rows_per))
-    return BatchedGraphViews(
-        features=features.reshape(-1, dim),
-        operator=operator,
-        patch_rows=offsets.copy(),
-        target_rows=offsets + ns,
-        context_pool=context_pool,
-        operator_stack=operator_stack,
-    )
+    return BatchedGraphViews(features=features.reshape(-1, dim),
+                             operator=batched_gcn_operator(adjacency))
 
 
 def batch_hypergraph_views_from_subgraphs(

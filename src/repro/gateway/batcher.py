@@ -2,7 +2,7 @@
 
 Concurrent clients each ask for one score at a time, but a forward pass
 over a batch of ``B`` targets costs far less than ``B`` single-target
-passes (the block-diagonal sparse matmuls are shared).  The
+passes (the batched view matmuls are shared).  The
 :class:`MicroBatcher` bridges that gap: score requests queue up on the
 event loop, and whenever the scoring thread is free a dispatcher takes
 everything queued, up to ``max_batch``, and scores it with ONE

@@ -47,7 +47,7 @@ from ..parallel.engine import ScoreTask, WorkerPool, score_task
 from ..serving.service import edge_mean_from_evidence
 from ..utils.logging import get_logger, log_event
 from .batcher import MicroBatcher
-from .protocol import dispatch_request
+from .protocol import dispatch_request, request_int
 
 LOGGER = get_logger("repro.gateway", json_format=True)
 
@@ -404,8 +404,20 @@ class TenantSpec:
             raise ValueError(
                 f"tenant {self.name!r}: exactly one of 'model' (checkpoint "
                 "path) or 'registry' (registry root) is required")
-        if int(self.replicas) < 1:
-            raise ValueError(f"tenant {self.name!r}: replicas must be >= 1")
+        # JSON integers only: int() would turn replicas 2.5 into 2.
+        prefix = f"tenant {self.name!r}: "
+        request_int(self.seed, prefix + "seed")
+        if self.model_version is not None:
+            request_int(self.model_version, prefix + "model_version")
+        for field, value in (("replicas", self.replicas),
+                             ("rounds", self.rounds)):
+            if value is not None and request_int(value, prefix + field) < 1:
+                raise ValueError(f"{prefix}{field} must be >= 1")
+        if (isinstance(self.scale, bool)
+                or not isinstance(self.scale, (int, float))
+                or not self.scale > 0):
+            raise ValueError(
+                f"{prefix}scale must be a positive number, got {self.scale!r}")
         return self
 
 
@@ -499,7 +511,7 @@ class ServiceRouter:
     Resolution order: a live endpoint wins; otherwise a registered
     :class:`TenantSpec` boots on first request (serialized per name, so
     concurrent first requests share one boot); otherwise the name is
-    unknown.  Spec-backed endpooints are the only evictable ones — an
+    unknown.  Spec-backed endpoints are the only evictable ones — an
     evicted tenant's spec stays registered and the next request
     rebuilds it from scratch, bitwise-identically (stores are pure
     functions of the spec).

@@ -125,8 +125,8 @@ class Gateway:
     refresh_workers:
         Server-wide default for ``refresh`` requests' sharded drain.
     poll_interval:
-        Seconds between registry version checks; ``None`` disables the
-        watcher (``/v1/reload`` still works).
+        Seconds between registry version checks, positive; ``None``
+        disables the watcher (``/v1/reload`` still works).
     replicas:
         Replica count for the default service; ``> 1`` wraps it in a
         :class:`~repro.gateway.router.ReplicaPool` (N processes sharing
@@ -136,17 +136,17 @@ class Gateway:
         Tenant specs (:class:`~repro.gateway.router.TenantSpec` or
         plain dicts with a ``name``) registered with the router.
         Tenants boot lazily on first request unless
-        ``lazy_tenants=False``; with ``idle_ttl`` set, a background
-        sweeper evicts tenants idle that many seconds (their specs stay
-        registered, so the next request reboots them).
+        ``lazy_tenants=False``; with ``idle_ttl`` set (positive), a
+        background sweeper evicts tenants idle that many seconds (their
+        specs stay registered, so the next request reboots them).
     lifecycle / lifecycle_interval:
         Optional :class:`~repro.lifecycle.LifecycleController` for the
         default service.  The gateway serializes its store reads with
         forward batches, reports the endpoint's served version to the
         guardrail, forks its retrain worker in :meth:`start` and, with
-        ``lifecycle_interval`` set, ticks it every that many seconds
-        (otherwise only ``{"op": "lifecycle", "action": ...}`` / ``POST
-        /v1/lifecycle`` drive it; ``lifecycle_status`` / ``GET
+        ``lifecycle_interval`` set (positive), ticks it every that many
+        seconds (otherwise only ``{"op": "lifecycle", "action": ...}`` /
+        ``POST /v1/lifecycle`` drive it; ``lifecycle_status`` / ``GET
         /v1/lifecycle`` read it).
     tracing / trace_slow_ms / recorder:
         Every admitted request runs under a ``gateway.<op>`` trace,
@@ -175,6 +175,11 @@ class Gateway:
                  tracing: bool = True,
                  trace_slow_ms: float = 250.0,
                  recorder: Optional[FlightRecorder] = None):
+        for setting, seconds in (("poll_interval", poll_interval),
+                                 ("idle_ttl", idle_ttl),
+                                 ("lifecycle_interval", lifecycle_interval)):
+            if seconds is not None and seconds <= 0:
+                raise ValueError(f"{setting} must be positive, got {seconds}")
         self.registry = registry
         self.model_name = model_name
         self.refresh_workers = refresh_workers

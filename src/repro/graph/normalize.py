@@ -1,5 +1,6 @@
 """Propagation-operator constructions: the GCN operator (Eq. 4), single
-and batched, and block-diagonal stacking.
+and batched, and block-diagonal stacking (for the CoLA / SL-GAD baseline
+views).
 
 The HGNN operator (Eq. 10) is built for a whole batch of views in
 :mod:`repro.core.views`.

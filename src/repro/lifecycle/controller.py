@@ -10,8 +10,9 @@ hot-swap watcher:
   :class:`~repro.lifecycle.policy.TriggerPolicy`.
 * **Retrain** — on trigger it snapshots the store and trains a fresh
   model on the snapshot in a **background process** (a one-worker
-  :class:`~repro.parallel.engine.WorkerPool`), so serving latency
-  never pays for training.  The retrain is
+  :class:`~repro.parallel.engine.WorkerPool`, driven from a
+  controller-owned thread), so serving latency never pays for
+  training.  The retrain is
   ``train_bourne(snapshot, config)`` with the served model's config: a
   pure function of ``(snapshot, seed, epochs)``, bitwise-identical to
   the same offline call — sharding included.
@@ -44,7 +45,7 @@ import shutil
 import tempfile
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Optional
 
 import numpy as np
@@ -154,6 +155,7 @@ class LifecycleController:
         self._paused = False
         self._closed = False
         self._retrainer: Optional[WorkerPool] = None
+        self._launcher: Optional[ThreadPoolExecutor] = None
         self._future: Optional[Future] = None
         self._cycle: Optional[dict] = None
         self._cycle_count = 0
@@ -269,7 +271,10 @@ class LifecycleController:
             "out_path": out_path,
         }
         self.start()
-        self._future = self._retrainer.submit(_retrain_task, payload)
+        # WorkerPool.run, unlike submit, reruns a retrain lost with a
+        # worker that died before it: the launcher thread waits on it.
+        self._future = self._launcher.submit(
+            self._retrainer.run, _retrain_task, [payload], "retrain")
         self.triggers += 1
         self._cycle = {
             "reason": reason,
@@ -288,10 +293,10 @@ class LifecycleController:
         cycle["retrain_duration"] = (time.perf_counter()
                                      - cycle["retrain_start"])
         try:
-            result = future.result()
+            (result,) = future.result()
         except Exception as error:
             self.retrains_failed += 1
-            self.last_error = f"retrain failed: {error}"
+            self.last_error = str(error)
             self._emit_cycle_trace(cycle, status="retrain_failed")
             return
         self.retrains_completed += 1
@@ -549,7 +554,9 @@ class LifecycleController:
                 raise RuntimeError("lifecycle controller is closed")
             if self._retrainer is None:
                 self._retrainer = WorkerPool(1)
-                self._retrainer.submit(abs, 0).result()
+                self._retrainer.run(abs, [0])
+                self._launcher = ThreadPoolExecutor(
+                    1, thread_name_prefix="lifecycle-retrain")
 
     def _ensure_workdir(self) -> str:
         if self._workdir is None:
@@ -563,12 +570,13 @@ class LifecycleController:
         for it (the gateway's shutdown path)."""
         with self._lock:
             self._closed = True
-            retrainer = self._retrainer
-            self._retrainer = None
+            retrainer, launcher = self._retrainer, self._launcher
+            self._retrainer = self._launcher = None
             self._future = None
             self._cycle = None
         if retrainer is not None:
             retrainer.close(wait=wait)
+            launcher.shutdown(wait=wait)
         if self._workdir is not None:
             shutil.rmtree(self._workdir, ignore_errors=True)
             self._workdir = None

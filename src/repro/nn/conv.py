@@ -3,7 +3,9 @@
 The propagation operator is precomputed by the caller and passed per
 forward call, so the same layer weights serve any (sub)graph.  This
 matches BOURNE's batched use where every target node brings its own
-enclosing subgraph.
+enclosing subgraph: a batch of graph views is one dense ``(B, S, S)``
+stack, a batch of ragged hypergraph views (or a whole graph) one sparse
+operator.
 
 Eq. 4 (GCN) and Eq. 10 (HGNN) are the same layer,
 ``H' = σ(P H Θ)``; they differ only in the operator ``P``: the
@@ -55,12 +57,18 @@ class GCNConv(Module):
         Parameters
         ----------
         operator:
-            Normalized propagation matrix (scipy sparse or dense),
-            shape ``(n, n)``.
+            Normalized propagation: a dense ``(B, S, S)`` stack of view
+            operators over ``n = B·S`` rows, or one ``(n, n)`` matrix
+            (scipy sparse or dense).
         x:
             Node features, shape ``(n, in_features)``.
         """
-        out = spmm(operator, x @ self.weight)
+        support = x @ self.weight
+        if operator.ndim == 3:  # one batched matmul over the view stack
+            views = support.reshape(*operator.shape[:2], self.out_features)
+            out = (Tensor(operator) @ views).reshape(-1, self.out_features)
+        else:
+            out = spmm(operator, support)
         if self.act is not None:
             out = self.act(out)
         return out

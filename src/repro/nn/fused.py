@@ -1,14 +1,13 @@
 """Fused float32 inference kernels behind the tensor-backend seam.
 
 The reference forward (``Bourne.forward_batch``) runs on the float64
-autograd stack: every conv layer builds a graph of ``Tensor``
-temporaries, the graph branch goes through one huge block-diagonal CSR
-spmm, and the discriminator normalizes through five more node
+autograd stack: every conv layer allocates fresh ``Tensor``
+temporaries, and the discriminator normalizes through five more node
 allocations.  None of that is needed at inference time.  This module
 compiles a model's weights into a float32 snapshot once and then runs
 the whole conv→activation→readout pipeline over the dense
-``(B, S, S)`` operator stack the batched view builders already produce
-(``S = subgraph_size + 1`` rows per target view), with every large
+``(B, S, S)`` graph-view stack both backends read
+(``S = subgraph_size + 2`` rows per target view), with every large
 intermediate served from a preallocated per-shape workspace — the
 steady-state hot loop allocates only the tiny per-batch score vectors
 it returns.  Each conv step is one batched ``np.matmul`` with ``out=``
@@ -18,8 +17,7 @@ Accuracy contract: scores stay within ``1e-5`` relative tolerance of
 the float64 reference (``tests/test_backend.py`` sweeps it across batch
 sizes, shard counts, and modes).  Two cases fall back to the reference
 forward, so the fast backend is always *safe* to select: ``edge_only``
-mode, and a batch without a dense operator stack (an empty batch, or
-ragged views).  Every conv of every BOURNE encoder is
+mode, and an empty batch.  Every conv of every BOURNE encoder is
 ``PReLU(operator @ (x @ W))`` with no bias, at any depth.
 """
 
@@ -184,11 +182,7 @@ class FusedInferenceKernel:
     ) -> Optional[BatchScores]:
         """Fused scores for one batch, or ``None`` to request fallback."""
         compiled = self.refresh(model)
-        if (
-            not compiled.supported
-            or gviews.operator_stack is None
-            or gviews.batch_size == 0
-        ):
+        if not compiled.supported or gviews.batch_size == 0:
             self.fallbacks += 1
             return None
         self.forwards += 1
@@ -197,9 +191,8 @@ class FusedInferenceKernel:
         return self._forward_node_only(compiled, gviews, mask_seed)
 
     def _graph_operator(self, gviews: BatchedGraphViews) -> np.ndarray:
-        stack = gviews.operator_stack
-        ops32 = self.workspace.get("graph_ops", stack.shape)
-        np.copyto(ops32, stack, casting="same_kind")
+        ops32 = self.workspace.get("graph_ops", gviews.operator.shape)
+        np.copyto(ops32, gviews.operator, casting="same_kind")
         return ops32
 
     def _graph_stack(
@@ -251,9 +244,8 @@ class FusedInferenceKernel:
         return ops32, h_t, h_p, h_s
 
     def _features3(self, gviews: BatchedGraphViews) -> np.ndarray:
-        batch = gviews.batch_size
-        total, dim = gviews.features.shape
-        size = total // batch
+        batch, size = gviews.operator.shape[:2]
+        dim = gviews.features.shape[1]
         feats3 = self.workspace.get("graph_feats", (batch, size, dim))
         np.copyto(
             feats3, gviews.features.reshape(batch, size, dim), casting="same_kind"
@@ -305,7 +297,6 @@ class FusedInferenceKernel:
             edge_scores=edge_scores,
             edge_owner=hviews.edge_owner,
             edge_orig_ids=hviews.edge_orig_ids,
-            node_valid=hviews.has_edges.copy(),
         )
 
     def _forward_node_only(self, compiled, gviews, mask_seed) -> BatchScores:
@@ -337,7 +328,6 @@ class FusedInferenceKernel:
             edge_scores=None,
             edge_owner=np.zeros(0, dtype=np.int64),
             edge_orig_ids=np.zeros(0, dtype=np.int64),
-            node_valid=np.ones(batch, dtype=bool),
         )
 
 

@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import resource_tracker
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -135,8 +136,9 @@ class WorkerPool:
     so tasks submitted to *other* pools may carry them too.
 
     A worker that dies breaks its executor: the next :meth:`submit`
-    swaps in fresh workers and :meth:`run` reruns the tasks it lost, so
-    every client heals with no code of its own.
+    swaps in fresh workers and :meth:`run` reruns the tasks it lost,
+    including one the breaking executor dropped, so every client heals
+    with no code of its own.
     """
 
     def __init__(self, workers: int):
@@ -227,15 +229,36 @@ class WorkerPool:
         that a dead worker broke; returns its future, which fails with
         ``BrokenExecutor`` if its worker dies mid-task.
         """
+        return self._submit(fn, task)[0]
+
+    def _submit(self, fn, task) -> Tuple[Future, threading.Thread]:
+        """:meth:`submit`, also returning the executor thread that alone
+        completes the future."""
         self._check_open()
         with self._submit_lock:
             try:
-                return self._executor.submit(fn, task)
+                future = self._executor.submit(fn, task)
             except BrokenExecutor:
-                self._executor.shutdown(wait=False, cancel_futures=True)
-                self._executor = ProcessPoolExecutor(self.workers, _MP_CONTEXT)
-                self._respawns += 1
-                return self._executor.submit(fn, task)
+                self._renew()
+                future = self._executor.submit(fn, task)
+            return future, self._executor._executor_manager_thread
+
+    def _renew(self) -> None:  # with _submit_lock held
+        self._executor.shutdown(wait=False, cancel_futures=True)
+        self._executor = ProcessPoolExecutor(self.workers, _MP_CONTEXT)
+        self._respawns += 1
+
+    def _result(self, future: Future, manager: threading.Thread):
+        """``future.result()``, or ``BrokenProcessPool`` once ``manager``
+        has exited without completing it (CPython drops a task submitted
+        while its executor marks itself broken); renews that executor."""
+        while not wait([future], timeout=1.0).done:
+            if not manager.is_alive() and not future.done():
+                with self._submit_lock:
+                    if self._executor._executor_manager_thread is manager:
+                        self._renew()
+                raise BrokenProcessPool("the worker pool dropped this task")
+        return future.result()
 
     def run(self, fn, tasks: List[tuple], label: str = "sharded run") -> List:
         """Fan ``tasks`` out; results come back in task (= shard) order.
@@ -249,16 +272,16 @@ class WorkerPool:
         results: List = [None] * len(tasks)
         lost = list(range(len(tasks)))
         for rerun in (False, True):
-            futures = [(shard, self.submit(fn, tasks[shard])) for shard in lost]
+            futures = [(shard, *self._submit(fn, tasks[shard])) for shard in lost]
             lost = []
-            for position, (shard, future) in enumerate(futures):
+            for position, (shard, future, manager) in enumerate(futures):
                 try:
-                    results[shard] = future.result()
+                    results[shard] = self._result(future, manager)
                 except Exception as error:
                     if isinstance(error, BrokenExecutor) and not rerun:
                         lost.append(shard)
                         continue
-                    for _, pending in futures[position + 1 :]:
+                    for _, pending, _ in futures[position + 1 :]:
                         pending.cancel()
                     raise RuntimeError(
                         f"{label} failed in shard {shard} (of {len(tasks)}): {error}"

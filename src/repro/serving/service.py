@@ -19,9 +19,8 @@ checkpoint into a long-lived scorer over a mutable
   and never depends on which other requests shared its batch or on the
   mutation history that produced the store.
 * **One scoring path** — a miss runs
-  :func:`~repro.core.scoring.score_target_span` with
-  :func:`~repro.core.scoring.offline_view_builder` over the store, the
-  two calls :func:`score_service_span` makes.  The replica workers,
+  :func:`~repro.core.scoring.score_target_span` over the store on the
+  round streams :func:`score_service_span` derives.  The replica workers,
   the sharded refresh and lifecycle validation call that function, so
   every topology serves the same computation by construction.
 * **Score tables** — node and edge scores are kept version-aware; the
@@ -44,7 +43,6 @@ from ..core.scoring import (
     RoundEvidence,
     inference_round_streams,
     mean_edge_rounds,
-    offline_view_builder,
     score_target_span,
 )
 from ..graph.graph import Graph
@@ -58,19 +56,17 @@ def score_service_span(model: Bourne, graph_like, targets: np.ndarray,
                        backend=None) -> RoundEvidence:
     """Score one target span on the serving streams.
 
-    The shared :func:`repro.core.scoring.score_target_span` loop with
-    the offline view builder, on the streams ``score_graph(seed=seed)``
-    draws — the computation ``ScoringService`` with the same ``seed``
-    runs for its misses.  The sharded refresh workers, the replica
+    The shared :func:`repro.core.scoring.score_target_span` loop on the
+    streams ``score_graph(seed=seed)`` draws — the computation
+    ``ScoringService`` with the same ``seed`` runs for its misses.  The sharded refresh workers, the replica
     workers and lifecycle validation call this.
     ``backend`` names the compute backend (workers receive the parent
     service's backend name and resolve it locally).
     """
     round_bases, mask_seeds = inference_round_streams(
         model.config, rounds, seed)
-    return score_target_span(
-        model, targets, round_bases, mask_seeds, max_batch,
-        offline_view_builder(model, graph_like), backend=backend)
+    return score_target_span(model, targets, graph_like, round_bases,
+                             mask_seeds, max_batch, backend=backend)
 
 
 def edge_mean_from_evidence(evidence: RoundEvidence, rounds: int,
@@ -356,15 +352,14 @@ class ScoringService:
     def _score_span(self, targets: np.ndarray) -> RoundEvidence:
         """Round evidence of ``targets`` on the serving streams.
 
-        The two calls :func:`score_service_span` makes, with the round
-        streams derived once per seed instead of once per call.
+        :func:`score_service_span`'s span loop, with the round streams
+        derived once per seed instead of once per call.
         """
         with obs_trace.span("service.score_span") as sp:
             sp.set(targets=len(targets), rounds=self.rounds)
             evidence = score_target_span(
-                self.model, targets, self._round_bases, self._mask_seeds,
-                self.max_batch, offline_view_builder(self.model, self.store),
-                backend=self.backend,
+                self.model, targets, self.store, self._round_bases,
+                self._mask_seeds, self.max_batch, backend=self.backend,
             )
         self._forward_batches += evidence.forward_batches
         self._nodes_scored += len(targets)

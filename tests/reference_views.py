@@ -5,7 +5,9 @@ The library builds views for a whole sampled batch at once
 straightforward per-target construction the vectorized builders must
 reproduce bit for bit: one subgraph at a time, small dense adjacency /
 incidence matrices normalized with dense GCN (Eq. 4) and HGNN (Eq. 10)
-operators, then stacked into the same block-diagonal batch containers.
+operators, then stacked into the same batch containers: a dense
+``(B, S, S)`` stack for graph views, a block-diagonal operator for
+hypergraph views.
 It builds unaugmented views only; the Γ1/Γ2 augmentation is
 counter-based and lives in the vectorized builder alone.
 
@@ -193,34 +195,18 @@ def build_hypergraph_view(sub: SampledSubgraph) -> Optional[HypergraphView]:
 
 
 def batch_graph_views(views: Sequence[GraphView]) -> BatchedGraphViews:
-    """Stack graph views into one block-diagonal system (with the dense
-    ``operator_stack`` when every view has the uniform layout)."""
-    offsets = np.cumsum([0] + [v.features.shape[0] for v in views])
-    features = np.vstack([v.features for v in views])
-    operator = sp.block_diag([v.operator for v in views], format="csr")
-    rows_per = views[0].features.shape[0] if views else 0
-    uniform = views and all(
-        v.features.shape[0] == rows_per
-        and v.patch_row == 0
-        and v.target_row == rows_per - 1
-        and v.num_context_rows == rows_per - 1
-        for v in views)
-    operator_stack = (np.stack([v.operator for v in views])
-                      if uniform else None)
-    patch_rows = np.array([v.patch_row + off for v, off in zip(views, offsets)],
-                          dtype=np.int64)
-    target_rows = np.array([v.target_row + off for v, off in zip(views, offsets)],
-                           dtype=np.int64)
-    rows, cols, vals = [], [], []
-    for b, (view, off) in enumerate(zip(views, offsets)):
-        n = view.num_context_rows
-        rows.extend([b] * n)
-        cols.extend(range(off, off + n))
-        vals.extend([1.0 / n] * n)
-    context_pool = sp.csr_matrix((vals, (rows, cols)),
-                                 shape=(len(views), features.shape[0]))
-    return BatchedGraphViews(features, operator, patch_rows, target_rows,
-                             context_pool, operator_stack=operator_stack)
+    """Stack uniform graph views (same row count, patch row 0, target
+    row last, every row but the target's in the readout) into the dense
+    ``(B, S, S)`` batch."""
+    rows_per = views[0].features.shape[0]
+    assert all(v.features.shape[0] == rows_per
+               and v.patch_row == 0
+               and v.target_row == rows_per - 1
+               and v.num_context_rows == rows_per - 1
+               for v in views), "graph views must share one layout"
+    return BatchedGraphViews(
+        features=np.vstack([v.features for v in views]),
+        operator=np.stack([v.operator for v in views]))
 
 
 def batch_hypergraph_views(

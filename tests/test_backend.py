@@ -7,14 +7,13 @@ relative tolerance of the reference on every score and must fall back
 (bitwise-equal) on anything outside the fused contract.
 """
 
-import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 from repro.core import Bourne, BourneConfig, score_graph
-from repro.graph import Graph, derive_target_seeds
+from repro.graph import Graph
 from repro.nn.fused import FusedBackend
 from repro.parallel import score_graph_sharded
 from repro.serving import GraphStore, ScoringService
@@ -233,23 +232,21 @@ class TestFallbacks:
         assert kernel.fallbacks > 0
         assert kernel.forwards == 0
 
-    def test_batch_without_operator_stack_falls_back_bitwise(self, graph):
-        """The other fallback: views with no dense operator stack (an
-        empty batch, or ragged views such as the test oracle builds)."""
-        model = Bourne(graph.num_features, tiny_config())
-        targets = np.arange(6, dtype=np.int64)
-        gviews, hviews = model.prepare_batch(
-            graph, targets, derive_target_seeds(0, targets))
-        ragged = dataclasses.replace(gviews, operator_stack=None)
-        backend = FusedBackend()
-        fast = backend.forward_batch(model, ragged, hviews)
-        reference = model.forward_batch(gviews, hviews)
-        assert np.array_equal(fast.node_scores.data,
-                              reference.node_scores.data)
-        assert np.array_equal(fast.edge_scores.data,
-                              reference.edge_scores.data)
-        kernel = self.fused_kernel(backend, model)
-        assert (kernel.fallbacks, kernel.forwards) == (1, 0)
+    @pytest.mark.parametrize("backend", ["numpy", "fused"])
+    @pytest.mark.parametrize("mode", ["unified", "node_only", "edge_only"])
+    def test_empty_target_list_forwards(self, graph, backend, mode):
+        """The empty-batch fallback: no views, no scores, no error."""
+        model = Bourne(graph.num_features, tiny_config(mode=mode))
+        no_seeds = np.zeros(0, dtype=np.uint64)
+        gviews, hviews = model.prepare_batch(graph, [], no_seeds)
+        scores = resolve_backend(backend).forward_batch(
+            model, gviews, hviews, mask_seed=no_seeds)
+        if mode == "edge_only":
+            assert scores.node_scores is None
+        else:
+            assert scores.node_scores.shape == (0,)
+        assert scores.edge_scores is None
+        assert len(scores.edge_owner) == len(scores.edge_orig_ids) == 0
 
     def test_supported_model_runs_fused_not_fallback(self, graph):
         model = Bourne(graph.num_features, tiny_config())

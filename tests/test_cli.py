@@ -150,6 +150,23 @@ class TestServeCommand:
         assert "rate" in message
         assert "ready" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag,value", [("--poll-interval", "0"),
+                                            ("--poll-interval", "-1"),
+                                            ("--idle-ttl", "0")])
+    def test_non_positive_interval_exits_before_ready(self, tmp_path, capsys,
+                                                      flag, value):
+        """A zero or negative interval would spin the registry watcher
+        or evict every idle tenant on each sweep: serve exits with one
+        line naming it, before the ready line."""
+        checkpoint = self._train_checkpoint(tmp_path, capsys)
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--model", checkpoint, "--dataset", "cora",
+                  "--scale", "0.08", flag, value, "--input", os.devnull])
+        message = exited.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert flag[2:].replace("-", "_") + " must be positive" in message
+        assert "ready" not in capsys.readouterr().out
+
     def test_invalid_listen_rejected(self, tmp_path, capsys):
         checkpoint = self._train_checkpoint(tmp_path, capsys)
         with pytest.raises(SystemExit, match="HOST:PORT"):

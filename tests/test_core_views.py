@@ -17,7 +17,7 @@ from reference_views import (
 
 from repro.core.views import (
     batch_hypergraph_views_from_subgraphs,
-    seeded_mask_features,
+    seeded_forward_mask_draws,
 )
 from repro.graph import Graph, derive_target_seeds, sample_enclosing_subgraphs
 
@@ -62,16 +62,17 @@ class TestGraphView:
 
 class TestAugmentations:
     def test_mask_features_zeroes_columns(self):
-        features = np.ones((5, 40))
-        masked = seeded_mask_features(features, 0.5, 7)
-        zero_cols = (masked == 0).all(axis=0)
-        assert 0 < zero_cols.sum() < 40
-        # Non-masked columns untouched.
-        np.testing.assert_array_equal(masked[:, ~zero_cols], 1.0)
+        keep = seeded_forward_mask_draws(40, 0.5, 7)
+        assert keep.shape == (1, 40) and keep.dtype == bool
+        assert 0 < (~keep).sum() < 40
+        per_view = seeded_forward_mask_draws(40, 0.5, [7, 8])
+        np.testing.assert_array_equal(per_view[0], keep[0])
+        assert not np.array_equal(per_view[0], per_view[1])
 
     def test_mask_features_zero_prob_identity(self):
-        features = np.ones((3, 4))
-        assert seeded_mask_features(features, 0.0, 7) is features
+        assert seeded_forward_mask_draws(4, 0.0, 7) is None
+        with pytest.raises(ValueError, match="mask_seed"):
+            seeded_forward_mask_draws(4, 0.0, None)
 
     @staticmethod
     def _hypergraph_views(graph, drop, augment=True):
@@ -144,19 +145,13 @@ class TestBatching:
         views = [build_graph_view(s) for s in subs]
         batch = batch_graph_views(views)
         assert batch.batch_size == 3
-        total = sum(v.features.shape[0] for v in views)
-        assert batch.features.shape[0] == total
-        assert batch.operator.shape == (total, total)
-        # Target rows point at the raw target copies.
-        for b, (sub, row) in enumerate(zip(subs, batch.target_rows)):
-            np.testing.assert_array_equal(batch.features[row], sub.features[0])
-
-    def test_graph_batch_pool_rows_sum_to_one(self, tiny_graph):
-        subs = [sample_subgraph(tiny_graph, t, 2, 4)
-                for t in (0, 1)]
-        batch = batch_graph_views([build_graph_view(s) for s in subs])
-        sums = np.asarray(batch.context_pool.sum(axis=1)).reshape(-1)
-        np.testing.assert_allclose(sums, 1.0)
+        size = views[0].features.shape[0]
+        assert batch.features.shape[0] == 3 * size
+        assert batch.operator.shape == (3, size, size)
+        # The last row of every view is the raw target copy.
+        rows = batch.features.reshape(3, size, -1)
+        for sub, last in zip(subs, rows[:, -1]):
+            np.testing.assert_array_equal(last, sub.features[0])
 
     def test_hypergraph_batch_owners(self, tiny_graph):
         subs = [sample_subgraph(tiny_graph, t, 2, 4)

@@ -13,6 +13,7 @@ from repro.gateway import (
     QUEUE_FULL,
     RATE_LIMITED,
     AdmissionController,
+    Gateway,
     Histogram,
     MetricsRegistry,
     MicroBatcher,
@@ -198,6 +199,15 @@ class TestAdmission:
 # ----------------------------------------------------------------------
 # Protocol helpers
 # ----------------------------------------------------------------------
+class TestGatewaySettings:
+    @pytest.mark.parametrize("setting", ["poll_interval", "idle_ttl",
+                                         "lifecycle_interval"])
+    @pytest.mark.parametrize("seconds", [0, -1.0])
+    def test_non_positive_interval_rejected(self, setting, seconds):
+        with pytest.raises(ValueError, match=f"{setting} must be positive"):
+            Gateway(**{setting: seconds})
+
+
 class TestProtocol:
     def test_parse_request_rejects_malformed(self):
         with pytest.raises(ValueError, match="invalid JSON"):

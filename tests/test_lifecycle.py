@@ -453,6 +453,33 @@ class TestControllerLoop:
         finally:
             controller.close()
 
+    def test_retrain_lost_with_a_dying_worker_reruns(self, tmp_path):
+        """The retrain worker is killed and a retrain triggered at once,
+        before the pool has seen the death: the lost retrain reruns on
+        a fresh worker and publishes its candidate."""
+        graph = random_graph()
+        model = Bourne(graph.num_features, tiny_config())
+        registry = ModelRegistry(str(tmp_path / "models"))
+        registry.publish(model, "m")
+        store = GraphStore.from_graph(graph, influence_radius=2)
+        service = ScoringService(model, store, rounds=1)
+        controller = LifecycleController(
+            service, registry, "m",
+            TriggerPolicy(drift_threshold=None, mutation_threshold=None),
+            epochs=1, probe_size=8, auc_margin=float("inf"))
+        try:
+            controller.start()
+            (killed,) = controller._retrainer.pids
+            os.kill(killed, signal.SIGKILL)
+            assert controller.trigger("operator")["triggered"]
+            assert controller.wait_idle(timeout=300)
+            assert controller.retrains_failed == 0, controller.last_error
+            assert controller._retrainer.respawns == 1
+            assert controller.validations_accepted == 1
+            assert registry.latest("m") == 2
+        finally:
+            controller.close()
+
 
     def test_sharded_retrain_leaves_no_shared_memory(self, tmp_path,
                                                      no_shm_leak):

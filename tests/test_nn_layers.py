@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from repro.core import Bourne, BourneConfig
 from repro.graph import gcn_operator
+from repro.graph.normalize import block_diag_csr
 from repro.nn import (
     GATConv,
     GCNConv,
@@ -93,6 +94,25 @@ class TestGCNConv:
     def test_invalid_activation(self, rng):
         with pytest.raises(ValueError):
             GCNConv(3, 2, rng, activation="gelu")
+
+    def test_view_stack_propagates_like_block_diagonal(self, rng):
+        """A ``(B, S, S)`` operator stack is the block-diagonal
+        operator of its views: same output, same weight, slope and
+        input gradients (asymmetric blocks, so a transpose would show)."""
+        stack = rng.normal(size=(5, 4, 4))
+        x = rng.normal(size=(20, 3))
+        upstream = rng.normal(size=(20, 2))
+        results = []
+        for operator in (stack, block_diag_csr(stack)):
+            conv = GCNConv(3, 2, np.random.default_rng(0))
+            inputs = Tensor(x, requires_grad=True)
+            out = conv(operator, inputs)
+            (out * Tensor(upstream)).sum().backward()
+            results.append((out.data, conv.weight.grad,
+                            conv.act.alpha.grad, inputs.grad))
+        for dense, sparse in zip(*results):
+            np.testing.assert_allclose(dense, sparse, rtol=1e-12, atol=1e-12)
+        assert results[0][2] != 0.0  # some pre-activations were negative
 
 
 class TestHGNNConv:

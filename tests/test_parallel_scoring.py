@@ -11,13 +11,15 @@ replacement of a dead worker with a rerun of the tasks it lost.
 
 import os
 import signal
+import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from repro.core import Bourne, BourneConfig, score_graph
-from repro.core.views import seeded_mask_features
+from repro.core.views import seeded_forward_mask_draws
 from repro.graph import Graph, GraphIndex
 from repro.parallel import (
     SharedGraphExport,
@@ -131,14 +133,13 @@ class TestCrashPropagation:
 
 class TestNodeOnlyMask:
     def test_seeded_mask_deterministic(self):
-        features = np.ones((5, 32))
-        one = seeded_mask_features(features, 0.5, 12345)
-        two = seeded_mask_features(features, 0.5, 12345)
+        one = seeded_forward_mask_draws(32, 0.5, 12345)
+        two = seeded_forward_mask_draws(32, 0.5, 12345)
         np.testing.assert_array_equal(one, two)
-        other = seeded_mask_features(features, 0.5, 54321)
+        other = seeded_forward_mask_draws(32, 0.5, 54321)
         assert not np.array_equal(one, other)
-        # prob=0 is the identity (and returns the input array itself)
-        assert seeded_mask_features(features, 0.0, 7) is features
+        # prob=0 disables the mask
+        assert seeded_forward_mask_draws(32, 0.0, 7) is None
 
     def test_node_only_invariant_to_batch_and_shards(self, graph):
         """The forward mask is per-round counter-based, so augmented
@@ -247,6 +248,29 @@ class TestWorkerRespawn:
             assert pool.respawns == 1
             assert pool.run(abs, [-3, 4]) == [3, 4]
             assert pool.respawns == 2
+
+    def test_task_its_executor_dropped_reruns(self, monkeypatch):
+        """A future whose executor thread exited without completing it
+        (CPython drops a task submitted while the pool marks itself
+        broken) is lost and rerun, not waited on forever."""
+        gone = threading.Thread(target=lambda: None)
+        gone.start()
+        gone.join()
+        submit, calls = WorkerPool._submit, []
+
+        def drop_first(pool, fn, task):
+            calls.append(task)
+            return (Future(), gone) if len(calls) == 1 else submit(pool, fn, task)
+
+        monkeypatch.setattr(WorkerPool, "_submit", drop_first)
+        outcome = []
+        with WorkerPool(1) as pool:
+            runner = threading.Thread(
+                target=lambda: outcome.append(pool.run(abs, [-2])), daemon=True)
+            runner.start()
+            runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert outcome == [[2]] and calls == [-2, -2]
 
     def test_persistent_pool_scores_after_idle_worker_dies(
             self, model, graph, serial_scores, no_shm_leak):

@@ -22,7 +22,6 @@ from repro.core.scoring import (
     concat_round_parts,
     inference_round_streams,
     mean_edge_rounds,
-    offline_view_builder,
     score_target_span,
 )
 from repro.graph import Graph
@@ -120,8 +119,8 @@ class TestStackedLoop:
             mode=mode, augment_at_inference=augment))
         bases, masks = inference_round_streams(model.config, ROUNDS, 21)
         targets = np.arange(graph.num_nodes, dtype=np.int64)[::-1].copy()
-        stacked = score_target_span(model, targets, bases, masks, max_batch,
-                                    offline_view_builder(model, graph))
+        stacked = score_target_span(model, targets, graph, bases, masks,
+                                    max_batch)
         reference = per_round_reference(model, graph, targets, bases, masks,
                                         max_batch)
         assert_evidence_equal(stacked, reference)
@@ -134,8 +133,8 @@ class TestStackedLoop:
         bases, masks = inference_round_streams(model.config, ROUNDS, 0)
         backend = CountingBackend()
         evidence = score_target_span(
-            model, np.arange(graph.num_nodes), bases, masks, max_batch,
-            offline_view_builder(model, graph), backend=backend)
+            model, np.arange(graph.num_nodes), graph, bases, masks, max_batch,
+            backend=backend)
         assert max(backend.views) <= max_batch
         assert sum(backend.views) == graph.num_nodes * ROUNDS
         assert len(backend.views) == evidence.forward_batches == forwards

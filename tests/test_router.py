@@ -156,6 +156,16 @@ class TestTenantSpec:
         with pytest.raises(ValueError, match="name"):
             TenantSpec(name="", model="m.npz").validate()
 
+    @pytest.mark.parametrize("field,value", [
+        ("replicas", 2.5), ("replicas", True), ("seed", 1.5),
+        ("rounds", 2.9), ("rounds", 0), ("model_version", "3"),
+        ("scale", "x"), ("scale", 0), ("scale", True)])
+    def test_rejects_ill_typed_fields(self, field, value):
+        """Counts and ids are JSON integers and the scale a positive
+        number: ``int()`` would silently build 2 replicas from 2.5."""
+        with pytest.raises(ValueError, match=f"'t': {field} must be"):
+            parse_tenant_spec("t", {"model": "m.npz", field: value})
+
     def test_rejects_non_object_payload(self):
         with pytest.raises(ValueError, match="JSON object"):
             parse_tenant_spec("t", ["model"])
