@@ -1,12 +1,14 @@
 #!/usr/bin/env python
 """Single-core forward throughput: fused kernel vs. numpy reference.
 
-Prebuilds one round of inference view batches — the same ``(B, K+2,
-K+2)`` operator stacks ``score_target_span`` feeds the model — then
+Prebuilds one round of inference view batches — the same batched
+graph and hypergraph views ``score_target_span`` feeds the model — then
 times *forward passes only* through each registered tensor backend on
 one core.  The reference backend runs the bitwise-pinned numpy path
-under ``no_grad``, as scoring does; the fused backend runs the
-allocation-free float32 kernel.
+under ``no_grad``, as scoring does; the fused backend runs the float32
+kernel.  The hypergraph views build the reference's CSR operator and
+pools on first read, so the numpy backend's untimed warm-up pass builds
+them and the timed passes compare forwards only.
 Fused scores are verified against the reference within 1e-5 relative
 tolerance before any timing counts.
 

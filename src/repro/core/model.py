@@ -165,7 +165,7 @@ class Bourne:
         z_s_np = hviews.context_pool @ z_data
         # Degenerate targets without target edges fall back to the
         # subgraph-level context for the patch term.
-        empty_patch = np.asarray(hviews.patch_pool.sum(axis=1)).reshape(-1) == 0
+        empty_patch = hviews.target_counts == 0
         z_p_np = np.where(empty_patch[:, None], z_s_np, z_p_np)
 
         node_scores = discriminate(h_t, Tensor(z_p_np), Tensor(z_s_np),

@@ -8,18 +8,23 @@ target batch at once:
   Γ1/Γ2 augmentation, and target-edge anonymization (Eq. 7–8),
 
 the graph views as one dense ``(B, S, S)`` operator stack (every view
-has the same ``S = K + 2`` rows) and the ragged hypergraph views as one
-block-diagonal sparse operator, so a forward costs one batched matmul
-and one sparse matmul instead of ``2B``.  Every augmentation draw — the
-Γ1/Γ2 view augmentation and the ``node_only`` forward mask — is
-counter-based, keyed by per-target (or per-round) ``uint64`` seeds
-through the same ``splitmix64`` streams the sampler uses, so a view
-never depends on batch layout or sharding.
+has the same ``S = K + 2`` rows) and the ragged hypergraph views as flat
+incidence arrays with their HGNN degree scales and per-view offsets, so
+a forward costs batched products instead of ``2B`` per-view ones.  The
+fused kernel pads the flat arrays into a ``(B, M, C)`` stack; the numpy
+reference reads a block-diagonal sparse operator that the container
+builds from the same arrays on first access, so only the reference
+pays for sparse matrices.  Every augmentation draw — the Γ1/Γ2 view
+augmentation and the ``node_only`` forward mask — is counter-based,
+keyed by per-target (or per-round) ``uint64`` seeds through the same
+``splitmix64`` streams the sampler uses, so a view never depends on
+batch layout or sharding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -87,17 +92,70 @@ class BatchedGraphViews:
 
 @dataclass
 class BatchedHypergraphViews:
-    """A minibatch of hypergraph views under one block-diagonal operator."""
+    """A minibatch of ragged hypergraph views as flat incidence arrays.
 
-    features: np.ndarray
-    operator: sp.csr_matrix
+    View ``b`` owns rows ``row_offsets[b]:row_offsets[b + 1]`` of
+    ``features`` and incidence columns ``col_offsets[b]:col_offsets[b + 1]``.
+    Its row layout is ``[anonymized target edges | context edges | raw
+    copies of the target edges]``, so the rows pooled into ``z_p`` are
+    its first ``target_counts[b]`` and those pooled into ``z_s`` its
+    first ``context_counts[b]``.  A view without edges is one zero row
+    with no incidence entry.
+
+    The fused kernel reads the flat arrays; ``operator``, ``patch_pool``
+    and ``context_pool`` are the numpy reference's CSR matrices, built
+    from the same arrays on first access.
+    """
+
+    features: np.ndarray         # (Σ rows, D)
+    inc_rows: np.ndarray         # (nnz,) incidence entries: global row,
+    inc_cols: np.ndarray         # (nnz,) global column
+    inc_view: np.ndarray         # (nnz,) and batch index
+    row_scale: np.ndarray        # (Σ rows,) D_v^{-1/2}
+    col_scale: np.ndarray        # (Σ cols,) D_e^{-1}
+    row_offsets: np.ndarray      # (B + 1,)
+    col_offsets: np.ndarray      # (B + 1,)
+    context_counts: np.ndarray   # (B,) Ms: rows pooled into z_s
+    target_counts: np.ndarray    # (B,) Mtar: rows pooled into z_p
+    context_rows: np.ndarray     # (Σ Ms,) the z_s rows of every view
+    context_owner: np.ndarray    # (Σ Ms,) batch index of each of them
     zt_rows: np.ndarray          # (Σ Mtar,) isolated target-edge rows
     edge_owner: np.ndarray       # (Σ Mtar,) batch index of each target edge
     edge_orig_ids: np.ndarray    # (Σ Mtar,)
     edge_patch_rows: np.ndarray  # (Σ Mtar,) anonymized (context-aggregated) rows
-    patch_pool: sp.csr_matrix    # (B, Σ rows) mean over anonymized target-edge rows
-    context_pool: sp.csr_matrix  # (B, Σ rows) mean over all context rows (z_s)
-    has_edges: np.ndarray        # (B,) bool — False for degenerate targets
+
+    @property
+    def shape(self):
+        """``(Σ rows, Σ cols)`` of the block-diagonal incidence."""
+        return int(self.row_offsets[-1]), int(self.col_offsets[-1])
+
+    @cached_property
+    def operator(self) -> sp.csr_matrix:
+        """Block-diagonal HGNN operator ``(Ŝ·D_e^{-1}) Ŝᵀ`` (Eq. 10),
+        ``Ŝ = D_v^{-1/2} M``: one sparse product over the global scaled
+        incidence; the blocks survive it because they share no column."""
+        rows, cols = self.inc_rows, self.inc_cols
+        row_values = self.row_scale[rows]
+        scaled = sp.csr_matrix((row_values, (rows, cols)), shape=self.shape)
+        weighted = sp.csr_matrix((row_values * self.col_scale[cols],
+                                  (rows, cols)), shape=self.shape)
+        return (weighted @ scaled.T).tocsr()
+
+    @cached_property
+    def patch_pool(self) -> sp.csr_matrix:
+        """``(B, Σ rows)`` mean over each view's anonymized target-edge rows."""
+        return sp.csr_matrix(
+            (1.0 / self.target_counts[self.edge_owner],
+             (self.edge_owner, self.edge_patch_rows)),
+            shape=(len(self.target_counts), self.shape[0]))
+
+    @cached_property
+    def context_pool(self) -> sp.csr_matrix:
+        """``(B, Σ rows)`` mean over each view's context rows (``z_s``)."""
+        return sp.csr_matrix(
+            (1.0 / self.context_counts[self.context_owner],
+             (self.context_owner, self.context_rows)),
+            shape=(len(self.context_counts), self.shape[0]))
 
 
 def batch_graph_views_from_subgraphs(
@@ -144,13 +202,13 @@ def batch_hypergraph_views_from_subgraphs(
     """Dual-transform + augment + batch the hypergraph views, vectorized.
 
     The ragged per-target views (``Ms`` varies) are handled as flat
-    segment arrays: dual features, Γ1/Γ2 augmentation draws, and the
-    extended incidences (Eq. 7–8) are computed for the whole batch at
-    once, and the block-diagonal HGNN operator falls out of ONE sparse
-    product ``(Ŝ·D_e^{-1}) Ŝᵀ`` over the global scaled incidence — no
-    per-view dense matmuls.  With augmentation off, per-block values
-    match the dense per-view HGNN construction exactly.  Degenerate
-    targets (no edges) become 1-row zero placeholders.
+    segment arrays: dual features, Γ1/Γ2 augmentation draws, the
+    extended incidences (Eq. 7–8) and their HGNN degree scales (Eq. 10)
+    are computed for the whole batch at once — no per-view loop and no
+    sparse matrix (the reference's CSR operator is built from these
+    arrays on first access).  With augmentation off, per-block operator
+    values match the dense per-view HGNN construction exactly.
+    Degenerate targets (no edges) become 1-row zero placeholders.
 
     Augmentation draws are **counter-based**, keyed by ``target_seeds``
     (``(B,)`` ``uint64``, normally the per-target sampling seeds): each
@@ -167,25 +225,12 @@ def batch_hypergraph_views_from_subgraphs(
     if len(seeds) != num_views:
         raise ValueError(
             f"target_seeds has {len(seeds)} entries for {num_views} views")
-    if num_views == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return BatchedHypergraphViews(
-            features=np.zeros((0, dim)),
-            operator=sp.csr_matrix((0, 0)),
-            zt_rows=empty,
-            edge_owner=empty.copy(),
-            edge_orig_ids=empty.copy(),
-            edge_patch_rows=empty.copy(),
-            patch_pool=sp.csr_matrix((0, 0)),
-            context_pool=sp.csr_matrix((0, 0)),
-            has_edges=np.zeros(0, dtype=bool),
-        )
-    edge_counts = np.diff(batch.edge_offsets)          # Ms per view
+    edge_counts = batch.edge_offsets[1:] - batch.edge_offsets[:-1]  # Ms
     target_counts = batch.num_target_edges.astype(np.int64)
-    has_edges = edge_counts > 0
+    edged = edge_counts > 0
 
-    view_rows = np.where(has_edges, edge_counts + target_counts, 1)
-    view_cols = np.where(has_edges, slots + target_counts, 1)
+    view_rows = np.where(edged, edge_counts + target_counts, 1)
+    view_cols = np.where(edged, slots + target_counts, 1)
     row_off = np.zeros(num_views + 1, dtype=np.int64)
     np.cumsum(view_rows, out=row_off[1:])
     col_off = np.zeros(num_views + 1, dtype=np.int64)
@@ -208,73 +253,65 @@ def batch_hypergraph_views_from_subgraphs(
                                dims[None, :]) >= feature_mask_prob
         dual = dual * masks[edge_view]
     if augment and incidence_drop_prob > 0.0 and num_edges:
-        # Γ2: i.i.d. Bernoulli drop per incidence entry (2 per edge);
-        # only entries drop, the dual-node count stays constant.
+        # Γ2: i.i.d. Bernoulli drop per incidence entry (2 per edge,
+        # one row per endpoint); only entries drop, the dual-node count
+        # stays constant.
         ends = np.arange(2, dtype=np.uint64)
         draws = seeded_uniform(
-            seeds[edge_view][:, None], _VIEW_DROP_STREAM,
-            (local_edge.astype(np.uint64) * np.uint64(2))[:, None]
-            + ends[None, :])
+            seeds[edge_view][None, :], _VIEW_DROP_STREAM,
+            (local_edge.astype(np.uint64) * np.uint64(2))[None, :]
+            + ends[:, None])
         keep = draws >= incidence_drop_prob
     else:
-        keep = np.ones((num_edges, 2), dtype=bool)
+        keep = np.ones((2, num_edges), dtype=bool)
 
     # Eq. 7 row layout per view: [anonymized target edges (zeros) |
-    # context edges | raw copies of the target edges].
+    # context edges | raw copies of the target edges].  Each view's
+    # target edges lead its edge list, so they are its first Mtar rows.
     is_target = local_edge < target_counts[edge_view]
+    target_view = edge_view[is_target]
+    target_pos = local_edge[is_target]
+    dual_rows = row_off[edge_view] + local_edge
+    iso_rows = row_off[target_view] + edge_counts[target_view] + target_pos
     features = np.zeros((total_rows, dim))
     ctx = ~is_target
-    features[row_off[edge_view[ctx]] + local_edge[ctx]] = dual[ctx]
-    features[row_off[edge_view[is_target]] + edge_counts[edge_view[is_target]]
-             + local_edge[is_target]] = dual[is_target]
+    features[dual_rows[ctx]] = dual[ctx]
+    features[iso_rows] = dual[is_target]
 
     # Eq. 8 incidence entries: dual rows hit their two endpoint slots
-    # (post-Γ2); isolated copies hit their private identity columns.
-    dual_rows = row_off[edge_view] + local_edge
-    end_a = col_off[edge_view] + batch.edges[:, 0]
-    end_b = col_off[edge_view] + batch.edges[:, 1]
-    target_view = np.repeat(np.arange(num_views), target_counts)
-    target_pos = (np.arange(int(target_counts.sum()))
-                  - np.concatenate([[0], np.cumsum(target_counts)[:-1]]
-                                   )[target_view])
-    iso_rows = row_off[target_view] + edge_counts[target_view] + target_pos
-    inc_rows = np.concatenate([dual_rows[keep[:, 0]], dual_rows[keep[:, 1]],
-                               iso_rows])
-    inc_cols = np.concatenate([end_a[keep[:, 0]], end_b[keep[:, 1]],
+    # (post-Γ2; every first endpoint before every second); isolated
+    # copies hit their private identity columns.
+    end, edge = np.nonzero(keep)
+    entry_view = edge_view[edge]
+    inc_rows = np.concatenate([dual_rows[edge], iso_rows])
+    inc_cols = np.concatenate([col_off[entry_view] + batch.edges[edge, end],
                                col_off[target_view] + slots + target_pos])
+    inc_view = np.concatenate([entry_view, target_view])
 
-    # HGNN normalization (Eq. 10) over the global incidence; the block
-    # structure survives the product because blocks share no columns.
+    # HGNN degree scales (Eq. 10) over the global incidence.
     row_degree = np.bincount(inc_rows, minlength=total_rows).astype(np.float64)
     col_degree = np.bincount(inc_cols, minlength=total_cols).astype(np.float64)
     dv = np.zeros(total_rows)
     dv[row_degree > 0] = row_degree[row_degree > 0] ** -0.5
     de = np.zeros(total_cols)
     de[col_degree > 0] = col_degree[col_degree > 0] ** -1.0
-    scaled = sp.csr_matrix((dv[inc_rows], (inc_rows, inc_cols)),
-                           shape=(total_rows, total_cols))
-    weighted = sp.csr_matrix((dv[inc_rows] * de[inc_cols],
-                              (inc_rows, inc_cols)),
-                             shape=(total_rows, total_cols))
-    operator = (weighted @ scaled.T).tocsr()
-
-    patch_pool = sp.csr_matrix(
-        (1.0 / target_counts[target_view],
-         (target_view, row_off[target_view] + target_pos)),
-        shape=(num_views, total_rows))
-    context_pool = sp.csr_matrix(
-        (1.0 / edge_counts[edge_view], (edge_view, dual_rows)),
-        shape=(num_views, total_rows))
     return BatchedHypergraphViews(
         features=features,
-        operator=operator,
+        inc_rows=inc_rows,
+        inc_cols=inc_cols,
+        inc_view=inc_view,
+        row_scale=dv,
+        col_scale=de,
+        row_offsets=row_off,
+        col_offsets=col_off,
+        context_counts=edge_counts,
+        target_counts=target_counts,
+        context_rows=dual_rows,
+        context_owner=edge_view,
         zt_rows=iso_rows,
         edge_owner=target_view,
         edge_orig_ids=batch.edge_orig_ids[is_target],
         edge_patch_rows=row_off[target_view] + target_pos,
-        patch_pool=patch_pool,
-        context_pool=context_pool,
-        has_edges=has_edges,
     )
 
 

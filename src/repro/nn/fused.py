@@ -8,10 +8,13 @@ compiles a model's weights into a float32 snapshot once and then runs
 the whole conv→activation→readout pipeline over the dense
 ``(B, S, S)`` graph-view stack both backends read
 (``S = subgraph_size + 2`` rows per target view), with every large
-intermediate served from a preallocated per-shape workspace — the
-steady-state hot loop allocates only the tiny per-batch score vectors
-it returns.  Each conv step is one batched ``np.matmul`` with ``out=``
-plus an in-place PReLU (:func:`_bmm_prelu`).
+graph-branch intermediate served from a preallocated per-shape
+workspace.  Each conv step is one batched ``np.matmul`` with ``out=``
+plus an in-place PReLU (:func:`_bmm_prelu`).  The ``unified`` target
+branch reads the ragged hypergraph views from their flat incidence
+arrays, padded per call into a ``(B, M, C)`` stack (M rows and C
+columns of the batch's largest view), and never builds the sparse
+operator the reference reads.
 
 Accuracy contract: scores stay within ``1e-5`` relative tolerance of
 the float64 reference (``tests/test_backend.py`` sweeps it across batch
@@ -43,14 +46,19 @@ from .linear import Linear
 _EPS = 1e-12
 
 
+def _prelu(x, alpha, scratch):
+    """In-place PReLU through ``scratch`` in two passes: ``max(x, αx)``
+    for ``α <= 1``, ``min(x, αx)`` otherwise, which is bitwise
+    ``max(x, 0) + α·min(x, 0)``."""
+    np.multiply(x, alpha, out=scratch)
+    (np.maximum if alpha <= 1 else np.minimum)(x, scratch, out=x)
+
+
 def _bmm_prelu(ops, support, alpha, out, tmp):
     """Fused step ``out = prelu(ops @ support)``: batched BLAS matmul
     plus an in-place PReLU through the ``tmp`` scratch buffer."""
     np.matmul(ops, support, out=out)
-    np.minimum(out, 0.0, out=tmp)
-    np.maximum(out, 0.0, out=out)
-    np.multiply(tmp, alpha, out=tmp)
-    np.add(out, tmp, out=out)
+    _prelu(out, alpha, tmp)
 
 
 class Workspace:
@@ -222,10 +230,7 @@ class FusedInferenceKernel:
                 current = out
             else:  # prelu
                 scratch = self.workspace.get((tag, "mlp_tmp", index), current.shape)
-                np.minimum(current, 0.0, out=scratch)
-                np.maximum(current, 0.0, out=current)
-                np.multiply(scratch, np.float32(value), out=scratch)
-                np.add(current, scratch, out=current)
+                _prelu(current, np.float32(value), scratch)
         return current
 
     def _online_graph_branch(self, compiled, gviews, feats3):
@@ -252,30 +257,67 @@ class FusedInferenceKernel:
         )
         return feats3
 
+    def _hypergraph_branch(self, compiled, hviews):
+        """Target-branch HGNN stack over the ragged hypergraph views,
+        padded to ``(B, M, C)``; returns ``(z_t, z_p, z_s)``.
+
+        Each view's incidence is scattered into one zero-padded block
+        twice: ``scaled = D_v^{-1/2} H`` and ``weighted = scaled D_e^{-1}``,
+        so a layer propagates by two batched matmuls,
+        ``weighted @ (scaledᵀ @ (x @ W))`` — the reference operator
+        ``(Ŝ·D_e^{-1}) Ŝᵀ`` without forming it.  Padded rows and columns
+        hold zeros and stay zero through every layer.  The buffers'
+        shapes vary with every batch, so they are allocated per call
+        rather than kept in the workspace.
+        """
+        offsets = hviews.row_offsets
+        batch = len(offsets) - 1
+        view_rows = offsets[1:] - offsets[:-1]
+        rows = int(view_rows.max())
+        cols = int((hviews.col_offsets[1:] - hviews.col_offsets[:-1]).max())
+        # Padded position of each flat row: view b's rows start at b·M.
+        padded = np.arange(offsets[-1]) + np.repeat(
+            np.arange(0, batch * rows, rows) - offsets[:-1], view_rows)
+        entries = padded[hviews.inc_rows] * cols + (
+            hviews.inc_cols - hviews.col_offsets[hviews.inc_view])
+        row_values = hviews.row_scale[hviews.inc_rows]
+        scaled = np.zeros((batch, rows, cols), dtype=np.float32)
+        scaled.reshape(-1)[entries] = row_values
+        weighted = np.zeros((batch, rows, cols), dtype=np.float32)
+        weighted.reshape(-1)[entries] = (
+            row_values * hviews.col_scale[hviews.inc_cols])
+        scaled_t = scaled.transpose(0, 2, 1)
+
+        # x @ W on the flat rows; only the H-wide product is padded.
+        flat = np.asarray(hviews.features, dtype=np.float32)
+        z = None
+        for weight, alpha in compiled.target_stack:
+            if z is None:
+                support = np.zeros((batch * rows, weight.shape[1]),
+                                   dtype=np.float32)
+                support[padded] = flat @ weight
+                support = support.reshape(batch, rows, -1)
+            else:
+                support = np.matmul(z, weight)
+            z = np.matmul(weighted, np.matmul(scaled_t, support))
+            _prelu(z, np.float32(alpha), support)
+
+        z_t = z.reshape(batch * rows, -1)[padded[hviews.zt_rows]]
+        # Mean readouts by position: z_p over rows 0..Mtar-1, z_s over
+        # rows 0..Ms-1; a view without target edges pools its patch term
+        # over the context rows, as the reference falls back to z_s.
+        counts = np.empty((batch, 2, 1), dtype=np.int64)
+        counts[:, 1, 0] = hviews.context_counts
+        counts[:, 0, 0] = np.where(hviews.target_counts > 0,
+                                   hviews.target_counts, hviews.context_counts)
+        weights = (np.arange(rows) < counts) / np.maximum(counts, 1)
+        pooled = np.matmul(weights.astype(np.float32), z)
+        return z_t, pooled[:, 0], pooled[:, 1]
+
     def _forward_unified(self, compiled, gviews, hviews) -> BatchScores:
         feats3 = self._features3(gviews)
         _, h_t, h_p, h_s = self._online_graph_branch(compiled, gviews, feats3)
-
-        # Target branch: HGNN stack over the ragged block-diagonal CSR
-        # operator (float32 copy; row counts vary per batch, so this
-        # branch tolerates scipy's own allocations).
-        operator = hviews.operator.astype(np.float32)
-        z = np.ascontiguousarray(hviews.features, dtype=np.float32)
-        for weight, alpha in compiled.target_stack:
-            z = operator @ np.matmul(z, weight)
-            scratch = np.minimum(z, 0.0)
-            np.maximum(z, 0.0, out=z)
-            np.multiply(scratch, np.float32(alpha), out=scratch)
-            np.add(z, scratch, out=z)
-
-        z_t = z[hviews.zt_rows]
-        z_p = hviews.patch_pool.astype(np.float32) @ z
-        z_s = hviews.context_pool.astype(np.float32) @ z
-        # Degenerate targets (no target edges) fall back to the
-        # subgraph context, mirroring the reference's empty-patch path.
-        empty_patch = np.diff(hviews.patch_pool.indptr) == 0
-        if empty_patch.any():
-            z_p = np.where(empty_patch[:, None], z_s, z_p)
+        z_t, z_p, z_s = self._hypergraph_branch(compiled, hviews)
 
         total = compiled.alpha + compiled.beta
         node_scores = (

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
+import secrets
 import sys
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -19,16 +22,31 @@ def rng():
 
 @pytest.fixture
 def no_shm_leak():
-    """Context manager asserting its body leaves no new POSIX
-    shared-memory segment behind (the segments live in ``/dev/shm``)."""
+    """Context manager asserting its body leaves no POSIX shared-memory
+    segment behind (the segments live in ``/dev/shm``).
+
+    While the body runs, every unnamed segment created in this process,
+    or in a worker forked from it meanwhile, gets a name with a prefix
+    unique to this check (``SharedMemory(create=True)`` draws its name
+    from ``shared_memory._make_filename``).  Only names with that prefix
+    count as leaks, so segments that other processes create at the same
+    time cannot fail the check."""
     if not sys.platform.startswith("linux"):
         pytest.skip("lists shared-memory segments through /dev/shm")
+    checks = itertools.count()
 
     @contextlib.contextmanager
     def check():
-        before = set(os.listdir("/dev/shm"))
-        yield
-        leaked = set(os.listdir("/dev/shm")) - before
+        prefix = f"psm_check{os.getpid()}_{next(checks)}_"
+        make_filename = shared_memory._make_filename
+        shared_memory._make_filename = (
+            lambda: "/" + prefix + secrets.token_hex(8))
+        try:
+            yield
+        finally:
+            shared_memory._make_filename = make_filename
+        leaked = [name for name in os.listdir("/dev/shm")
+                  if name.startswith(prefix)]
         assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
 
     return check

@@ -6,7 +6,7 @@ straightforward per-target construction the vectorized builders must
 reproduce bit for bit: one subgraph at a time, small dense adjacency /
 incidence matrices normalized with dense GCN (Eq. 4) and HGNN (Eq. 10)
 operators, then stacked into the same batch containers: a dense
-``(B, S, S)`` stack for graph views, a block-diagonal operator for
+``(B, S, S)`` stack for graph views, flat incidence arrays for
 hypergraph views.
 It builds unaugmented views only; the Γ1/Γ2 augmentation is
 counter-based and lives in the vectorized builder alone.
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.views import BatchedGraphViews, BatchedHypergraphViews
 from repro.graph.index import derive_target_seeds
@@ -93,6 +92,7 @@ class HypergraphView:
     """
 
     features: np.ndarray        # (Ms+Mtar, D)
+    incidence: np.ndarray       # (Ms+Mtar, Ns+Mtar) extended incidence (Eq. 8)
     operator: np.ndarray        # normalized HGNN propagation (dense)
     num_target_edges: int       # Mtar
     num_context_rows: int       # Ms (rows pooled into z_s)
@@ -187,6 +187,7 @@ def build_hypergraph_view(sub: SampledSubgraph) -> Optional[HypergraphView]:
 
     return HypergraphView(
         features=features,
+        incidence=extended,
         operator=dense_hgnn_operator(extended),
         num_target_edges=mtar,
         num_context_rows=ms,
@@ -213,53 +214,81 @@ def batch_hypergraph_views(
     views: Sequence[Optional[HypergraphView]],
     feature_dim: int,
 ) -> BatchedHypergraphViews:
-    """Stack hypergraph views; ``None`` entries become zero-row placeholders."""
-    batch = len(views)
-    blocks, sizes = [], []
-    for view in views:
-        if view is None:
-            sizes.append(1)  # single zero placeholder row
-            blocks.append(sp.csr_matrix((1, 1)))
-        else:
-            sizes.append(view.features.shape[0])
-            blocks.append(view.operator)
-    offsets = np.cumsum([0] + sizes)
-    features = np.zeros((offsets[-1], feature_dim))
-    zt_rows, owners, orig_ids = [], [], []
-    p_rows, p_cols, p_vals = [], [], []
-    c_rows, c_cols, c_vals = [], [], []
-    has_edges = np.zeros(batch, dtype=bool)
-    for b, (view, off) in enumerate(zip(views, offsets)):
+    """Stack hypergraph views into the flat batch layout.
+
+    Each view's incidence entries are read off its dense extended
+    incidence, and its degree scales are that incidence's own row and
+    column sums (Eq. 10).  ``None`` entries become one zero row with a
+    1x1 all-zero incidence.
+    """
+    incidences = [np.zeros((1, 1)) if view is None else view.incidence
+                  for view in views]
+    row_off = np.cumsum([0] + [m.shape[0] for m in incidences])
+    col_off = np.cumsum([0] + [m.shape[1] for m in incidences])
+    features = np.zeros((row_off[-1], feature_dim))
+    inc_rows, inc_cols, inc_view, row_scale, col_scale = [], [], [], [], []
+    context_counts = np.zeros(len(views), dtype=np.int64)
+    target_counts = np.zeros(len(views), dtype=np.int64)
+    zt_rows, owners, orig_ids, patch_rows = [], [], [], []
+    context_rows, context_owner = [], []
+    for b, (view, incidence) in enumerate(zip(views, incidences)):
+        rows, cols = np.nonzero(incidence)
+        inc_rows.append(row_off[b] + rows)
+        inc_cols.append(col_off[b] + cols)
+        inc_view.append(np.full(len(rows), b))
+        row_scale.append(_inverse_power(incidence.sum(axis=1), -0.5))
+        col_scale.append(_inverse_power(incidence.sum(axis=0), -1.0))
         if view is None:
             continue
-        has_edges[b] = True
-        rows_here = view.features.shape[0]
-        features[off:off + rows_here] = view.features
-        ms = view.num_context_rows
-        mtar = view.num_target_edges
+        off = row_off[b]
+        features[off:row_off[b + 1]] = view.features
+        ms = context_counts[b] = view.num_context_rows
+        mtar = target_counts[b] = view.num_target_edges
         for t in range(mtar):
             zt_rows.append(off + ms + t)
             owners.append(b)
             orig_ids.append(int(view.edge_orig_ids[t]))
-            p_rows.append(b)
-            p_cols.append(off + t)          # anonymized target-edge rows → Z_p
-            p_vals.append(1.0 / mtar)
-        for r in range(ms):
-            c_rows.append(b)
-            c_cols.append(off + r)
-            c_vals.append(1.0 / ms)
-    operator = sp.block_diag(blocks, format="csr")
-    total = features.shape[0]
-    patch_pool = sp.csr_matrix((p_vals, (p_rows, p_cols)), shape=(batch, total))
-    context_pool = sp.csr_matrix((c_vals, (c_rows, c_cols)), shape=(batch, total))
+            patch_rows.append(off + t)      # anonymized target-edge rows → Z_p
+        context_rows.extend(range(off, off + ms))
+        context_owner.extend([b] * ms)
+
+    def ids(values):
+        return np.asarray(values, dtype=np.int64)
+
     return BatchedHypergraphViews(
         features=features,
-        operator=operator,
-        zt_rows=np.asarray(zt_rows, dtype=np.int64),
-        edge_owner=np.asarray(owners, dtype=np.int64),
-        edge_orig_ids=np.asarray(orig_ids, dtype=np.int64),
-        edge_patch_rows=np.asarray(p_cols, dtype=np.int64),
-        patch_pool=patch_pool,
-        context_pool=context_pool,
-        has_edges=has_edges,
+        inc_rows=np.concatenate(inc_rows),
+        inc_cols=np.concatenate(inc_cols),
+        inc_view=np.concatenate(inc_view),
+        row_scale=np.concatenate(row_scale),
+        col_scale=np.concatenate(col_scale),
+        row_offsets=ids(row_off),
+        col_offsets=ids(col_off),
+        context_counts=context_counts,
+        target_counts=target_counts,
+        context_rows=ids(context_rows),
+        context_owner=ids(context_owner),
+        zt_rows=ids(zt_rows),
+        edge_owner=ids(owners),
+        edge_orig_ids=ids(orig_ids),
+        edge_patch_rows=ids(patch_rows),
     )
+
+
+def dense_hypergraph_pools(views: Sequence[Optional[HypergraphView]]):
+    """``(patch, context)`` readout pools of stacked hypergraph views as
+    dense ``(B, Σ rows)`` matrices: each view's mean over its first
+    ``Mtar`` rows and over its first ``Ms`` rows (a ``None`` view is one
+    row and pools nothing)."""
+    sizes = [1 if view is None else view.features.shape[0] for view in views]
+    offsets = np.cumsum([0] + sizes)
+    patch = np.zeros((len(views), offsets[-1]))
+    context = np.zeros((len(views), offsets[-1]))
+    for b, view in enumerate(views):
+        if view is None:
+            continue
+        mtar, ms = view.num_target_edges, view.num_context_rows
+        if mtar:
+            patch[b, offsets[b]:offsets[b] + mtar] = 1.0 / mtar
+        context[b, offsets[b]:offsets[b] + ms] = 1.0 / ms
+    return patch, context

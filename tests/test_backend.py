@@ -7,13 +7,16 @@ relative tolerance of the reference on every score and must fall back
 (bitwise-equal) on anything outside the fused contract.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core import Bourne, BourneConfig, score_graph
-from repro.graph import Graph
+from repro.core.views import build_batched_views
+from repro.graph import Graph, derive_target_seeds, sample_enclosing_subgraphs
 from repro.nn.fused import FusedBackend
 from repro.parallel import score_graph_sharded
 from repro.serving import GraphStore, ScoringService
@@ -148,6 +151,91 @@ class TestFusedEquivalence:
         large = score_graph(model, graph, batch_size=64, backend="fused")
         assert_close(large.node_scores, small.node_scores, rtol=1e-6)
         assert_close(large.edge_scores, small.edge_scores, rtol=1e-6)
+
+
+class TestFusedHypergraphBranch:
+    """The fused kernel runs the HGNN branch from the flat incidence
+    arrays on padded float32 stacks."""
+
+    def test_serve_batch_builds_no_sparse_matrix(self, graph, monkeypatch):
+        """A serve-shaped batch (8 rounds of 5 nodes at subgraph size
+        12) goes through sampling, views and the fused forward without
+        constructing a scipy matrix; the reference's CSR stays unbuilt
+        until the reference forward asks for it."""
+        def refuse(matrix, *args, **kwargs):
+            raise AssertionError(f"constructed a {type(matrix).__name__}")
+
+        model = Bourne(graph.num_features, tiny_config(subgraph_size=12))
+        nodes = np.arange(5)
+        targets = np.tile(nodes, 8)
+        seeds = np.concatenate([derive_target_seeds(r, nodes)
+                                for r in range(8)])
+        backend = FusedBackend()
+        for matrix in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix,
+                       sp.csr_array, sp.csc_array, sp.coo_array):
+            monkeypatch.setattr(matrix, "__init__", refuse)
+        gviews, hviews = model.prepare_batch(graph, targets, seeds)
+        fast = backend.forward_batch(model, gviews, hviews)
+        monkeypatch.undo()
+        kernel = backend.kernel_for(model)
+        assert kernel.forwards == 1 and kernel.fallbacks == 0
+        lazy = {"operator", "patch_pool", "context_pool"}
+        assert not lazy & set(vars(hviews))
+        reference = model.forward_batch(gviews, hviews)
+        assert lazy <= set(vars(hviews))
+        assert_close(reference.node_scores.data, fast.node_scores.data)
+        assert_close(reference.edge_scores.data, fast.edge_scores.data)
+
+    def test_padding_does_not_leak(self):
+        """A view without edges, a view without target edges and the
+        batch's largest view score in one padded batch as each does in
+        a batch of its own."""
+        base = small_graph()
+        graph = Graph(np.vstack([base.features, np.ones(base.num_features)]),
+                      base.edges)                    # last node is isolated
+        config = tiny_config(augment_at_inference=True)
+        model = Bourne(graph.num_features, config)
+
+        def views(targets, seeds):
+            batch = sample_enclosing_subgraphs(
+                graph, targets, k=config.hop_size, size=config.subgraph_size,
+                target_seeds=seeds)
+            # Node 0's view keeps its edges but loses its target edges:
+            # their rows become context rows.
+            counts = np.where(targets == 0, 0, batch.num_target_edges)
+            batch = dataclasses.replace(batch, num_target_edges=counts)
+            return build_batched_views(
+                batch, seeds, feature_mask_prob=config.feature_mask_prob,
+                incidence_drop_prob=config.incidence_drop_prob)
+
+        everyone = np.arange(graph.num_nodes)
+        edge_counts = np.diff(sample_enclosing_subgraphs(
+            graph, everyone, k=config.hop_size, size=config.subgraph_size,
+            target_seeds=derive_target_seeds(9, everyone)).edge_offsets)
+        targets = np.array([graph.num_nodes - 1, 0, int(edge_counts.argmax())])
+        seeds = derive_target_seeds(9, targets)
+        gviews, hviews = views(targets, seeds)
+        assert hviews.context_counts[0] == 0
+        assert hviews.target_counts[1] == 0 < hviews.context_counts[1]
+        rows = np.diff(hviews.row_offsets)
+        assert rows[2] > max(rows[0], rows[1])        # the others are padded
+
+        backend = FusedBackend()
+        together = backend.forward_batch(model, gviews, hviews)
+        for view in range(3):
+            alone = backend.forward_batch(
+                model, *views(targets[view:view + 1], seeds[view:view + 1]))
+            assert_close(together.node_scores.data[view:view + 1],
+                         alone.node_scores.data, rtol=1e-6)
+            owned = together.edge_owner == view
+            if alone.edge_scores is None:
+                assert not owned.any()
+            else:
+                assert_close(together.edge_scores.data[owned],
+                             alone.edge_scores.data, rtol=1e-6)
+        reference = model.forward_batch(gviews, hviews)
+        assert_close(reference.node_scores.data, together.node_scores.data)
+        assert_close(reference.edge_scores.data, together.edge_scores.data)
 
 
 class TestServiceBackend:

@@ -11,17 +11,20 @@ sizes.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from reference_views import (
     batch_graph_views,
     batch_hypergraph_views,
     build_graph_view,
     build_hypergraph_view,
+    dense_hypergraph_pools,
     khop_neighbors,
 )
 
 from repro.core import Bourne, BourneConfig, score_graph
 from repro.core.views import (
     batch_graph_views_from_subgraphs,
+    batch_hypergraph_views_from_subgraphs,
     build_batched_views,
 )
 from repro.graph import (
@@ -241,7 +244,7 @@ class TestBatchStructure:
         gviews, hviews = build_batched_views(batch, no_seeds, augment=False)
         assert gviews.batch_size == 0
         assert gviews.features.shape[0] == 0
-        assert len(hviews.has_edges) == 0
+        assert len(hviews.context_counts) == 0
         assert len(hviews.zt_rows) == 0
 
 
@@ -284,6 +287,37 @@ class TestViewEquivalence:
         np.testing.assert_array_equal(fast.edge_scores.data,
                                       ref.edge_scores.data)
         np.testing.assert_array_equal(fast.edge_orig_ids, ref.edge_orig_ids)
+
+    def test_lazy_operator_and_pools_match_dense_blocks(self, graph):
+        """The reference's CSR operator, built from the flat arrays on
+        first access, is the block diagonal of the per-view dense HGNN
+        operators (an isolated target's block is one zero row), and its
+        pools are the per-view means."""
+        graph = Graph(np.vstack([graph.features, np.ones(graph.num_features)]),
+                      graph.edges)                  # last node is isolated
+        targets = np.arange(20, graph.num_nodes)
+        seeds = derive_target_seeds(5, targets)
+        batch = sample_enclosing_subgraphs(graph, targets, k=2, size=5,
+                                           target_seeds=seeds)
+        hviews = batch_hypergraph_views_from_subgraphs(batch, seeds,
+                                                       augment=False)
+        views = [build_hypergraph_view(sub) for sub in batch.views()]
+        assert views[-1] is None
+        blocks = sp.block_diag([np.zeros((1, 1)) if view is None
+                                else view.operator for view in views],
+                               format="csr")
+        blocks.eliminate_zeros()
+        operator = hviews.operator
+        assert operator is hviews.operator          # built once
+        assert operator.shape == blocks.shape
+        assert operator.nnz == blocks.nnz
+        np.testing.assert_array_equal(operator.toarray() != 0,
+                                      blocks.toarray() != 0)
+        np.testing.assert_allclose(operator.toarray(), blocks.toarray(),
+                                   rtol=0, atol=1e-12)
+        patch, context = dense_hypergraph_pools(views)
+        np.testing.assert_array_equal(hviews.patch_pool.toarray(), patch)
+        np.testing.assert_array_equal(hviews.context_pool.toarray(), context)
 
 
 class TestScoreGraphEquivalence:

@@ -160,14 +160,14 @@ class TestBatching:
         batch = batch_hypergraph_views(views, tiny_graph.num_features)
         assert len(batch.zt_rows) == sum(v.num_target_edges for v in views)
         assert set(batch.edge_owner.tolist()) <= {0, 1}
-        assert np.all(batch.has_edges)
+        assert np.all(batch.context_counts > 0)
 
     def test_hypergraph_batch_handles_none(self, tiny_graph):
         sub = sample_subgraph(tiny_graph, 0, 2, 4)
         view = build_hypergraph_view(sub)
         batch = batch_hypergraph_views([None, view], tiny_graph.num_features)
-        assert not batch.has_edges[0]
-        assert batch.has_edges[1]
+        assert batch.context_counts[0] == 0
+        assert batch.context_counts[1] > 0
         assert np.all(batch.edge_owner == 1)
 
     def test_edge_patch_rows_align_with_zt_rows(self, tiny_graph):

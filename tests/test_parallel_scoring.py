@@ -11,6 +11,8 @@ replacement of a dead worker with a rerun of the tasks it lost.
 
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -313,6 +315,43 @@ class TestSharedGraph:
         lo, hi = graph.edges[:, 0], graph.edges[:, 1]
         np.testing.assert_array_equal(rebuilt.lookup_edge_ids(lo, hi),
                                       np.arange(graph.num_edges))
+
+
+class TestNoShmLeakCheck:
+    """The ``no_shm_leak`` fixture sees this process's segments only."""
+
+    def test_other_process_segment_passes(self, no_shm_leak):
+        holder = ("import sys\n"
+                  "from multiprocessing import shared_memory\n"
+                  "block = shared_memory.SharedMemory(create=True, size=64)\n"
+                  "print(block.name, flush=True)\n"
+                  "sys.stdin.read()\n"
+                  "block.close()\n"
+                  "block.unlink()\n")
+        with no_shm_leak():
+            child = subprocess.Popen([sys.executable, "-c", holder],
+                                     stdin=subprocess.PIPE,
+                                     stdout=subprocess.PIPE, text=True)
+            try:
+                name = child.stdout.readline().strip()
+                assert name in os.listdir("/dev/shm")
+            except BaseException:
+                child.kill()
+                raise
+        child.communicate("", timeout=60)  # the holder unlinks on EOF
+        assert name not in os.listdir("/dev/shm")
+
+    def test_undestroyed_export_fails(self, graph, no_shm_leak):
+        exports = []
+        try:
+            with pytest.raises(AssertionError,
+                               match="leaked shared-memory segments"):
+                with no_shm_leak():
+                    exports.append(SharedGraphExport.create(graph.features,
+                                                            graph.index))
+        finally:
+            for export in exports:
+                export.destroy()
 
 
 class TestServiceShardedRefresh:
