@@ -17,7 +17,13 @@ subpackages for the complete API:
 
 __version__ = "1.0.0"
 
-from . import anomaly, baselines, core, datasets, eval, graph, metrics, nn, optim, tensor, utils
+from .utils.heap import keep_freed_memory
+
+# Before the subpackages load: every allocation of the process, and of
+# the workers it forks, runs under the one heap policy.
+keep_freed_memory()
+
+from . import anomaly, baselines, core, datasets, eval, graph, metrics, nn, optim, tensor, utils  # noqa: E402
 
 __all__ = [
     "anomaly",

@@ -69,7 +69,7 @@ def run_detection(dataset: str, profile: EvalProfile,
     """Run BOURNE plus the requested baselines on one dataset (cached).
 
     Returns ``{"graph": Graph, "methods": {name: result_dict}}`` where
-    each result dict holds scores and resource usage.  BOURNE is always
+    each result dict holds the method's scores.  BOURNE is always
     included and contributes both node and edge scores.
     """
     from ...baselines import EDGE_BASELINES, NODE_BASELINES

@@ -12,15 +12,20 @@ the gap widens with graph size, because per target-node step CoLA
 encodes 2 RWR subgraphs (positive + negative) and SL-GAD 4, while
 BOURNE encodes one subgraph plus its dual hypergraph and needs no
 negative pairs at all.
+
+Each model is fitted and scored twice with the same seed: once under
+``tracemalloc`` for the peaks, and once untraced for the seconds, since
+tracemalloc's per-allocation hook slows the models unequally.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+import time
+from typing import Dict, Optional, Sequence, Tuple
 
 from ...baselines import CoLA, SLGAD
-from ...core import Bourne, BourneTrainer, score_graph
-from ...obs.profiling import measure
+from ...core import score_graph, train_bourne
+from ...obs.profiling import ResourceUsage, measure
 from ..paper_reference import TABLE5_TIME
 from ..runner import EvalProfile, bourne_config, get_profile, prepare_graph
 from .common import ExperimentResult
@@ -30,6 +35,24 @@ DATASETS = ["cora", "pubmed", "acm", "dgraph"]
 #: (dataset, profile.name, scale, seed) -> measured usages; lets the
 #: Figure 6 memory view reuse the Table V runs within one process.
 _MATCHED_CACHE: Dict[tuple, Dict[str, dict]] = {}
+
+
+def _seconds(fit, score) -> Tuple[float, float]:
+    """Untraced wall seconds of ``fit()`` and of ``score`` on its result."""
+    start = time.perf_counter()
+    fitted = fit()
+    trained = time.perf_counter()
+    score(fitted)
+    return trained - start, time.perf_counter() - trained
+
+
+def _peaks(fit, score) -> Tuple[float, float]:
+    """tracemalloc peak MB of ``fit()`` and of ``score`` on its result."""
+    with measure() as train:
+        fitted = fit()
+    with measure() as infer:
+        score(fitted)
+    return train.peak_mb, infer.peak_mb
 
 
 def _run_matched(dataset: str, profile: EvalProfile) -> Dict[str, dict]:
@@ -43,22 +66,22 @@ def _run_matched(dataset: str, profile: EvalProfile) -> Dict[str, dict]:
     results: Dict[str, dict] = {}
 
     config = bourne_config(dataset, profile, epochs=epochs, eval_rounds=rounds)
-    with measure() as train:
-        model = Bourne(graph.num_features, config)
-        BourneTrainer(model, config).fit(graph)
-    with measure() as infer:
-        score_graph(model, graph, rounds=rounds)
-    results["BOURNE"] = {"train": train, "infer": infer}
-
-    for name, cls in (("CoLA", CoLA), ("SL-GAD", SLGAD)):
-        detector = cls(hidden=profile.hidden, subgraph_size=8, epochs=epochs,
-                       batch_size=profile.batch_size, eval_rounds=rounds,
-                       seed=profile.seed)
-        with measure() as train:
-            detector.fit(graph)
-        with measure() as infer:
-            detector.score_nodes(graph)
-        results[name] = {"train": train, "infer": infer}
+    kwargs = dict(hidden=profile.hidden, subgraph_size=8, epochs=epochs,
+                  batch_size=profile.batch_size, eval_rounds=rounds,
+                  seed=profile.seed)
+    models = {
+        "BOURNE": (lambda: train_bourne(graph, config)[0],
+                   lambda model: score_graph(model, graph, rounds=rounds)),
+        "CoLA": (lambda: CoLA(**kwargs).fit(graph),
+                 lambda detector: detector.score_nodes(graph)),
+        "SL-GAD": (lambda: SLGAD(**kwargs).fit(graph),
+                   lambda detector: detector.score_nodes(graph)),
+    }
+    for name, (fit, score) in models.items():
+        train_mb, infer_mb = _peaks(fit, score)
+        train_s, infer_s = _seconds(fit, score)
+        results[name] = {"train": ResourceUsage(train_s, train_mb),
+                         "infer": ResourceUsage(infer_s, infer_mb)}
     _MATCHED_CACHE[key] = results
     return results
 
@@ -98,9 +121,9 @@ def run(profile: Optional[EvalProfile] = None,
         rows=rows,
         notes=(f"profile={profile.name}; matched budget "
                f"(epochs={profile.contrastive_epochs} for all three "
-               "models). Absolute numbers are CPU seconds / tracemalloc "
-               "MB (paper: GPU). Shape claim: BOURNE cheapest, gap grows "
-               "with dataset size."),
+               "models). Absolute numbers are CPU seconds of an untraced "
+               "run / tracemalloc MB of a traced one (paper: GPU). Shape "
+               "claim: BOURNE cheapest, gap grows with dataset size."),
         claims=claims,
     )
 

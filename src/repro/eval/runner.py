@@ -5,8 +5,7 @@ Responsibilities:
 * prepare a benchmark graph (generation + injection + the L2 feature
   normalization applied identically to every method);
 * construct per-dataset BOURNE configs (paper Section V-C);
-* run BOURNE / node baselines / edge baselines under one budget profile
-  with wall-clock + memory accounting.
+* run BOURNE / node baselines / edge baselines under one budget profile.
 
 Budget profiles decouple *what* an experiment computes from *how much*
 CPU it spends: ``quick`` for tests, ``default`` for the paper claims
@@ -21,10 +20,9 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..baselines import EDGE_BASELINES, NODE_BASELINES
-from ..core import Bourne, BourneConfig, BourneTrainer, score_graph
+from ..core import BourneConfig, score_graph, train_bourne
 from ..datasets import load_benchmark
 from ..graph.graph import Graph
-from ..obs.profiling import measure
 
 
 @dataclass(frozen=True)
@@ -136,22 +134,15 @@ def bourne_config(dataset: str, profile: EvalProfile, **overrides) -> BourneConf
 
 def run_bourne(graph: Graph, config: BourneConfig,
                rounds: Optional[int] = None) -> Dict:
-    """Train + score BOURNE; returns scores and resource usage."""
-    with measure() as train_usage:
-        model = Bourne(graph.num_features, config)
-        trainer = BourneTrainer(model, config)
-        history = trainer.fit(graph)
-    with measure() as infer_usage:
-        scores = score_graph(model, graph, rounds=rounds)
+    """Train + score BOURNE; returns the model, its loss history and
+    the node and edge scores."""
+    model, history = train_bourne(graph, config)
+    scores = score_graph(model, graph, rounds=rounds)
     return {
         "model": model,
         "history": history,
         "node_scores": scores.node_scores,
         "edge_scores": scores.edge_scores,
-        "train_seconds": train_usage.seconds,
-        "train_peak_mb": train_usage.peak_mb,
-        "infer_seconds": infer_usage.seconds,
-        "infer_peak_mb": infer_usage.peak_mb,
     }
 
 
@@ -174,34 +165,16 @@ def _baseline_kwargs(name: str, profile: EvalProfile) -> Dict:
 
 
 def run_node_baseline(name: str, graph: Graph, profile: EvalProfile) -> Dict:
-    """Fit one Table III baseline and score nodes (with accounting)."""
+    """Fit one Table III baseline and score nodes."""
     detector_cls = NODE_BASELINES[name]
     kwargs = _baseline_kwargs(name, profile)
-    with measure() as train_usage:
-        detector = detector_cls(seed=profile.seed, **kwargs).fit(graph)
-    with measure() as infer_usage:
-        scores = detector.score_nodes(graph)
-    return {
-        "node_scores": scores,
-        "train_seconds": train_usage.seconds,
-        "train_peak_mb": train_usage.peak_mb,
-        "infer_seconds": infer_usage.seconds,
-        "infer_peak_mb": infer_usage.peak_mb,
-    }
+    detector = detector_cls(seed=profile.seed, **kwargs).fit(graph)
+    return {"node_scores": detector.score_nodes(graph)}
 
 
 def run_edge_baseline(name: str, graph: Graph, profile: EvalProfile) -> Dict:
-    """Fit one Table IV baseline and score edges (with accounting)."""
+    """Fit one Table IV baseline and score edges."""
     detector_cls = EDGE_BASELINES[name]
     kwargs = _baseline_kwargs(name, profile)
-    with measure() as train_usage:
-        detector = detector_cls(seed=profile.seed, **kwargs).fit(graph)
-    with measure() as infer_usage:
-        scores = detector.score_edges(graph)
-    return {
-        "edge_scores": scores,
-        "train_seconds": train_usage.seconds,
-        "train_peak_mb": train_usage.peak_mb,
-        "infer_seconds": infer_usage.seconds,
-        "infer_peak_mb": infer_usage.peak_mb,
-    }
+    detector = detector_cls(seed=profile.seed, **kwargs).fit(graph)
+    return {"edge_scores": detector.score_edges(graph)}

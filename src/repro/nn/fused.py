@@ -7,14 +7,14 @@ allocations.  None of that is needed at inference time.  This module
 compiles a model's weights into a float32 snapshot once and then runs
 the whole conv→activation→readout pipeline over the dense
 ``(B, S, S)`` graph-view stack both backends read
-(``S = subgraph_size + 2`` rows per target view), with every large
-graph-branch intermediate served from a preallocated per-shape
-workspace.  Each conv step is one batched ``np.matmul`` with ``out=``
-plus an in-place PReLU (:func:`_bmm_prelu`).  The ``unified`` target
-branch reads the ragged hypergraph views from their flat incidence
-arrays, padded per call into a ``(B, M, C)`` stack (M rows and C
-columns of the batch's largest view), and never builds the sparse
-operator the reference reads.
+(``S = subgraph_size + 2`` rows per target view).  Each conv step is
+two batched ``np.matmul`` calls plus an in-place PReLU (:func:`_prelu`).
+The ``unified`` target branch reads the ragged hypergraph views from
+their flat incidence arrays, padded into a ``(B, M, C)`` stack (M rows
+and C columns of the batch's largest view), and never builds the sparse
+operator the reference reads.  Every intermediate is allocated per
+call; the process's heap policy (:mod:`repro.utils.heap`) keeps freed
+blocks for the next forward to reuse.
 
 Accuracy contract: scores stay within ``1e-5`` relative tolerance of
 the float64 reference (``tests/test_backend.py`` sweeps it across batch
@@ -52,38 +52,6 @@ def _prelu(x, alpha, scratch):
     ``max(x, 0) + α·min(x, 0)``."""
     np.multiply(x, alpha, out=scratch)
     (np.maximum if alpha <= 1 else np.minimum)(x, scratch, out=x)
-
-
-def _bmm_prelu(ops, support, alpha, out, tmp):
-    """Fused step ``out = prelu(ops @ support)``: batched BLAS matmul
-    plus an in-place PReLU through the ``tmp`` scratch buffer."""
-    np.matmul(ops, support, out=out)
-    _prelu(out, alpha, tmp)
-
-
-class Workspace:
-    """Preallocated scratch buffers, keyed by ``(tag, shape)``.
-
-    Buffers are float32, reused verbatim across forward calls with the
-    same batch geometry (the steady state of every scoring loop), and
-    never zeroed — each user overwrites its buffer fully.  Anything
-    *returned* from a kernel must be a fresh array, never a workspace
-    buffer: callers hold score vectors across micro-batches.
-    """
-
-    def __init__(self):
-        self._buffers = {}
-
-    def get(self, tag, shape) -> np.ndarray:
-        key = (tag, shape)
-        buffer = self._buffers.get(key)
-        if buffer is None:
-            buffer = np.empty(shape, dtype=np.float32)
-            self._buffers[key] = buffer
-        return buffer
-
-    def __len__(self) -> int:
-        return len(self._buffers)
 
 
 def _conv_stack_spec(convs) -> List[Tuple[np.ndarray, float]]:
@@ -160,10 +128,9 @@ def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class FusedInferenceKernel:
-    """Per-model fused forward: compiled weights + shape-keyed workspace."""
+    """Per-model fused forward over a compiled float32 weight snapshot."""
 
     def __init__(self):
-        self.workspace = Workspace()
         self.compiled: Optional[CompiledModel] = None
         self.recompiles = 0
         self.fallbacks = 0
@@ -198,64 +165,41 @@ class FusedInferenceKernel:
             return self._forward_unified(compiled, gviews, hviews)
         return self._forward_node_only(compiled, gviews, mask_seed)
 
-    def _graph_operator(self, gviews: BatchedGraphViews) -> np.ndarray:
-        ops32 = self.workspace.get("graph_ops", gviews.operator.shape)
-        np.copyto(ops32, gviews.operator, casting="same_kind")
-        return ops32
-
-    def _graph_stack(
-        self, tag: str, spec, ops32: np.ndarray, feats: np.ndarray
-    ) -> np.ndarray:
-        """Run conv layers over the dense operator stack, in place."""
+    def _graph_stack(self, spec, ops32: np.ndarray, feats: np.ndarray) -> np.ndarray:
+        """Run conv layers over the dense operator stack."""
         current = feats
-        for index, (weight, alpha) in enumerate(spec):
-            shape = current.shape[:2] + (weight.shape[1],)
-            support = self.workspace.get((tag, "support", index), shape)
-            hidden = self.workspace.get((tag, "hidden", index), shape)
-            scratch = self.workspace.get((tag, "scratch", index), shape)
-            np.matmul(current, weight, out=support)
-            _bmm_prelu(ops32, support, np.float32(alpha), hidden, scratch)
-            current = hidden
+        for weight, alpha in spec:
+            support = current @ weight
+            current = ops32 @ support
+            _prelu(current, np.float32(alpha), support)
         return current
 
-    def _predictor(self, tag: str, spec, flat: np.ndarray) -> np.ndarray:
+    def _predictor(self, spec, flat: np.ndarray) -> np.ndarray:
         current = flat
-        for index, (kind, value, bias) in enumerate(spec):
+        for kind, value, bias in spec:
             if kind == "linear":
-                shape = (current.shape[0], value.shape[1])
-                out = self.workspace.get((tag, "mlp", index), shape)
-                np.matmul(current, value, out=out)
+                current = current @ value
                 if bias is not None:
-                    np.add(out, bias, out=out)
-                current = out
+                    np.add(current, bias, out=current)
             else:  # prelu
-                scratch = self.workspace.get((tag, "mlp_tmp", index), current.shape)
-                _prelu(current, np.float32(value), scratch)
+                _prelu(current, np.float32(value), np.empty_like(current))
         return current
 
     def _online_graph_branch(self, compiled, gviews, feats3):
-        """Conv stack + predictor over the view stack; returns
-        ``(h_t, h_p, h_s)`` readouts (views/workspace rows)."""
+        """Conv stack + predictor over the view stack; returns the
+        float32 operator stack and the ``(h_t, h_p, h_s)`` readouts."""
         batch, size, _ = feats3.shape
-        ops32 = self._graph_operator(gviews)
-        hidden = self._graph_stack("online", compiled.online_stack, ops32, feats3)
+        ops32 = gviews.operator.astype(np.float32)
+        hidden = self._graph_stack(compiled.online_stack, ops32, feats3)
         flat = hidden.reshape(batch * size, hidden.shape[2])
-        flat = self._predictor("online", compiled.online_mlp, flat)
+        flat = self._predictor(compiled.online_mlp, flat)
         h3 = flat.reshape(batch, size, flat.shape[1])
-        h_t = h3[:, size - 1]
-        h_p = h3[:, 0]
-        h_s = self.workspace.get("h_s", (batch, h3.shape[2]))
-        np.mean(h3[:, : size - 1], axis=1, out=h_s)
-        return ops32, h_t, h_p, h_s
+        return ops32, h3[:, size - 1], h3[:, 0], h3[:, : size - 1].mean(axis=1)
 
     def _features3(self, gviews: BatchedGraphViews) -> np.ndarray:
         batch, size = gviews.operator.shape[:2]
         dim = gviews.features.shape[1]
-        feats3 = self.workspace.get("graph_feats", (batch, size, dim))
-        np.copyto(
-            feats3, gviews.features.reshape(batch, size, dim), casting="same_kind"
-        )
-        return feats3
+        return gviews.features.reshape(batch, size, dim).astype(np.float32)
 
     def _hypergraph_branch(self, compiled, hviews):
         """Target-branch HGNN stack over the ragged hypergraph views,
@@ -266,9 +210,7 @@ class FusedInferenceKernel:
         so a layer propagates by two batched matmuls,
         ``weighted @ (scaledᵀ @ (x @ W))`` — the reference operator
         ``(Ŝ·D_e^{-1}) Ŝᵀ`` without forming it.  Padded rows and columns
-        hold zeros and stay zero through every layer.  The buffers'
-        shapes vary with every batch, so they are allocated per call
-        rather than kept in the workspace.
+        hold zeros and stay zero through every layer.
         """
         offsets = hviews.row_offsets
         batch = len(offsets) - 1
@@ -343,7 +285,7 @@ class FusedInferenceKernel:
 
     def _forward_node_only(self, compiled, gviews, mask_seed) -> BatchScores:
         feats3 = self._features3(gviews)
-        batch, size, dim = feats3.shape
+        _, size, dim = feats3.shape
         ops32, h_t, _, _ = self._online_graph_branch(compiled, gviews, feats3)
 
         # Γ1 forward mask — exactly the draws the reference consumes:
@@ -352,13 +294,11 @@ class FusedInferenceKernel:
         if keep is None:
             masked = feats3
         else:
-            masked = self.workspace.get("graph_feats_masked", feats3.shape)
-            np.multiply(feats3, keep[:, None, :], out=masked, casting="same_kind")
+            masked = feats3 * keep[:, None, :]
 
-        z3 = self._graph_stack("target", compiled.target_stack, ops32, masked)
+        z3 = self._graph_stack(compiled.target_stack, ops32, masked)
         patch_ctx = z3[:, 0]
-        subgraph_ctx = self.workspace.get("z_s", (batch, z3.shape[2]))
-        np.mean(z3[:, : size - 1], axis=1, out=subgraph_ctx)
+        subgraph_ctx = z3[:, : size - 1].mean(axis=1)
 
         node_scores = (
             (compiled.alpha + compiled.beta)
@@ -376,9 +316,9 @@ class FusedInferenceKernel:
 class FusedBackend(TensorBackend):
     """Inference backend running the fused float32 kernels.
 
-    Kernels (compiled weights + workspaces) are cached per model in a
-    weak dictionary, so hot-swapping models never leaks workspaces and
-    an optimizer/EMA step transparently triggers recompilation.
+    Kernels (compiled weights) are cached per model in a weak
+    dictionary, so hot-swapping models never leaks a snapshot and an
+    optimizer/EMA step transparently triggers recompilation.
     """
 
     name = "fused"

@@ -144,8 +144,9 @@ class TestFusedEquivalence:
         assert_close(reference.edge_scores, fast.edge_scores)
 
     def test_workspace_reuse_does_not_corrupt_held_scores(self, graph):
-        """Scores returned for one micro-batch must survive later
-        micro-batches reusing the kernel workspace (fresh-array rule)."""
+        """Scores returned for one micro-batch must survive the kernel's
+        later micro-batches: no forward writes into an array it
+        returned earlier."""
         model = Bourne(graph.num_features, tiny_config())
         small = score_graph(model, graph, batch_size=7, backend="fused")
         large = score_graph(model, graph, batch_size=64, backend="fused")
