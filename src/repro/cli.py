@@ -286,8 +286,14 @@ def _cmd_serve(args) -> int:
             raise SystemExit(f"--listen expects HOST:PORT, got {args.listen!r}")
         port = int(port)
 
-    service = registry = model_version = None
+    # Files load before the service build: a missing or malformed one
+    # ends serve with one line, before the ready line.
+    service = registry = model_version = settings = None
     try:
+        if args.autotrain:
+            from .lifecycle import load_settings
+
+            settings = load_settings(args.autotrain)
         tenants = load_tenant_specs(args.tenants) if args.tenants else None
         if args.model or args.registry:
             service, registry, model_version = build_tenant_service(TenantSpec(
@@ -297,14 +303,13 @@ def _cmd_serve(args) -> int:
                 model_version=args.model_version, backend=args.backend,
                 compact_threshold=(None if args.compact_threshold < 0
                                    else args.compact_threshold)))
-    except ValueError as error:
+    except (OSError, ValueError) as error:
         raise SystemExit(str(error))
 
     lifecycle = lifecycle_interval = None
-    if args.autotrain:
-        from .lifecycle import LifecycleController, load_settings
+    if settings is not None:
+        from .lifecycle import LifecycleController
 
-        settings = load_settings(args.autotrain)
         lifecycle = LifecycleController.from_settings(
             service, registry, args.name, settings,
             workers=(settings.workers if settings.workers is not None

@@ -1,6 +1,6 @@
 """Evaluation harness: profiles, runners, profiling, reporting."""
 
-from ..obs.profiling import ResourceUsage, measure, profile_call
+from ..obs.profiling import ResourceUsage, measure
 from .paper_reference import (
     APPENDIX_NO_PERTURBATION,
     HEADLINE_CLAIMS,
@@ -39,7 +39,6 @@ __all__ = [
     "run_edge_baseline",
     "ResourceUsage",
     "measure",
-    "profile_call",
     "format_table",
     "format_series",
     "write_csv",

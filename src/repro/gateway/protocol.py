@@ -17,10 +17,10 @@ A request is a JSON object with an ``op`` field::
     {"op": "stats"}
 
 Node ids, edge endpoints, versions and worker counts must be JSON
-integers (:func:`request_int`).  Responses echo ``op`` (and ``id`` when
-the request carried one, so pipelining clients can correlate) and set
-``ok``.  Errors come back as ``{"ok": false, "error": ...,
-"error_type": ..., "code": ...}`` — the same envelope on every
+integers (:func:`~repro.utils.validation.check_int`).  Responses echo
+``op`` (and ``id`` when the request carried one, so pipelining clients
+can correlate) and set ``ok``.  Errors come back as ``{"ok": false,
+"error": ..., "error_type": ..., "code": ...}`` — the same envelope on every
 transport (``code`` doubles as the HTTP status when the request arrived
 over the HTTP adapter) — and a bad request must never take a server
 down, whichever transport delivered it.
@@ -35,6 +35,7 @@ from typing import Optional
 import numpy as np
 
 from ..obs import trace as obs_trace
+from ..utils.validation import check_int
 
 #: Exception types a request handler converts into an error response.
 #: RuntimeError/OSError cover sharded-refresh failures (worker crash,
@@ -114,18 +115,6 @@ def attach_request_id(response: dict, request) -> dict:
     return response
 
 
-def request_int(value, field: str) -> int:
-    """``value`` of request field ``field`` as an integer.
-
-    A JSON bool, float or string is a ``ValueError`` (a 400 envelope):
-    ``int()`` would silently turn ``2.7`` into node 2 and ``true`` into
-    node 1.
-    """
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return value
-
-
 def dispatch_request(service, request: dict,
                      refresh_workers: Optional[int] = None) -> dict:
     """Run one store, refresh, compact or stats request against a
@@ -154,7 +143,7 @@ def _request_workers(value) -> int:
     unbounded value would let one request fork without limit.
     """
     limit = os.cpu_count() or 1
-    if not 1 <= request_int(value, "refresh workers") <= limit:
+    if not 1 <= check_int(value, "refresh workers") <= limit:
         raise ValueError(
             f"refresh workers must be an integer from 1 to {limit}, "
             f"got {value!r}")
@@ -170,13 +159,13 @@ def _dispatch_op(service, request: dict, op,
         return {"ok": True, "op": op, "node": int(node),
                 "version": store.version}
     if op == "add_edge":
-        added = store.add_edge(request_int(request["u"], "u"),
-                               request_int(request["v"], "v"))
+        added = store.add_edge(check_int(request["u"], "u"),
+                               check_int(request["v"], "v"))
         return {"ok": True, "op": op, "added": bool(added),
                 "version": store.version}
     if op == "update_features":
         features = np.asarray(request["features"], dtype=np.float64)
-        store.update_features([request_int(request["node"], "node")],
+        store.update_features([check_int(request["node"], "node")],
                               features.reshape(1, -1))
         return {"ok": True, "op": op, "version": store.version}
     if op == "refresh":

@@ -46,8 +46,9 @@ from ..obs.metrics import MetricsRegistry
 from ..parallel.engine import ScoreTask, WorkerPool, score_task
 from ..serving.service import edge_mean_from_evidence
 from ..utils.logging import get_logger, log_event
+from ..utils.validation import check_int
 from .batcher import MicroBatcher
-from .protocol import dispatch_request, request_int
+from .protocol import dispatch_request
 
 LOGGER = get_logger("repro.gateway", json_format=True)
 
@@ -406,12 +407,12 @@ class TenantSpec:
                 "path) or 'registry' (registry root) is required")
         # JSON integers only: int() would turn replicas 2.5 into 2.
         prefix = f"tenant {self.name!r}: "
-        request_int(self.seed, prefix + "seed")
+        check_int(self.seed, prefix + "seed")
         if self.model_version is not None:
-            request_int(self.model_version, prefix + "model_version")
+            check_int(self.model_version, prefix + "model_version")
         for field, value in (("replicas", self.replicas),
                              ("rounds", self.rounds)):
-            if value is not None and request_int(value, prefix + field) < 1:
+            if value is not None and check_int(value, prefix + field) < 1:
                 raise ValueError(f"{prefix}{field} must be >= 1")
         if (isinstance(self.scale, bool)
                 or not isinstance(self.scale, (int, float))
@@ -447,7 +448,10 @@ def load_tenant_specs(path: str) -> List[TenantSpec]:
     import json
 
     with open(path) as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except ValueError as error:
+            raise ValueError(f"{path}: {error}") from error
     if isinstance(payload, dict):
         payload = payload.get("tenants")
     if not isinstance(payload, list):

@@ -51,6 +51,7 @@ from ..obs import trace as obs_trace
 from ..obs.metrics import LATENCY_BUCKETS, MetricsRegistry
 from ..obs.trace import FlightRecorder, span_tree
 from ..utils.logging import get_logger, log_event
+from ..utils.validation import check_int
 from .admission import DRAINING, AdmissionController
 from .protocol import (
     REQUEST_ERRORS,
@@ -59,7 +60,6 @@ from .protocol import (
     error_response,
     parse_request,
     rejection_response,
-    request_int,
     transport_error,
 )
 from .router import (
@@ -550,7 +550,7 @@ class Gateway:
             nodes = request["nodes"]
             if not isinstance(nodes, list):
                 raise ValueError(f"nodes must be a JSON list, got {nodes!r}")
-            nodes = [request_int(node, "each node id") for node in nodes]
+            nodes = [check_int(node, "each node id") for node in nodes]
             scores = await asyncio.gather(
                 *(endpoint.score_node(n) for n in nodes),
                 return_exceptions=True)
@@ -561,14 +561,14 @@ class Gateway:
                     "scores": {str(n): float(s)
                                for n, s in zip(nodes, scores)}}
         if op == "score_edge":
-            u = request_int(request["u"], "u")
-            v = request_int(request["v"], "v")
+            u = check_int(request["u"], "u")
+            v = check_int(request["v"], "v")
             score = await endpoint.score_edge(u, v)
             return {"ok": True, "op": op, "u": u, "v": v, "score": score}
         if op == "reload":
             version = request.get("version")
             return await self.reload(
-                None if version is None else request_int(version, "version"),
+                None if version is None else check_int(version, "version"),
                 endpoint=endpoint)
         # Mutations / stats / refresh run serialized on the endpoint's
         # scoring thread, FIFO with forward batches (replica pools add

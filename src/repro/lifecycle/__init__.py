@@ -1,21 +1,32 @@
-"""Continual-learning lifecycle: drift-triggered retraining, candidate
-validation, zero-downtime publish, and automatic rollback.
+"""Continual-learning lifecycle: drift-triggered retraining, one
+verdict on whether a model is fit to serve, zero-downtime publish, and
+automatic rollback.
 
 The controller (:class:`LifecycleController`) watches a live
 :class:`~repro.serving.store.GraphStore`'s drift/churn counters,
-retrains in a background process on snapshots, validates candidates
-against the live model, publishes accepted ones to the
+retrains in a background process on snapshots, and judges each model
+with one verdict (:func:`judge_scores`: finite, not collapsed, probe
+AUC and an optional score-shift limit against the last known-good
+model).  It publishes accepted candidates to the
 :class:`~repro.serving.registry.ModelRegistry` (the gateway watcher
-hot-swaps them), and rolls back automatically when a swapped model
-regresses past the guardrail.
+hot-swaps them) and, when a served version it did not produce fails
+the same verdict under the guardrail thresholds, rolls back.
+
+A rollback re-publishes the known-good version as a new registry
+version instead of deleting the bad one, so registry history stays
+append-only: the manifest records what was restored and why, and an
+audit reads the whole story from ``registry.describe(name)``.
 """
 
 from .controller import LifecycleController
-from .policy import (LifecycleSettings, TriggerPolicy, TriggerState,
-                     load_settings, parse_settings)
-from .rollback import GuardReport, evaluate_guardrail, republish_version
-from .validate import (ValidationReport, probe_nodes, probe_scores,
-                       validate_candidate)
+from .policy import (
+    LifecycleSettings,
+    TriggerPolicy,
+    TriggerState,
+    load_settings,
+    parse_settings,
+)
+from .validate import Verdict, judge_scores, probe_nodes, probe_scores
 
 __all__ = [
     "LifecycleController",
@@ -24,11 +35,8 @@ __all__ = [
     "TriggerState",
     "load_settings",
     "parse_settings",
-    "GuardReport",
-    "evaluate_guardrail",
-    "republish_version",
-    "ValidationReport",
+    "Verdict",
+    "judge_scores",
     "probe_nodes",
     "probe_scores",
-    "validate_candidate",
 ]

@@ -15,19 +15,27 @@ hot-swap watcher:
   training.  The retrain is
   ``train_bourne(snapshot, config)`` with the served model's config: a
   pure function of ``(snapshot, seed, epochs)``, bitwise-identical to
-  the same offline call — sharding included.
-* **Validate** — the candidate must pass
-  :func:`~repro.lifecycle.validate.validate_candidate` (score sanity +
-  probe AUC vs the reference model) before anything is published; the
-  verdict is recorded in the registry metadata either way.
+  the same offline call — sharding included.  The trained model comes
+  back through the pool's result channel; no file is written.
+* **Validate** — the candidate must pass the one verdict
+  (:func:`~repro.lifecycle.validate.judge_scores`) against the last
+  known-good model on the training snapshot, within ``auc_margin``,
+  before anything is published; the verdict is recorded in the
+  registry metadata.
 * **Publish / swap** — accepted candidates go to the
   :class:`~repro.serving.registry.ModelRegistry`; the gateway's
   registry watcher performs the zero-downtime swap.
 * **Guard / rollback** — when the served version changes to one the
-  controller has not blessed, the guardrail
-  (:func:`~repro.lifecycle.rollback.evaluate_guardrail`) probes it
-  against the last known-good version on a fresh snapshot and
-  automatically re-publishes the good version on regression.
+  controller has not blessed (an operator publish, a broken offline
+  training job), the same verdict with the ``guard_*`` thresholds
+  probes it against the last known-good version on a fresh snapshot.
+  On regression the controller re-publishes the good version as a
+  **new** registry version, and the watcher swaps back through the
+  same zero-downtime path a promotion uses.  Re-publishing, rather
+  than deleting the bad version, keeps registry history append-only:
+  the manifest records the rollback with metadata pointing at what it
+  restored and why, so an audit reads the whole story from
+  ``registry.describe(name)``.
 
 Threading model: :meth:`tick` (and the manual ``force_*`` entry
 points) are serialized by an internal lock, so the gateway can run
@@ -40,9 +48,6 @@ timestamps collected across ticks.
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -50,13 +55,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..core.persistence import load_model, save_model
 from ..core.trainer import train_bourne
 from ..obs import trace as obs_trace
 from ..parallel.engine import WorkerPool
 from .policy import LifecycleSettings, TriggerPolicy, TriggerState
-from .rollback import evaluate_guardrail, republish_version
-from .validate import probe_nodes, probe_scores, validate_candidate
+from .validate import Verdict, judge_scores, probe_nodes, probe_scores
 
 
 def _retrain_task(payload: dict) -> dict:
@@ -65,17 +68,17 @@ def _retrain_task(payload: dict) -> dict:
     ``train_bourne`` builds a new model from the config's seed and
     every stream it consumes is counter-based, so the result is a pure
     function of ``(snapshot, config, epochs, grain)`` — workers change
-    wall-clock, never a bit.  The trained checkpoint is saved
-    to ``out_path`` (atomically consumed by the parent) instead of
-    being pickled back through the future.
+    wall-clock, never a bit.  The model travels back pickled in the
+    task's result.
     """
-    started = time.perf_counter()
     model, history = train_bourne(
-        payload["graph"], payload["config"], epochs=payload["epochs"],
-        workers=payload["workers"], grain=payload["grain"])
-    save_model(model, payload["out_path"])
-    return {"path": payload["out_path"], "losses": list(history.losses),
-            "duration": time.perf_counter() - started}
+        payload["graph"],
+        payload["config"],
+        epochs=payload["epochs"],
+        workers=payload["workers"],
+        grain=payload["grain"],
+    )
+    return {"model": model, "losses": list(history.losses)}
 
 
 class LifecycleController:
@@ -108,21 +111,27 @@ class LifecycleController:
         which standalone single-threaded use permits).
     """
 
-    def __init__(self, service, registry, model_name: str,
-                 policy: Optional[TriggerPolicy] = None, *,
-                 epochs: Optional[int] = None,
-                 workers: Optional[int] = None,
-                 grain: Optional[int] = None,
-                 probe_size: int = 32,
-                 probe_seed: int = 101,
-                 auc_margin: float = 0.05,
-                 min_score_std: float = 1e-12,
-                 guard_auc_drop: float = 0.15,
-                 guard_score_shift: Optional[float] = None,
-                 served_version_fn: Optional[Callable[[], Optional[int]]] = None,
-                 snapshot_fn: Optional[Callable[[], object]] = None,
-                 signal_fn: Optional[Callable[[], tuple]] = None,
-                 clock: Callable[[], float] = time.monotonic):
+    def __init__(
+        self,
+        service,
+        registry,
+        model_name: str,
+        policy: Optional[TriggerPolicy] = None,
+        *,
+        epochs: Optional[int] = None,
+        workers: Optional[int] = None,
+        grain: Optional[int] = None,
+        probe_size: int = 32,
+        probe_seed: int = 101,
+        auc_margin: float = 0.05,
+        min_score_std: float = 1e-12,
+        guard_auc_drop: float = 0.15,
+        guard_score_shift: Optional[float] = None,
+        served_version_fn: Optional[Callable[[], Optional[int]]] = None,
+        snapshot_fn: Optional[Callable[[], object]] = None,
+        signal_fn: Optional[Callable[[], tuple]] = None,
+        clock: Callable[[], float] = time.monotonic,
+    ):
         self.service = service
         self.registry = registry
         self.model_name = model_name
@@ -138,17 +147,17 @@ class LifecycleController:
         self.guard_auc_drop = float(guard_auc_drop)
         self.guard_score_shift = guard_score_shift
         self.clock = clock
-        # Scoring knobs mirrored from the service so validation probes
+        # Scoring knobs mirrored from the service so verdict probes
         # replay the exact streams production scoring would.
         self.score_seed = int(service.seed)
         self.rounds = int(service.rounds)
         self.max_batch = int(service.max_batch)
 
         self.served_version_fn = served_version_fn
-        self.snapshot_fn = snapshot_fn if snapshot_fn is not None \
-            else service.store.snapshot
-        self.signal_fn = signal_fn if signal_fn is not None \
-            else self._read_signal
+        self.snapshot_fn = (
+            snapshot_fn if snapshot_fn is not None else service.store.snapshot
+        )
+        self.signal_fn = signal_fn if signal_fn is not None else self._read_signal
 
         self._lock = threading.RLock()
         self._trigger_state = TriggerState()
@@ -158,8 +167,6 @@ class LifecycleController:
         self._launcher: Optional[ThreadPoolExecutor] = None
         self._future: Optional[Future] = None
         self._cycle: Optional[dict] = None
-        self._cycle_count = 0
-        self._workdir: Optional[str] = None
         self._fallback_model = service.model
 
         # Last version the controller considers healthy, and the one
@@ -169,8 +176,9 @@ class LifecycleController:
         # Versions the guardrail need not examine: everything this
         # controller produced, examined, or rolled back to.  A served
         # version outside this set is unknown — probe it.
-        self._blessed = ({self._good_version}
-                         if self._good_version is not None else set())
+        self._blessed = (
+            {self._good_version} if self._good_version is not None else set()
+        )
 
         baseline_drift, baseline_mutations = self.signal_fn()
         self._baseline_drift = baseline_drift
@@ -193,8 +201,10 @@ class LifecycleController:
     # ------------------------------------------------------------------
     def _read_signal(self) -> tuple:
         store = self.service.store
-        return (float(getattr(store, "drift_total", 0.0)),
-                int(getattr(store, "mutations", 0)))
+        return (
+            float(getattr(store, "drift_total", 0.0)),
+            int(getattr(store, "mutations", 0)),
+        )
 
     def _registry_latest(self) -> Optional[int]:
         if self.registry is None or self.model_name is None:
@@ -234,9 +244,12 @@ class LifecycleController:
 
     def _maybe_trigger(self, now: float) -> None:
         drift, mutations = self.signal_fn()
-        reason = self.policy.evaluate(drift - self._baseline_drift,
-                                      mutations - self._baseline_mutations,
-                                      now, self._trigger_state)
+        reason = self.policy.evaluate(
+            drift - self._baseline_drift,
+            mutations - self._baseline_mutations,
+            now,
+            self._trigger_state,
+        )
         if reason is not None:
             self._launch_retrain(reason)
 
@@ -247,8 +260,7 @@ class LifecycleController:
             if self._closed:
                 raise RuntimeError("lifecycle controller is closed")
             if self._future is not None:
-                return {"triggered": False,
-                        "reason": "retrain already in flight"}
+                return {"triggered": False, "reason": "retrain already in flight"}
             self._trigger_state.last_trigger = self.clock()
             self._launch_retrain(reason)
             return {"triggered": True, "reason": reason}
@@ -259,22 +271,19 @@ class LifecycleController:
         drift, mutations = self.signal_fn()
         self._baseline_drift = drift
         self._baseline_mutations = mutations
-        self._cycle_count += 1
-        out_path = os.path.join(self._ensure_workdir(),
-                                f"candidate-{self._cycle_count:04d}.npz")
         payload = {
             "graph": snapshot,
             "config": self.train_config,
             "epochs": self.epochs,
             "workers": self.workers,
             "grain": self.grain,
-            "out_path": out_path,
         }
         self.start()
         # WorkerPool.run, unlike submit, reruns a retrain lost with a
         # worker that died before it: the launcher thread waits on it.
         self._future = self._launcher.submit(
-            self._retrainer.run, _retrain_task, [payload], "retrain")
+            self._retrainer.run, _retrain_task, [payload], "retrain"
+        )
         self.triggers += 1
         self._cycle = {
             "reason": reason,
@@ -290,8 +299,7 @@ class LifecycleController:
         self._future = None
         self._cycle = None
         self._trigger_state.cooldown_until = now + self.policy.cooldown_s
-        cycle["retrain_duration"] = (time.perf_counter()
-                                     - cycle["retrain_start"])
+        cycle["retrain_duration"] = time.perf_counter() - cycle["retrain_start"]
         try:
             (result,) = future.result()
         except Exception as error:
@@ -300,38 +308,28 @@ class LifecycleController:
             self._emit_cycle_trace(cycle, status="retrain_failed")
             return
         self.retrains_completed += 1
-        cycle["losses"] = result["losses"]
-        candidate = load_model(result["path"])
-        try:
-            os.unlink(result["path"])
-        except OSError:
-            pass
+        candidate, losses = result["model"], result["losses"]
 
         validate_start = time.perf_counter()
-        snapshot = cycle["snapshot"]
-        probe = probe_nodes(snapshot, self.probe_size, self.probe_seed)
         reference = self._reference_model()
-        report = validate_candidate(
-            candidate, reference, snapshot, probe,
-            seed=self.score_seed, rounds=self.rounds,
-            max_batch=self.max_batch, auc_margin=self.auc_margin,
-            min_score_std=self.min_score_std)
+        verdict = self._judge(candidate, reference, cycle["snapshot"], self.auc_margin)
         cycle["validate_duration"] = time.perf_counter() - validate_start
-        self.last_verdict = report.describe()
-        if not report.accepted:
+        self.last_verdict = verdict.describe()
+        if not verdict.accepted:
             self.validations_rejected += 1
             self._emit_cycle_trace(cycle, status="rejected")
             return
 
         self.validations_accepted += 1
         swap_start = time.perf_counter()
-        version = self.registry.publish(candidate, self.model_name, metadata={
+        metadata = {
             "lifecycle": {
                 "reason": cycle["reason"],
-                "final_loss": (result["losses"][-1]
-                               if result["losses"] else None),
-                "validation": report.describe(),
-            }})
+                "final_loss": losses[-1] if losses else None,
+                "validation": verdict.describe(),
+            }
+        }
+        version = self.registry.publish(candidate, self.model_name, metadata=metadata)
         cycle["swap_duration"] = time.perf_counter() - swap_start
         self._previous_good = self._good_version
         self._good_version = version
@@ -350,6 +348,30 @@ class LifecycleController:
                 pass
         return self._fallback_model
 
+    def _judge(
+        self, model, reference, snapshot, max_auc_drop, score_shift=None
+    ) -> Verdict:
+        """The one verdict on ``model`` against ``reference``, probed on
+        ``snapshot``.  The reference is scored only when a check reads
+        its scores: the probe labels carry both classes, or a shift
+        limit is set."""
+        probe = probe_nodes(snapshot, self.probe_size, self.probe_seed)
+        labels = snapshot.node_labels[probe]
+        if np.unique(labels).size < 2:
+            labels = None  # ROC-AUC is undefined on one class
+        knobs = dict(seed=self.score_seed, rounds=self.rounds, max_batch=self.max_batch)
+        reference_scores = None
+        if labels is not None or score_shift is not None:
+            reference_scores = probe_scores(reference, snapshot, probe, **knobs)
+        return judge_scores(
+            probe_scores(model, snapshot, probe, **knobs),
+            reference_scores,
+            labels,
+            max_auc_drop=max_auc_drop,
+            score_shift=score_shift,
+            min_score_std=self.min_score_std,
+        )
+
     # ------------------------------------------------------------------
     # Guardrail / rollback
     # ------------------------------------------------------------------
@@ -367,53 +389,67 @@ class LifecycleController:
         self.guard_checks += 1
         try:
             snapshot = self.snapshot_fn()
-            probe = probe_nodes(snapshot, self.probe_size, self.probe_seed)
-            served_model = self.registry.load(self.model_name, served)
-            good_model = self.registry.load(self.model_name,
-                                            self._good_version)
-            served_scores = probe_scores(
-                served_model, snapshot, probe, seed=self.score_seed,
-                rounds=self.rounds, max_batch=self.max_batch)
-            good_scores = probe_scores(
-                good_model, snapshot, probe, seed=self.score_seed,
-                rounds=self.rounds, max_batch=self.max_batch)
-            labels = np.asarray(snapshot.node_labels)[probe] \
-                if getattr(snapshot, "node_labels", None) is not None else None
-            report = evaluate_guardrail(
-                served_scores, good_scores, labels,
-                auc_drop=self.guard_auc_drop,
-                score_shift=self.guard_score_shift,
-                min_score_std=self.min_score_std)
+            verdict = self._judge(
+                self.registry.load(self.model_name, served),
+                self.registry.load(self.model_name, self._good_version),
+                snapshot,
+                self.guard_auc_drop,
+                self.guard_score_shift,
+            )
         except Exception as error:
             self.last_error = f"guard check of v{served} failed: {error}"
             return
-        self.last_guard = {"version": served, **report.describe()}
-        if report.regressed:
-            self._rollback_to(self._good_version, report.reason,
-                              bad_version=served, guard_start=t0)
+        self.last_guard = {
+            "version": served,
+            "regressed": not verdict.accepted,
+            "reason": verdict.reason,
+            "checks": verdict.checks,
+        }
+        if not verdict.accepted:
+            self._rollback_to(
+                self._good_version, verdict.reason, bad_version=served, guard_start=t0
+            )
         else:
             # The new version is healthy: it becomes the good version.
             self._previous_good = self._good_version
             self._good_version = served
 
-    def _rollback_to(self, version: int, reason: str, *,
-                     bad_version: Optional[int] = None,
-                     guard_start: Optional[float] = None) -> int:
+    def _rollback_to(
+        self,
+        version: int,
+        reason: str,
+        *,
+        bad_version: Optional[int] = None,
+        guard_start: Optional[float] = None,
+    ) -> int:
+        """Re-publish registry ``version`` as a new version, which the
+        gateway's watcher hot-swaps on its next poll: rollback and
+        promotion share one mechanism.  Returns the new version."""
         t0 = guard_start if guard_start is not None else time.perf_counter()
-        extra = {"replaces": bad_version} if bad_version is not None else None
-        new_version = republish_version(self.registry, self.model_name,
-                                        version, reason,
-                                        extra_metadata=extra)
+        metadata = {"rollback": True, "restores": int(version), "reason": reason}
+        if bad_version is not None:
+            metadata["replaces"] = bad_version
+        model = self.registry.load(self.model_name, version)
+        new_version = self.registry.publish(model, self.model_name, metadata=metadata)
         self.rollbacks += 1
         self._previous_good = self._good_version
         self._good_version = new_version
         self._blessed.add(new_version)
         with obs_trace.trace("lifecycle.rollback") as root:
-            root.set(restores=version, version=new_version,
-                     bad_version=bad_version, reason=reason)
-            obs_trace.record_span(root, "lifecycle.swap", t0,
-                                  time.perf_counter() - t0,
-                                  version=new_version, restores=version)
+            root.set(
+                restores=version,
+                version=new_version,
+                bad_version=bad_version,
+                reason=reason,
+            )
+            obs_trace.record_span(
+                root,
+                "lifecycle.swap",
+                t0,
+                time.perf_counter() - t0,
+                version=new_version,
+                restores=version,
+            )
         return new_version
 
     def rollback(self, reason: str = "manual rollback") -> dict:
@@ -424,12 +460,12 @@ class LifecycleController:
             if self._previous_good is None:
                 raise ValueError(
                     "no previous version to roll back to (need at least two "
-                    "healthy versions in the registry history)")
+                    "healthy versions in the registry history)"
+                )
             restore = self._previous_good
             bad = self._good_version
             version = self._rollback_to(restore, reason, bad_version=bad)
-            return {"rolled_back": True, "restored": restore,
-                    "version": version}
+            return {"rolled_back": True, "restored": restore, "version": version}
 
     # ------------------------------------------------------------------
     # Pause / resume / status
@@ -481,8 +517,7 @@ class LifecycleController:
                     "drift_total": drift,
                     "mutations": mutations,
                     "drift_since_baseline": drift - self._baseline_drift,
-                    "mutations_since_baseline":
-                        mutations - self._baseline_mutations,
+                    "mutations_since_baseline": mutations - self._baseline_mutations,
                 },
                 "good_version": self._good_version,
                 "previous_good_version": self._previous_good,
@@ -518,30 +553,45 @@ class LifecycleController:
         """One ``lifecycle.cycle`` trace per completed cycle, stitched
         from the per-stage timestamps collected across ticks."""
         with obs_trace.trace("lifecycle.cycle") as root:
-            root.set(reason=cycle["reason"], status=status,
-                     version=cycle.get("version"))
-            obs_trace.record_span(root, "lifecycle.trigger",
-                                  cycle["trigger_start"],
-                                  cycle["trigger_duration"],
-                                  reason=cycle["reason"])
-            obs_trace.record_span(root, "lifecycle.retrain",
-                                  cycle["retrain_start"],
-                                  cycle["retrain_duration"],
-                                  epochs=self.epochs,
-                                  workers=self.workers)
+            root.set(
+                reason=cycle["reason"], status=status, version=cycle.get("version")
+            )
+            obs_trace.record_span(
+                root,
+                "lifecycle.trigger",
+                cycle["trigger_start"],
+                cycle["trigger_duration"],
+                reason=cycle["reason"],
+            )
+            obs_trace.record_span(
+                root,
+                "lifecycle.retrain",
+                cycle["retrain_start"],
+                cycle["retrain_duration"],
+                epochs=self.epochs,
+                workers=self.workers,
+            )
             if "validate_duration" in cycle:
                 obs_trace.record_span(
-                    root, "lifecycle.validate",
+                    root,
+                    "lifecycle.validate",
                     cycle["retrain_start"] + cycle["retrain_duration"],
                     cycle["validate_duration"],
-                    accepted=status == "published")
+                    accepted=status == "published",
+                )
             if "swap_duration" in cycle:
-                swap_start = (cycle["retrain_start"]
-                              + cycle["retrain_duration"]
-                              + cycle["validate_duration"])
-                obs_trace.record_span(root, "lifecycle.swap", swap_start,
-                                      cycle["swap_duration"],
-                                      version=cycle.get("version"))
+                swap_start = (
+                    cycle["retrain_start"]
+                    + cycle["retrain_duration"]
+                    + cycle["validate_duration"]
+                )
+                obs_trace.record_span(
+                    root,
+                    "lifecycle.swap",
+                    swap_start,
+                    cycle["swap_duration"],
+                    version=cycle.get("version"),
+                )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -556,15 +606,11 @@ class LifecycleController:
                 self._retrainer = WorkerPool(1)
                 self._retrainer.run(abs, [0])
                 self._launcher = ThreadPoolExecutor(
-                    1, thread_name_prefix="lifecycle-retrain")
-
-    def _ensure_workdir(self) -> str:
-        if self._workdir is None:
-            self._workdir = tempfile.mkdtemp(prefix="repro-lifecycle-")
-        return self._workdir
+                    1, thread_name_prefix="lifecycle-retrain"
+                )
 
     def close(self, wait: bool = True) -> None:
-        """Shut the retrain worker down and drop temp state.
+        """Shut the retrain worker down.
 
         ``wait=False`` abandons a retrain in flight instead of waiting
         for it (the gateway's shutdown path)."""
@@ -577,9 +623,6 @@ class LifecycleController:
         if retrainer is not None:
             retrainer.close(wait=wait)
             launcher.shutdown(wait=wait)
-        if self._workdir is not None:
-            shutil.rmtree(self._workdir, ignore_errors=True)
-            self._workdir = None
 
     def __enter__(self) -> "LifecycleController":
         return self
@@ -588,9 +631,14 @@ class LifecycleController:
         self.close()
 
     @classmethod
-    def from_settings(cls, service, registry, model_name: str,
-                      settings: LifecycleSettings,
-                      **overrides) -> "LifecycleController":
+    def from_settings(
+        cls,
+        service,
+        registry,
+        model_name: str,
+        settings: LifecycleSettings,
+        **overrides,
+    ) -> "LifecycleController":
         """Build a controller from a parsed ``--autotrain`` policy file."""
         kwargs = dict(
             policy=settings.policy,

@@ -10,8 +10,10 @@ unit-testable with a fake clock.
 
 :class:`LifecycleSettings` is the JSON-file surface of the whole
 controller (``serve --autotrain policy.json``): the trigger policy
-plus retrain/validation/guardrail knobs, parsed strictly — unknown
-keys raise, so a typo cannot silently disable a threshold.
+plus retrain/verdict knobs, parsed strictly — unknown keys raise, so a
+typo cannot silently disable a threshold, and so do values of the wrong
+type or range, so a bad value fails at load and not in the retrain
+worker.
 """
 
 from __future__ import annotations
@@ -20,6 +22,20 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Optional
+
+from ..utils.validation import check_int
+
+
+def _check(value, name: str, minimum=0, *, integer: bool = False) -> None:
+    """Reject ``value`` unless it is a number ``>= minimum``: a JSON
+    integer when ``integer`` (:func:`check_int`'s rule), else an int or
+    float but not a bool.  NaN fails the bound."""
+    if integer:
+        check_int(value, name)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not value >= minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -42,17 +58,17 @@ class TriggerPolicy:
     cooldown_s: float = 0.0
 
     def __post_init__(self):
-        if self.drift_threshold is not None and self.drift_threshold < 0:
-            raise ValueError("drift_threshold must be >= 0")
-        if self.mutation_threshold is not None and self.mutation_threshold < 0:
-            raise ValueError("mutation_threshold must be >= 0")
-        if self.debounce_checks < 1:
-            raise ValueError("debounce_checks must be >= 1")
-        if self.min_interval_s < 0 or self.cooldown_s < 0:
-            raise ValueError("intervals must be >= 0")
+        if self.drift_threshold is not None:
+            _check(self.drift_threshold, "drift_threshold")
+        if self.mutation_threshold is not None:
+            _check(self.mutation_threshold, "mutation_threshold", integer=True)
+        _check(self.debounce_checks, "debounce_checks", 1, integer=True)
+        _check(self.min_interval_s, "min_interval_s")
+        _check(self.cooldown_s, "cooldown_s")
 
-    def evaluate(self, drift: float, mutations: int, now: float,
-                 state: "TriggerState") -> Optional[str]:
+    def evaluate(
+        self, drift: float, mutations: int, now: float, state: "TriggerState"
+    ) -> Optional[str]:
         """One policy check; returns a trigger reason or ``None``.
 
         Mutates ``state``: over-threshold checks advance the debounce
@@ -60,11 +76,9 @@ class TriggerPolicy:
         ``last_trigger`` and resets the counter.
         """
         over = []
-        if (self.drift_threshold is not None
-                and drift >= self.drift_threshold):
+        if self.drift_threshold is not None and drift >= self.drift_threshold:
             over.append(f"drift {drift:.4g} >= {self.drift_threshold:.4g}")
-        if (self.mutation_threshold is not None
-                and mutations >= self.mutation_threshold):
+        if self.mutation_threshold is not None and mutations >= self.mutation_threshold:
             over.append(f"mutations {mutations} >= {self.mutation_threshold}")
         if not over:
             state.consecutive_over = 0
@@ -74,8 +88,10 @@ class TriggerPolicy:
             return None
         if now < state.cooldown_until:
             return None
-        if (state.last_trigger is not None
-                and now - state.last_trigger < self.min_interval_s):
+        if (
+            state.last_trigger is not None
+            and now - state.last_trigger < self.min_interval_s
+        ):
             return None
         state.consecutive_over = 0
         state.last_trigger = now
@@ -100,10 +116,12 @@ class LifecycleSettings:
 
     ``epochs``/``workers``/``grain`` size the background retrain
     (``None`` defers to the model config / serial training; a sharded
-    retrain splits each step into ``4 × workers`` shards);
-    ``probe_*`` and ``auc_margin``/``min_score_std`` parameterize
-    candidate validation; ``guard_*`` parameterize the post-swap
-    regression guardrail (see :mod:`repro.lifecycle.rollback`).
+    retrain splits each step into ``4 × workers`` shards).  ``probe_*``
+    and ``min_score_std`` parameterize the one verdict
+    (:mod:`repro.lifecycle.validate`); candidates are judged with
+    ``auc_margin`` and served versions with ``guard_auc_drop`` /
+    ``guard_score_shift``.  Counts are JSON integers; thresholds,
+    margins and intervals are numbers ``>= 0``.
     """
 
     policy: TriggerPolicy = field(default_factory=TriggerPolicy)
@@ -119,15 +137,25 @@ class LifecycleSettings:
     guard_score_shift: Optional[float] = None
 
     def __post_init__(self):
+        _check(self.check_interval_s, "check_interval_s")
         if self.check_interval_s <= 0:
             raise ValueError("check_interval_s must be > 0")
-        if self.probe_size < 2:
-            raise ValueError("probe_size must be >= 2")
+        for name in ("epochs", "workers", "grain"):
+            value = getattr(self, name)
+            if value is not None:
+                _check(value, name, 1, integer=True)
+        _check(self.probe_size, "probe_size", 2, integer=True)
+        _check(self.probe_seed, "probe_seed", integer=True)
+        for name in ("auc_margin", "min_score_std", "guard_auc_drop"):
+            _check(getattr(self, name), name)
+        if self.guard_score_shift is not None:
+            _check(self.guard_score_shift, "guard_score_shift")
 
 
 _POLICY_KEYS = {f.name for f in dataclasses.fields(TriggerPolicy)}
-_SETTINGS_KEYS = {f.name for f in dataclasses.fields(LifecycleSettings)
-                  if f.name != "policy"}
+_SETTINGS_KEYS = {
+    f.name for f in dataclasses.fields(LifecycleSettings) if f.name != "policy"
+}
 
 
 def parse_settings(payload: dict) -> LifecycleSettings:
@@ -149,12 +177,20 @@ def parse_settings(payload: dict) -> LifecycleSettings:
             known = sorted(_POLICY_KEYS | _SETTINGS_KEYS)
             raise ValueError(
                 f"unknown lifecycle policy key {key!r}; known keys: "
-                + ", ".join(known))
-    return LifecycleSettings(policy=TriggerPolicy(**policy_kwargs),
-                             **settings_kwargs)
+                + ", ".join(known)
+            )
+    return LifecycleSettings(policy=TriggerPolicy(**policy_kwargs), **settings_kwargs)
 
 
 def load_settings(path: str) -> LifecycleSettings:
-    """Parse a ``serve --autotrain`` policy file."""
+    """Parse a ``serve --autotrain`` policy file.
+
+    A file that is not JSON or holds a bad setting raises ``ValueError``
+    naming the file; a missing one raises ``OSError``.
+    """
     with open(path) as handle:
-        return parse_settings(json.load(handle))
+        text = handle.read()
+    try:
+        return parse_settings(json.loads(text))
+    except ValueError as error:
+        raise ValueError(f"{path}: {error}") from error

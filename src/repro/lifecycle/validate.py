@@ -1,23 +1,29 @@
-"""Candidate-model validation: probe scoring and accept/reject verdicts.
+"""The one lifecycle verdict: is a model fit to serve?
 
-A freshly retrained candidate must prove itself before it reaches the
-registry.  Validation runs on the *training snapshot* (the exact graph
-the candidate was fitted to) over a deterministic held-out probe set:
+The controller asks it twice: of a retrained candidate before it is
+published, and of a served version it did not produce after the
+gateway swapped to it.  Both get one answer, :func:`judge_scores`, over
+the model's mean scores on a deterministic probe of a graph snapshot
+(:func:`probe_nodes`, :func:`probe_scores`).  In order:
 
-1. **Score sanity** — probe scores must be finite and non-degenerate
-   (a collapsed model scores everything identically).
-2. **Eval metrics vs the live model** — when the probe carries both
-   label classes, the candidate's ROC-AUC may not fall more than
-   ``auc_margin`` below the reference model's on the same probe.
+1. **Finite** — every probe score is finite.
+2. **Not collapsed** — the scores' standard deviation exceeds
+   ``min_score_std`` (a collapsed model scores every node alike).
+3. **AUC** — when the probe labels carry both classes, the model's
+   ROC-AUC may trail the reference model's by at most ``max_auc_drop``.
+4. **Shift** — when a ``score_shift`` limit is set, the mean absolute
+   difference from the reference model's scores may not exceed it: a
+   label-free tripwire for deployments without ground truth.
 
 Scoring goes through :func:`repro.serving.service.score_service_span`,
 the pure scorer the sharded refresh workers use — no service state is
-touched, so validation can run off the serving thread against
-models the gateway never served.
+touched, so probes run off the serving thread against models the
+gateway never served.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -28,16 +34,15 @@ from ..serving.service import score_service_span
 
 
 @dataclass
-class ValidationReport:
-    """Verdict plus the evidence it was reached on."""
+class Verdict:
+    """Whether a model is fit to serve, and the evidence it rests on."""
 
     accepted: bool
     reason: str
     checks: Dict[str, object] = field(default_factory=dict)
 
     def describe(self) -> dict:
-        return {"accepted": self.accepted, "reason": self.reason,
-                "checks": dict(self.checks)}
+        return dataclasses.asdict(self)
 
 
 def probe_nodes(graph, size: int, seed: int) -> np.ndarray:
@@ -54,69 +59,69 @@ def probe_nodes(graph, size: int, seed: int) -> np.ndarray:
     return np.sort(rng.choice(n, size=size, replace=False)).astype(np.int64)
 
 
-def probe_scores(model, graph, probe: np.ndarray, *, seed: int, rounds: int,
-                 max_batch: int, backend=None) -> np.ndarray:
+def probe_scores(
+    model, graph, probe: np.ndarray, *, seed: int, rounds: int, max_batch: int
+) -> np.ndarray:
     """Mean anomaly scores of ``probe`` under ``model`` — the same
     counter-based streams the serving path uses for ``seed``, so a
-    validated candidate scores in production exactly as it did here."""
-    evidence = score_service_span(model, graph, np.asarray(probe, np.int64),
-                                  seed, rounds, max_batch, backend=backend)
+    judged model scores in production exactly as it did here."""
+    probe = np.asarray(probe, np.int64)
+    evidence = score_service_span(model, graph, probe, seed, rounds, max_batch)
     return evidence.node_sum / rounds
 
 
-def validate_candidate(candidate, reference, graph, probe: np.ndarray, *,
-                       seed: int, rounds: int, max_batch: int,
-                       auc_margin: float = 0.05,
-                       min_score_std: float = 1e-12,
-                       backend=None) -> ValidationReport:
-    """Score-sanity + metric comparison verdict for ``candidate``.
+def judge_scores(
+    scores: np.ndarray,
+    reference_scores: Optional[np.ndarray],
+    labels: Optional[np.ndarray],
+    *,
+    max_auc_drop: float,
+    score_shift: Optional[float] = None,
+    min_score_std: float,
+) -> Verdict:
+    """The verdict on a model's probe ``scores``.
 
-    ``reference`` is the currently served model (``None`` skips the
-    comparative check — first publish into an empty registry).  The
-    AUC comparison only runs when the probe labels contain both
-    classes; single-class probes fall back to sanity checks alone
-    (``roc_auc_score`` is undefined there).
+    ``labels`` are the probe's labels when they carry both classes, else
+    ``None`` (ROC-AUC is undefined on one class).  ``reference_scores``
+    are the reference model's scores on the same probe; only the AUC
+    and shift checks read them, so they may be ``None`` when ``labels``
+    and ``score_shift`` both are.
     """
-    scores = probe_scores(candidate, graph, probe, seed=seed, rounds=rounds,
-                          max_batch=max_batch, backend=backend)
+    scores = np.asarray(scores, dtype=np.float64)
+    finite = bool(np.isfinite(scores).all())
+    std = float(np.std(scores))
     checks: Dict[str, object] = {
-        "probe_size": int(len(probe)),
-        "finite": bool(np.isfinite(scores).all()),
-        "score_std": float(np.std(scores)),
+        "probe_size": int(scores.size),
+        "finite": finite,
+        "score_std": std,
         "score_mean": float(np.mean(scores)),
     }
-    if not checks["finite"]:
-        return ValidationReport(False, "candidate produced non-finite probe "
-                                "scores", checks)
-    if checks["score_std"] <= min_score_std:
-        return ValidationReport(
-            False, f"candidate probe scores are degenerate (std "
-            f"{checks['score_std']:.3g} <= {min_score_std:.3g})", checks)
-
-    labels = _probe_labels(graph, probe)
-    if reference is not None and labels is not None:
-        ref_scores = probe_scores(reference, graph, probe, seed=seed,
-                                  rounds=rounds, max_batch=max_batch,
-                                  backend=backend)
-        candidate_auc = float(roc_auc_score(labels, scores))
-        reference_auc = float(roc_auc_score(labels, ref_scores))
-        checks["candidate_auc"] = candidate_auc
-        checks["reference_auc"] = reference_auc
-        checks["auc_margin"] = float(auc_margin)
-        if candidate_auc + auc_margin < reference_auc:
-            return ValidationReport(
-                False, f"probe AUC regressed: candidate {candidate_auc:.4f} "
-                f"vs reference {reference_auc:.4f} (margin {auc_margin})",
-                checks)
-    return ValidationReport(True, "sanity and metric checks passed", checks)
-
-
-def _probe_labels(graph, probe: np.ndarray) -> Optional[np.ndarray]:
-    """Probe labels when they carry both classes, else ``None``."""
-    node_labels = getattr(graph, "node_labels", None)
-    if node_labels is None:
-        return None
-    labels = np.asarray(node_labels)[probe]
-    if len(np.unique(labels)) < 2:
-        return None
-    return labels
+    if not finite:
+        return Verdict(False, "non-finite probe scores", checks)
+    if std <= min_score_std:
+        reason = f"probe scores collapsed (std {std:.3g} <= {min_score_std:.3g})"
+        return Verdict(False, reason, checks)
+    if labels is not None:
+        auc = float(roc_auc_score(labels, scores))
+        reference_auc = float(roc_auc_score(labels, reference_scores))
+        checks.update(
+            auc=auc, reference_auc=reference_auc, max_auc_drop=float(max_auc_drop)
+        )
+        if auc + max_auc_drop < reference_auc:
+            return Verdict(
+                False,
+                f"probe AUC regressed: {auc:.4f} vs reference "
+                f"{reference_auc:.4f} (max drop {max_auc_drop})",
+                checks,
+            )
+    if score_shift is not None:
+        reference = np.asarray(reference_scores, dtype=np.float64)
+        shift = float(np.mean(np.abs(scores - reference)))
+        checks.update(score_shift=shift, score_shift_limit=float(score_shift))
+        if shift > score_shift:
+            return Verdict(
+                False,
+                f"mean probe-score shift {shift:.4g} exceeds {score_shift:.4g}",
+                checks,
+            )
+    return Verdict(True, "probe checks passed", checks)

@@ -27,7 +27,7 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .profiling import ResourceUsage, measure, profile_call
+from .profiling import ResourceUsage, measure
 
 # NOTE: the ``trace()`` entry point is deliberately NOT re-exported at
 # package level — it would shadow the ``repro.obs.trace`` submodule,
@@ -88,5 +88,4 @@ __all__ = [
     # profiling
     "ResourceUsage",
     "measure",
-    "profile_call",
 ]

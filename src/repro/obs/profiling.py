@@ -15,7 +15,6 @@ import time
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable
 
 
 @dataclass
@@ -39,10 +38,3 @@ def measure():
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         usage.peak_mb = peak / (1024.0 * 1024.0)
-
-
-def profile_call(fn: Callable, *args, **kwargs):
-    """Run ``fn`` and return ``(result, ResourceUsage)``."""
-    with measure() as usage:
-        result = fn(*args, **kwargs)
-    return result, usage

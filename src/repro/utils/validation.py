@@ -13,6 +13,17 @@ def check_probability(value: float, name: str) -> float:
     return value
 
 
+def check_int(value, name: str) -> int:
+    """``value`` as an integer, or ``ValueError`` naming ``name``.
+
+    A JSON bool, float or string is rejected: ``int()`` would silently
+    turn ``2.7`` into 2 and ``true`` into 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def check_positive(value, name: str):
     """Validate a strictly positive number."""
     if value <= 0:

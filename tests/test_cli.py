@@ -167,6 +167,33 @@ class TestServeCommand:
         assert flag[2:].replace("-", "_") + " must be positive" in message
         assert "ready" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag,content", [
+        ("--autotrain", None),
+        ("--autotrain", "{not json"),
+        ("--autotrain", '{"drift_treshold": 1}'),
+        ("--autotrain", '{"grain": 0}'),
+        ("--tenants", None),
+    ], ids=["policy-missing", "policy-not-json", "policy-unknown-key",
+            "policy-bad-value", "tenants-missing"])
+    def test_bad_settings_file_exits_before_ready(self, tmp_path, capsys,
+                                                  flag, content):
+        """A missing or malformed ``--autotrain`` / ``--tenants`` file
+        ends serve with one line naming the file, before the ready
+        line."""
+        path = tmp_path / "settings.json"
+        if content is not None:
+            path.write_text(content)
+        argv = ["serve", "--dataset", "cora", "--scale", "0.08", flag,
+                str(path), "--input", os.devnull]
+        if flag == "--autotrain":
+            argv += ["--registry", str(tmp_path / "registry"), "--name", "m"]
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        message = exited.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert str(path) in message
+        assert "ready" not in capsys.readouterr().out
+
     def test_invalid_listen_rejected(self, tmp_path, capsys):
         checkpoint = self._train_checkpoint(tmp_path, capsys)
         with pytest.raises(SystemExit, match="HOST:PORT"):

@@ -14,7 +14,6 @@ from repro.eval import (
     measure,
     normalize_graph,
     prepare_graph,
-    profile_call,
     write_csv,
 )
 from repro.eval.experiments.common import ExperimentResult
@@ -90,11 +89,6 @@ class TestProfiling:
             sum(range(100_000))
         assert usage.seconds > 0
         assert usage.peak_mb >= 0
-
-    def test_profile_call_returns_result(self):
-        result, usage = profile_call(lambda x: x + 1, 41)
-        assert result == 42
-        assert usage.seconds >= 0
 
 
 class TestReporting:

@@ -1,7 +1,8 @@
 """Continual-learning lifecycle tests.
 
 Covers the controller subsystem end to end: trigger-policy semantics
-(with a fake clock), candidate validation and the post-swap guardrail,
+(with a fake clock) and strict policy-file parsing, the one verdict
+that judges candidates and served versions alike,
 the store's drift/churn counters feeding the trigger signal, the
 per-step model republish, a full standalone retrain cycle whose
 candidate is bitwise-identical to an offline ``train_bourne`` on the
@@ -12,9 +13,11 @@ regressed model reaches the registry.
 """
 
 import asyncio
+import dataclasses
 import json
 import os
 import signal
+import tempfile
 import time
 
 import numpy as np
@@ -26,13 +29,13 @@ from repro.gateway import Gateway
 from repro.graph import Graph
 from repro.lifecycle import (
     LifecycleController,
+    LifecycleSettings,
     TriggerPolicy,
     TriggerState,
-    evaluate_guardrail,
+    judge_scores,
     parse_settings,
     probe_nodes,
     probe_scores,
-    validate_candidate,
 )
 from repro.serving import GraphStore, ModelRegistry, ScoringService
 from repro.serving.stream import StreamDriver, synthetic_event_stream
@@ -139,87 +142,163 @@ class TestTriggerPolicy:
         with pytest.raises(ValueError):
             TriggerPolicy(drift_threshold=-1.0)
 
+    @pytest.mark.parametrize("payload", [
+        {"grain": 0},                   # fails later, in the retrain worker
+        {"epochs": "3"},
+        {"workers": -2},                # would train serially
+        {"probe_size": 2.5},            # would be truncated to 2
+        {"auc_margin": -1},             # would reject every labelled probe
+        {"min_score_std": -5},
+        {"guard_score_shift": -0.1},
+        {"drift_threshold": True},
+        {"mutation_threshold": 2.5},
+        {"debounce_checks": 1.5},
+        {"check_interval_s": "1"},      # raised TypeError
+    ], ids=lambda payload: "-".join(f"{k}={v!r}" for k, v in payload.items()))
+    def test_parse_settings_rejects_bad_values(self, payload):
+        (key,) = payload
+        with pytest.raises(ValueError, match=key):
+            parse_settings(payload)
+
+    def test_parse_settings_accepts_the_defaults(self):
+        defaults = LifecycleSettings()
+        flat = dataclasses.asdict(defaults)
+        flat.update(flat.pop("policy"))
+        assert parse_settings(json.loads(json.dumps(flat))) == defaults
+        assert parse_settings({}) == defaults
+
 
 # ----------------------------------------------------------------------
-# Validation and guardrail
+# The one verdict
 # ----------------------------------------------------------------------
+LABELS = np.array([0, 0, 0, 0, 1, 1, 1, 1])
+GOOD = LABELS + np.linspace(0, 0.1, 8)  # AUC 1 on LABELS
+RAMP = np.linspace(0, 1, 8)
+CHECK_KEYS = {"probe_size", "finite", "score_std", "score_mean", "auc",
+              "reference_auc", "max_auc_drop", "score_shift",
+              "score_shift_limit"}
+
+
+def judge(scores, reference, labels, *, max_auc_drop=0.15, score_shift=None,
+          min_score_std=1e-12):
+    return judge_scores(scores, reference, labels, max_auc_drop=max_auc_drop,
+                        score_shift=score_shift, min_score_std=min_score_std)
+
+
+def model_probe(seed):
+    graph = random_graph()
+    return (graph, probe_nodes(graph, 16, seed=101),
+            Bourne(graph.num_features, tiny_config(seed=seed)))
+
+
+def model_scores(model, graph, probe):
+    return probe_scores(model, graph, probe, seed=3, rounds=1, max_batch=32)
+
+
 class TestValidation:
-    def setup_method(self):
-        self.graph = random_graph()
-        self.model = Bourne(self.graph.num_features, tiny_config(seed=1))
-        self.probe = probe_nodes(self.graph, 16, seed=101)
-
     def test_probe_nodes_deterministic_and_sorted(self):
-        again = probe_nodes(self.graph, 16, seed=101)
-        np.testing.assert_array_equal(self.probe, again)
-        assert np.all(np.diff(self.probe) > 0)
-        assert probe_nodes(self.graph, 10**6, seed=0).size \
-            == self.graph.num_nodes
+        graph = random_graph()
+        probe = probe_nodes(graph, 16, seed=101)
+        np.testing.assert_array_equal(probe, probe_nodes(graph, 16, seed=101))
+        assert np.all(np.diff(probe) > 0)
+        assert probe_nodes(graph, 10**6, seed=0).size == graph.num_nodes
+
+    @pytest.mark.parametrize("scores,reference,labels,shift,reason", [
+        pytest.param(np.array([1.0, np.nan]), np.array([1.0, 2.0]), None,
+                     None, "non-finite", id="non_finite"),
+        pytest.param(1.0 - GOOD, GOOD, LABELS, None, "AUC", id="auc_drop"),
+        pytest.param(RAMP + 0.5, RAMP, None, 0.1, "shift", id="shift"),
+    ])
+    def test_verdict(self, scores, reference, labels, shift, reason):
+        verdict = judge(scores, reference, labels, score_shift=shift)
+        assert not verdict.accepted
+        assert reason in verdict.reason
+        assert set(verdict.checks) <= CHECK_KEYS
+        if reason == "AUC":
+            assert verdict.checks["auc"] < verdict.checks["reference_auc"]
 
     def test_healthy_candidate_accepted(self):
-        report = validate_candidate(
-            self.model, None, self.graph, self.probe,
-            seed=3, rounds=1, max_batch=32)
-        assert report.accepted, report.reason
-        assert report.checks["finite"]
-
-    def test_nan_candidate_rejected(self):
-        bad = Bourne(self.graph.num_features, tiny_config(seed=1))
-        next(iter(bad.online.named_parameters()))[1].data[...] = np.nan
-        report = validate_candidate(
-            bad, None, self.graph, self.probe,
-            seed=3, rounds=1, max_batch=32)
-        assert not report.accepted
-        assert "non-finite" in report.reason
+        graph, probe, model = model_probe(seed=1)
+        verdict = judge(model_scores(model, graph, probe), None, None)
+        assert verdict.accepted, verdict.reason
+        assert verdict.checks["finite"]
+        assert verdict.checks["probe_size"] == probe.size
 
     def test_degenerate_scores_rejected(self):
-        report = validate_candidate(
-            self.model, None, self.graph, self.probe,
-            seed=3, rounds=1, max_batch=32, min_score_std=1e9)
-        assert not report.accepted
-        assert "degenerate" in report.reason
+        graph, probe, model = model_probe(seed=1)
+        verdict = judge(model_scores(model, graph, probe), None, None,
+                        min_score_std=1e9)
+        assert not verdict.accepted
+        assert "collapsed" in verdict.reason
 
     def test_reference_comparison_recorded(self):
-        reference = Bourne(self.graph.num_features, tiny_config(seed=2))
-        report = validate_candidate(
-            self.model, reference, self.graph, self.probe,
-            seed=3, rounds=1, max_batch=32, auc_margin=1.0)
-        # margin 1.0 can never reject, but both AUCs must be recorded
-        assert report.accepted
-        assert "candidate_auc" in report.checks
-        assert "reference_auc" in report.checks
+        graph, probe, model = model_probe(seed=1)
+        reference = Bourne(graph.num_features, tiny_config(seed=2))
+        labels = graph.node_labels[probe]
+        assert np.unique(labels).size == 2
+        verdict = judge(model_scores(model, graph, probe),
+                        model_scores(reference, graph, probe), labels,
+                        max_auc_drop=1.0)
+        # A drop limit of 1.0 can never reject, but both AUCs are recorded.
+        assert verdict.accepted, verdict.reason
+        assert 0.0 <= verdict.checks["auc"] <= 1.0
+        assert 0.0 <= verdict.checks["reference_auc"] <= 1.0
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_nan_candidate_rejected(self, tmp_path):
+        """One NaN-weight model fails the one verdict twice with the
+        same reason: rejected as a retrained candidate, then rolled back
+        when published behind the controller's back."""
+        graph = random_graph()
+        # Adam's first step at this rate overflows: the retrain returns
+        # NaN weights.
+        config = tiny_config(learning_rate=1e300)
+        model = Bourne(graph.num_features, config)
+        registry = ModelRegistry(str(tmp_path / "models"))
+        registry.publish(model, "m")
+        store = GraphStore.from_graph(graph, influence_radius=2)
+        service = ScoringService(model, store, rounds=1)
+        controller = LifecycleController(
+            service, registry, "m",
+            TriggerPolicy(drift_threshold=None, mutation_threshold=None),
+            epochs=1, probe_size=16)
+        try:
+            assert controller.trigger("operator")["triggered"]
+            assert controller.wait_idle(timeout=300)
+            verdict = controller.status()["last_verdict"]
+            assert not verdict["accepted"], verdict
+            assert "non-finite" in verdict["reason"]
+            assert controller.validations_rejected == 1
+            assert registry.latest("m") == 1
+
+            # The rejected candidate, bitwise: training is a pure
+            # function of the (unchanged) snapshot.
+            bad, _ = train_bourne(store.snapshot(), config, epochs=1)
+            bad_version = registry.publish(bad, "m")
+            guard = controller.tick()["last_guard"]
+            assert guard["version"] == bad_version and guard["regressed"]
+            assert guard["reason"] == verdict["reason"]
+            assert controller.rollbacks == 1
+            assert registry.latest("m") == bad_version + 1
+        finally:
+            controller.close()
 
 
 class TestGuardrail:
-    def test_non_finite_scores_regress(self):
-        report = evaluate_guardrail(np.array([1.0, np.nan]),
-                                    np.array([1.0, 2.0]))
-        assert report.regressed and "non-finite" in report.reason
+    """The guard's side of the one verdict: a served version's probe
+    scores against the last known-good version's."""
 
     def test_collapsed_scores_regress(self):
-        report = evaluate_guardrail(np.full(8, 0.5), np.linspace(0, 1, 8))
-        assert report.regressed and "collapsed" in report.reason
-
-    def test_auc_drop_regresses_with_labels(self):
-        labels = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        good = labels.astype(np.float64) + np.linspace(0, 0.1, 8)  # AUC 1
-        inverted = 1.0 - good                                      # AUC 0
-        report = evaluate_guardrail(inverted, good, labels, auc_drop=0.15)
-        assert report.regressed and "AUC" in report.reason
-        assert report.checks["served_auc"] < report.checks["reference_auc"]
+        verdict = judge(np.full(8, 0.5), RAMP, None)
+        assert not verdict.accepted and "collapsed" in verdict.reason
 
     def test_healthy_scores_pass(self):
-        labels = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        good = labels.astype(np.float64) + np.linspace(0, 0.1, 8)
-        report = evaluate_guardrail(good, good, labels)
-        assert not report.regressed
-
-    def test_score_shift_tripwire_without_labels(self):
-        base = np.linspace(0, 1, 8)
-        report = evaluate_guardrail(base + 0.5, base, score_shift=0.1)
-        assert report.regressed and "shift" in report.reason
-        assert not evaluate_guardrail(base + 0.05, base,
-                                      score_shift=0.1).regressed
+        # Within both limits: AUCs equal, shift 0.05 under 0.1.
+        verdict = judge(GOOD + 0.05, GOOD, LABELS, score_shift=0.1)
+        assert verdict.accepted, verdict.reason
+        assert set(verdict.checks) == CHECK_KEYS
+        assert verdict.checks["auc"] == verdict.checks["reference_auc"]
 
 
 # ----------------------------------------------------------------------
@@ -416,6 +495,31 @@ class TestControllerLoop:
             assert not second["triggered"]
             assert controller.wait_idle(timeout=300)
             assert controller.retrains_completed == 1
+        finally:
+            controller.close()
+
+    def test_standalone_cycle_writes_no_file(self, tmp_path, monkeypatch):
+        """The retrained model comes back through the worker pool's
+        result, so a cycle leaves the temp directory untouched."""
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setenv("TMPDIR", str(scratch))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+        graph = random_graph()
+        model = Bourne(graph.num_features, tiny_config())
+        registry = ModelRegistry(str(tmp_path / "models"))
+        registry.publish(model, "m")
+        store = GraphStore.from_graph(graph, influence_radius=2)
+        service = ScoringService(model, store, rounds=1)
+        controller = LifecycleController(
+            service, registry, "m",
+            TriggerPolicy(drift_threshold=None, mutation_threshold=None),
+            epochs=1, probe_size=8, auc_margin=float("inf"))
+        try:
+            assert controller.trigger("operator")["triggered"]
+            assert controller.wait_idle(timeout=300)
+            assert controller.validations_accepted == 1
+            assert sorted(os.listdir(scratch)) == []
         finally:
             controller.close()
 
