@@ -53,6 +53,18 @@ def check(condition, message):
     print(f"  ok: {message}")
 
 
+def strict_json(text):
+    """Decode ``text`` as strict JSON; ``None`` if it holds ``NaN`` or
+    ``Infinity``, which strict parsers reject."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    try:
+        return json.loads(text, parse_constant=reject)
+    except ValueError:
+        return None
+
+
 async def ndjson_session(host, port, requests):
     reader, writer = await asyncio.open_connection(host, port)
     try:
@@ -114,11 +126,19 @@ async def drive(host, port, registry_dir, model_v2):
     status, body = await http_request(host, port, "POST", "/v1/score_edge",
                                       {"u": 0, "v": 7})
     check(status == 200, "/v1/score_edge")
+    features = json.loads(os.environ["SMOKE_FEATURES"])
     status, body = await http_request(host, port, "POST", "/v1/update",
                                       {"op": "update_features", "node": 1,
-                                       "features": json.loads(
-                                           os.environ["SMOKE_FEATURES"])})
+                                       "features": features})
     check(status == 200, "/v1/update update_features")
+    status, body = await http_request(host, port, "POST", "/v1/update",
+                                      {"op": "update_features", "node": 1,
+                                       "features": [math.nan] + features[1:]})
+    check(status == 400 and json.loads(body)["code"] == 400,
+          "/v1/update NaN feature gets a 400 envelope")
+    status, body = await http_request(host, port, "GET", "/v1/stats")
+    check(status == 200 and strict_json(body) is not None,
+          "stats after the NaN write is strict JSON")
     status, body = await http_request(host, port, "GET", "/metrics")
     check(status == 200 and "gateway_requests_total" in body
           and "gateway_batch_size_bucket" in body, "/metrics Prometheus text")

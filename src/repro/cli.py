@@ -286,7 +286,8 @@ def _cmd_serve(args) -> int:
             raise SystemExit(f"--listen expects HOST:PORT, got {args.listen!r}")
         port = int(port)
 
-    # Files load before the service build: a missing or malformed one
+    # Files load before the service build, and --input opens after it so
+    # a failed build leaks no descriptor: a missing or malformed file
     # ends serve with one line, before the ready line.
     service = registry = model_version = settings = None
     try:
@@ -303,6 +304,9 @@ def _cmd_serve(args) -> int:
                 model_version=args.model_version, backend=args.backend,
                 compact_threshold=(None if args.compact_threshold < 0
                                    else args.compact_threshold)))
+        stdin = None if args.listen else (
+            sys.stdin.fileno() if args.input == "-"
+            else os.open(args.input, os.O_RDONLY))
     except (OSError, ValueError) as error:
         raise SystemExit(str(error))
 
@@ -315,9 +319,6 @@ def _cmd_serve(args) -> int:
             workers=(settings.workers if settings.workers is not None
                      else args.workers))
         lifecycle_interval = settings.check_interval_s
-    stdin = None if args.listen else (
-        sys.stdin.fileno() if args.input == "-"
-        else os.open(args.input, os.O_RDONLY))
     try:
         asyncio.run(run_gateway(
             service, host, port, stdin=stdin,

@@ -44,7 +44,6 @@ from .protocol import (
 )
 from .router import (
     DEFAULT_SERVICE,
-    MUTATING_OPS,
     ReplicaPool,
     ServiceEndpoint,
     ServiceRouter,
@@ -66,7 +65,6 @@ __all__ = [
     "load_tenant_specs",
     "build_tenant_service",
     "DEFAULT_SERVICE",
-    "MUTATING_OPS",
     "MicroBatcher",
     "AdmissionController",
     "TokenBucket",

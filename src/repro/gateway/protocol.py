@@ -16,8 +16,16 @@ A request is a JSON object with an ``op`` field::
     {"op": "compact"}
     {"op": "stats"}
 
-Node ids, edge endpoints, versions and worker counts must be JSON
-integers (:func:`~repro.utils.validation.check_int`).  Responses echo
+The write ops parse into the serving layer's one mutation vocabulary
+(:data:`MUTATION_PARSERS`): ``add_node`` into a ``NodeArrived``,
+``add_edge`` into an ``EdgeArrived`` and ``update_features`` into a
+``FeatureDrift``, which :func:`~repro.serving.apply_event` applies just
+as it applies a replayed stream.  The wire sets no ``label`` or
+``attach_to``, so those keep the records' defaults.  ``features`` must
+be a flat JSON list of finite numbers; ``NaN`` and ``Infinity`` are
+not JSON and get a 400.  Node ids, edge endpoints, versions and worker
+counts must be JSON integers
+(:func:`~repro.utils.validation.check_int`).  Responses echo
 ``op`` (and ``id`` when the request carried one, so pipelining clients
 can correlate) and set ``ok``.  Errors come back as ``{"ok": false,
 "error": ..., "error_type": ..., "code": ...}`` — the same envelope on every
@@ -35,6 +43,7 @@ from typing import Optional
 import numpy as np
 
 from ..obs import trace as obs_trace
+from ..serving.stream import EdgeArrived, FeatureDrift, NodeArrived, apply_event
 from ..utils.validation import check_int
 
 #: Exception types a request handler converts into an error response.
@@ -43,9 +52,31 @@ from ..utils.validation import check_int
 REQUEST_ERRORS = (ValueError, KeyError, IndexError, TypeError,
                   RuntimeError, OSError)
 
+
+def _features(request: dict) -> np.ndarray:
+    """A write request's ``features``: a flat list of finite numbers
+    (``1e400`` decodes to infinity, which would poison the drift sum)."""
+    features = np.asarray(request["features"], dtype=np.float64)
+    if features.ndim != 1:
+        raise ValueError(
+            f"features must be a flat JSON list, got shape {features.shape}")
+    if not np.isfinite(features).all():
+        raise ValueError("features must be finite numbers")
+    return features
+
+
+#: The write ops, each with the parser that turns its request into the
+#: mutation record :func:`~repro.serving.apply_event` applies.
+MUTATION_PARSERS = {
+    "add_node": lambda request: NodeArrived(_features(request)),
+    "add_edge": lambda request: EdgeArrived(check_int(request["u"], "u"),
+                                            check_int(request["v"], "v")),
+    "update_features": lambda request: FeatureDrift(
+        check_int(request["node"], "node"), _features(request)),
+}
+
 #: Ops accepted through the gateway's ``POST /v1/update`` endpoint.
-UPDATE_OPS = frozenset({"add_node", "add_edge", "update_features",
-                        "refresh", "compact"})
+UPDATE_OPS = frozenset(MUTATION_PARSERS) | {"refresh", "compact"}
 
 #: HTTP status by handler error type — the transport-parity contract.
 #: Every error envelope carries the matching ``code`` whether it went
@@ -64,11 +95,21 @@ ERROR_CODES = {
 }
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"invalid JSON: {name} is not a JSON value")
+
+
+#: ``json.loads`` accepts ``NaN`` and ``±Infinity``, which are not JSON;
+#: one in a feature row would poison the store's drift sum.  Built once:
+#: a decoder per line costs more than the parse.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def parse_request(line: str) -> dict:
     """Parse one JSONL request line; raises ``ValueError`` with a
     client-presentable message on malformed input."""
     try:
-        request = json.loads(line)
+        request = _DECODER.decode(line)
     except json.JSONDecodeError as error:
         raise ValueError(f"invalid JSON: {error}") from error
     if not isinstance(request, dict):
@@ -153,21 +194,9 @@ def _request_workers(value) -> int:
 def _dispatch_op(service, request: dict, op,
                  refresh_workers: Optional[int]) -> dict:
     store = service.store
-    if op == "add_node":
-        features = np.asarray(request["features"], dtype=np.float64)
-        (node,) = store.add_nodes(features.reshape(1, -1))
-        return {"ok": True, "op": op, "node": int(node),
-                "version": store.version}
-    if op == "add_edge":
-        added = store.add_edge(check_int(request["u"], "u"),
-                               check_int(request["v"], "v"))
-        return {"ok": True, "op": op, "added": bool(added),
-                "version": store.version}
-    if op == "update_features":
-        features = np.asarray(request["features"], dtype=np.float64)
-        store.update_features([check_int(request["node"], "node")],
-                              features.reshape(1, -1))
-        return {"ok": True, "op": op, "version": store.version}
+    if op in MUTATION_PARSERS:
+        return {"ok": True, "op": op,
+                **apply_event(store, MUTATION_PARSERS[op](request))}
     if op == "refresh":
         workers = (_request_workers(request["workers"])
                    if "workers" in request else refresh_workers)

@@ -46,21 +46,14 @@ from ..obs.metrics import MetricsRegistry
 from ..parallel.engine import ScoreTask, WorkerPool, score_task
 from ..serving.service import edge_mean_from_evidence
 from ..utils.logging import get_logger, log_event
-from ..utils.validation import check_int
+from ..utils.validation import check_int, check_number
 from .batcher import MicroBatcher
-from .protocol import dispatch_request
+from .protocol import MUTATION_PARSERS, dispatch_request
 
 LOGGER = get_logger("repro.gateway", json_format=True)
 
 #: Route key of the gateway's default (unnamed) service.
 DEFAULT_SERVICE = "default"
-
-#: Ops that change the store and therefore require the replica pool's
-#: single-writer quiesce + shared-memory resync.  ``refresh`` and
-#: ``stats`` only touch the primary's score tables, which replicas do
-#: not share, so they run on the writer thread without a quiesce.
-MUTATING_OPS = frozenset({"add_node", "add_edge", "update_features",
-                          "compact"})
 
 _METRIC_SAFE = re.compile(r"[^a-zA-Z0-9_]")
 
@@ -342,7 +335,11 @@ class ReplicaPool(ServiceEndpoint):
     async def run_op(self, request: dict,
                      refresh_workers: Optional[int] = None) -> dict:
         op = request.get("op")
-        if op in MUTATING_OPS:
+        # Writes and compaction change the store, so they take the
+        # single-writer quiesce + shared-memory resync.  ``refresh`` and
+        # ``stats`` only touch the primary's score tables, which
+        # replicas do not share, so they run without a quiesce.
+        if op in MUTATION_PARSERS or op == "compact":
             resync = (self._publish_features
                       if op == "update_features" else self._bind_graph)
             return await self._write(dispatch_request, self.service,
@@ -414,11 +411,14 @@ class TenantSpec:
                              ("rounds", self.rounds)):
             if value is not None and check_int(value, prefix + field) < 1:
                 raise ValueError(f"{prefix}{field} must be >= 1")
-        if (isinstance(self.scale, bool)
-                or not isinstance(self.scale, (int, float))
-                or not self.scale > 0):
+        if not check_number(self.scale, prefix + "scale") > 0:
             raise ValueError(
                 f"{prefix}scale must be a positive number, got {self.scale!r}")
+        if (self.compact_threshold is not None
+                and not check_number(self.compact_threshold,
+                                     prefix + "compact_threshold") >= 0):
+            raise ValueError(f"{prefix}compact_threshold must be >= 0 or "
+                             f"null, got {self.compact_threshold!r}")
         return self
 
 

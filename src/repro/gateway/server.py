@@ -83,14 +83,6 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             429: "Too Many Requests", 500: "Internal Server Error",
             503: "Service Unavailable"}
 
-#: Ops that get their own latency histogram on ``/metrics``; anything
-#: else (including unknown ops) lands in the ``other`` series so a
-#: misbehaving client cannot mint unbounded metric names.
-_KNOWN_OPS = frozenset({"score", "score_edge", "add_node", "add_edge",
-                        "update_features", "refresh", "compact", "stats",
-                        "reload", "attach_service", "detach_service",
-                        "services", "lifecycle_status", "lifecycle"})
-
 #: Router administration ops — handled by the gateway itself, before
 #: (and without) endpoint resolution.
 _ADMIN_OPS = frozenset({"attach_service", "detach_service", "services"})
@@ -98,6 +90,12 @@ _ADMIN_OPS = frozenset({"attach_service", "detach_service", "services"})
 #: Continual-learning controller ops — also gateway-level, answered by
 #: the attached :class:`~repro.lifecycle.LifecycleController`.
 _LIFECYCLE_OPS = frozenset({"lifecycle_status", "lifecycle"})
+
+#: Ops that get their own latency histogram on ``/metrics``; anything
+#: else (including unknown ops) lands in the ``other`` series so a
+#: misbehaving client cannot mint unbounded metric names.
+_KNOWN_OPS = UPDATE_OPS | _ADMIN_OPS | _LIFECYCLE_OPS | {
+    "score", "score_edge", "stats", "reload"}
 
 
 class Gateway:

@@ -201,10 +201,7 @@ class LifecycleController:
     # ------------------------------------------------------------------
     def _read_signal(self) -> tuple:
         store = self.service.store
-        return (
-            float(getattr(store, "drift_total", 0.0)),
-            int(getattr(store, "mutations", 0)),
-        )
+        return float(store.drift_total), int(store.mutations)
 
     def _registry_latest(self) -> Optional[int]:
         if self.registry is None or self.model_name is None:

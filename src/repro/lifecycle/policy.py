@@ -23,17 +23,17 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..utils.validation import check_int
+from ..utils.validation import check_int, check_number
 
 
 def _check(value, name: str, minimum=0, *, integer: bool = False) -> None:
     """Reject ``value`` unless it is a number ``>= minimum``: a JSON
-    integer when ``integer`` (:func:`check_int`'s rule), else an int or
-    float but not a bool.  NaN fails the bound."""
+    integer when ``integer`` (:func:`check_int`), else any number
+    (:func:`check_number`).  NaN fails the bound."""
     if integer:
         check_int(value, name)
-    elif isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+    else:
+        check_number(value, name)
     if not value >= minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 

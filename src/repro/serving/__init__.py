@@ -11,6 +11,7 @@ from .stream import (
     NodeArrived,
     StreamDriver,
     StreamSnapshot,
+    apply_event,
     synthetic_event_stream,
 )
 
@@ -23,6 +24,7 @@ __all__ = [
     "EdgeArrived",
     "FeatureDrift",
     "Event",
+    "apply_event",
     "StreamDriver",
     "StreamSnapshot",
     "synthetic_event_stream",

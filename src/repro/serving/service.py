@@ -400,13 +400,12 @@ class ScoringService:
             "model_swaps": self._swaps,
             "backend": self.backend.name,
             "store_version": self.store.version,
-            "store_pending_edges": getattr(self.store, "pending_edges", 0),
-            "store_compactions": getattr(self.store, "compactions", 0),
-            "store_drift_total": float(getattr(self.store, "drift_total", 0.0)),
-            "store_mutations": getattr(self.store, "mutations", 0),
-            "store_nodes_added": getattr(self.store, "nodes_added", 0),
-            "store_edges_added": getattr(self.store, "edges_added", 0),
-            "store_features_updated": getattr(self.store,
-                                              "features_updated", 0),
+            "store_pending_edges": self.store.pending_edges,
+            "store_compactions": self.store.compactions,
+            "store_drift_total": float(self.store.drift_total),
+            "store_mutations": self.store.mutations,
+            "store_nodes_added": self.store.nodes_added,
+            "store_edges_added": self.store.edges_added,
+            "store_features_updated": self.store.features_updated,
             "rounds": self.rounds,
         }

@@ -1,7 +1,10 @@
 """Event-stream driver: replay a mutating workload, emit rolling scores.
 
-Three event types mutate the served graph — :class:`NodeArrived`,
-:class:`EdgeArrived`, :class:`FeatureDrift` — and a
+Three records are the one vocabulary that mutates the served graph,
+and :func:`apply_event` applies them to the store.  The gateway builds
+them from its write requests, with no ``label`` or ``attach_to``:
+``add_node`` → :class:`NodeArrived`, ``add_edge`` →
+:class:`EdgeArrived`, ``update_features`` → :class:`FeatureDrift`.  A
 :class:`StreamDriver` replays a sequence of them against a
 :class:`~repro.serving.service.ScoringService`, refreshing the score
 table incrementally every ``refresh_every`` events.  Each refresh yields
@@ -45,21 +48,41 @@ class EdgeArrived:
 
 @dataclass(frozen=True)
 class FeatureDrift:
-    """An existing node's attributes change in place.
-
-    ``magnitude`` is the L2 norm of the feature delta the event will
-    apply (``None`` when the producer did not precompute it — the store
-    measures the actual delta on apply either way and accumulates it
-    into ``GraphStore.drift_total``, the lifecycle trigger signal).
-    """
+    """An existing node's attributes change in place (the store measures
+    the drift into ``GraphStore.drift_total``)."""
 
     node: int
     features: np.ndarray
     label: Optional[int] = None  # None keeps the node's current label
-    magnitude: Optional[float] = None
 
 
 Event = Union[NodeArrived, EdgeArrived, FeatureDrift]
+
+
+def apply_event(store, event: Event) -> dict:
+    """Apply one mutation record to a
+    :class:`~repro.serving.store.GraphStore`; returns the response
+    fields: ``node`` and ``version``, ``added`` and ``version``, or
+    ``version``."""
+    if isinstance(event, NodeArrived):
+        (node,) = store.add_nodes(
+            np.asarray(event.features, dtype=np.float64).reshape(1, -1),
+            labels=[event.label])
+        if event.attach_to:
+            edges = np.asarray([[node, int(other)]
+                                for other in event.attach_to])
+            store.add_edges(edges, labels=[event.label] * len(edges))
+        return {"node": int(node), "version": store.version}
+    if isinstance(event, EdgeArrived):
+        added = store.add_edge(event.u, event.v, label=event.label)
+        return {"added": bool(added), "version": store.version}
+    if isinstance(event, FeatureDrift):
+        store.update_features([event.node],
+                              np.asarray(event.features).reshape(1, -1))
+        if event.label is not None:
+            store.set_node_label(event.node, event.label)
+        return {"version": store.version}
+    raise TypeError(f"unknown event type {type(event).__name__}")
 
 
 @dataclass
@@ -92,42 +115,25 @@ class StreamDriver:
 
     def apply(self, event: Event) -> None:
         """Mutate the store according to one event."""
-        store = self.service.store
-        if isinstance(event, NodeArrived):
-            (node,) = store.add_nodes(
-                np.asarray(event.features, dtype=np.float64).reshape(1, -1),
-                labels=[event.label])
-            if event.attach_to:
-                edges = np.asarray([[node, int(other)]
-                                    for other in event.attach_to])
-                store.add_edges(edges, labels=[event.label] * len(edges))
-        elif isinstance(event, EdgeArrived):
-            store.add_edge(event.u, event.v, label=event.label)
-        elif isinstance(event, FeatureDrift):
-            store.update_features([event.node],
-                                  np.asarray(event.features).reshape(1, -1))
-            if event.label is not None:
-                store.set_node_label(event.node, event.label)
-        else:
-            raise TypeError(f"unknown event type {type(event).__name__}")
+        apply_event(self.service.store, event)
         self.events_applied += 1
 
     def snapshot(self) -> StreamSnapshot:
         """Refresh incrementally and package the rolling state."""
         result = self.service.refresh()
+        store = self.service.store
         order = np.argsort(result.scores)[::-1]
         return StreamSnapshot(
             event_index=self.events_applied,
-            num_nodes=self.service.store.num_nodes,
-            num_edges=self.service.store.num_edges,
+            num_nodes=store.num_nodes,
+            num_edges=store.num_edges,
             rescored=result.num_rescored,
             scores=result.scores,
             top_nodes=order[: self.top_k].astype(np.int64),
-            pending_edges=int(getattr(self.service.store,
-                                      "pending_edges", 0)),
-            compactions=int(getattr(self.service.store, "compactions", 0)),
-            drift_total=float(getattr(self.service.store, "drift_total", 0.0)),
-            mutations=int(getattr(self.service.store, "mutations", 0)),
+            pending_edges=int(store.pending_edges),
+            compactions=int(store.compactions),
+            drift_total=float(store.drift_total),
+            mutations=int(store.mutations),
         )
 
     def replay(self, events: Sequence[Event],
@@ -191,9 +197,7 @@ def synthetic_event_stream(
                 drifted = -base + rng.normal(0.0, 0.1, size=base.shape)
             else:
                 drifted = base + rng.normal(0.0, 0.05, size=base.shape)
-            events.append(FeatureDrift(
-                node, drifted, label=int(anomalous),
-                magnitude=float(np.linalg.norm(drifted - base))))
+            events.append(FeatureDrift(node, drifted, label=int(anomalous)))
         else:
             template = int(rng.integers(0, n))
             base = features[template]

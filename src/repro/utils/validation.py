@@ -24,6 +24,17 @@ def check_int(value, name: str) -> int:
     return value
 
 
+def check_number(value, name: str):
+    """``value`` as a number, or ``ValueError`` naming ``name``.
+
+    An int or float but not a bool (JSON ``true`` is not 1).  Callers
+    check their own bounds, written ``not value >= bound`` so NaN fails.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def check_positive(value, name: str):
     """Validate a strictly positive number."""
     if value <= 0:

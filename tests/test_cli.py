@@ -194,6 +194,19 @@ class TestServeCommand:
         assert str(path) in message
         assert "ready" not in capsys.readouterr().out
 
+    def test_missing_input_file_exits_before_ready(self, tmp_path, capsys):
+        """A missing ``--input`` file ends serve with one line naming
+        it, before the ready line, as a missing settings file does."""
+        tenants = tmp_path / "tenants.json"
+        tenants.write_text('[{"name": "t", "model": "m.npz"}]')
+        path = tmp_path / "requests.jsonl"
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--tenants", str(tenants), "--input", str(path)])
+        message = exited.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert str(path) in message
+        assert "ready" not in capsys.readouterr().out
+
     def test_invalid_listen_rejected(self, tmp_path, capsys):
         checkpoint = self._train_checkpoint(tmp_path, capsys)
         with pytest.raises(SystemExit, match="HOST:PORT"):

@@ -229,17 +229,29 @@ class TestNdjsonTransport:
             return await ndjson_session(host, port, [
                 {"op": "add_node", "features": [0.1] * dim},
                 {"op": "add_edge", "u": 0, "v": 40},
+                {"op": "add_edge", "u": 40, "v": 0},
                 {"op": "update_features", "node": 1,
                  "features": [0.2] * dim},
                 {"op": "refresh"},
                 {"op": "score", "nodes": [40]},
             ])
 
-        added_node, added_edge, updated, refreshed, scored = \
+        added_node, added_edge, duplicate, updated, refreshed, scored = \
             run_with_gateway(client, service=service)
+        # Each write answers exactly its op's fields and the store version
+        # after it; a duplicate edge adds nothing but still moves the version.
+        common = {"ok", "op", "trace_id"}
+        assert added_node.keys() == common | {"node", "version"}
         assert added_node["ok"] and added_node["node"] == 40
+        assert added_node["version"] == 1
+        assert added_edge.keys() == common | {"added", "version"}
         assert added_edge["ok"] and added_edge["added"] is True
-        assert updated["ok"]
+        assert added_edge["version"] == 2
+        assert duplicate.keys() == common | {"added", "version"}
+        assert duplicate["ok"] and duplicate["added"] is False
+        assert duplicate["version"] == 3
+        assert updated.keys() == common | {"version"}
+        assert updated["ok"] and updated["version"] == 4
         assert refreshed["ok"] and refreshed["num_nodes"] == 41
         assert scored["ok"]
 

@@ -159,10 +159,12 @@ class TestTenantSpec:
     @pytest.mark.parametrize("field,value", [
         ("replicas", 2.5), ("replicas", True), ("seed", 1.5),
         ("rounds", 2.9), ("rounds", 0), ("model_version", "3"),
-        ("scale", "x"), ("scale", 0), ("scale", True)])
+        ("scale", "x"), ("scale", 0), ("scale", True),
+        ("compact_threshold", "x"), ("compact_threshold", -0.5)])
     def test_rejects_ill_typed_fields(self, field, value):
-        """Counts and ids are JSON integers and the scale a positive
-        number: ``int()`` would silently build 2 replicas from 2.5."""
+        """Counts and ids are JSON integers, the scale a positive
+        number and the compaction threshold a number >= 0 (or null):
+        ``int()`` would silently build 2 replicas from 2.5."""
         with pytest.raises(ValueError, match=f"'t': {field} must be"):
             parse_tenant_spec("t", {"model": "m.npz", field: value})
 

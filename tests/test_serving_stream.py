@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Bourne, BourneConfig
+from repro.gateway.protocol import MUTATION_PARSERS, dispatch_request
 from repro.graph import Graph
 from repro.metrics import roc_auc_score
 from repro.serving import (
@@ -13,6 +14,7 @@ from repro.serving import (
     NodeArrived,
     ScoringService,
     StreamDriver,
+    apply_event,
     synthetic_event_stream,
 )
 
@@ -62,6 +64,32 @@ class TestEvents:
     def test_unknown_event_rejected(self, service):
         with pytest.raises(TypeError):
             StreamDriver(service).apply("not an event")
+
+    def test_write_requests_apply_the_op_tables_records(self, service):
+        """A gateway write request and ``apply_event`` on the record the
+        op table builds leave twin stores equal, and the response is
+        the record's fields."""
+        twin = GraphStore.from_graph(seed_graph())
+        for request in ({"op": "add_node", "features": [0.5] * 6},
+                        {"op": "add_edge", "u": 0, "v": 40},
+                        {"op": "add_edge", "u": 40, "v": 0},
+                        {"op": "update_features", "node": 3,
+                         "features": [1.0] * 6}):
+            op = request["op"]
+            response = dispatch_request(service, request)
+            fields = apply_event(twin, MUTATION_PARSERS[op](request))
+            assert response == {"ok": True, "op": op, **fields}
+            store = service.store
+            np.testing.assert_array_equal(store.features, twin.features)
+            np.testing.assert_array_equal(store.snapshot().edges,
+                                          twin.snapshot().edges)
+            np.testing.assert_array_equal(store.node_labels,
+                                          twin.node_labels)
+            np.testing.assert_array_equal(store.edge_labels,
+                                          twin.edge_labels)
+            assert store.version == twin.version
+        # The wire sets no label: the new node and edge keep label 0.
+        assert store.node_labels[40] == 0 and store.edge_labels[-1] == 0
 
 
 class TestReplay:

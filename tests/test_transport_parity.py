@@ -159,6 +159,13 @@ HANDLER_ERRORS = [
     ("update-float-node",
      {"op": "update_features", "node": 3.5, "features": [0.0] * 6},
      "/v1/update"),
+    # Features are one flat row of finite numbers: json.dumps writes NaN
+    # (not JSON), and two rows of 3 are not one 6-feature row.
+    ("nan-feature",
+     {"op": "update_features", "node": 0,
+      "features": [float("nan")] + [0.0] * 5}, "/v1/update"),
+    ("nested-features",
+     {"op": "add_node", "features": [[1, 2, 3], [4, 5, 6]]}, "/v1/update"),
 ]
 
 
@@ -207,6 +214,25 @@ class TestHandlerErrorParity:
             assert_envelope(stdin)
             assert strip_transport_fields(stdin) \
                 == strip_transport_fields(ndjson), label
+
+    def test_overflowing_feature_parity(self):
+        """``1e400`` is valid JSON that decodes to infinity: the
+        features parser answers 400 on both transports."""
+        line = ('{"op": "update_features", "node": 0, '
+                '"features": [1e400, 0, 0, 0, 0, 0]}')
+
+        async def scenario(gateway, host, port):
+            ndjson = await ndjson_raw(host, port, line)
+            status, http = await http_post(host, port, "/v1/update",
+                                           line.encode())
+            assert_envelope(ndjson)
+            assert_envelope(http)
+            assert ndjson["code"] == status == 400
+            assert strip_transport_fields(ndjson) \
+                == strip_transport_fields(http)
+            return True
+
+        assert run_with_gateway(scenario, tracing=False)
 
     def test_unknown_op_skips_update_route_guard(self):
         """The /v1/update route pre-validates ops; the NDJSON transport

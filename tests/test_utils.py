@@ -20,6 +20,7 @@ from repro.utils import (
     rng_from_seed,
 )
 from repro.utils import heap
+from repro.utils.validation import check_number
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -91,6 +92,15 @@ class TestValidation:
         assert check_positive(3, "n") == 3
         with pytest.raises(ValueError):
             check_positive(0, "n")
+
+    def test_check_number(self):
+        """Ints and floats pass unchanged (bounds are the caller's); a
+        bool, a string, a list or null is not a number."""
+        for value in (0, -2, 0.25, float("nan")):
+            assert check_number(value, "x") is value
+        for value in (True, "1", [1], None):
+            with pytest.raises(ValueError, match="x must be a number"):
+                check_number(value, "x")
 
     def test_check_edge_array_valid(self):
         edges = check_edge_array(np.array([[0, 1], [1, 2]]), 3)
